@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -65,7 +66,6 @@ class ExperimentConfig:
     noise_seed: int = 0
     landweber_step_beta: str = "auto"
     landweber_max_iters: int = 2000
-    landweber_record_iterates: bool = False
     estimator_k_min: int = estimator.DEFAULT_K_MIN
     estimator_w_min: int = estimator.DEFAULT_W_MIN
     estimator_eps_mu: float = estimator.DEFAULT_EPS_MU
@@ -166,6 +166,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    for key, value in cfg.effective_dict().items():
+        items = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     kinds = ("power_law", "exp_solution", "exp_operator", "deriv2", "gravity", "external")
     if cfg.problem_kind not in kinds:
         raise ConfigError(f"problem.kind must be one of {kinds}")
@@ -175,6 +179,14 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("noise.rel_level must be non-negative")
     if cfg.landweber_max_iters < 1:
         raise ConfigError("landweber.max_iters must be >= 1")
+    if cfg.estimator_k_min < 2:
+        raise ConfigError("estimator.k_min must be >= 2")
+    if cfg.estimator_w_min < 2:
+        raise ConfigError("estimator.w_min must be >= 2")
+    if cfg.estimator_eps_mu < 0:
+        raise ConfigError("estimator.eps_mu must be non-negative")
+    if cfg.estimator_eps_c_rel < 0:
+        raise ConfigError("estimator.eps_c_rel must be non-negative")
 
 
 def build_problem(cfg: ExperimentConfig) -> ProblemSpec:
@@ -206,8 +218,7 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
         noisy = add_noise(p, cfg.noise_rel_level, cfg.noise_seed)
         data = noisy.y_delta
     lw_cfg = LandweberConfig(step_beta=cfg.landweber_step_beta,
-                             max_iters=cfg.landweber_max_iters,
-                             record_iterates=cfg.landweber_record_iterates)
+                             max_iters=cfg.landweber_max_iters)
     trace = landweber_run(p, data, lw_cfg, noise=noisy)
     track = estimate_track(trace, k_min=cfg.estimator_k_min, w_min=cfg.estimator_w_min,
                            eps_mu=cfg.estimator_eps_mu, eps_c_rel=cfg.estimator_eps_c_rel)

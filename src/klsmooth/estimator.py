@@ -15,8 +15,7 @@ lower-bound-versus-residual slope drifts to one, the well-posed signature).
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -147,6 +146,37 @@ def estimate_track(trace: IterationTrace, k_min: int = DEFAULT_K_MIN,
     or past an exact-convergence zero (R or G underflow) are excluded;
     degenerate prefixes are skipped and listed in ``skipped_k``.
     """
+    track = _prefix_fits(trace, k_min)
+    window = detect_stable_window(track, w_min=w_min, eps_mu=eps_mu,
+                                  eps_c_rel=eps_c_rel)
+    takeover = detect_noise_takeover(trace)
+    k_values, mu_k = track.k_values, track.mu_k
+
+    mu_hat = c_hat = None
+    if window is not None:
+        k1, k2 = window
+        mask = (k_values >= k1) & (k_values <= k2)
+        mu_hat = float(np.median(mu_k[mask]))
+        c_hat = float(np.median(track.c_k[mask]))
+
+    verdict = VERDICT_UNSTABLE
+    if takeover is not None and _collapses_after(k_values, mu_k, takeover):
+        verdict = VERDICT_NOISE
+    elif window is not None:
+        frac = (window[1] - window[0] + 1) / len(k_values)
+        if frac >= STABLE_WINDOW_FRACTION:
+            verdict = VERDICT_STABLE
+
+    return replace(track, stable_window=window, mu_hat=mu_hat, c_hat=c_hat,
+                   verdict=verdict, noise_takeover_k=takeover)
+
+
+def _prefix_fits(trace: IterationTrace, k_min: int) -> EstimateTrack:
+    """The regression columns of :func:`estimate_track`, without diagnostics.
+
+    A function of its own so that the running sums are freed before the
+    window search allocates its own arrays.
+    """
     if k_min < 2:
         raise ValueError("k_min must be >= 2")
     K = len(trace)
@@ -182,37 +212,12 @@ def estimate_track(trace: IterationTrace, k_min: int = DEFAULT_K_MIN,
     degenerate = (~np.isfinite(gamma[sel])
                   | (den[sel] <= 1e-13 * k[sel] * np.maximum(s2[sel], 1e-30)))
     k_values = sel + 1
-    mu_k = np.where(degenerate, np.nan, mu[sel])
-    c_k = np.where(degenerate, np.nan, c[sel])
-    gamma_k = np.where(degenerate, np.nan, gamma[sel])
-    rms_k = np.where(degenerate, np.nan, rms[sel])
-    skipped = tuple(int(x) for x in k_values[degenerate])
-
-    track = EstimateTrack(k_values=k_values, mu_k=mu_k, c_k=c_k,
-                          gamma_k=gamma_k, rms_k=rms_k, skipped_k=skipped)
-    window = detect_stable_window(track, w_min=w_min, eps_mu=eps_mu,
-                                  eps_c_rel=eps_c_rel)
-    takeover = detect_noise_takeover(trace)
-
-    mu_hat = c_hat = None
-    if window is not None:
-        k1, k2 = window
-        mask = (k_values >= k1) & (k_values <= k2)
-        mu_hat = float(np.median(mu_k[mask]))
-        c_hat = float(np.median(c_k[mask]))
-
-    verdict = VERDICT_UNSTABLE
-    if takeover is not None and _collapses_after(k_values, mu_k, takeover):
-        verdict = VERDICT_NOISE
-    elif window is not None:
-        frac = (window[1] - window[0] + 1) / len(k_values)
-        if frac >= STABLE_WINDOW_FRACTION:
-            verdict = VERDICT_STABLE
-
-    return EstimateTrack(k_values=k_values, mu_k=mu_k, c_k=c_k, gamma_k=gamma_k,
-                         rms_k=rms_k, stable_window=window, mu_hat=mu_hat,
-                         c_hat=c_hat, verdict=verdict, noise_takeover_k=takeover,
-                         skipped_k=skipped)
+    return EstimateTrack(k_values=k_values,
+                         mu_k=np.where(degenerate, np.nan, mu[sel]),
+                         c_k=np.where(degenerate, np.nan, c[sel]),
+                         gamma_k=np.where(degenerate, np.nan, gamma[sel]),
+                         rms_k=np.where(degenerate, np.nan, rms[sel]),
+                         skipped_k=tuple(int(x) for x in k_values[degenerate]))
 
 
 def _collapses_after(k_values: np.ndarray, mu_k: np.ndarray, k_star: int) -> bool:
@@ -231,54 +236,72 @@ def detect_stable_window(track: EstimateTrack, w_min: int = DEFAULT_W_MIN,
     Stability means max - min of mu_k <= eps_mu and max / min of c_k <=
     1 + eps_c_rel over the window, with at least w_min entries. Entries with
     mu_k <= 0 (gamma outside (1,2)) or non-finite values break contiguity.
-    Absence is a value, not an error.
-    """
-    mu = track.mu_k
-    c = track.c_k
-    kv = track.k_values
-    n = mu.size
-    eligible = np.isfinite(mu) & np.isfinite(c) & (mu > 0.0) & (c > 0.0)
+    Of several longest windows the earliest is returned. Absence is a value,
+    not an error.
 
-    best: Optional[tuple[int, int]] = None
-    left = 0
-    mu_max: deque = deque()
-    mu_min: deque = deque()
-    c_max: deque = deque()
-    c_min: deque = deque()
-    for right in range(n):
-        if not eligible[right]:
-            left = right + 1
-            mu_max.clear(); mu_min.clear(); c_max.clear(); c_min.clear()
-            continue
-        while mu_max and mu[mu_max[-1]] <= mu[right]:
-            mu_max.pop()
-        mu_max.append(right)
-        while mu_min and mu[mu_min[-1]] >= mu[right]:
-            mu_min.pop()
-        mu_min.append(right)
-        while c_max and c[c_max[-1]] <= c[right]:
-            c_max.pop()
-        c_max.append(right)
-        while c_min and c[c_min[-1]] >= c[right]:
-            c_min.pop()
-        c_min.append(right)
-        while (mu[mu_max[0]] - mu[mu_min[0]] > eps_mu
-               or c[c_max[0]] / c[c_min[0]] > 1.0 + eps_c_rel):
-            if mu_max[0] == left:
-                mu_max.popleft()
-            if mu_min[0] == left:
-                mu_min.popleft()
-            if c_max[0] == left:
-                c_max.popleft()
-            if c_min[0] == left:
-                c_min.popleft()
-            left += 1
-        if right - left + 1 >= w_min:
-            if best is None or (right - left) > (best[1] - best[0]):
-                best = (left, right)
-    if best is None:
+    Every sub-window of a stable window is stable, so whether a stable
+    window of a given length exists is monotone in the length: a binary
+    search over lengths finds the longest, testing all starts at once.
+    """
+    if not (eps_mu >= 0.0 and eps_c_rel >= 0.0):
+        raise ValueError("eps_mu and eps_c_rel must be non-negative")
+    n = track.mu_k.size
+    eligible = (np.isfinite(track.mu_k) & np.isfinite(track.c_k)
+                & (track.mu_k > 0.0) & (track.c_k > 0.0))
+    # placeholders keep the running extremes finite; the ineligible count
+    # rules out every window that covers one
+    mu = np.where(eligible, track.mu_k, 0.0)
+    c = np.where(eligible, track.c_k, 1.0)
+    n_bad = np.concatenate(([0], np.cumsum(~eligible)))
+
+    def stable_starts(width: int) -> np.ndarray:
+        ok = n_bad[width:] == n_bad[:-width]
+        with np.errstate(over="ignore"):
+            hi, lo = _window_extremes(mu, width)
+            ok &= ~(hi - lo > eps_mu)
+            hi, lo = _window_extremes(c, width)
+            ok &= ~(hi / lo > 1.0 + eps_c_rel)
+        return ok
+
+    shortest = max(w_min, 1)
+    if shortest > n:
         return None
-    return int(kv[best[0]]), int(kv[best[1]])
+    starts = stable_starts(shortest)
+    if not starts.any():
+        return None
+    found, too_long = shortest, n + 1
+    while too_long - found > 1:
+        width = (found + too_long) // 2
+        candidate = stable_starts(width)
+        if candidate.any():
+            found, starts = width, candidate
+        else:
+            too_long = width
+    first = int(np.argmax(starts))
+    return int(track.k_values[first]), int(track.k_values[first + found - 1])
+
+
+def _window_extremes(a: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Max and min of `a` over every run of `width` consecutive entries.
+
+    Van Herk / Gil-Werman: cut `a` into blocks of `width`; a window then
+    spans the tail of one block and the head of the next, so it takes one
+    suffix extreme and one prefix extreme. Returns two arrays of length
+    a.size - width + 1.
+    """
+    n = a.size
+    n_blocks = -(-n // width)
+    # repeating the last entry changes no extreme of a window it completes
+    blocks = np.concatenate((a, np.full(n_blocks * width - n, a[-1])))
+    blocks = blocks.reshape(n_blocks, width)
+    prefix = np.empty_like(blocks)
+    suffix = np.empty_like(blocks)
+    out = []
+    for op in (np.maximum, np.minimum):
+        op.accumulate(blocks, axis=1, out=prefix)
+        op.accumulate(blocks[:, ::-1], axis=1, out=suffix[:, ::-1])
+        out.append(op(suffix.ravel()[:n - width + 1], prefix.ravel()[width - 1:n]))
+    return out[0], out[1]
 
 
 def detect_noise_takeover(trace: IterationTrace,

@@ -8,6 +8,11 @@ squared residual. After every update the trace records
 and, when the exact solution is known, ||x_k - x_true||. The ratio R^2/G is
 an observable lower bound on the reconstruction error (Cauchy-Schwarz) and
 drives the downstream diagnostics.
+
+Diagonal operators have the trace in closed form (every mode evolves on its
+own), which :func:`diagonal_trace` evaluates in blocks of iterations without
+iterating. Dense operators run the iteration itself in :func:`matvec_trace`,
+which also serves as the reference the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -18,12 +23,21 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .operators import operator_norm
+from .operators import LinearOperator, operator_norm
 from .problems import NoisyData, ProblemSpec
 
 # Residual/gradient norms below this are treated as exact convergence so the
 # log-log regression never sees log(0).
 EARLY_STOP_FLOOR = 1e-300
+
+# The closed form's tables of powers get about this many entries (0.5 MB of
+# float64), so one block spans 2^16 / n iterations, but never fewer than
+# MIN_BLOCK_ROWS: each block also makes a dozen passes over whole n-vectors,
+# and with fewer rows than that the matvec loop would be faster.
+BLOCK_ELEMENTS = 1 << 16
+MIN_BLOCK_ROWS = 8
+
+Columns = tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -32,14 +46,12 @@ class LandweberConfig:
 
     step_beta "auto" resolves to 1 / ||A||_est^2, the midpoint of the safe
     range (0, 2/||A||^2); explicit values are validated against that range.
-    x0 "zero" starts from the origin. record_iterates keeps snapshots of x_k
-    at stride ceil(K/100).
+    x0 "zero" starts from the origin.
     """
 
     step_beta: Union[float, str] = "auto"
     max_iters: int = 2000
     x0: Union[np.ndarray, str] = "zero"
-    record_iterates: bool = False
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -59,7 +71,6 @@ class IterationTrace:
     step_beta: float = 0.0
     problem_label: str = ""
     noise_meta: Optional[dict] = None
-    iterates: tuple = ()   # ((k, x_k), ...) snapshots when requested
 
     def __len__(self) -> int:
         return self.residuals.size
@@ -89,7 +100,8 @@ def landweber_run(p: ProblemSpec, data: np.ndarray,
 
     Stops early once the residual or gradient norm underflows (exact
     normal-equation solution reached). Non-finite values abort with the
-    offending iteration index.
+    offending iteration index. Diagonal operators take the closed form,
+    all others the matvec loop.
     """
     cfg = cfg or LandweberConfig()
     op = p.operator
@@ -99,23 +111,40 @@ def landweber_run(p: ProblemSpec, data: np.ndarray,
     beta = resolve_step(cfg, operator_norm(op))
 
     if isinstance(cfg.x0, str):
-        x = np.zeros(op.shape[1])
+        x0 = np.zeros(op.shape[1])
     else:
-        x = np.asarray(cfg.x0, dtype=float).copy()
-        if x.shape != (op.shape[1],):
+        x0 = np.asarray(cfg.x0, dtype=float)
+        if x0.shape != (op.shape[1],):
             raise ValueError(f"x0 must have length {op.shape[1]}")
 
-    K = cfg.max_iters
-    stride = max(1, -(-K // 100))  # ceil(K/100)
-    R = np.empty(K)
-    G = np.empty(K)
-    E = np.empty(K) if p.x_true is not None else None
-    snapshots = []
+    run = diagonal_trace if op.kind == "diagonal" else matvec_trace
+    R, G, E = run(op, data, x0, beta, cfg.max_iters, p.x_true)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lb = np.where(G > 0.0, R ** 2 / np.where(G > 0.0, G, 1.0), np.nan)
+    noise_meta = None
+    if noise is not None:
+        noise_meta = {"rel_level": noise.rel_level, "delta_abs": noise.delta_abs,
+                      "seed": noise.seed}
+    return IterationTrace(residuals=R, gradient_norms=G, lower_bounds=lb, errors=E,
+                          step_beta=beta, problem_label=p.label,
+                          noise_meta=noise_meta)
 
+
+def matvec_trace(op: LinearOperator, data: np.ndarray, x0: np.ndarray,
+                 beta: float, max_iters: int,
+                 x_true: Optional[np.ndarray] = None) -> Columns:
+    """(R, G, E) by running the iteration, two matvecs per step.
+
+    E is None without x_true. Columns end at the early stop, if any.
+    """
+    R = np.empty(max_iters)
+    G = np.empty(max_iters)
+    E = np.empty(max_iters) if x_true is not None else None
+    x = x0
     n_done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         g = op.apply_adjoint(op.apply(x) - data)
-    for k in range(1, K + 1):
+    for k in range(1, max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             x = x - beta * g
             r = op.apply(x) - data
@@ -127,25 +156,92 @@ def landweber_run(p: ProblemSpec, data: np.ndarray,
         R[k - 1] = rn
         G[k - 1] = gn
         if E is not None:
-            E[k - 1] = float(np.linalg.norm(x - p.x_true))
-        if cfg.record_iterates and (k % stride == 0 or k == K):
-            snapshots.append((k, x.copy()))
+            E[k - 1] = float(np.linalg.norm(x - x_true))
         n_done = k
         if rn < EARLY_STOP_FLOOR or gn < EARLY_STOP_FLOOR:
             break
+    return R[:n_done], G[:n_done], None if E is None else E[:n_done]
 
-    R = R[:n_done]
-    G = G[:n_done]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lb = np.where(G > 0.0, R ** 2 / np.where(G > 0.0, G, 1.0), np.nan)
-    noise_meta = None
-    if noise is not None:
-        noise_meta = {"rel_level": noise.rel_level, "delta_abs": noise.delta_abs,
-                      "seed": noise.seed}
-    return IterationTrace(residuals=R, gradient_norms=G, lower_bounds=lb,
-                          errors=None if E is None else E[:n_done],
-                          step_beta=beta, problem_label=p.label,
-                          noise_meta=noise_meta, iterates=tuple(snapshots))
+
+def diagonal_trace(op: LinearOperator, data: np.ndarray, x0: np.ndarray,
+                   beta: float, max_iters: int,
+                   x_true: Optional[np.ndarray] = None) -> Columns:
+    """(R, G, E) of the iteration on a diagonal operator, in closed form.
+
+    With q = 1 - beta sigma^2 and r0 = sigma x0 - data, the residual after k
+    updates is q^k r0 mode by mode, so
+
+        R_k^2 = sum_i q_i^(2k) r0_i^2,    G_k^2 = sum_i q_i^(2k) sigma_i^2 r0_i^2,
+        x_k - x_true = (x0 - x_true) - (r0/sigma) (1 - q^k).
+
+    Tables of q^(2j) and 1 - q^j, j = 1..B, are built once. The block after
+    k0 iterations uses q^(k0+j) = q^k0 q^j and 1 - q^(k0+j) = (1 - q^k0) +
+    q^k0 (1 - q^j), with q^k0 evaluated afresh, never as a running product,
+    so rounding does not build up over blocks: one GEMM gives R and G, one
+    per-mode pass the error. The error is kept per mode: expanded into power
+    sums, or written as (x0 - x_true - r0/sigma) + (r0/sigma) q^k, it cancels
+    badly under noise, where r0/sigma is large on the small-sigma modes.
+    Early stop and abort happen at the same iteration as in
+    :func:`matvec_trace`.
+    """
+    s = op.sigmas
+    n = s.size
+    rows = min(max_iters, max(MIN_BLOCK_ROWS, BLOCK_ELEMENTS // n))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        q = 1.0 - beta * s * s
+        log_q = np.where(q > 0.0, np.log1p(-beta * s * s), 0.0)
+        nonpos = np.flatnonzero(q <= 0.0)
+        r0 = s * x0 - data
+        weights = np.stack((r0 * r0, (s * r0) ** 2))
+        q_2j, comp_j = _powers(q, log_q, nonpos, np.arange(1, rows + 1.0)[:, None])
+        np.square(q_2j, out=q_2j)
+        if x_true is not None:
+            pull = r0 / s
+            start = x0 - x_true
+            buf = np.empty_like(comp_j)
+    R = np.empty(max_iters)
+    G = np.empty(max_iters)
+    E = np.empty(max_iters) if x_true is not None else None
+    n_done = max_iters
+    for k0 in range(0, max_iters, rows):
+        m = min(rows, max_iters - k0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q_k0, comp_k0 = _powers(q, log_q, nonpos, k0)
+            norms = np.sqrt((weights * (q_k0 * q_k0)) @ q_2j[:m].T)
+            if E is not None:
+                dev = np.multiply(comp_j[:m], pull * q_k0, out=buf[:m])
+                np.subtract(start - pull * comp_k0, dev, out=dev)
+                E[k0:k0 + m] = np.sqrt(np.einsum("ij,ij->i", dev, dev))
+        R[k0:k0 + m], G[k0:k0 + m] = norms
+        bad = ~np.isfinite(norms).all(axis=0)
+        stop = (norms < EARLY_STOP_FLOOR).any(axis=0)
+        first_bad = int(np.argmax(bad)) if bad.any() else m
+        first_stop = int(np.argmax(stop)) if stop.any() else m
+        if first_bad < m and first_bad <= first_stop:
+            raise RuntimeError(
+                f"non-finite residual/gradient at iteration {k0 + first_bad + 1}")
+        if first_stop < m:
+            n_done = k0 + first_stop + 1
+            break
+    return R[:n_done], G[:n_done], None if E is None else E[:n_done]
+
+
+def _powers(q: np.ndarray, log_q: np.ndarray, nonpos: np.ndarray,
+            k) -> tuple[np.ndarray, np.ndarray]:
+    """q^k and 1 - q^k for integer k (a scalar or a column of exponents).
+
+    Where q > 0 both come from k log1p(-beta sigma^2) through exp and expm1:
+    that never rounds q itself, whose rounding error would grow k-fold, and
+    1 - q^k keeps its digits as q -> 1. The modes listed in nonpos (beta
+    sigma^2 >= 1) take the plain power.
+    """
+    t = k * log_q
+    q_k = np.exp(t)
+    comp = -np.expm1(t)
+    if nonpos.size:
+        q_k[..., nonpos] = np.power(q[nonpos], k)
+        comp[..., nonpos] = 1.0 - q_k[..., nonpos]
+    return q_k, comp
 
 
 def trace_to_csv(trace: IterationTrace,

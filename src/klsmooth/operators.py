@@ -86,11 +86,29 @@ class LinearOperator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Truncated singular system {sigma_i, u_i, v_i} with orthonormal columns."""
+    """Truncated singular system {sigma_i, u_i, v_i} with orthonormal columns.
+
+    A basis given as None is the canonical one (u_i = v_i = e_i), as for a
+    diagonal operator. It is built only when ``left_vectors`` or
+    ``right_vectors`` is read; :meth:`coefficients` never needs it.
+    """
 
     sigmas: np.ndarray
-    left_vectors: np.ndarray   # m x r, columns u_i
-    right_vectors: np.ndarray  # n x r, columns v_i
+    u: Optional[np.ndarray] = None   # m x r, columns u_i
+    v: Optional[np.ndarray] = None   # n x r, columns v_i
+
+    @property
+    def left_vectors(self) -> np.ndarray:
+        return np.eye(self.sigmas.size) if self.u is None else self.u
+
+    @property
+    def right_vectors(self) -> np.ndarray:
+        return np.eye(self.sigmas.size) if self.v is None else self.v
+
+    def coefficients(self, y: np.ndarray) -> np.ndarray:
+        """<y, u_i> for every retained i."""
+        y = np.asarray(y, dtype=float)
+        return y.copy() if self.u is None else self.u.T @ y
 
 
 def diagonal_operator(sigmas) -> LinearOperator:
@@ -170,19 +188,16 @@ def operator_norm(op: LinearOperator, tol: float = 1e-10, max_iters: int = 10000
 def svd(op: LinearOperator, floor: float = DEFAULT_SV_FLOOR) -> SpectralDecomposition:
     """Full singular value decomposition, truncated at floor * sigma_1.
 
-    Diagonal operators return their stored sigmas with canonical basis
-    vectors, untruncated: those values are exact data, not the output of a
-    numerical factorization. The identity bases are materialized densely
-    (n^2 memory), which is fine at desk scale. Kernel-quadrature operators
-    must be materialized to dense first (``op.to_dense()``).
+    Diagonal operators return their stored sigmas with the canonical basis,
+    untruncated: those values are exact data, not the output of a numerical
+    factorization. The basis is left implicit, so this costs O(n) memory.
+    Kernel-quadrature operators must be materialized to dense first
+    (``op.to_dense()``).
     """
     if op.kind == "kernel-quadrature":
         raise TypeError("kernel-quadrature operator: call .to_dense() before svd()")
     if op.kind == "diagonal":
-        n = op.shape[0]
-        eye = np.eye(n)
-        return SpectralDecomposition(sigmas=op.sigmas.copy(),
-                                     left_vectors=eye, right_vectors=eye.copy())
+        return SpectralDecomposition(sigmas=op.sigmas.copy())
     m, n = op.shape
     if min(m, n) > SVD_SIZE_LIMIT:
         raise ValueError(
@@ -191,13 +206,8 @@ def svd(op: LinearOperator, floor: float = DEFAULT_SV_FLOOR) -> SpectralDecompos
         u, s, vt = np.linalg.svd(op.matrix, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD failed to converge: {exc}") from exc
-    if s[0] == 0.0:
-        return SpectralDecomposition(sigmas=s[:0], left_vectors=u[:, :0],
-                                     right_vectors=vt.T[:, :0])
-    keep = s >= floor * s[0]
-    r = int(keep.sum())
-    return SpectralDecomposition(sigmas=s[:r], left_vectors=u[:, :r],
-                                 right_vectors=vt.T[:, :r])
+    r = 0 if s[0] == 0.0 else int((s >= floor * s[0]).sum())
+    return SpectralDecomposition(sigmas=s[:r], u=u[:, :r], v=vt.T[:, :r])
 
 
 # ---------------------------------------------------------------------------

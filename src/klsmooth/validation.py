@@ -187,8 +187,7 @@ def verify_smoothness(sd: SpectralDecomposition, y: np.ndarray, mu_list,
     ratio S_n / S_{n/2} stays at or below `ratio_threshold`. Admissibility is
     monotone (smaller mu is easier), which the construction preserves.
     """
-    y = np.asarray(y, dtype=float)
-    coeffs = sd.left_vectors.T @ y
+    coeffs = sd.coefficients(y)
     log_s = np.log(sd.sigmas)
     nz = coeffs != 0.0
     if sd.sigmas.size < 4 or not nz.any():
@@ -240,8 +239,7 @@ def max_mu_spectral(sd: SpectralDecomposition, y: np.ndarray,
     predicate is bisected over [bisect_lo, bisect_hi]. None means even the
     smallest tested mu is inadmissible.
     """
-    y = np.asarray(y, dtype=float)
-    coeffs = sd.left_vectors.T @ y
+    coeffs = sd.coefficients(y)
     abs_c = np.abs(coeffs)
     keep = abs_c >= coeff_floor * abs_c.max()
     idx = np.arange(1, sd.sigmas.size + 1, dtype=float)

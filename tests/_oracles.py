@@ -4,6 +4,8 @@ Everything here is computed directly from per-mode formulas, never by
 running the iteration under test.
 """
 
+from collections import deque
+
 import numpy as np
 
 
@@ -49,3 +51,55 @@ def brute_force_least_squares(xs, ys):
     ata = a.T @ a
     slope, intercept = np.linalg.solve(ata, a.T @ ys)
     return float(slope), float(intercept)
+
+
+def stable_window_oracle(track, w_min, eps_mu, eps_c_rel):
+    """Longest stable window by one left-to-right pass with monotone deques.
+
+    For every right end the deques hold the window's running max and min of
+    mu_k and c_k; the left end advances until the window is stable again.
+    The first window of the longest length wins.
+    """
+    mu = track.mu_k
+    c = track.c_k
+    kv = track.k_values
+    n = mu.size
+    eligible = np.isfinite(mu) & np.isfinite(c) & (mu > 0.0) & (c > 0.0)
+
+    best = None
+    left = 0
+    mu_max, mu_min, c_max, c_min = deque(), deque(), deque(), deque()
+    for right in range(n):
+        if not eligible[right]:
+            left = right + 1
+            mu_max.clear(); mu_min.clear(); c_max.clear(); c_min.clear()
+            continue
+        while mu_max and mu[mu_max[-1]] <= mu[right]:
+            mu_max.pop()
+        mu_max.append(right)
+        while mu_min and mu[mu_min[-1]] >= mu[right]:
+            mu_min.pop()
+        mu_min.append(right)
+        while c_max and c[c_max[-1]] <= c[right]:
+            c_max.pop()
+        c_max.append(right)
+        while c_min and c[c_min[-1]] >= c[right]:
+            c_min.pop()
+        c_min.append(right)
+        while (mu[mu_max[0]] - mu[mu_min[0]] > eps_mu
+               or c[c_max[0]] / c[c_min[0]] > 1.0 + eps_c_rel):
+            if mu_max[0] == left:
+                mu_max.popleft()
+            if mu_min[0] == left:
+                mu_min.popleft()
+            if c_max[0] == left:
+                c_max.popleft()
+            if c_min[0] == left:
+                c_min.popleft()
+            left += 1
+        if right - left + 1 >= w_min:
+            if best is None or (right - left) > (best[1] - best[0]):
+                best = (left, right)
+    if best is None:
+        return None
+    return int(kv[best[0]]), int(kv[best[1]])

@@ -60,6 +60,14 @@ def test_parse_values_and_comments():
     "validation.run_tikhonov = maybe\n",
     "noise.rel_level = -0.5\n",
     "problem.kind = external\n",  # missing paths
+    "noise.rel_level = nan\n",
+    "problem.eta = inf\n",
+    "landweber.step_beta = nan\n",
+    "validation.levels = 0.1, nan, 0.01\n",
+    "estimator.eps_mu = -1\n",
+    "estimator.eps_c_rel = -1\n",
+    "estimator.w_min = 1\n",
+    "estimator.k_min = 1\n",
 ])
 def test_parse_errors(text):
     with pytest.raises(ConfigError):
@@ -72,7 +80,7 @@ def test_effective_dict_covers_every_key():
     assert eff["problem.kind"] == "power_law"
     assert eff["estimator.eps_mu"] == 0.05
     assert eff["output.report_path"] == "report.json"
-    assert len(eff) == 23
+    assert len(eff) == 22
 
 
 def test_run_estimate_end_to_end(tmp_path):
@@ -85,7 +93,7 @@ def test_run_estimate_end_to_end(tmp_path):
     # the effective config is echoed in full, defaults included
     assert report["config"]["landweber.max_iters"] == 400
     assert report["config"]["estimator.k_min"] == 5
-    assert len(report["config"]) == 23
+    assert len(report["config"]) == 22
     header = trace_path.read_text().splitlines()[0]
     assert header.startswith("k,residual,gradient_norm,lower_bound,error,mu_k,c_k")
 
@@ -104,6 +112,17 @@ def test_run_estimate_deterministic(tmp_path):
     del r1["config"]["output.trace_path"], r2["config"]["output.trace_path"]
     del r1["config"]["output.report_path"], r2["config"]["output.report_path"]
     assert r1 == r2
+
+
+@pytest.mark.parametrize("text, flags", [
+    ("estimator.eps_c_rel = -1\n", []),
+    ("estimator.eps_mu = -1\n", []),
+    ("", ["--noise", "nan"]),
+])
+def test_invalid_values_exit_with_config_error(tmp_path, text, flags):
+    path, trace_path, _ = write_cfg(tmp_path, SMALL_DIAG + text)
+    assert main(["estimate", str(path), *flags]) == EXIT_CONFIG
+    assert not trace_path.exists()
 
 
 def test_malformed_config_exit_code(tmp_path):

@@ -223,6 +223,14 @@ def test_stable_window_c_criterion():
     assert win[1] <= 105
 
 
+@pytest.mark.parametrize("eps_mu, eps_c_rel", [(-1.0, 0.05), (0.05, -1.0), (np.nan, 0.05)])
+def test_stable_window_rejects_bad_tolerances(eps_mu, eps_c_rel):
+    track = EstimateTrack(k_values=np.arange(1, 61), mu_k=np.full(60, 0.3),
+                          c_k=np.ones(60), gamma_k=np.full(60, 1.6), rms_k=np.zeros(60))
+    with pytest.raises(ValueError):
+        detect_stable_window(track, w_min=10, eps_mu=eps_mu, eps_c_rel=eps_c_rel)
+
+
 def test_noise_takeover_absent_on_decreasing():
     k = np.arange(1, 200)
     R = 1.0 / k

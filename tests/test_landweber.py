@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klsmooth.landweber import LandweberConfig, landweber_run, trace_to_csv
+from klsmooth.landweber import (LandweberConfig, diagonal_trace, landweber_run,
+                                matvec_trace, trace_to_csv)
 from klsmooth.operators import diagonal_operator, operator_norm
 from klsmooth.problems import ProblemSpec, add_noise, make_power_law
 
@@ -127,15 +128,6 @@ def test_custom_x0():
     assert trace.residuals[0] <= 1e-14
 
 
-def test_record_iterates_stride():
-    p = make_power_law(30, 2, 2)
-    trace = landweber_run(p, p.y_clean, LandweberConfig(max_iters=250, record_iterates=True))
-    ks = [k for k, _ in trace.iterates]
-    assert ks[0] == 3  # ceil(250/100)
-    assert ks[-1] == 250
-    assert all(x.shape == (30,) for _, x in trace.iterates)
-
-
 def test_trace_csv_format():
     p = make_power_law(20, 2, 2)
     trace = landweber_run(p, p.y_clean, LandweberConfig(max_iters=8))
@@ -162,3 +154,70 @@ def test_trace_csv_with_estimates_and_upper():
     row7 = lines[7].split(",")
     assert float(row7[5]) == 0.3 and float(row7[6]) == 1.0
     assert lines[1].split(",")[5] == ""  # k < k_min has no estimate
+
+
+def assert_traces_agree(closed, loop, rel=1e-10):
+    assert len(closed[0]) == len(loop[0])
+    for a, b in zip(closed, loop):
+        if b is None:
+            assert a is None
+            continue
+        assert np.all(np.abs(a - b) <= rel * np.abs(b))
+
+
+@st.composite
+def diagonal_case(draw):
+    """A random diagonal problem, its data, a start, a step and a run length.
+
+    On a converged mode the loop's residual is rounding of size eps * |data_i|,
+    so the loop is only a reference while some mode is still far from
+    converged. The cases pin sigma_n = 0.01, which stays within a factor
+    e^0.6 of its start over 3000 steps, and sigma_1 = 1, so a step past
+    1/sigma_1^2 makes q_1 = 1 - beta sigma_1^2 negative. With n up to 400 the
+    block length 2^16 // n falls below n, and few run lengths are multiples
+    of it. The data may carry noise and the start may be custom.
+    """
+    n = draw(st.integers(min_value=2, max_value=400))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    inner = np.sort(10.0 ** rng.uniform(-2, 0, n - 2))[::-1]
+    sigmas = np.concatenate(([1.0], inner, [0.01]))
+    x_true = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.5, n)
+    data = sigmas * x_true
+    if draw(st.booleans()):
+        noise = rng.standard_normal(n)
+        level = draw(st.floats(1e-4, 0.1))
+        data = data + level * np.linalg.norm(data) * noise / np.linalg.norm(noise)
+    x0 = rng.standard_normal(n) if draw(st.booleans()) else np.zeros(n)
+    beta = draw(st.floats(0.05, 1.95))
+    iters = draw(st.integers(min_value=1, max_value=3000))
+    return diagonal_operator(sigmas), data, x0, beta, iters, x_true
+
+
+@settings(deadline=None, max_examples=60)
+@given(diagonal_case(), st.booleans())
+def test_closed_form_matches_matvec_loop(case, with_error):
+    op, data, x0, beta, iters, x_true = case
+    x_true = x_true if with_error else None
+    closed = diagonal_trace(op, data, x0, beta, iters, x_true)
+    loop = matvec_trace(op, data, x0, beta, iters, x_true)
+    assert_traces_agree(closed, loop)
+
+
+def test_closed_form_early_stop_at_first_iteration():
+    # unit sigmas and unit step solve in one update: both paths stop at k = 1
+    op = diagonal_operator(np.ones(5))
+    data = np.arange(1.0, 6.0)
+    closed = diagonal_trace(op, data, np.zeros(5), 1.0, 50, data)
+    loop = matvec_trace(op, data, np.zeros(5), 1.0, 50, data)
+    assert len(closed[0]) == len(loop[0]) == 1
+    assert closed[0][0] == loop[0][0] == 0.0
+    assert closed[2][0] == loop[2][0] == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_closed_form_aborts_at_the_loops_iteration(bad):
+    op = diagonal_operator([1.0, 0.5, 0.25])
+    data = np.array([1.0, bad, 0.5])
+    for run in (diagonal_trace, matvec_trace):
+        with pytest.raises(RuntimeError, match="iteration 1$"):
+            run(op, data, np.zeros(3), 0.5, 40)

@@ -122,6 +122,14 @@ def test_svd_diagonal():
     assert np.allclose(sd.right_vectors, np.eye(2))
 
 
+def test_svd_diagonal_coefficients_need_no_basis():
+    s = np.linspace(1.0, 0.1, 5000)
+    sd = svd(diagonal_operator(s))
+    assert sd.u is None and sd.v is None
+    y = np.random.default_rng(2).standard_normal(5000)
+    assert np.array_equal(sd.coefficients(y), y)
+
+
 def test_svd_permuted_diagonal():
     sd = svd(dense_operator([[0.0, 2.0], [1.0, 0.0]]))
     assert np.allclose(sd.sigmas, [2.0, 1.0])

@@ -6,12 +6,14 @@ the contract, so the detectors are exercised on inputs nobody hand-picked.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from klsmooth.estimator import (EstimateTrack, detect_noise_takeover,
                                 detect_stable_window, estimate_track)
 from klsmooth.landweber import IterationTrace, trace_to_csv
 from klsmooth.problems import add_noise, make_power_law
+
+from _oracles import stable_window_oracle
 
 
 def mk_trace(R, G, errors=None):
@@ -52,6 +54,40 @@ def test_stable_window_satisfies_its_own_criterion(track, w_min, eps_mu, eps_c):
     assert np.all(mu_win > 0.0)
     assert mu_win.max() - mu_win.min() <= eps_mu * (1 + 1e-12)
     assert c_win.max() / c_win.min() <= (1.0 + eps_c) * (1 + 1e-12)
+
+
+@st.composite
+def rough_track(draw):
+    """A random track with the entries that break or tie windows.
+
+    Values may be rounded to two decimals (ties among the running extremes),
+    and NaN or non-positive entries may land anywhere, the last entry
+    included. Tracks run from 1 to 300 entries, so w_min can exceed the
+    length.
+    """
+    track = draw(random_track())
+    n = draw(st.integers(min_value=1, max_value=track.mu_k.size))
+    mu = track.mu_k[:n].copy()
+    c = track.c_k[:n].copy()
+    if draw(st.booleans()):
+        mu, c = np.round(mu, 2), np.round(c, 2)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    for values, bad in ((mu, np.nan), (mu, 0.0), (c, np.nan), (c, -1.0)):
+        hits = rng.integers(0, n, draw(st.integers(min_value=0, max_value=3)))
+        values[hits] = bad
+    return EstimateTrack(k_values=track.k_values[:n], mu_k=mu, c_k=c,
+                         gamma_k=mu, rms_k=np.zeros(n))
+
+
+@settings(deadline=None, max_examples=300)
+@given(rough_track(), st.integers(min_value=1, max_value=60),
+       st.sampled_from([0.0, 0.01, 0.05, 0.3]), st.sampled_from([0.0, 0.01, 0.05, 0.5]))
+@example(track=EstimateTrack(k_values=np.arange(5, 85), mu_k=np.linspace(0.9, 0.1, 80) ** 4,
+                             c_k=np.ones(80), gamma_k=np.zeros(80), rms_k=np.zeros(80)),
+         w_min=5, eps_mu=0.05, eps_c=0.05)   # the flat stretch runs to the end
+def test_stable_window_matches_deque_oracle(track, w_min, eps_mu, eps_c):
+    assert (detect_stable_window(track, w_min=w_min, eps_mu=eps_mu, eps_c_rel=eps_c)
+            == stable_window_oracle(track, w_min, eps_mu, eps_c))
 
 
 @settings(deadline=None, max_examples=80)
