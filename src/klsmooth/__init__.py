@@ -9,7 +9,7 @@ convergence-rate experiment, and a spectral summability test.
 
 from .operators import (ConvergenceError, LinearOperator, SpectralDecomposition,
                         dense_operator, diagonal_operator, kernel_operator,
-                        operator_norm, svd,
+                        midpoint_nodes, operator_norm, svd,
                         read_matrix_market, write_matrix_market,
                         read_vector, write_vector)
 from .problems import (NoisyData, ProblemSpec, add_noise, load_external,

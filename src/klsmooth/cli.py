@@ -21,19 +21,19 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import estimator, problems, validation
 from .estimator import estimate_track, detect_discretization_saturation, mu_to_model
-from .landweber import LandweberConfig, landweber_run, write_trace_csv
+from .landweber import LandweberConfig, columns_to_csv, landweber_run, write_trace_csv
 from .operators import ConvergenceError, SVD_SIZE_LIMIT, svd
 from .problems import ProblemSpec, add_noise
-from .validation import (DEFAULT_MU_GRID, max_mu_spectral, rate_experiment,
-                         bound_curves, verify_smoothness)
+from .validation import (DEFAULT_LEVELS, DEFAULT_MU_GRID, max_mu_spectral,
+                         rate_experiment, bound_curves, verify_smoothness)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -177,6 +177,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("external problems need problem.matrix_path and problem.y_path")
     if cfg.noise_rel_level < 0:
         raise ConfigError("noise.rel_level must be non-negative")
+    if cfg.noise_seed < 0 or any(seed < 0 for seed in cfg.validation_seeds):
+        raise ConfigError("noise.seed and validation.seeds must be non-negative")
     if cfg.landweber_max_iters < 1:
         raise ConfigError("landweber.max_iters must be >= 1")
     if cfg.estimator_k_min < 2:
@@ -219,7 +221,7 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
         data = noisy.y_delta
     lw_cfg = LandweberConfig(step_beta=cfg.landweber_step_beta,
                              max_iters=cfg.landweber_max_iters)
-    trace = landweber_run(p, data, lw_cfg, noise=noisy)
+    trace = landweber_run(p, data, lw_cfg)
     track = estimate_track(trace, k_min=cfg.estimator_k_min, w_min=cfg.estimator_w_min,
                            eps_mu=cfg.estimator_eps_mu, eps_c_rel=cfg.estimator_eps_c_rel)
     saturation_k = detect_discretization_saturation(trace)
@@ -260,15 +262,14 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
 def _tikhonov_section(p: ProblemSpec, track, cfg: ExperimentConfig) -> dict:
     if p.x_true is None:
         return {"note": "skipped: exact solution unknown"}
-    mu_ref = track.mu_hat if track.mu_hat and track.mu_hat > 0 else p.mu_exact
-    if not mu_ref or mu_ref <= 0:
-        return {"note": "skipped: no positive smoothness estimate to test"}
-    levels = cfg.validation_levels or tuple(np.logspace(-3, -1, 10)[::-1])
+    if track.mu_hat is None or track.mu_hat <= 0:
+        return {"note": "skipped: no stable-window estimate to test"}
+    levels = cfg.validation_levels or DEFAULT_LEVELS
     try:
-        res = rate_experiment(p, mu_ref, levels, cfg.validation_seeds)
+        res = rate_experiment(p, track.mu_hat, levels, cfg.validation_seeds)
     except ConvergenceError as exc:
         return {"note": f"failed: {exc}"}
-    return {"mu_tested": mu_ref,
+    return {"mu_tested": track.mu_hat,
             "predicted_exponent": res.predicted_exponent,
             "observed_exponent": res.observed_exponent,
             "noise_levels": res.noise_levels,
@@ -281,8 +282,6 @@ def _tikhonov_section(p: ProblemSpec, track, cfg: ExperimentConfig) -> dict:
 
 def _svd_section(p: ProblemSpec) -> dict:
     op = p.operator
-    if op.kind == "kernel-quadrature":
-        op = op.to_dense()
     if op.kind == "dense" and min(op.shape) > SVD_SIZE_LIMIT:
         return {"note": f"skipped: operator exceeds the dense SVD limit {SVD_SIZE_LIMIT}"}
     sd = svd(op)
@@ -296,31 +295,62 @@ def _svd_section(p: ProblemSpec) -> dict:
             "retained_singular_values": int(sd.sigmas.size)}
 
 
+def _finite_or_none(value):
+    """``value`` with every non-finite float, however deeply nested, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    return value
+
+
+def _write_report(path, report: dict) -> None:
+    """Write a report as strict JSON: non-finite numbers become null."""
+    text = json.dumps(_finite_or_none(report), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
+
+
 def _write_outputs(result: dict, cfg: ExperimentConfig) -> None:
     track = result["track"]
     write_trace_csv(cfg.output_trace_path, result["trace"],
                     mu_k=track.mu_k, c_k=track.c_k, k_values=track.k_values,
                     upper_bounds=result["upper"])
-    Path(cfg.output_report_path).write_text(
-        json.dumps(result["report"], indent=2, sort_keys=True) + "\n")
+    _write_report(cfg.output_report_path, result["report"])
 
 
-def run_estimate(cfg: ExperimentConfig) -> int:
-    """Execute one configured run; returns a process exit status."""
+def run_guarded(command: Callable[[], object]) -> int:
+    """Run one command; map its failure to an exit status and a message.
+
+    Invalid input gives 2, a numerical breakdown 3, and a file that cannot
+    be read or written 4. This is the only place that turns an exception
+    into an exit status.
+    """
     try:
-        result = run_pipeline(cfg)
+        command()
+    # LinAlgError is a ValueError, so the numerical failures go first
     except (ConvergenceError, RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        _write_outputs(result, cfg)
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
+
+
+def _estimate(cfg: ExperimentConfig) -> dict:
+    result = run_pipeline(cfg)
+    _write_outputs(result, cfg)
+    return result
+
+
+def run_estimate(cfg: ExperimentConfig) -> int:
+    """Execute one configured run; returns a process exit status."""
+    return run_guarded(lambda: _estimate(cfg))
 
 
 def figure_config(name: str) -> ExperimentConfig:
@@ -351,108 +381,62 @@ def figure_config(name: str) -> ExperimentConfig:
     return replace(base, **table[name])
 
 
-def run_figure_suite(name: str, out_dir) -> int:
-    """Run one named experiment and write its two plot-ready CSV series."""
-    try:
-        cfg = figure_config(name)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
+def _figure_suite(name: str, out_dir) -> None:
+    cfg = figure_config(name)
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+    out.mkdir(parents=True, exist_ok=True)
     cfg.output_trace_path = str(out / f"{name}_trace.csv")
     cfg.output_report_path = str(out / f"{name}_report.json")
-    try:
-        result = run_pipeline(cfg)
-    except (ConvergenceError, RuntimeError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    trace = result["trace"]
-    track = result["track"]
-    try:
-        _write_outputs(result, cfg)
-        with open(out / f"{name}_estimates.csv", "w") as fh:
-            fh.write("k,mu_k,c_k\n")
-            for k, m, c in zip(track.k_values, track.mu_k, track.c_k):
-                ms = f"{m:.17g}" if np.isfinite(m) else ""
-                cs = f"{c:.17g}" if np.isfinite(c) else ""
-                fh.write(f"{k},{ms},{cs}\n")
-        upper = result["upper"]
-        with open(out / f"{name}_bounds.csv", "w") as fh:
-            fh.write("residual,error,lower_bound,upper_bound\n")
-            for idx in range(len(trace)):
-                err = "" if trace.errors is None else f"{trace.errors[idx]:.17g}"
-                lbv = trace.lower_bounds[idx]
-                lbs = f"{lbv:.17g}" if np.isfinite(lbv) else ""
-                ups = "" if upper is None else f"{upper[idx]:.17g}"
-                fh.write(f"{trace.residuals[idx]:.17g},{err},{lbs},{ups}\n")
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    result = _estimate(cfg)
+    trace, track = result["trace"], result["track"]
+    (out / f"{name}_estimates.csv").write_text(columns_to_csv(
+        ("k", "mu_k", "c_k"), (track.k_values, track.mu_k, track.c_k)))
+    (out / f"{name}_bounds.csv").write_text(columns_to_csv(
+        ("residual", "error", "lower_bound", "upper_bound"),
+        (trace.residuals, trace.errors, trace.lower_bounds, result["upper"])))
+
+
+def run_figure_suite(name: str, out_dir) -> int:
+    """Run one named experiment and also write its two plot-ready CSV series."""
+    return run_guarded(lambda: _figure_suite(name, out_dir))
+
+
+def _tikhonov_table(config_paths, out_path) -> None:
+    rows = []
+    for path in config_paths:
+        cfg = replace(load_config(path), validation_run_tikhonov=True)
+        label = cfg.problem_kind
+        try:
+            result = run_pipeline(cfg)
+        except (ValueError, ConvergenceError, RuntimeError) as exc:
+            rows.append((label, "", "", "", "", f"failed: {exc}"))
+            continue
+        label = result["problem"].label
+        rate = result["report"]["tikhonov_rate"]
+        if "note" in rate:
+            # a row that tested nothing failed, whatever the section calls it
+            rows.append((label, "", "", "", "", "failed: " + rate["note"].partition(": ")[2]))
+            continue
+        misfit = abs(rate["observed_exponent"] - rate["predicted_exponent"]) > TABLE_MISFIT_THRESHOLD
+        rows.append((label, f"{rate['mu_tested']:.6g}", f"{rate['predicted_exponent']:.6g}",
+                     f"{rate['observed_exponent']:.6g}", "yes" if misfit else "no", ""))
+    with open(out_path, "w") as fh:
+        fh.write("problem,mu_hat,predicted_rate_exponent,observed_rate_exponent,misfit,note\n")
+        for row in rows:
+            fh.write(",".join(f'"{c}"' if "," in c else c for c in row) + "\n")
 
 
 def run_tikhonov_table(config_paths, out_path) -> int:
     """Predicted vs. observed convergence-rate table over several problems."""
-    rows = []
-    for path in config_paths:
-        try:
-            cfg = load_config(path)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        label = f"{cfg.problem_kind}"
-        try:
-            result = run_pipeline(cfg)
-            p = result["problem"]
-            label = p.label
-            if p.x_true is None:
-                raise ValueError("exact solution unknown")
-            mu_hat = result["track"].mu_hat
-            if mu_hat is None or mu_hat <= 0:
-                raise ValueError("no stable-window estimate to test")
-            levels = cfg.validation_levels or tuple(np.logspace(-3, -1, 10)[::-1])
-            rate = rate_experiment(p, mu_hat, levels, cfg.validation_seeds)
-            misfit = abs(rate.observed_exponent - rate.predicted_exponent) > TABLE_MISFIT_THRESHOLD
-            rows.append((label, f"{mu_hat:.6g}", f"{rate.predicted_exponent:.6g}",
-                         f"{rate.observed_exponent:.6g}", "yes" if misfit else "no", ""))
-        except (ValueError, ConvergenceError, RuntimeError) as exc:
-            rows.append((label, "", "", "", "", f"failed: {exc}"))
-    try:
-        with open(out_path, "w") as fh:
-            fh.write("problem,mu_hat,predicted_rate_exponent,observed_rate_exponent,misfit,note\n")
-            for row in rows:
-                fh.write(",".join(f'"{c}"' if "," in c else c for c in row) + "\n")
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    return run_guarded(lambda: _tikhonov_table(config_paths, out_path))
 
 
-def run_svd_check(cfg: ExperimentConfig) -> int:
+def _svd_check(cfg: ExperimentConfig) -> None:
     """Spectral summability check only; writes the report."""
-    try:
-        p = build_problem(cfg)
-        section = _svd_section(p)
-    except (ConvergenceError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    report = {"problem": {"label": p.label, "params": p.params},
-              "svd_check": section, "config": cfg.effective_dict()}
-    try:
-        Path(cfg.output_report_path).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    p = build_problem(cfg)
+    _write_report(cfg.output_report_path,
+                  {"problem": {"label": p.label, "params": p.params},
+                   "svd_check": _svd_section(p), "config": cfg.effective_dict()})
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -489,19 +473,13 @@ def main(argv=None) -> int:
         p.add_argument("--noise", type=float, default=None, help="override noise.rel_level")
 
     args = parser.parse_args(argv)
-    try:
-        if args.command == "estimate":
-            cfg = _apply_overrides(load_config(args.config), args)
-            return run_estimate(cfg)
-        if args.command == "figures":
-            return run_figure_suite(args.name, args.out_dir)
-        if args.command == "tikhonov-table":
-            return run_tikhonov_table(args.configs, args.out)
-        cfg = _apply_overrides(load_config(args.config), args)
-        return run_svd_check(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    commands = {
+        "estimate": lambda: _estimate(_apply_overrides(load_config(args.config), args)),
+        "figures": lambda: _figure_suite(args.name, args.out_dir),
+        "tikhonov-table": lambda: _tikhonov_table(args.configs, args.out),
+        "svd-check": lambda: _svd_check(_apply_overrides(load_config(args.config), args)),
+    }
+    return run_guarded(commands[args.command])
 
 
 if __name__ == "__main__":

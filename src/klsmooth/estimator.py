@@ -124,17 +124,26 @@ def regress_prefix(trace: IterationTrace, k: int) -> tuple[float, float]:
         raise ValueError(f"trace has only {len(trace)} iterations")
     lr = np.log(trace.residuals[:k])
     lg = np.log(trace.gradient_norms[:k])
-    s1 = lr.sum()
-    s2 = (lr * lr).sum()
-    sy = lg.sum()
-    sxy = (lr * lg).sum()
-    den = k * s2 - s1 * s1
-    # relative test: exact ties cancel only to rounding in the running sums
-    if not np.isfinite(den) or den <= 1e-13 * k * max(s2, 1e-30):
+    gamma, b, degenerate = _ols(k, lr.sum(), (lr * lr).sum(), lg.sum(), (lr * lg).sum())
+    if degenerate:
         raise DegenerateRegressionError("all residuals equal; regression is singular")
-    gamma = (k * sxy - s1 * sy) / den
-    b = (sy - gamma * s1) / k
     return float(gamma), float(-b)
+
+
+def _ols(k, s1, s2, sy, sxy):
+    """Line fit y = gamma x + b from the sums over k points.
+
+    s1 = sum x, s2 = sum x^2, sy = sum y, sxy = sum x y, each a scalar or an
+    array of running sums. Returns (gamma, b, degenerate); degenerate marks
+    fits whose x values (nearly) all coincide, where gamma and b mean nothing.
+    """
+    den = k * s2 - s1 * s1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = (k * sxy - s1 * sy) / den
+        b = (sy - gamma * s1) / k
+    # relative test: exact ties cancel only to rounding in the running sums
+    degenerate = ~np.isfinite(gamma) | (den <= 1e-13 * k * np.maximum(s2, 1e-30))
+    return gamma, b, degenerate
 
 
 def estimate_track(trace: IterationTrace, k_min: int = DEFAULT_K_MIN,
@@ -197,10 +206,8 @@ def _prefix_fits(trace: IterationTrace, k_min: int) -> EstimateTrack:
     sy = np.cumsum(lg)
     syy = np.cumsum(lg * lg)
     sxy = np.cumsum(lr * lg)
-    den = k * s2 - s1 * s1
+    gamma, b, degenerate = _ols(k, s1, s2, sy, sxy)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gamma = (k * sxy - s1 * sy) / den
-        b = (sy - gamma * s1) / k
         # mean squared log-misfit of the fit, expanded in the running sums
         mss = (syy - 2.0 * gamma * sxy - 2.0 * b * sy
                + gamma * gamma * s2 + 2.0 * gamma * b * s1 + k * b * b) / k
@@ -209,8 +216,7 @@ def _prefix_fits(trace: IterationTrace, k_min: int) -> EstimateTrack:
         c = np.exp(-b)
 
     sel = np.arange(k_min - 1, K_use)
-    degenerate = (~np.isfinite(gamma[sel])
-                  | (den[sel] <= 1e-13 * k[sel] * np.maximum(s2[sel], 1e-30)))
+    degenerate = degenerate[sel]
     k_values = sel + 1
     return EstimateTrack(k_values=k_values,
                          mu_k=np.where(degenerate, np.nan, mu[sel]),

@@ -17,14 +17,13 @@ which also serves as the reference the closed form is tested against.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .operators import LinearOperator, operator_norm
-from .problems import NoisyData, ProblemSpec
+from .problems import ProblemSpec
 
 # Residual/gradient norms below this are treated as exact convergence so the
 # log-log regression never sees log(0).
@@ -69,8 +68,6 @@ class IterationTrace:
     lower_bounds: np.ndarray
     errors: Optional[np.ndarray] = None
     step_beta: float = 0.0
-    problem_label: str = ""
-    noise_meta: Optional[dict] = None
 
     def __len__(self) -> int:
         return self.residuals.size
@@ -94,8 +91,7 @@ def resolve_step(cfg: LandweberConfig, norm_est: float) -> float:
 
 
 def landweber_run(p: ProblemSpec, data: np.ndarray,
-                  cfg: Optional[LandweberConfig] = None,
-                  noise: Optional[NoisyData] = None) -> IterationTrace:
+                  cfg: Optional[LandweberConfig] = None) -> IterationTrace:
     """Run Landweber iteration on A x = data and log the trace.
 
     Stops early once the residual or gradient norm underflows (exact
@@ -121,13 +117,8 @@ def landweber_run(p: ProblemSpec, data: np.ndarray,
     R, G, E = run(op, data, x0, beta, cfg.max_iters, p.x_true)
     with np.errstate(divide="ignore", invalid="ignore"):
         lb = np.where(G > 0.0, R ** 2 / np.where(G > 0.0, G, 1.0), np.nan)
-    noise_meta = None
-    if noise is not None:
-        noise_meta = {"rel_level": noise.rel_level, "delta_abs": noise.delta_abs,
-                      "seed": noise.seed}
     return IterationTrace(residuals=R, gradient_norms=G, lower_bounds=lb, errors=E,
-                          step_beta=beta, problem_label=p.label,
-                          noise_meta=noise_meta)
+                          step_beta=beta)
 
 
 def matvec_trace(op: LinearOperator, data: np.ndarray, x0: np.ndarray,
@@ -244,6 +235,32 @@ def _powers(q: np.ndarray, log_q: np.ndarray, nonpos: np.ndarray,
     return q_k, comp
 
 
+def columns_to_csv(header: Sequence[str],
+                   columns: Sequence[Optional[np.ndarray]]) -> str:
+    """CSV text of equally long columns, one value per row.
+
+    Float columns are written at 17 significant digits, so they read back
+    bit-exactly; non-finite cells stay empty, as does every cell of a None
+    column. Other columns (integer counters) are written as they print.
+    """
+    n_rows = max(len(c) for c in columns if c is not None)
+    cells = []
+    for col in columns:
+        if col is None:
+            cells.append(("",) * n_rows)
+            continue
+        col = np.asarray(col)
+        if col.dtype.kind != "f":
+            cells.append([str(x) for x in col.tolist()])
+            continue
+        text = [f"{x:.17g}" for x in col.tolist()]
+        for i in np.flatnonzero(~np.isfinite(col)).tolist():
+            text[i] = ""
+        cells.append(text)
+    rows = map(",".join, zip(*cells))
+    return ",".join(header) + "\n" + "".join(row + "\n" for row in rows)
+
+
 def trace_to_csv(trace: IterationTrace,
                  mu_k: Optional[np.ndarray] = None,
                  c_k: Optional[np.ndarray] = None,
@@ -255,34 +272,29 @@ def trace_to_csv(trace: IterationTrace,
     undefined cells are left empty. An upper-bound column is appended when
     bound curves were computed.
     """
-    header = "k,residual,gradient_norm,lower_bound,error,mu_k,c_k"
-    if upper_bounds is not None:
-        header += ",upper_bound"
-    mu_map = {}
-    c_map = {}
+    mu_col = c_col = None
     if mu_k is not None:
-        kv = k_values if k_values is not None else np.arange(1, len(mu_k) + 1)
-        mu_map = dict(zip(kv.tolist(), mu_k.tolist()))
+        if k_values is None:
+            k_values = np.arange(1, len(mu_k) + 1)
+        mu_col = _by_iteration(len(trace), k_values, mu_k)
         if c_k is not None:
-            c_map = dict(zip(kv.tolist(), c_k.tolist()))
+            c_col = _by_iteration(len(trace), k_values, c_k)
+    header = ["k", "residual", "gradient_norm", "lower_bound", "error", "mu_k", "c_k"]
+    columns = [trace.k_values, trace.residuals, trace.gradient_norms,
+               trace.lower_bounds, trace.errors, mu_col, c_col]
+    if upper_bounds is not None:
+        header.append("upper_bound")
+        columns.append(upper_bounds)
+    return columns_to_csv(header, columns)
 
-    def fmt(x) -> str:
-        if x is None or (isinstance(x, float) and not np.isfinite(x)):
-            return ""
-        return f"{x:.17g}"
 
-    out = io.StringIO()
-    out.write(header + "\n")
-    for idx in range(len(trace)):
-        k = idx + 1
-        cells = [str(k), fmt(trace.residuals[idx]), fmt(trace.gradient_norms[idx]),
-                 fmt(trace.lower_bounds[idx]),
-                 fmt(trace.errors[idx]) if trace.errors is not None else "",
-                 fmt(mu_map.get(k)), fmt(c_map.get(k))]
-        if upper_bounds is not None:
-            cells.append(fmt(upper_bounds[idx]))
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
+def _by_iteration(n: int, k_values: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values[j] placed at row k_values[j] - 1 of n rows, NaN elsewhere."""
+    out = np.full(n, np.nan)
+    rows = np.asarray(k_values) - 1
+    keep = (rows >= 0) & (rows < n)
+    out[rows[keep]] = np.asarray(values, dtype=float)[keep]
+    return out
 
 
 def write_trace_csv(path, trace: IterationTrace, **kwargs) -> None:

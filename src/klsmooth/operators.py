@@ -1,13 +1,12 @@
 """Linear operators: forward/adjoint application, norm estimation, SVD, file I/O.
 
-Three operator kinds are supported:
+Two operator kinds are supported:
 
-* ``diagonal``  -- infinite-dimensional diagonal operator truncated to n modes,
+* ``diagonal`` -- infinite-dimensional diagonal operator truncated to n modes,
   stored as its singular values (positive, non-increasing).
-* ``dense``     -- an explicit m-by-n real matrix.
-* ``kernel-quadrature`` -- an integral operator on [0,1] discretized by the
-  midpoint rule; the dense matrix is materialized at construction, the nodes
-  and weights are kept for provenance.
+* ``dense``    -- an explicit m-by-n real matrix. Integral operators on [0,1]
+  (:func:`kernel_operator`) are dense matrices built by the midpoint rule on
+  the nodes of :func:`midpoint_nodes`.
 
 Operators are immutable after construction and safe to share across threads.
 """
@@ -43,19 +42,16 @@ class LinearOperator:
     """A bounded linear map between finite-dimensional Hilbert spaces.
 
     Attributes:
-        kind: "diagonal", "dense", or "kernel-quadrature".
+        kind: "diagonal" or "dense".
         shape: (m, n) output/input dimensions.
         sigmas: singular values, diagonal kind only.
-        matrix: dense matrix, dense and kernel kinds.
-        nodes, weights: quadrature data, kernel kind only.
+        matrix: the matrix, dense kind only.
     """
 
     kind: str
     shape: tuple[int, int]
     sigmas: Optional[np.ndarray] = None
     matrix: Optional[np.ndarray] = None
-    nodes: Optional[np.ndarray] = None
-    weights: Optional[np.ndarray] = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Return A x."""
@@ -67,21 +63,13 @@ class LinearOperator:
         return self.matrix @ x
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Return A* y (transpose action for matrix kinds)."""
+        """Return A* y (the transpose action for the dense kind)."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.shape[0],):
             raise ValueError(f"expected input of length {self.shape[0]}, got shape {y.shape}")
         if self.kind == "diagonal":
             return self.sigmas * y
         return self.matrix.T @ y
-
-    def to_dense(self) -> "LinearOperator":
-        """Materialize as a plain dense operator (identity for dense kind)."""
-        if self.kind == "dense":
-            return self
-        if self.kind == "diagonal":
-            return dense_operator(np.diag(self.sigmas))
-        return dense_operator(self.matrix.copy())
 
 
 @dataclass(frozen=True)
@@ -137,21 +125,25 @@ def dense_operator(matrix) -> LinearOperator:
     return LinearOperator(kind="dense", shape=a.shape, matrix=a)
 
 
+def midpoint_nodes(n: int) -> np.ndarray:
+    """Midpoints of the n equal cells of [0,1]."""
+    return (np.arange(n) + 0.5) / n
+
+
 def kernel_operator(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
                     n: int) -> LinearOperator:
     """Integral operator on [0,1] with the given kernel, midpoint rule, n cells.
 
-    (A x)(s_i) ~= sum_j kernel(s_i, t_j) x(t_j) / n with s, t at cell midpoints.
-    The dense matrix is built once here; all later math needs only matvecs.
+    (A x)(s_i) ~= sum_j kernel(s_i, t_j) x(t_j) / n with s, t the
+    :func:`midpoint_nodes`. The kernel is called with s as a column and t as
+    a row, so it must broadcast; no n-by-n grids of nodes are built. The
+    result is a plain dense operator.
     """
     if n < 2:
         raise ValueError("need at least 2 quadrature cells")
-    t = (np.arange(n) + 0.5) / n
-    w = np.full(n, 1.0 / n)
-    s_grid, t_grid = np.meshgrid(t, t, indexing="ij")
-    a = np.asarray(kernel(s_grid, t_grid), dtype=float) * w
-    return LinearOperator(kind="kernel-quadrature", shape=(n, n),
-                          matrix=a, nodes=t, weights=w)
+    t = midpoint_nodes(n)
+    values = np.asarray(kernel(t[:, None], t[None, :]), dtype=float)
+    return dense_operator(np.broadcast_to(values, (n, n)) * (1.0 / n))
 
 
 def operator_norm(op: LinearOperator, tol: float = 1e-10, max_iters: int = 10000) -> float:
@@ -191,11 +183,7 @@ def svd(op: LinearOperator, floor: float = DEFAULT_SV_FLOOR) -> SpectralDecompos
     Diagonal operators return their stored sigmas with the canonical basis,
     untruncated: those values are exact data, not the output of a numerical
     factorization. The basis is left implicit, so this costs O(n) memory.
-    Kernel-quadrature operators must be materialized to dense first
-    (``op.to_dense()``).
     """
-    if op.kind == "kernel-quadrature":
-        raise TypeError("kernel-quadrature operator: call .to_dense() before svd()")
     if op.kind == "diagonal":
         return SpectralDecomposition(sigmas=op.sigmas.copy())
     m, n = op.shape

@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .operators import (LinearOperator, diagonal_operator, kernel_operator,
-                        dense_operator, read_matrix_market, read_vector)
+                        dense_operator, midpoint_nodes, read_matrix_market,
+                        read_vector)
 
 # sigma_i = e^{-i} squares to e^{-2i}, which flushes to zero past i ~ 370;
 # the cap keeps every sigma_i^2 representable.
@@ -130,7 +131,7 @@ def make_deriv2(n: int) -> ProblemSpec:
     if n < 8:
         raise ValueError("n must be >= 8")
     op = kernel_operator(deriv2_kernel, n)
-    x_true = op.nodes.copy()
+    x_true = midpoint_nodes(n)
     return ProblemSpec(operator=op, y_clean=op.apply(x_true), x_true=x_true,
                        label=f"deriv2(n={n})",
                        params={"generator": "deriv2", "n": n})
@@ -147,7 +148,7 @@ def make_gravity(n: int, depth: float = DEFAULT_GRAVITY_DEPTH) -> ProblemSpec:
     if depth <= 0:
         raise ValueError("depth must be positive")
     op = kernel_operator(lambda s, t: depth * (depth ** 2 + (s - t) ** 2) ** (-1.5), n)
-    t = op.nodes
+    t = midpoint_nodes(n)
     x_true = np.sin(np.pi * t) + 0.5 * np.sin(2.0 * np.pi * t)
     return ProblemSpec(operator=op, y_clean=op.apply(x_true), x_true=x_true,
                        label=f"gravity(n={n}, depth={depth:g}), severely ill-posed candidate",

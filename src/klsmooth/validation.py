@@ -33,6 +33,8 @@ COEFF_FLOOR = 1e-12
 FIT_R2_MIN = 0.99
 DEFAULT_MU_GRID = (0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.75, 1.0)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
+# relative noise levels of the rate experiment, strictly decreasing
+DEFAULT_LEVELS = tuple(np.logspace(-3, -1, 10)[::-1])
 # tighter than the 1e-10 agreement guaranteed against the diagonal closed
 # form, since the residual norm understates the solution error by ~1/alpha
 CG_TOL = 1e-13
@@ -135,6 +137,8 @@ def rate_experiment(p: ProblemSpec, mu_hat: float, levels,
     if not all(0.0 < l < 1.0 for l in levels):
         raise ValueError("levels must lie in (0, 1)")
     seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ValueError("need at least one seed")
 
     kept_levels, kept_deltas, kept_alphas, kept_errors, notes = [], [], [], [], []
     for level in levels:

@@ -48,7 +48,7 @@ def noisy_runs():
     runs = {}
     for rel in (0.01, 0.001):
         noisy = add_noise(p, rel, seed=7)
-        trace = landweber_run(p, noisy.y_delta, LandweberConfig(max_iters=2000), noise=noisy)
+        trace = landweber_run(p, noisy.y_delta, LandweberConfig(max_iters=2000))
         runs[rel] = (p, trace, estimate_track(trace))
     return runs
 

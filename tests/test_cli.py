@@ -1,13 +1,18 @@
 import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from klsmooth.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                           ConfigError, ExperimentConfig, figure_config,
                           load_config, main, parse_config_text, run_estimate,
                           run_figure_suite, run_pipeline, run_tikhonov_table)
 from klsmooth.operators import write_matrix_market, write_vector
+from klsmooth.problems import make_gravity
 
 SMALL_DIAG = """
 problem.kind = power_law
@@ -146,6 +151,40 @@ def test_io_failure_exit_code(tmp_path):
     cfg = load_config(path)
     cfg.output_trace_path = str(tmp_path / "missing_dir" / "trace.csv")
     assert run_estimate(cfg) == EXIT_IO
+
+
+@pytest.mark.parametrize("command", ["estimate", "svd-check", "tikhonov-table"])
+def test_missing_input_file_exit_code(tmp_path, capsys, command):
+    write_vector(tmp_path / "y.txt", np.ones(8))
+    text = (f"problem.kind = external\nproblem.matrix_path = {tmp_path / 'absent.mtx'}\n"
+            f"problem.y_path = {tmp_path / 'y.txt'}\n")
+    path, trace_path, report_path = write_cfg(tmp_path, text)
+    table_path = tmp_path / "table.csv"
+    extra = ["--out", str(table_path)] if command == "tikhonov-table" else []
+    assert main([command, str(path), *extra]) == EXIT_IO
+    assert "i/o failure:" in capsys.readouterr().err
+    assert not trace_path.exists() and not report_path.exists() and not table_path.exists()
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+@pytest.mark.parametrize("command", ["estimate", "svd-check"])
+def test_report_is_strict_json(tmp_path, command):
+    # sigma_i = e^-i makes the summability partial sums overflow
+    text = "problem.kind = exp_operator\nproblem.n = 400\nvalidation.run_svd_check = true\n"
+    path, _, report_path = write_cfg(tmp_path, text)
+    assert main([command, str(path)]) == EXIT_OK
+    report = json.loads(report_path.read_text(), parse_constant=_reject_constant)
+    assert report["svd_check"]["partial_sum_growth"][-1] is None
+
+
+def test_tikhonov_section_skips_without_window():
+    cfg = replace(figure_config("noise1"), validation_run_tikhonov=True)
+    report = run_pipeline(cfg)["report"]
+    assert report["estimate"]["mu_hat"] is None
+    assert report["tikhonov_rate"] == {"note": "skipped: no stable-window estimate to test"}
 
 
 def test_cli_overrides(tmp_path):
@@ -296,3 +335,67 @@ def test_svd_check_subcommand(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["svd_check"]["mu_max_refined"] == pytest.approx(0.375, abs=0.05)
     assert len(report["svd_check"]["mu_tested"]) == len(report["svd_check"]["admissible"])
+
+
+# Config-text fuzz: every line is a known key with a valid, garbage,
+# negative, non-finite or empty value, an unknown key, or a line without
+# '='. No drawn value raises problem.n above 64 or landweber.max_iters above
+# 300, so no run is expensive. Input paths are drawn as placeholders that
+# name a file of a small external problem, or one that does not exist.
+_GARBAGE = st.sampled_from(["", "abc", "-1", "-0.5", "0", "nan", "inf", "-inf",
+                            "1e400", "1, 2", "true"])
+_NUMBERS = st.floats(-1.0, 5.0).map(repr)
+_INPUTS = ("a.mtx", "y.txt", "x.txt", "absent.mtx")
+_FUZZ_VALUES = {
+    "problem.kind": st.sampled_from(["power_law", "exp_solution", "exp_operator",
+                                     "deriv2", "gravity", "external", "mystery"]),
+    "problem.n": st.integers(-2, 64).map(str),
+    "problem.eta": _NUMBERS,
+    "problem.beta": _NUMBERS,
+    "problem.depth": _NUMBERS,
+    "problem.matrix_path": st.sampled_from([f"<{f}>" for f in _INPUTS]),
+    "problem.y_path": st.sampled_from([f"<{f}>" for f in _INPUTS]),
+    "problem.x_true_path": st.sampled_from([f"<{f}>" for f in _INPUTS]),
+    "noise.rel_level": st.floats(-0.1, 0.5).map(repr),
+    "noise.seed": st.integers(-2, 100).map(str),
+    "landweber.step_beta": st.one_of(st.just("auto"), _NUMBERS),
+    "landweber.max_iters": st.integers(-2, 300).map(str),
+    "estimator.k_min": st.integers(-1, 320).map(str),
+    "estimator.w_min": st.integers(-1, 320).map(str),
+    "estimator.eps_mu": _NUMBERS,
+    "estimator.eps_c_rel": _NUMBERS,
+    "validation.run_tikhonov": st.sampled_from(["true", "false", "yes", "0"]),
+    "validation.run_svd_check": st.sampled_from(["true", "false", "yes", "0"]),
+    "validation.levels": st.lists(st.floats(-0.1, 1.1), max_size=5).map(
+        lambda v: ", ".join(map(repr, v))),
+    "validation.seeds": st.lists(st.integers(-2, 9), max_size=4).map(
+        lambda v: ", ".join(map(str, v))),
+}
+_VALID_LINE = st.sampled_from(sorted(_FUZZ_VALUES)).flatmap(
+    lambda key: _FUZZ_VALUES[key].map(f"{key} = {{}}".format))
+_BAD_LINE = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(sorted(_FUZZ_VALUES)), _GARBAGE),
+    st.sampled_from(["problem.size = 3", "noise.wat = 1", "problem.n", "just words"]))
+# mostly valid lines, so that most configs get past the parser
+_FUZZ_LINE = st.one_of(_VALID_LINE, _VALID_LINE, _VALID_LINE, _VALID_LINE, _BAD_LINE)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=st.lists(_FUZZ_LINE, max_size=8))
+def test_fuzzed_config_exits_cleanly(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        p = make_gravity(8)
+        write_matrix_market(out / "a.mtx", p.operator.matrix)
+        write_vector(out / "y.txt", p.y_clean)
+        write_vector(out / "x.txt", p.x_true)
+        text = "\n".join(["problem.n = 64", "landweber.max_iters = 300", *lines,
+                          f"output.trace_path = {out / 'trace.csv'}",
+                          f"output.report_path = {out / 'report.json'}"])
+        for name in _INPUTS:
+            text = text.replace(f"<{name}>", str(out / name))
+        (out / "run.cfg").write_text(text + "\n")
+        code = main(["estimate", str(out / "run.cfg")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO)
+        if (out / "report.json").exists():
+            json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)

@@ -153,11 +153,10 @@ def test_svd_truncation_floor():
     assert sd.sigmas.size == 2
 
 
-def test_svd_kernel_requires_materialization():
+def test_svd_kernel_operator_is_dense():
     op = kernel_operator(deriv2_kernel, 16)
-    with pytest.raises(TypeError):
-        svd(op)
-    sd = svd(op.to_dense())
+    assert op.kind == "dense"
+    sd = svd(op)
     assert sd.sigmas.size > 0
 
 
@@ -171,7 +170,7 @@ def test_svd_size_limit():
 
 def test_second_derivative_spectrum_decay():
     # leading singular values of the Green's-function operator follow (i pi)^-2
-    sd = svd(kernel_operator(deriv2_kernel, 64).to_dense())
+    sd = svd(kernel_operator(deriv2_kernel, 64))
     i = np.arange(1, 17)
     slope = np.polyfit(np.log(i), np.log(sd.sigmas[:16]), 1)[0]
     assert slope == pytest.approx(-2.0, abs=0.05)

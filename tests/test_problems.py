@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from klsmooth.operators import write_matrix_market, write_vector
+from klsmooth.operators import midpoint_nodes, write_matrix_market, write_vector
 from klsmooth.problems import (EXP_OPERATOR_MAX_N, add_noise, load_external,
                                make_deriv2, make_exp_operator, make_exp_solution,
                                make_gravity, make_power_law)
@@ -111,7 +111,7 @@ def test_deriv2_kernel_values():
     assert deriv2_kernel(0.25, 0.75) == pytest.approx(-0.0625, abs=1e-15)
     assert deriv2_kernel(0.75, 0.25) == pytest.approx(-0.0625, abs=1e-15)
     p = make_deriv2(16)
-    s, t = p.operator.nodes[2], p.operator.nodes[10]
+    s, t = midpoint_nodes(16)[[2, 10]]
     assert p.operator.matrix[2, 10] * 16 == pytest.approx(s * (t - 1.0), rel=1e-13)
 
 
@@ -134,7 +134,7 @@ def test_gravity_kernel_values():
     k = p.operator.matrix * 32
     assert k[5, 5] == pytest.approx(0.25 ** (-2.0), rel=1e-12)
     # K(0, 1) = 0.25 * (0.0625 + 1)^(-3/2), evaluated here at the corner nodes
-    s, t = p.operator.nodes[0], p.operator.nodes[-1]
+    s, t = midpoint_nodes(32)[[0, -1]]
     expected = 0.25 * (0.0625 + (s - t) ** 2) ** (-1.5)
     assert k[0, -1] == pytest.approx(expected, rel=1e-12)
     # endpoint evaluation K(0, 1) = 0.25 * 1.0625^(-3/2)

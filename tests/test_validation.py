@@ -157,7 +157,7 @@ def test_max_mu_spectral_power_law_fit_path():
 
 def test_max_mu_spectral_gravity_absent():
     p = make_gravity(256)
-    sd = svd(p.operator.to_dense())
+    sd = svd(p.operator)
     assert max_mu_spectral(sd, p.y_clean) is None
 
 
@@ -165,7 +165,7 @@ def test_max_mu_spectral_deriv2_bisection_path():
     # sigma decay bends at the grid scale, so the fit is not credible and the
     # admissibility bisection takes over; the analytic ceiling is 1/8
     p = ks.make_deriv2(256)
-    sd = svd(p.operator.to_dense())
+    sd = svd(p.operator)
     mu = max_mu_spectral(sd, p.y_clean)
     assert mu is not None
     assert 0.05 <= mu <= 0.25
