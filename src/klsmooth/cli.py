@@ -40,8 +40,29 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-FIGURE_NAMES = ("diag1", "diag2", "diag3", "diag4", "expon", "expon_op",
-                "noise1", "noise2", "deriv2", "gravity")
+# The canned replication experiments: each one's settings that differ from
+# ExperimentConfig's defaults.
+FIGURES = {
+    "diag1": dict(problem_kind="power_law", problem_n=10000, problem_eta=1.0,
+                  problem_beta=2.5),
+    "diag2": dict(problem_kind="power_law", problem_n=10000, problem_eta=2.0,
+                  problem_beta=2.0),
+    # under-resolved on purpose: at 2000 iterations the well-posed regime
+    # of the n^2-scaled saturation point is only reachable for n ~ 30
+    "diag3": dict(problem_kind="power_law", problem_n=30, problem_eta=2.0,
+                  problem_beta=1.0),
+    "diag4": dict(problem_kind="power_law", problem_n=10000, problem_eta=3.0,
+                  problem_beta=1.5),
+    "expon": dict(problem_kind="exp_solution", problem_n=10000, problem_beta=1.5),
+    "expon_op": dict(problem_kind="exp_operator", problem_n=400, problem_eta=2.0),
+    "noise1": dict(problem_kind="power_law", problem_n=10000, problem_eta=2.0,
+                   problem_beta=2.0, noise_rel_level=0.01, noise_seed=101),
+    "noise2": dict(problem_kind="power_law", problem_n=10000, problem_eta=2.0,
+                   problem_beta=2.0, noise_rel_level=0.001, noise_seed=102),
+    "deriv2": dict(problem_kind="deriv2", problem_n=256),
+    "gravity": dict(problem_kind="gravity", problem_n=256),
+}
+FIGURE_NAMES = tuple(FIGURES)
 
 TABLE_MISFIT_THRESHOLD = 0.1
 
@@ -64,8 +85,8 @@ class ExperimentConfig:
     problem_x_true_path: Optional[str] = None
     noise_rel_level: float = 0.0
     noise_seed: int = 0
-    landweber_step_beta: str = "auto"
-    landweber_max_iters: int = 2000
+    landweber_step_beta: str = LandweberConfig.step_beta
+    landweber_max_iters: int = LandweberConfig.max_iters
     estimator_k_min: int = estimator.DEFAULT_K_MIN
     estimator_w_min: int = estimator.DEFAULT_W_MIN
     estimator_eps_mu: float = estimator.DEFAULT_EPS_MU
@@ -323,9 +344,9 @@ def _write_outputs(result: dict, cfg: ExperimentConfig) -> None:
 def run_guarded(command: Callable[[], object]) -> int:
     """Run one command; map its failure to an exit status and a message.
 
-    Invalid input gives 2, a numerical breakdown 3, and a file that cannot
-    be read or written 4. This is the only place that turns an exception
-    into an exit status.
+    Invalid input gives 2, as do sizes too large to allocate; a numerical
+    breakdown gives 3, and a file that cannot be read or written 4. This is
+    the only place that turns an exception into an exit status.
     """
     try:
         command()
@@ -335,6 +356,9 @@ def run_guarded(command: Callable[[], object]) -> int:
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"config error: sizes too large to allocate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
@@ -355,30 +379,9 @@ def run_estimate(cfg: ExperimentConfig) -> int:
 
 def figure_config(name: str) -> ExperimentConfig:
     """Canonical configuration of each replication experiment."""
-    base = ExperimentConfig()
-    table = {
-        "diag1": dict(problem_kind="power_law", problem_n=10000, problem_eta=1.0,
-                      problem_beta=2.5),
-        "diag2": dict(problem_kind="power_law", problem_n=10000, problem_eta=2.0,
-                      problem_beta=2.0),
-        # under-resolved on purpose: at 2000 iterations the well-posed regime
-        # of the n^2-scaled saturation point is only reachable for n ~ 30
-        "diag3": dict(problem_kind="power_law", problem_n=30, problem_eta=2.0,
-                      problem_beta=1.0),
-        "diag4": dict(problem_kind="power_law", problem_n=10000, problem_eta=3.0,
-                      problem_beta=1.5),
-        "expon": dict(problem_kind="exp_solution", problem_n=10000, problem_beta=1.5),
-        "expon_op": dict(problem_kind="exp_operator", problem_n=400, problem_eta=2.0),
-        "noise1": dict(problem_kind="power_law", problem_n=10000, problem_eta=2.0,
-                       problem_beta=2.0, noise_rel_level=0.01, noise_seed=101),
-        "noise2": dict(problem_kind="power_law", problem_n=10000, problem_eta=2.0,
-                       problem_beta=2.0, noise_rel_level=0.001, noise_seed=102),
-        "deriv2": dict(problem_kind="deriv2", problem_n=256),
-        "gravity": dict(problem_kind="gravity", problem_n=256),
-    }
-    if name not in table:
+    if name not in FIGURES:
         raise ConfigError(f"unknown figure {name!r}; available: {', '.join(FIGURE_NAMES)}")
-    return replace(base, **table[name])
+    return replace(ExperimentConfig(), **FIGURES[name])
 
 
 def _figure_suite(name: str, out_dir) -> None:

@@ -37,6 +37,8 @@ TAKEOVER_PERSISTENCE = 10
 TAKEOVER_MIN_RISE = 1.001
 SATURATION_WINDOW = 25
 SATURATION_BAND = (0.85, 1.15)
+# windows per chunk of _rolling_slopes
+SLOPE_CHUNK = 1 << 15
 
 VERDICT_STABLE = "stable"
 VERDICT_UNSTABLE = "unstable-suspect-violation"
@@ -75,8 +77,6 @@ class EstimateTrack:
     k_values: np.ndarray
     mu_k: np.ndarray
     c_k: np.ndarray
-    gamma_k: np.ndarray
-    rms_k: np.ndarray
     stable_window: Optional[tuple[int, int]] = None
     mu_hat: Optional[float] = None
     c_hat: Optional[float] = None
@@ -204,14 +204,9 @@ def _prefix_fits(trace: IterationTrace, k_min: int) -> EstimateTrack:
     s1 = np.cumsum(lr)
     s2 = np.cumsum(lr * lr)
     sy = np.cumsum(lg)
-    syy = np.cumsum(lg * lg)
     sxy = np.cumsum(lr * lg)
     gamma, b, degenerate = _ols(k, s1, s2, sy, sxy)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # mean squared log-misfit of the fit, expanded in the running sums
-        mss = (syy - 2.0 * gamma * sxy - 2.0 * b * sy
-               + gamma * gamma * s2 + 2.0 * gamma * b * s1 + k * b * b) / k
-        rms = np.sqrt(np.clip(mss, 0.0, None))
         mu = (2.0 - gamma) / (2.0 * gamma - 2.0)
         c = np.exp(-b)
 
@@ -221,8 +216,6 @@ def _prefix_fits(trace: IterationTrace, k_min: int) -> EstimateTrack:
     return EstimateTrack(k_values=k_values,
                          mu_k=np.where(degenerate, np.nan, mu[sel]),
                          c_k=np.where(degenerate, np.nan, c[sel]),
-                         gamma_k=np.where(degenerate, np.nan, gamma[sel]),
-                         rms_k=np.where(degenerate, np.nan, rms[sel]),
                          skipped_k=tuple(int(x) for x in k_values[degenerate]))
 
 
@@ -310,21 +303,20 @@ def _window_extremes(a: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]
     return out[0], out[1]
 
 
-def detect_noise_takeover(trace: IterationTrace,
-                          persistence: int = TAKEOVER_PERSISTENCE,
-                          min_rise: float = TAKEOVER_MIN_RISE) -> Optional[int]:
+def detect_noise_takeover(trace: IterationTrace) -> Optional[int]:
     """First iteration from which the lower bound rises for good.
 
-    A candidate onset must show `persistence` consecutive increases of
-    R^2/G while the residual still decreases, grow by at least `min_rise`
-    over them, and never fall back below its onset level afterwards. The
-    last condition separates noise takeover from the bounded oscillations
-    of smoothness-violating problems, where the rise always reverts.
+    A candidate onset must show TAKEOVER_PERSISTENCE consecutive increases
+    of R^2/G while the residual still decreases, grow by a factor of at
+    least TAKEOVER_MIN_RISE over them, and never fall back below its onset
+    level afterwards. The last condition separates noise takeover from the
+    bounded oscillations of smoothness-violating problems, where the rise
+    always reverts.
     """
     lb = trace.lower_bounds
     R = trace.residuals
     n = lb.size
-    if n < persistence + 1:
+    if n < TAKEOVER_PERSISTENCE + 1:
         return None
     finite = np.isfinite(lb)
     if not finite.all():
@@ -332,40 +324,39 @@ def detect_noise_takeover(trace: IterationTrace,
         lb = lb[:stop]
         R = R[:stop]
         n = stop
-        if n < persistence + 1:
+        if n < TAKEOVER_PERSISTENCE + 1:
             return None
     rising = (np.diff(lb) > 0.0) & (np.diff(R) < 0.0)
     run = 0
     candidates = []
     for j, flag in enumerate(rising):
         run = run + 1 if flag else 0
-        if run == persistence:
-            candidates.append(j - persistence + 1)
+        if run == TAKEOVER_PERSISTENCE:
+            candidates.append(j - TAKEOVER_PERSISTENCE + 1)
             run = 0
     running_min = np.minimum.accumulate(lb[::-1])[::-1]
     for start in candidates:
-        if (lb[start + persistence] >= min_rise * lb[start]
+        if (lb[start + TAKEOVER_PERSISTENCE] >= TAKEOVER_MIN_RISE * lb[start]
                 and running_min[start] >= lb[start] * (1.0 - 1e-12)):
             return start + 1
     return None
 
 
-def _rolling_slopes(x: np.ndarray, y: np.ndarray, window: int,
-                    chunk: int = 1 << 15) -> np.ndarray:
+def _rolling_slopes(x: np.ndarray, y: np.ndarray, window: int) -> np.ndarray:
     """OLS slope of y against x over each trailing window; NaN where undefined.
 
-    Computed chunkwise with a local offset subtracted from both series: on
-    long runs the per-step increments can sit ten orders of magnitude below
-    the running totals, and the shift (which leaves slopes unchanged) keeps
-    the variance sums free of catastrophic cancellation.
+    Computed in chunks of SLOPE_CHUNK windows, with a local offset subtracted
+    from both series: on long runs the per-step increments can sit ten orders
+    of magnitude below the running totals, and the shift (which leaves slopes
+    unchanged) keeps the variance sums free of catastrophic cancellation.
     """
     n = x.size
     if n < window:
         return np.full(0, np.nan)
     out = np.empty(n - window + 1)
     c = np.concatenate
-    for start in range(0, n - window + 1, chunk):
-        stop = min(start + chunk, n - window + 1)
+    for start in range(0, n - window + 1, SLOPE_CHUNK):
+        stop = min(start + SLOPE_CHUNK, n - window + 1)
         seg = slice(start, stop + window - 1)
         xs = x[seg] - x[start]
         ys = y[seg] - y[start]
@@ -384,31 +375,29 @@ def _rolling_slopes(x: np.ndarray, y: np.ndarray, window: int,
     return out
 
 
-def detect_discretization_saturation(trace: IterationTrace,
-                                     window: int = SATURATION_WINDOW,
-                                     band: tuple[float, float] = SATURATION_BAND
-                                     ) -> Optional[int]:
+def detect_discretization_saturation(trace: IterationTrace) -> Optional[int]:
     """Onset of the well-posed regime: lower-bound slope locked near one.
 
     Computes the rolling slope of log(R^2/G) against log(R) over trailing
-    windows. If the final window sits inside `band` the run has saturated;
-    the onset is the first window of the closing in-band stretch. Returns
-    the iteration number, or None when the trailing slope is still at the
-    ill-posed rate.
+    windows of SATURATION_WINDOW iterations. If the final window sits inside
+    SATURATION_BAND the run has saturated; the onset is the first window of
+    the closing in-band stretch. Returns the iteration number, or None when
+    the trailing slope is still at the ill-posed rate.
     """
     lb = trace.lower_bounds
     R = trace.residuals
     ok = np.isfinite(lb) & (lb > 0.0) & (R > 0.0)
     stop = int(np.argmin(ok)) if not ok.all() else ok.size
-    if stop < window + 1:
+    if stop < SATURATION_WINDOW + 1:
         return None
     x = np.log(R[:stop])
     y = np.log(lb[:stop])
-    slopes = _rolling_slopes(x, y, window)
-    in_band = np.isfinite(slopes) & (slopes >= band[0]) & (slopes <= band[1])
+    slopes = _rolling_slopes(x, y, SATURATION_WINDOW)
+    lo, hi = SATURATION_BAND
+    in_band = np.isfinite(slopes) & (slopes >= lo) & (slopes <= hi)
     if in_band.size == 0 or not in_band[-1]:
         return None
     out = np.nonzero(~in_band)[0]
     first = 0 if out.size == 0 else int(out[-1]) + 1
     # slopes[j] covers iterations j+1 .. j+window; report the window end
-    return first + window
+    return first + SATURATION_WINDOW

@@ -1,7 +1,7 @@
 """Landweber iteration with per-iteration residual/gradient/error logging.
 
-The iteration x_{k+1} = x_k - beta A*(A x_k - y) is gradient descent on the
-squared residual. After every update the trace records
+The iteration x_{k+1} = x_k - beta A*(A x_k - y), started from x_0 = 0, is
+gradient descent on the squared residual. After every update the trace records
 
     R_k = ||A x_k - y||,   G_k = ||A*(A x_k - y)||,   R_k^2 / G_k,
 
@@ -45,12 +45,10 @@ class LandweberConfig:
 
     step_beta "auto" resolves to 1 / ||A||_est^2, the midpoint of the safe
     range (0, 2/||A||^2); explicit values are validated against that range.
-    x0 "zero" starts from the origin.
     """
 
     step_beta: Union[float, str] = "auto"
     max_iters: int = 2000
-    x0: Union[np.ndarray, str] = "zero"
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -105,36 +103,27 @@ def landweber_run(p: ProblemSpec, data: np.ndarray,
     if data.shape != (op.shape[0],):
         raise ValueError(f"data must have length {op.shape[0]}, got shape {data.shape}")
     beta = resolve_step(cfg, operator_norm(op))
-
-    if isinstance(cfg.x0, str):
-        x0 = np.zeros(op.shape[1])
-    else:
-        x0 = np.asarray(cfg.x0, dtype=float)
-        if x0.shape != (op.shape[1],):
-            raise ValueError(f"x0 must have length {op.shape[1]}")
-
     run = diagonal_trace if op.kind == "diagonal" else matvec_trace
-    R, G, E = run(op, data, x0, beta, cfg.max_iters, p.x_true)
+    R, G, E = run(op, data, beta, cfg.max_iters, p.x_true)
     with np.errstate(divide="ignore", invalid="ignore"):
         lb = np.where(G > 0.0, R ** 2 / np.where(G > 0.0, G, 1.0), np.nan)
     return IterationTrace(residuals=R, gradient_norms=G, lower_bounds=lb, errors=E,
                           step_beta=beta)
 
 
-def matvec_trace(op: LinearOperator, data: np.ndarray, x0: np.ndarray,
-                 beta: float, max_iters: int,
+def matvec_trace(op: LinearOperator, data: np.ndarray, beta: float, max_iters: int,
                  x_true: Optional[np.ndarray] = None) -> Columns:
-    """(R, G, E) by running the iteration, two matvecs per step.
+    """(R, G, E) by running the iteration from 0, two matvecs per step.
 
     E is None without x_true. Columns end at the early stop, if any.
     """
     R = np.empty(max_iters)
     G = np.empty(max_iters)
     E = np.empty(max_iters) if x_true is not None else None
-    x = x0
+    x = np.zeros(op.shape[1])
     n_done = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        g = op.apply_adjoint(op.apply(x) - data)
+        g = op.apply_adjoint(-data)
     for k in range(1, max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             x = x - beta * g
@@ -154,23 +143,22 @@ def matvec_trace(op: LinearOperator, data: np.ndarray, x0: np.ndarray,
     return R[:n_done], G[:n_done], None if E is None else E[:n_done]
 
 
-def diagonal_trace(op: LinearOperator, data: np.ndarray, x0: np.ndarray,
-                   beta: float, max_iters: int,
+def diagonal_trace(op: LinearOperator, data: np.ndarray, beta: float, max_iters: int,
                    x_true: Optional[np.ndarray] = None) -> Columns:
-    """(R, G, E) of the iteration on a diagonal operator, in closed form.
+    """(R, G, E) of the iteration from 0 on a diagonal operator, in closed form.
 
-    With q = 1 - beta sigma^2 and r0 = sigma x0 - data, the residual after k
-    updates is q^k r0 mode by mode, so
+    With q = 1 - beta sigma^2 and r0 = -data, the residual after k updates is
+    q^k r0 mode by mode, so
 
         R_k^2 = sum_i q_i^(2k) r0_i^2,    G_k^2 = sum_i q_i^(2k) sigma_i^2 r0_i^2,
-        x_k - x_true = (x0 - x_true) - (r0/sigma) (1 - q^k).
+        x_k - x_true = -x_true - (r0/sigma) (1 - q^k).
 
     Tables of q^(2j) and 1 - q^j, j = 1..B, are built once. The block after
     k0 iterations uses q^(k0+j) = q^k0 q^j and 1 - q^(k0+j) = (1 - q^k0) +
     q^k0 (1 - q^j), with q^k0 evaluated afresh, never as a running product,
     so rounding does not build up over blocks: one GEMM gives R and G, one
     per-mode pass the error. The error is kept per mode: expanded into power
-    sums, or written as (x0 - x_true - r0/sigma) + (r0/sigma) q^k, it cancels
+    sums, or written as (-x_true - r0/sigma) + (r0/sigma) q^k, it cancels
     badly under noise, where r0/sigma is large on the small-sigma modes.
     Early stop and abort happen at the same iteration as in
     :func:`matvec_trace`.
@@ -182,13 +170,13 @@ def diagonal_trace(op: LinearOperator, data: np.ndarray, x0: np.ndarray,
         q = 1.0 - beta * s * s
         log_q = np.where(q > 0.0, np.log1p(-beta * s * s), 0.0)
         nonpos = np.flatnonzero(q <= 0.0)
-        r0 = s * x0 - data
+        r0 = -data
         weights = np.stack((r0 * r0, (s * r0) ** 2))
         q_2j, comp_j = _powers(q, log_q, nonpos, np.arange(1, rows + 1.0)[:, None])
         np.square(q_2j, out=q_2j)
         if x_true is not None:
             pull = r0 / s
-            start = x0 - x_true
+            start = -x_true
             buf = np.empty_like(comp_j)
     R = np.empty(max_iters)
     G = np.empty(max_iters)

@@ -13,6 +13,7 @@ Operators are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,7 +24,7 @@ import numpy as np
 SVD_SIZE_LIMIT = 2048
 
 # Singular values below this fraction of sigma_1 are numerically void.
-DEFAULT_SV_FLOOR = 1e-14
+SV_FLOOR = 1e-14
 
 _POWER_ITER_SEED = 74025  # fixed seed so the step-size choice is reproducible
 
@@ -74,24 +75,14 @@ class LinearOperator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Truncated singular system {sigma_i, u_i, v_i} with orthonormal columns.
+    """Singular values sigma_i and left singular vectors u_i (orthonormal columns).
 
-    A basis given as None is the canonical one (u_i = v_i = e_i), as for a
-    diagonal operator. It is built only when ``left_vectors`` or
-    ``right_vectors`` is read; :meth:`coefficients` never needs it.
+    u = None is the canonical basis (u_i = e_i) of a diagonal operator, left
+    implicit. The right singular vectors are not kept: nothing reads them.
     """
 
     sigmas: np.ndarray
     u: Optional[np.ndarray] = None   # m x r, columns u_i
-    v: Optional[np.ndarray] = None   # n x r, columns v_i
-
-    @property
-    def left_vectors(self) -> np.ndarray:
-        return np.eye(self.sigmas.size) if self.u is None else self.u
-
-    @property
-    def right_vectors(self) -> np.ndarray:
-        return np.eye(self.sigmas.size) if self.v is None else self.v
 
     def coefficients(self, y: np.ndarray) -> np.ndarray:
         """<y, u_i> for every retained i."""
@@ -177,8 +168,8 @@ def operator_norm(op: LinearOperator, tol: float = 1e-10, max_iters: int = 10000
         f"power iteration did not converge in {max_iters} iterations", best=float(est))
 
 
-def svd(op: LinearOperator, floor: float = DEFAULT_SV_FLOOR) -> SpectralDecomposition:
-    """Full singular value decomposition, truncated at floor * sigma_1.
+def svd(op: LinearOperator) -> SpectralDecomposition:
+    """Full singular value decomposition, truncated at SV_FLOOR * sigma_1.
 
     Diagonal operators return their stored sigmas with the canonical basis,
     untruncated: those values are exact data, not the output of a numerical
@@ -191,11 +182,11 @@ def svd(op: LinearOperator, floor: float = DEFAULT_SV_FLOOR) -> SpectralDecompos
         raise ValueError(
             f"dense SVD supported up to min(m,n) <= {SVD_SIZE_LIMIT}; got {min(m, n)}")
     try:
-        u, s, vt = np.linalg.svd(op.matrix, full_matrices=False)
+        u, s, _ = np.linalg.svd(op.matrix, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD failed to converge: {exc}") from exc
-    r = 0 if s[0] == 0.0 else int((s >= floor * s[0]).sum())
-    return SpectralDecomposition(sigmas=s[:r], u=u[:, :r], v=vt.T[:, :r])
+    r = 0 if s[0] == 0.0 else int((s >= SV_FLOOR * s[0]).sum())
+    return SpectralDecomposition(sigmas=s[:r], u=u[:, :r])
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +284,7 @@ def write_vector(path, vec) -> None:
 
 
 def read_vector(path) -> np.ndarray:
-    """Read a one-value-per-line vector; errors carry the line number."""
+    """Read a one-value-per-line vector of finite numbers; errors carry the line number."""
     values = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -301,9 +292,12 @@ def read_vector(path) -> np.ndarray:
             if not text or text.startswith(("%", "#")):
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad value {text!r}") from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: line {lineno}: bad value {text!r}")
+            values.append(value)
     if not values:
         raise ValueError(f"{path}: no values found")
     return np.asarray(values)

@@ -31,6 +31,9 @@ RATIO_THRESHOLD = 1.05
 # excluded from the decay-exponent fits.
 COEFF_FLOOR = 1e-12
 FIT_R2_MIN = 0.99
+# max_mu_spectral bisects admissibility over this mu range to this width.
+BISECT_BRACKET = (0.05, 2.0)
+BISECT_TOL = 1e-3
 DEFAULT_MU_GRID = (0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.75, 1.0)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 # relative noise levels of the rate experiment, strictly decreasing
@@ -134,6 +137,8 @@ def rate_experiment(p: ProblemSpec, mu_hat: float, levels,
     levels = sorted((float(l) for l in levels), reverse=True)
     if len(levels) < 3:
         raise ValueError("need at least 3 noise levels")
+    if len(set(levels)) < len(levels):
+        raise ValueError("noise levels must be distinct")
     if not all(0.0 < l < 1.0 for l in levels):
         raise ValueError("levels must lie in (0, 1)")
     seeds = [int(s) for s in seeds]
@@ -183,12 +188,11 @@ def _growth_ratio(log_terms: np.ndarray) -> float:
     return float(partial[-1] / half)
 
 
-def verify_smoothness(sd: SpectralDecomposition, y: np.ndarray, mu_list,
-                      ratio_threshold: float = RATIO_THRESHOLD) -> SmoothnessVerdict:
+def verify_smoothness(sd: SpectralDecomposition, y: np.ndarray, mu_list) -> SmoothnessVerdict:
     """Test each mu for summability of |<y,u_i>|^2 / sigma_i^(2+4 mu).
 
     A mu is admissible when the partial sums have saturated, i.e. the growth
-    ratio S_n / S_{n/2} stays at or below `ratio_threshold`. Admissibility is
+    ratio S_n / S_{n/2} stays at or below RATIO_THRESHOLD. Admissibility is
     monotone (smaller mu is easier), which the construction preserves.
     """
     coeffs = sd.coefficients(y)
@@ -205,7 +209,7 @@ def verify_smoothness(sd: SpectralDecomposition, y: np.ndarray, mu_list,
         lt = log_c2 - (2.0 + 4.0 * mu) * log_s
         ratio = _growth_ratio(lt[np.isfinite(lt)])
         growth.append(ratio)
-        admissible.append(bool(np.isfinite(ratio) and ratio <= ratio_threshold))
+        admissible.append(bool(np.isfinite(ratio) and ratio <= RATIO_THRESHOLD))
     # enforce downward closure against borderline numerical ties
     for j in range(len(admissible) - 2, -1, -1):
         if admissible[j + 1]:
@@ -228,43 +232,37 @@ def _fit_r2(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(coeffs[0]), 1.0 - float(np.sum(resid ** 2)) / ss_tot
 
 
-def max_mu_spectral(sd: SpectralDecomposition, y: np.ndarray,
-                    ratio_threshold: float = RATIO_THRESHOLD,
-                    coeff_floor: float = COEFF_FLOOR,
-                    r2_min: float = FIT_R2_MIN,
-                    bisect_lo: float = 0.05, bisect_hi: float = 2.0,
-                    bisect_tol: float = 1e-3) -> Optional[float]:
+def max_mu_spectral(sd: SpectralDecomposition, y: np.ndarray) -> Optional[float]:
     """Largest mu compatible with the spectral summability test.
 
     Stage one fits decay exponents: b from log sigma_i against log i and s
     from log |<y,u_i>| against log sigma_i, over coefficients above the
-    floor. When both fits are credible (R^2 >= 0.99) the closed form
+    floor. When both fits are credible (R^2 >= FIT_R2_MIN) the closed form
     mu = (s - 1)/2 - 1/(4 b) is returned. Otherwise the admissibility
-    predicate is bisected over [bisect_lo, bisect_hi]. None means even the
-    smallest tested mu is inadmissible.
+    predicate is bisected over BISECT_BRACKET. None means even the smallest
+    tested mu is inadmissible.
     """
     coeffs = sd.coefficients(y)
     abs_c = np.abs(coeffs)
-    keep = abs_c >= coeff_floor * abs_c.max()
+    keep = abs_c >= COEFF_FLOOR * abs_c.max()
     idx = np.arange(1, sd.sigmas.size + 1, dtype=float)
     if keep.sum() >= 4:
         b_slope, r2_b = _fit_r2(np.log(idx[keep]), np.log(sd.sigmas[keep]))
         s_slope, r2_s = _fit_r2(np.log(sd.sigmas[keep]), np.log(abs_c[keep]))
         b = -b_slope
-        if r2_b >= r2_min and r2_s >= r2_min and b > 0.0:
+        if r2_b >= FIT_R2_MIN and r2_s >= FIT_R2_MIN and b > 0.0:
             mu = (s_slope - 1.0) / 2.0 - 1.0 / (4.0 * b)
             return float(mu) if mu > 0.0 else None
 
     def admissible(mu: float) -> bool:
-        verdict = verify_smoothness(sd, y, [mu], ratio_threshold=ratio_threshold)
-        return verdict.admissible[0]
+        return verify_smoothness(sd, y, [mu]).admissible[0]
 
-    if not admissible(bisect_lo):
+    lo, hi = BISECT_BRACKET
+    if not admissible(lo):
         return None
-    if admissible(bisect_hi):
-        return float(bisect_hi)
-    lo, hi = bisect_lo, bisect_hi
-    while hi - lo > bisect_tol:
+    if admissible(hi):
+        return float(hi)
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if admissible(mid):
             lo = mid

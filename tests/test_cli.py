@@ -166,6 +166,58 @@ def test_missing_input_file_exit_code(tmp_path, capsys, command):
     assert not trace_path.exists() and not report_path.exists() and not table_path.exists()
 
 
+@pytest.mark.parametrize("text", [
+    "problem.n = 1000000000000000\n",
+    "problem.n = 10\nlandweber.max_iters = 1000000000000000\n",
+])
+def test_oversized_sizes_exit_with_config_error(tmp_path, capsys, text):
+    # 10^15 float64 values are 8 PB, past the address space, so the
+    # allocation fails at once and touches no memory
+    path, trace_path, _ = write_cfg(tmp_path, text)
+    assert main(["estimate", str(path)]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not trace_path.exists()
+
+
+def test_repeated_noise_levels_exit_with_config_error(tmp_path, capsys):
+    text = SMALL_DIAG + "validation.run_tikhonov = true\nvalidation.levels = 0.01, 0.01, 0.01\n"
+    path, trace_path, _ = write_cfg(tmp_path, text)
+    assert main(["estimate", str(path)]) == EXIT_CONFIG
+    assert "noise levels must be distinct" in capsys.readouterr().err
+    assert not trace_path.exists()
+    table = tmp_path / "table.csv"
+    assert main(["tikhonov-table", str(path), "--out", str(table)]) == EXIT_OK
+    assert table.read_text().splitlines()[1].endswith(",failed: noise levels must be distinct")
+
+
+@pytest.mark.parametrize("key, name, bad", [("x_true_path", "x.txt", "nan"),
+                                            ("y_path", "y.txt", "inf")])
+def test_non_finite_vector_file_exits_with_config_error(tmp_path, capsys, key, name, bad):
+    p = make_gravity(8)
+    write_matrix_market(tmp_path / "a.mtx", p.operator.matrix)
+    write_vector(tmp_path / "y.txt", p.y_clean)
+    write_vector(tmp_path / "x.txt", p.x_true)
+    lines = (tmp_path / name).read_text().splitlines()
+    lines[2] = bad
+    (tmp_path / name).write_text("\n".join(lines) + "\n")
+    text = (f"problem.kind = external\nproblem.matrix_path = {tmp_path / 'a.mtx'}\n"
+            f"problem.y_path = {tmp_path / 'y.txt'}\n"
+            f"problem.x_true_path = {tmp_path / 'x.txt'}\nlandweber.max_iters = 50\n")
+    path, trace_path, _ = write_cfg(tmp_path, text)
+    assert main(["estimate", str(path)]) == EXIT_CONFIG
+    assert f"{name}: line 3: bad value '{bad}'" in capsys.readouterr().err
+    assert not trace_path.exists()
+
+
+def test_readme_config_block_shows_every_default():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert parse_config_text(block) == ExperimentConfig()
+    shown = {line.split("=", 1)[0].strip() for line in block.splitlines() if line.strip()}
+    inputs = {"problem.matrix_path", "problem.y_path", "problem.x_true_path"}
+    assert shown == set(ExperimentConfig().effective_dict()) - inputs
+
+
 def _reject_constant(token):
     raise ValueError(f"non-JSON constant {token}")
 

@@ -188,8 +188,7 @@ def test_estimate_track_benchmark_recovers_mu():
 def test_stable_window_constant_track():
     n = 120
     track = EstimateTrack(k_values=np.arange(5, 5 + n),
-                          mu_k=np.full(n, 0.3), c_k=np.ones(n),
-                          gamma_k=np.full(n, 1.625), rms_k=np.zeros(n))
+                          mu_k=np.full(n, 0.3), c_k=np.ones(n))
     win = detect_stable_window(track)
     assert win == (5, 5 + n - 1)
 
@@ -198,7 +197,7 @@ def test_stable_window_monotone_none():
     n = 200
     mu = np.linspace(0.01, 1.0, n)  # > eps_mu drift over any 50-wide window
     track = EstimateTrack(k_values=np.arange(5, 5 + n), mu_k=mu,
-                          c_k=np.ones(n), gamma_k=mu, rms_k=np.zeros(n))
+                          c_k=np.ones(n))
     assert detect_stable_window(track) is None
 
 
@@ -207,7 +206,7 @@ def test_stable_window_excludes_nonpositive_mu():
     mu = np.full(n, 0.4)
     mu[60:80] = -0.1  # collapse segment breaks contiguity
     track = EstimateTrack(k_values=np.arange(1, n + 1), mu_k=mu,
-                          c_k=np.ones(n), gamma_k=mu, rms_k=np.zeros(n))
+                          c_k=np.ones(n))
     win = detect_stable_window(track, w_min=50)
     assert win == (81, 150)
 
@@ -217,7 +216,7 @@ def test_stable_window_c_criterion():
     c = np.ones(n)
     c[100:] = np.linspace(1.0, 3.0, 50)  # c drifts: window must avoid the tail
     track = EstimateTrack(k_values=np.arange(1, n + 1), mu_k=np.full(n, 0.2),
-                          c_k=c, gamma_k=np.full(n, 1.7), rms_k=np.zeros(n))
+                          c_k=c)
     win = detect_stable_window(track, w_min=50)
     assert win is not None
     assert win[1] <= 105
@@ -226,7 +225,7 @@ def test_stable_window_c_criterion():
 @pytest.mark.parametrize("eps_mu, eps_c_rel", [(-1.0, 0.05), (0.05, -1.0), (np.nan, 0.05)])
 def test_stable_window_rejects_bad_tolerances(eps_mu, eps_c_rel):
     track = EstimateTrack(k_values=np.arange(1, 61), mu_k=np.full(60, 0.3),
-                          c_k=np.ones(60), gamma_k=np.full(60, 1.6), rms_k=np.zeros(60))
+                          c_k=np.ones(60))
     with pytest.raises(ValueError):
         detect_stable_window(track, w_min=10, eps_mu=eps_mu, eps_c_rel=eps_c_rel)
 

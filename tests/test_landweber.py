@@ -120,12 +120,6 @@ def test_invalid_config():
         LandweberConfig(step_beta="fast")
 
 
-def test_custom_x0():
-    p = make_power_law(20, 2, 2)
-    trace = landweber_run(p, p.y_clean, LandweberConfig(max_iters=5, x0=p.x_true.copy()))
-    assert trace.residuals[0] <= 1e-14
-
-
 def test_trace_csv_format():
     p = make_power_law(20, 2, 2)
     trace = landweber_run(p, p.y_clean, LandweberConfig(max_iters=8))
@@ -165,7 +159,7 @@ def assert_traces_agree(closed, loop, rel=1e-10):
 
 @st.composite
 def diagonal_case(draw):
-    """A random diagonal problem, its data, a start, a step and a run length.
+    """A random diagonal problem, its data, a step and a run length.
 
     On a converged mode the loop's residual is rounding of size eps * |data_i|,
     so the loop is only a reference while some mode is still far from
@@ -173,7 +167,7 @@ def diagonal_case(draw):
     e^0.6 of its start over 3000 steps, and sigma_1 = 1, so a step past
     1/sigma_1^2 makes q_1 = 1 - beta sigma_1^2 negative. With n up to 400 the
     block length 2^16 // n falls below n, and few run lengths are multiples
-    of it. The data may carry noise and the start may be custom.
+    of it. The data may carry noise.
     """
     n = draw(st.integers(min_value=2, max_value=400))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
@@ -185,19 +179,18 @@ def diagonal_case(draw):
         noise = rng.standard_normal(n)
         level = draw(st.floats(1e-4, 0.1))
         data = data + level * np.linalg.norm(data) * noise / np.linalg.norm(noise)
-    x0 = rng.standard_normal(n) if draw(st.booleans()) else np.zeros(n)
     beta = draw(st.floats(0.05, 1.95))
     iters = draw(st.integers(min_value=1, max_value=3000))
-    return diagonal_operator(sigmas), data, x0, beta, iters, x_true
+    return diagonal_operator(sigmas), data, beta, iters, x_true
 
 
 @settings(deadline=None, max_examples=60)
 @given(diagonal_case(), st.booleans())
 def test_closed_form_matches_matvec_loop(case, with_error):
-    op, data, x0, beta, iters, x_true = case
+    op, data, beta, iters, x_true = case
     x_true = x_true if with_error else None
-    closed = diagonal_trace(op, data, x0, beta, iters, x_true)
-    loop = matvec_trace(op, data, x0, beta, iters, x_true)
+    closed = diagonal_trace(op, data, beta, iters, x_true)
+    loop = matvec_trace(op, data, beta, iters, x_true)
     assert_traces_agree(closed, loop)
 
 
@@ -205,8 +198,8 @@ def test_closed_form_early_stop_at_first_iteration():
     # unit sigmas and unit step solve in one update: both paths stop at k = 1
     op = diagonal_operator(np.ones(5))
     data = np.arange(1.0, 6.0)
-    closed = diagonal_trace(op, data, np.zeros(5), 1.0, 50, data)
-    loop = matvec_trace(op, data, np.zeros(5), 1.0, 50, data)
+    closed = diagonal_trace(op, data, 1.0, 50, data)
+    loop = matvec_trace(op, data, 1.0, 50, data)
     assert len(closed[0]) == len(loop[0]) == 1
     assert closed[0][0] == loop[0][0] == 0.0
     assert closed[2][0] == loop[2][0] == 0.0
@@ -218,4 +211,4 @@ def test_closed_form_aborts_at_the_loops_iteration(bad):
     data = np.array([1.0, bad, 0.5])
     for run in (diagonal_trace, matvec_trace):
         with pytest.raises(RuntimeError, match="iteration 1$"):
-            run(op, data, np.zeros(3), 0.5, 40)
+            run(op, data, 0.5, 40)

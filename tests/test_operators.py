@@ -118,14 +118,13 @@ def test_norm_dominates_random_vectors(seed):
 def test_svd_diagonal():
     sd = svd(diagonal_operator([1.0, 0.5]))
     assert np.allclose(sd.sigmas, [1.0, 0.5])
-    assert np.allclose(sd.left_vectors, np.eye(2))
-    assert np.allclose(sd.right_vectors, np.eye(2))
+    assert sd.u is None  # the canonical basis
 
 
 def test_svd_diagonal_coefficients_need_no_basis():
     s = np.linspace(1.0, 0.1, 5000)
     sd = svd(diagonal_operator(s))
-    assert sd.u is None and sd.v is None
+    assert sd.u is None
     y = np.random.default_rng(2).standard_normal(5000)
     assert np.array_equal(sd.coefficients(y), y)
 
@@ -140,16 +139,16 @@ def test_svd_reconstruction_and_singular_system():
     a = rng.standard_normal((12, 9))
     op = dense_operator(a)
     sd = svd(op)
-    rebuilt = sd.left_vectors @ np.diag(sd.sigmas) @ sd.right_vectors.T
-    assert np.linalg.norm(a - rebuilt) <= 1e-8 * sd.sigmas[0]
-    for i in range(sd.sigmas.size):
-        gap = np.linalg.norm(a @ sd.right_vectors[:, i] - sd.sigmas[i] * sd.left_vectors[:, i])
-        assert gap <= 1e-8 * sd.sigmas[0]
+    u = sd.u
+    assert np.linalg.norm(u.T @ u - np.eye(sd.sigmas.size)) <= 1e-12
+    gaps = np.abs(np.linalg.norm(a.T @ u, axis=0) - sd.sigmas)
+    assert np.all(gaps <= 1e-8 * sd.sigmas[0])
+    assert np.linalg.norm(a - u @ (u.T @ a)) <= 1e-8 * sd.sigmas[0]
 
 
 def test_svd_truncation_floor():
     op = dense_operator(np.diag([1.0, 1e-3, 1e-16]))
-    sd = svd(op, floor=1e-14)
+    sd = svd(op)
     assert sd.sigmas.size == 2
 
 

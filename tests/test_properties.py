@@ -33,8 +33,7 @@ def random_track(draw):
     # bounded random walks: plateaus and drifts both occur
     mu = np.cumsum(rng.uniform(-0.02, 0.02, n)) + rng.uniform(-0.2, 0.8)
     c = np.exp(np.cumsum(rng.uniform(-0.01, 0.01, n)))
-    return EstimateTrack(k_values=np.arange(5, 5 + n), mu_k=mu, c_k=c,
-                         gamma_k=mu, rms_k=np.zeros(n))
+    return EstimateTrack(k_values=np.arange(5, 5 + n), mu_k=mu, c_k=c)
 
 
 @settings(deadline=None, max_examples=80)
@@ -75,15 +74,14 @@ def rough_track(draw):
     for values, bad in ((mu, np.nan), (mu, 0.0), (c, np.nan), (c, -1.0)):
         hits = rng.integers(0, n, draw(st.integers(min_value=0, max_value=3)))
         values[hits] = bad
-    return EstimateTrack(k_values=track.k_values[:n], mu_k=mu, c_k=c,
-                         gamma_k=mu, rms_k=np.zeros(n))
+    return EstimateTrack(k_values=track.k_values[:n], mu_k=mu, c_k=c)
 
 
 @settings(deadline=None, max_examples=300)
 @given(rough_track(), st.integers(min_value=1, max_value=60),
        st.sampled_from([0.0, 0.01, 0.05, 0.3]), st.sampled_from([0.0, 0.01, 0.05, 0.5]))
 @example(track=EstimateTrack(k_values=np.arange(5, 85), mu_k=np.linspace(0.9, 0.1, 80) ** 4,
-                             c_k=np.ones(80), gamma_k=np.zeros(80), rms_k=np.zeros(80)),
+                             c_k=np.ones(80)),
          w_min=5, eps_mu=0.05, eps_c=0.05)   # the flat stretch runs to the end
 def test_stable_window_matches_deque_oracle(track, w_min, eps_mu, eps_c):
     assert (detect_stable_window(track, w_min=w_min, eps_mu=eps_mu, eps_c_rel=eps_c)

@@ -108,6 +108,8 @@ def test_rate_experiment_validation():
         rate_experiment(p, 0.3, [0.1, 0.01])  # fewer than 3 levels
     with pytest.raises(ValueError):
         rate_experiment(p, 0.3, [0.1, 0.01, 1.5])
+    with pytest.raises(ValueError, match="distinct"):
+        rate_experiment(p, 0.3, [0.01, 0.01, 0.01])
     p_blind = ks.ProblemSpec(operator=p.operator, y_clean=p.y_clean)
     with pytest.raises(ValueError):
         rate_experiment(p_blind, 0.3, [0.1, 0.03, 0.01])
