@@ -27,10 +27,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import estimator, problems, validation
+from . import estimator, operators, problems, validation
 from .estimator import estimate_track, detect_discretization_saturation, mu_to_model
 from .landweber import LandweberConfig, columns_to_csv, landweber_run, write_trace_csv
-from .operators import ConvergenceError, SVD_SIZE_LIMIT, svd
+from .operators import ConvergenceError, SpectralDecomposition, svd
 from .problems import ProblemSpec, add_noise
 from .validation import (DEFAULT_LEVELS, DEFAULT_MU_GRID, max_mu_spectral,
                          rate_experiment, bound_curves, verify_smoothness)
@@ -232,9 +232,19 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     """Problem -> (noise) -> Landweber -> estimates -> diagnostics -> validation.
 
     Returns a result dict holding the trace, the estimate track, optional
-    bound curves, and the JSON-ready report.
+    bound curves, and the JSON-ready report. A run with the SVD check on
+    computes the operator's SVD first, and Landweber and the Tikhonov rate
+    experiment read it in closed form; it is dropped when the run ends. If
+    the SVD fails, both fall back to the matvec loop and CG and the check
+    reports the failure.
     """
     p = build_problem(cfg)
+    sd, svd_note = None, ""
+    if cfg.validation_run_svd_check:
+        try:
+            sd, svd_note = _decomposition(p.operator)
+        except ConvergenceError as exc:
+            svd_note = f"failed: {exc}"
     noisy = None
     data = p.y_clean
     if cfg.noise_rel_level > 0:
@@ -242,7 +252,7 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
         data = noisy.y_delta
     lw_cfg = LandweberConfig(step_beta=cfg.landweber_step_beta,
                              max_iters=cfg.landweber_max_iters)
-    trace = landweber_run(p, data, lw_cfg)
+    trace = landweber_run(p, data, lw_cfg, sd)
     track = estimate_track(trace, k_min=cfg.estimator_k_min, w_min=cfg.estimator_w_min,
                            eps_mu=cfg.estimator_eps_mu, eps_c_rel=cfg.estimator_eps_c_rel)
     saturation_k = detect_discretization_saturation(trace)
@@ -258,7 +268,8 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
         "noise": None if noisy is None else {"rel_level": noisy.rel_level,
                                              "delta_abs": noisy.delta_abs,
                                              "seed": noisy.seed},
-        "landweber": {"step_beta": trace.step_beta, "iterations": len(trace)},
+        "landweber": {"step_beta": trace.step_beta, "iterations": len(trace),
+                      "path": trace.path},
         "estimate": {
             "mu_hat": track.mu_hat,
             "c_hat": track.c_hat,
@@ -272,25 +283,27 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     }
 
     if cfg.validation_run_tikhonov:
-        report["tikhonov_rate"] = _tikhonov_section(p, track, cfg)
+        report["tikhonov_rate"] = _tikhonov_section(p, track, cfg, sd)
     if cfg.validation_run_svd_check:
-        report["svd_check"] = _svd_section(p)
+        report["svd_check"] = _svd_section(p, sd, svd_note)
 
     return {"problem": p, "trace": trace, "track": track, "upper": upper,
             "saturation_k": saturation_k, "report": report}
 
 
-def _tikhonov_section(p: ProblemSpec, track, cfg: ExperimentConfig) -> dict:
+def _tikhonov_section(p: ProblemSpec, track, cfg: ExperimentConfig,
+                      sd: Optional[SpectralDecomposition]) -> dict:
     if p.x_true is None:
         return {"note": "skipped: exact solution unknown"}
     if track.mu_hat is None or track.mu_hat <= 0:
         return {"note": "skipped: no stable-window estimate to test"}
     levels = cfg.validation_levels or DEFAULT_LEVELS
     try:
-        res = rate_experiment(p, track.mu_hat, levels, cfg.validation_seeds)
+        res = rate_experiment(p, track.mu_hat, levels, cfg.validation_seeds, sd)
     except ConvergenceError as exc:
         return {"note": f"failed: {exc}"}
     return {"mu_tested": track.mu_hat,
+            "solver": res.solver,
             "predicted_exponent": res.predicted_exponent,
             "observed_exponent": res.observed_exponent,
             "noise_levels": res.noise_levels,
@@ -301,11 +314,17 @@ def _tikhonov_section(p: ProblemSpec, track, cfg: ExperimentConfig) -> dict:
             "notes": res.notes}
 
 
-def _svd_section(p: ProblemSpec) -> dict:
-    op = p.operator
-    if op.kind == "dense" and min(op.shape) > SVD_SIZE_LIMIT:
-        return {"note": f"skipped: operator exceeds the dense SVD limit {SVD_SIZE_LIMIT}"}
-    sd = svd(op)
+def _decomposition(op) -> tuple[Optional[SpectralDecomposition], str]:
+    """svd(op), or None and the note saying why the operator has none."""
+    limit = operators.SVD_SIZE_LIMIT
+    if op.kind == "dense" and min(op.shape) > limit:
+        return None, f"skipped: operator exceeds the dense SVD limit {limit}"
+    return svd(op), ""
+
+
+def _svd_section(p: ProblemSpec, sd: Optional[SpectralDecomposition], note: str) -> dict:
+    if sd is None:
+        return {"note": note}
     verdict = verify_smoothness(sd, p.y_clean, DEFAULT_MU_GRID)
     mu_max = max_mu_spectral(sd, p.y_clean)
     return {"mu_tested": verdict.mu_tested,
@@ -414,6 +433,9 @@ def _tikhonov_table(config_paths, out_path) -> None:
         except (ValueError, ConvergenceError, RuntimeError) as exc:
             rows.append((label, "", "", "", "", f"failed: {exc}"))
             continue
+        except MemoryError as exc:
+            rows.append((label, "", "", "", "", f"failed: sizes too large to allocate: {exc}"))
+            continue
         label = result["problem"].label
         rate = result["report"]["tikhonov_rate"]
         if "note" in rate:
@@ -439,7 +461,8 @@ def _svd_check(cfg: ExperimentConfig) -> None:
     p = build_problem(cfg)
     _write_report(cfg.output_report_path,
                   {"problem": {"label": p.label, "params": p.params},
-                   "svd_check": _svd_section(p), "config": cfg.effective_dict()})
+                   "svd_check": _svd_section(p, *_decomposition(p.operator)),
+                   "config": cfg.effective_dict()})
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:

@@ -9,10 +9,12 @@ and, when the exact solution is known, ||x_k - x_true||. The ratio R^2/G is
 an observable lower bound on the reconstruction error (Cauchy-Schwarz) and
 drives the downstream diagnostics.
 
-Diagonal operators have the trace in closed form (every mode evolves on its
-own), which :func:`diagonal_trace` evaluates in blocks of iterations without
-iterating. Dense operators run the iteration itself in :func:`matvec_trace`,
-which also serves as the reference the closed form is tested against.
+An operator with a known singular system has the trace in closed form (every
+mode evolves on its own), which :func:`diagonal_trace` evaluates in blocks of
+iterations without iterating. Diagonal operators always have one; a dense
+operator has one when the caller passes its SVD. Otherwise the iteration runs
+in :func:`matvec_trace`, which also serves as the reference the closed form is
+tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .operators import LinearOperator, operator_norm
+from .operators import LinearOperator, SpectralDecomposition, operator_norm
 from .problems import ProblemSpec
 
 # Residual/gradient norms below this are treated as exact convergence so the
@@ -66,6 +68,7 @@ class IterationTrace:
     lower_bounds: np.ndarray
     errors: Optional[np.ndarray] = None
     step_beta: float = 0.0
+    path: Optional[str] = None   # "closed-form" or "matvec"
 
     def __len__(self) -> int:
         return self.residuals.size
@@ -89,26 +92,39 @@ def resolve_step(cfg: LandweberConfig, norm_est: float) -> float:
 
 
 def landweber_run(p: ProblemSpec, data: np.ndarray,
-                  cfg: Optional[LandweberConfig] = None) -> IterationTrace:
+                  cfg: Optional[LandweberConfig] = None,
+                  sd: Optional[SpectralDecomposition] = None) -> IterationTrace:
     """Run Landweber iteration on A x = data and log the trace.
 
     Stops early once the residual or gradient norm underflows (exact
     normal-equation solution reached). Non-finite values abort with the
-    offending iteration index. Diagonal operators take the closed form,
-    all others the matvec loop.
+    offending iteration index. Diagonal operators take the closed form, as
+    does a dense operator whose decomposition ``sd = svd(p.operator)`` is
+    given, which then also supplies ||A||; all others run the matvec loop.
     """
     cfg = cfg or LandweberConfig()
     op = p.operator
     data = np.asarray(data, dtype=float)
     if data.shape != (op.shape[0],):
         raise ValueError(f"data must have length {op.shape[0]}, got shape {data.shape}")
-    beta = resolve_step(cfg, operator_norm(op))
-    run = diagonal_trace if op.kind == "diagonal" else matvec_trace
-    R, G, E = run(op, data, beta, cfg.max_iters, p.x_true)
+    if op.kind == "diagonal":
+        sd = SpectralDecomposition(sigmas=op.sigmas)
+    # ||A|| is exact in a decomposition; power iteration estimates it otherwise
+    norm = operator_norm(op) if sd is None else float(sd.sigmas.max(initial=0.0))
+    beta = resolve_step(cfg, norm)
+    if sd is None:
+        path = "matvec"
+        R, G, E = matvec_trace(op, data, beta, cfg.max_iters, p.x_true)
+    else:
+        path = "closed-form"
+        coeffs, data_out = sd.split(data)
+        x_coeffs, x_out = (None, 0.0) if p.x_true is None else sd.split(p.x_true, right=True)
+        R, G, E = diagonal_trace(sd.sigmas, coeffs, beta, cfg.max_iters, x_coeffs,
+                                 outside=(data_out, x_out))
     with np.errstate(divide="ignore", invalid="ignore"):
         lb = np.where(G > 0.0, R ** 2 / np.where(G > 0.0, G, 1.0), np.nan)
     return IterationTrace(residuals=R, gradient_norms=G, lower_bounds=lb, errors=E,
-                          step_beta=beta)
+                          step_beta=beta, path=path)
 
 
 def matvec_trace(op: LinearOperator, data: np.ndarray, beta: float, max_iters: int,
@@ -143,15 +159,21 @@ def matvec_trace(op: LinearOperator, data: np.ndarray, beta: float, max_iters: i
     return R[:n_done], G[:n_done], None if E is None else E[:n_done]
 
 
-def diagonal_trace(op: LinearOperator, data: np.ndarray, beta: float, max_iters: int,
-                   x_true: Optional[np.ndarray] = None) -> Columns:
-    """(R, G, E) of the iteration from 0 on a diagonal operator, in closed form.
+def diagonal_trace(sigmas: np.ndarray, data: np.ndarray, beta: float, max_iters: int,
+                   x_true: Optional[np.ndarray] = None,
+                   outside: tuple[float, float] = (0.0, 0.0)) -> Columns:
+    """(R, G, E) of the iteration from 0, in closed form from a singular system.
 
-    With q = 1 - beta sigma^2 and r0 = -data, the residual after k updates is
-    q^k r0 mode by mode, so
+    data and x_true are coefficients on the left and right singular vectors
+    of the sigmas (for a diagonal operator, the vectors themselves). outside
+    holds the squared norms of the parts of data and x_true that no mode
+    reaches; the iteration never changes them, so they add to every R_k^2
+    and E_k^2. With q = 1 - beta sigma^2 and r0 = -data, the residual after
+    k updates is q^k r0 mode by mode, so
 
-        R_k^2 = sum_i q_i^(2k) r0_i^2,    G_k^2 = sum_i q_i^(2k) sigma_i^2 r0_i^2,
-        x_k - x_true = -x_true - (r0/sigma) (1 - q^k).
+        R_k^2 = sum_i q_i^(2k) r0_i^2 + outside[0],
+        G_k^2 = sum_i q_i^(2k) sigma_i^2 r0_i^2,
+        x_k - x_true = -x_true - (r0/sigma) (1 - q^k),  plus outside[1] in E_k^2.
 
     Tables of q^(2j) and 1 - q^j, j = 1..B, are built once. The block after
     k0 iterations uses q^(k0+j) = q^k0 q^j and 1 - q^(k0+j) = (1 - q^k0) +
@@ -163,8 +185,9 @@ def diagonal_trace(op: LinearOperator, data: np.ndarray, beta: float, max_iters:
     Early stop and abort happen at the same iteration as in
     :func:`matvec_trace`.
     """
-    s = op.sigmas
+    s = np.asarray(sigmas, dtype=float)
     n = s.size
+    data_out, x_out = outside
     rows = min(max_iters, max(MIN_BLOCK_ROWS, BLOCK_ELEMENTS // n))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         q = 1.0 - beta * s * s
@@ -186,11 +209,13 @@ def diagonal_trace(op: LinearOperator, data: np.ndarray, beta: float, max_iters:
         m = min(rows, max_iters - k0)
         with np.errstate(over="ignore", invalid="ignore"):
             q_k0, comp_k0 = _powers(q, log_q, nonpos, k0)
-            norms = np.sqrt((weights * (q_k0 * q_k0)) @ q_2j[:m].T)
+            norms = (weights * (q_k0 * q_k0)) @ q_2j[:m].T
+            norms[0] += data_out
+            np.sqrt(norms, out=norms)
             if E is not None:
                 dev = np.multiply(comp_j[:m], pull * q_k0, out=buf[:m])
                 np.subtract(start - pull * comp_k0, dev, out=dev)
-                E[k0:k0 + m] = np.sqrt(np.einsum("ij,ij->i", dev, dev))
+                E[k0:k0 + m] = np.sqrt(np.einsum("ij,ij->i", dev, dev) + x_out)
         R[k0:k0 + m], G[k0:k0 + m] = norms
         bad = ~np.isfinite(norms).all(axis=0)
         stop = (norms < EARLY_STOP_FLOOR).any(axis=0)

@@ -75,19 +75,33 @@ class LinearOperator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Singular values sigma_i and left singular vectors u_i (orthonormal columns).
+    """Singular values sigma_i with left and right singular vectors u_i, v_i.
 
-    u = None is the canonical basis (u_i = e_i) of a diagonal operator, left
-    implicit. The right singular vectors are not kept: nothing reads them.
+    A v_i = sigma_i u_i. u = v = None is the canonical basis (u_i = v_i = e_i)
+    of a diagonal operator, left implicit.
     """
 
     sigmas: np.ndarray
     u: Optional[np.ndarray] = None   # m x r, columns u_i
+    v: Optional[np.ndarray] = None   # n x r, columns v_i
 
     def coefficients(self, y: np.ndarray) -> np.ndarray:
         """<y, u_i> for every retained i."""
         y = np.asarray(y, dtype=float)
         return y.copy() if self.u is None else self.u.T @ y
+
+    def split(self, vec: np.ndarray, right: bool = False) -> tuple[np.ndarray, float]:
+        """<vec, u_i> (or <vec, v_i> with right=True) for every retained i,
+        and the squared norm of the part of vec outside the span of those
+        vectors: the part no retained mode of A reaches.
+        """
+        vec = np.asarray(vec, dtype=float)
+        basis = self.v if right else self.u
+        if basis is None:
+            return vec.copy(), 0.0
+        coeffs = basis.T @ vec
+        rest = vec - basis @ coeffs
+        return coeffs, float(rest @ rest)
 
 
 def diagonal_operator(sigmas) -> LinearOperator:
@@ -182,11 +196,14 @@ def svd(op: LinearOperator) -> SpectralDecomposition:
         raise ValueError(
             f"dense SVD supported up to min(m,n) <= {SVD_SIZE_LIMIT}; got {min(m, n)}")
     try:
-        u, s, _ = np.linalg.svd(op.matrix, full_matrices=False)
+        u, s, vt = np.linalg.svd(op.matrix, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD failed to converge: {exc}") from exc
     r = 0 if s[0] == 0.0 else int((s >= SV_FLOOR * s[0]).sum())
-    return SpectralDecomposition(sigmas=s[:r], u=u[:, :r])
+    if r < s.size:
+        # copies, so the vectors of the dropped modes are freed with u and vt
+        u, vt = u[:, :r].copy(), vt[:r].copy()
+    return SpectralDecomposition(sigmas=s[:r], u=u, v=vt.T)
 
 
 # ---------------------------------------------------------------------------

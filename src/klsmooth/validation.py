@@ -54,6 +54,7 @@ class RateExperimentResult:
     predicted_exponent: float
     seeds: list
     alphas: list
+    solver: str                 # "filter-factors" or "cg"
     notes: list = field(default_factory=list)
 
 
@@ -108,6 +109,18 @@ def tikhonov_solve(op: LinearOperator, y: np.ndarray, alpha: float) -> np.ndarra
                            residual=float(np.sqrt(rs) / rhs_norm))
 
 
+def _filter_factor_error(sd: SpectralDecomposition, y: np.ndarray, alpha: float,
+                         x_coeffs: np.ndarray, x_out: float) -> float:
+    """||x_alpha - x_true|| from the filter factors, x_true given by its split."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    s = sd.sigmas
+    # the operation order of tikhonov_solve's diagonal branch, so that
+    # diagonal errors come out bit for bit as they did from it
+    dev = s * sd.coefficients(y) / (s * s + alpha) - x_coeffs
+    return float(np.sqrt(dev @ dev + x_out))
+
+
 def apriori_alpha(delta_abs: float, mu: float) -> float:
     """A-priori regularization parameter delta^(2/(2 mu + 1)).
 
@@ -122,8 +135,8 @@ def apriori_alpha(delta_abs: float, mu: float) -> float:
     return float(delta_abs ** (2.0 / (2.0 * mu + 1.0)))
 
 
-def rate_experiment(p: ProblemSpec, mu_hat: float, levels,
-                    seeds=DEFAULT_SEEDS) -> RateExperimentResult:
+def rate_experiment(p: ProblemSpec, mu_hat: float, levels, seeds=DEFAULT_SEEDS,
+                    sd: Optional[SpectralDecomposition] = None) -> RateExperimentResult:
     """Measure the Tikhonov convergence rate under the a-priori choice for mu_hat.
 
     For each relative noise level and seed: perturb the data, set alpha from
@@ -131,6 +144,15 @@ def rate_experiment(p: ProblemSpec, mu_hat: float, levels,
     Errors are seed-averaged per level; the observed exponent is the slope of
     log(error) against log(delta_abs). Solver failures exclude the affected
     level with a note.
+
+    Given ``sd = svd(p.operator)``, each error comes from the filter factors
+    sigma / (sigma^2 + alpha) in closed form, with no solve (a diagonal
+    operator always takes this path, its own sigmas being the decomposition):
+
+        ||x_alpha - x_true||^2 = sum_i (sigma_i/(sigma_i^2 + alpha) <y_delta, u_i>
+                                        - <x_true, v_i>)^2 + ||x_true - V V* x_true||^2.
+
+    Otherwise :func:`tikhonov_solve` computes each x_alpha by CG.
     """
     if p.x_true is None:
         raise ValueError("rate experiment needs the exact solution")
@@ -145,6 +167,11 @@ def rate_experiment(p: ProblemSpec, mu_hat: float, levels,
     if not seeds:
         raise ValueError("need at least one seed")
 
+    if sd is None and p.operator.kind == "diagonal":
+        sd = SpectralDecomposition(sigmas=p.operator.sigmas)
+    if sd is not None:
+        x_coeffs, x_out = sd.split(p.x_true, right=True)
+
     kept_levels, kept_deltas, kept_alphas, kept_errors, notes = [], [], [], [], []
     for level in levels:
         errs = []
@@ -155,8 +182,12 @@ def rate_experiment(p: ProblemSpec, mu_hat: float, levels,
                 noisy = add_noise(p, level, seed)
                 delta = noisy.delta_abs
                 alpha = apriori_alpha(delta, mu_hat)
-                x_alpha = tikhonov_solve(p.operator, noisy.y_delta, alpha)
-                errs.append(float(np.linalg.norm(x_alpha - p.x_true)))
+                if sd is None:
+                    x_alpha = tikhonov_solve(p.operator, noisy.y_delta, alpha)
+                    errs.append(float(np.linalg.norm(x_alpha - p.x_true)))
+                else:
+                    errs.append(_filter_factor_error(sd, noisy.y_delta, alpha,
+                                                     x_coeffs, x_out))
         except ConvergenceError as exc:
             notes.append(f"level {level:g} excluded: {exc}")
             continue
@@ -171,7 +202,8 @@ def rate_experiment(p: ProblemSpec, mu_hat: float, levels,
         noise_levels=kept_levels, delta_abs_values=kept_deltas,
         errors=kept_errors, observed_exponent=slope,
         predicted_exponent=2.0 * mu_hat / (2.0 * mu_hat + 1.0),
-        seeds=seeds, alphas=kept_alphas, notes=notes)
+        seeds=seeds, alphas=kept_alphas, notes=notes,
+        solver="cg" if sd is None else "filter-factors")
 
 
 def _growth_ratio(log_terms: np.ndarray) -> float:

@@ -8,6 +8,9 @@ from collections import deque
 
 import numpy as np
 
+from klsmooth.operators import dense_operator
+from klsmooth.problems import ProblemSpec
+
 
 def diagonal_landweber_oracle(sigmas, x_true, n_iters, step=None, data=None):
     """Exact per-iteration (R, G, err) for diagonal Landweber from x0 = 0.
@@ -35,6 +38,34 @@ def diagonal_landweber_oracle(sigmas, x_true, n_iters, step=None, data=None):
         G[k - 1] = np.linalg.norm(s * r)
         E[k - 1] = np.linalg.norm((y / s) * (1.0 - fk) - x)
     return R, G, E
+
+
+def known_svd_problem(seed, m, n, rank, noise=0.0):
+    """A dense m x n problem A = U diag(sigma) V* of the given rank, and its data.
+
+    sigma_1 = 1, sigma_rank = 0.01 and the others log-uniform in [0.01, 0.5]:
+    the slowest mode stays far from converged over a few thousand steps, and
+    the gap below sigma_1 lets power iteration find ||A|| in a few dozen.
+    x_true has a coefficient of size 0.5-1.5 and random sign on every right
+    singular vector, its null-space part included when rank < n. The data
+    are A x_true plus, with noise > 0, a random vector of that relative norm
+    in R^m, which has a part outside range(A) when rank < m. Returns the
+    ProblemSpec and the data.
+    """
+    rng = np.random.default_rng(seed)
+    inner = np.sort(10.0 ** rng.uniform(-2, np.log10(0.5), rank - 2))[::-1]
+    sigmas = np.concatenate(([1.0], inner, [0.01]))
+    u = np.linalg.qr(rng.standard_normal((m, rank)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    x_true = v @ (rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.5, n))
+    a = (u * sigmas) @ v[:, :rank].T
+    y = a @ x_true
+    data = y
+    if noise > 0:
+        e = rng.standard_normal(m)
+        data = y + noise * np.linalg.norm(y) * e / np.linalg.norm(e)
+    return ProblemSpec(operator=dense_operator(a), y_clean=y, x_true=x_true,
+                       label="known-svd"), data
 
 
 def power_law_verif_terms(eta, beta, mu, n):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import tempfile
 from dataclasses import replace
@@ -11,6 +12,7 @@ from klsmooth.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                           ConfigError, ExperimentConfig, figure_config,
                           load_config, main, parse_config_text, run_estimate,
                           run_figure_suite, run_pipeline, run_tikhonov_table)
+from klsmooth import cli, operators
 from klsmooth.operators import write_matrix_market, write_vector
 from klsmooth.problems import make_gravity
 
@@ -190,6 +192,20 @@ def test_repeated_noise_levels_exit_with_config_error(tmp_path, capsys):
     assert table.read_text().splitlines()[1].endswith(",failed: noise levels must be distinct")
 
 
+def test_tikhonov_table_row_for_oversized_config(tmp_path):
+    # one config too large to allocate fails its own row, not the table
+    ok = tmp_path / "ok.cfg"
+    ok.write_text("problem.kind = deriv2\nproblem.n = 64\n")
+    big = tmp_path / "big.cfg"
+    big.write_text("problem.kind = power_law\nproblem.n = 1000000000000000\n")
+    table = tmp_path / "t.csv"
+    assert main(["tikhonov-table", str(ok), str(big), "--out", str(table)]) == EXIT_OK
+    rows = table.read_text().splitlines()
+    assert len(rows) == 3
+    assert rows[1].startswith("deriv2(n=64),") and rows[1].endswith(",no,")
+    assert rows[2].startswith('power_law,,,,,"failed: sizes too large to allocate: ')
+
+
 @pytest.mark.parametrize("key, name, bad", [("x_true_path", "x.txt", "nan"),
                                             ("y_path", "y.txt", "inf")])
 def test_non_finite_vector_file_exits_with_config_error(tmp_path, capsys, key, name, bad):
@@ -237,6 +253,84 @@ def test_tikhonov_section_skips_without_window():
     report = run_pipeline(cfg)["report"]
     assert report["estimate"]["mu_hat"] is None
     assert report["tikhonov_rate"] == {"note": "skipped: no stable-window estimate to test"}
+
+
+DENSE_CHECKED = ("problem.kind = deriv2\nproblem.n = 32\n"
+                 "validation.run_tikhonov = true\nvalidation.run_svd_check = true\n")
+
+
+def test_report_names_the_paths_taken():
+    checked = run_pipeline(parse_config_text(DENSE_CHECKED))["report"]
+    assert checked["landweber"]["path"] == "closed-form"
+    assert checked["tikhonov_rate"]["solver"] == "filter-factors"
+    plain = run_pipeline(parse_config_text("problem.kind = deriv2\nproblem.n = 32\n"))
+    assert plain["report"]["landweber"]["path"] == "matvec"
+    diagonal = run_pipeline(parse_config_text(SMALL_DIAG + "validation.run_tikhonov = true\n"))
+    assert diagonal["report"]["landweber"]["path"] == "closed-form"
+    assert diagonal["report"]["tikhonov_rate"]["solver"] == "filter-factors"
+
+
+def test_operator_over_the_svd_limit_takes_the_loop_and_cg(tmp_path, monkeypatch):
+    monkeypatch.setattr(operators, "SVD_SIZE_LIMIT", 16)
+    path, _, report_path = write_cfg(tmp_path, DENSE_CHECKED)
+    assert main(["estimate", str(path)]) == EXIT_OK
+    report = json.loads(report_path.read_text())
+    assert report["landweber"]["path"] == "matvec"
+    assert report["tikhonov_rate"]["solver"] == "cg"
+    assert report["svd_check"] == {"note": "skipped: operator exceeds the dense SVD limit 16"}
+
+
+def test_checked_dense_run_computes_one_svd(monkeypatch):
+    calls = []
+
+    def counted(op):
+        calls.append(op.shape)
+        return operators.svd(op)
+    # cli is the only module that calls svd on a pipeline run
+    monkeypatch.setattr(cli, "svd", counted)
+    result = run_pipeline(parse_config_text(DENSE_CHECKED))
+    assert calls == [(32, 32)]
+    assert result["report"]["landweber"]["path"] == "closed-form"
+    assert "mu_max_refined" in result["report"]["svd_check"]
+    assert "observed_exponent" in result["report"]["tikhonov_rate"]
+
+
+def test_tikhonov_only_dense_run_computes_no_svd(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "svd", lambda op: calls.append(op.shape))
+    cfg = parse_config_text("problem.kind = deriv2\nproblem.n = 32\n"
+                            "validation.run_tikhonov = true\n")
+    report = run_pipeline(cfg)["report"]
+    assert calls == []
+    assert report["landweber"]["path"] == "matvec"
+    assert report["tikhonov_rate"]["solver"] == "cg"
+
+
+def test_svd_failure_falls_back_to_the_loop_and_cg(tmp_path, monkeypatch):
+    def failing(op):
+        raise operators.ConvergenceError("SVD failed to converge: planted")
+    monkeypatch.setattr(cli, "svd", failing)
+    path, _, report_path = write_cfg(tmp_path, DENSE_CHECKED)
+    assert main(["estimate", str(path)]) == EXIT_OK
+    report = json.loads(report_path.read_text())
+    assert report["landweber"]["path"] == "matvec"
+    assert report["tikhonov_rate"]["solver"] == "cg"
+    assert report["svd_check"] == {"note": "failed: SVD failed to converge: planted"}
+
+
+def test_rate_table_script_output_is_pinned(tmp_path, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_rate_table.py"
+    spec = importlib.util.spec_from_file_location("run_rate_table", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr("sys.argv", [str(script), str(tmp_path)])
+    assert module.main() == EXIT_OK
+    assert (tmp_path / "tikhonov_table.csv").read_text() == (
+        "problem,mu_hat,predicted_rate_exponent,observed_rate_exponent,misfit,note\n"
+        '"power-law(eta=2, beta=2, n=10000)",0.397697,0.443019,0.417591,no,\n'
+        "deriv2(n=256),0.137733,0.215973,0.200027,no,\n"
+        '"gravity(n=256, depth=0.25), severely ill-posed candidate",'
+        "0.328515,0.396511,0.510931,yes,\n")
 
 
 def test_cli_overrides(tmp_path):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from klsmooth.landweber import (LandweberConfig, diagonal_trace, landweber_run,
                                 matvec_trace, trace_to_csv)
-from klsmooth.operators import diagonal_operator, operator_norm
+from klsmooth.operators import (ConvergenceError, dense_operator, diagonal_operator,
+                                operator_norm, svd)
 from klsmooth.problems import ProblemSpec, add_noise, make_power_law
 
-from _oracles import diagonal_landweber_oracle
+from _oracles import diagonal_landweber_oracle, known_svd_problem
 
 
 def make_diag_problem(sigmas, x_true):
@@ -189,7 +190,7 @@ def diagonal_case(draw):
 def test_closed_form_matches_matvec_loop(case, with_error):
     op, data, beta, iters, x_true = case
     x_true = x_true if with_error else None
-    closed = diagonal_trace(op, data, beta, iters, x_true)
+    closed = diagonal_trace(op.sigmas, data, beta, iters, x_true)
     loop = matvec_trace(op, data, beta, iters, x_true)
     assert_traces_agree(closed, loop)
 
@@ -198,7 +199,7 @@ def test_closed_form_early_stop_at_first_iteration():
     # unit sigmas and unit step solve in one update: both paths stop at k = 1
     op = diagonal_operator(np.ones(5))
     data = np.arange(1.0, 6.0)
-    closed = diagonal_trace(op, data, 1.0, 50, data)
+    closed = diagonal_trace(op.sigmas, data, 1.0, 50, data)
     loop = matvec_trace(op, data, 1.0, 50, data)
     assert len(closed[0]) == len(loop[0]) == 1
     assert closed[0][0] == loop[0][0] == 0.0
@@ -209,6 +210,53 @@ def test_closed_form_early_stop_at_first_iteration():
 def test_closed_form_aborts_at_the_loops_iteration(bad):
     op = diagonal_operator([1.0, 0.5, 0.25])
     data = np.array([1.0, bad, 0.5])
-    for run in (diagonal_trace, matvec_trace):
-        with pytest.raises(RuntimeError, match="iteration 1$"):
-            run(op, data, 0.5, 40)
+    with pytest.raises(RuntimeError, match="iteration 1$"):
+        diagonal_trace(op.sigmas, data, 0.5, 40)
+    with pytest.raises(RuntimeError, match="iteration 1$"):
+        matvec_trace(op, data, 0.5, 40)
+
+
+@settings(deadline=None, max_examples=40)
+@given(m=st.integers(2, 120), n=st.integers(2, 120), rank_drop=st.integers(0, 30),
+       seed=st.integers(0, 2**31 - 1), noise=st.sampled_from([0.0, 1e-3, 0.05]),
+       beta=st.floats(0.05, 1.95), iters=st.integers(1, 3000))
+# m > n, rank-deficient, noisy, K = 2 * 1092 + 17 rows of 1092 (2^16 // 60)
+@example(m=90, n=70, rank_drop=10, seed=3, noise=0.05, beta=1.0, iters=2201)
+# m < n, full rank, K = 1024 + 5 rows of 1024 (2^16 // 64)
+@example(m=64, n=110, rank_drop=0, seed=4, noise=1e-3, beta=1.9, iters=1029)
+def test_dense_closed_form_matches_matvec_loop(m, n, rank_drop, seed, noise, beta, iters):
+    """The closed form from a dense operator's SVD against the matvec loop.
+
+    known_svd_problem keeps sigma_rank = 0.01 and x_true's coefficients of
+    size about 1, so some mode is still far from converged after 3000 steps:
+    once every mode has converged the loop's residual floors at rounding
+    while the closed form decays on to zero, and the loop stops being a
+    reference. Zero singular values of a rank-deficient A fall below SV_FLOOR
+    and are dropped; their parts of data and x_true enter as constants.
+    """
+    rank = max(2, min(m, n) - rank_drop)
+    p, data = known_svd_problem(seed, m, n, rank, noise)
+    sd = svd(p.operator)
+    assert sd.sigmas.size == rank
+    cfg = LandweberConfig(step_beta=beta, max_iters=iters)
+    closed = landweber_run(p, data, cfg, sd)
+    loop = landweber_run(p, data, cfg)
+    assert (closed.path, loop.path) == ("closed-form", "matvec")
+    assert_traces_agree((closed.residuals, closed.gradient_norms, closed.errors),
+                        (loop.residuals, loop.gradient_norms, loop.errors))
+
+
+def test_decomposition_supplies_the_norm_power_iteration_misses():
+    # sigma_2 / sigma_1 = 0.99998: power iteration would need some 10^5 steps
+    rng = np.random.default_rng(1)
+    u = np.linalg.qr(rng.standard_normal((36, 36)))[0]
+    v = np.linalg.qr(rng.standard_normal((36, 36)))[0]
+    sigmas = np.concatenate(([1.0, 0.99998], np.geomspace(0.5, 0.01, 34)))
+    a = (u * sigmas) @ v.T
+    p = ProblemSpec(operator=dense_operator(a), y_clean=a @ v[:, 5], x_true=v[:, 5],
+                    label="close-top")
+    with pytest.raises(ConvergenceError):
+        operator_norm(p.operator)
+    trace = landweber_run(p, p.y_clean, LandweberConfig(max_iters=50), svd(p.operator))
+    assert trace.path == "closed-form"
+    assert trace.step_beta == pytest.approx(1.0, rel=1e-12)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import klsmooth as ks
 from klsmooth.estimator import mu_to_model
@@ -8,6 +9,8 @@ from klsmooth.operators import dense_operator, diagonal_operator, svd
 from klsmooth.problems import make_gravity, make_power_law
 from klsmooth.validation import (apriori_alpha, bound_curves, max_mu_spectral,
                                  rate_experiment, tikhonov_solve, verify_smoothness)
+
+from _oracles import known_svd_problem
 
 
 def test_tikhonov_scalar():
@@ -113,6 +116,22 @@ def test_rate_experiment_validation():
     p_blind = ks.ProblemSpec(operator=p.operator, y_clean=p.y_clean)
     with pytest.raises(ValueError):
         rate_experiment(p_blind, 0.3, [0.1, 0.03, 0.01])
+
+
+@settings(deadline=None, max_examples=25)
+@given(m=st.integers(2, 80), n=st.integers(2, 80), rank_drop=st.integers(0, 20),
+       seed=st.integers(0, 2**31 - 1), mu=st.floats(0.25, 1.0))
+def test_filter_factor_errors_match_cg(m, n, rank_drop, seed, mu):
+    # sigma_1 = 1 and ||y|| >= 0.5, so the levels below give alpha >= 1e-4
+    # sigma_1^2, where CG on A*A + alpha is well conditioned enough to be a
+    # reference at 1e-8
+    p, _ = known_svd_problem(seed, m, n, max(2, min(m, n) - rank_drop))
+    levels = (0.1, 0.03, 0.01)
+    ff = rate_experiment(p, mu, levels, seeds=(0, 1), sd=svd(p.operator))
+    cg = rate_experiment(p, mu, levels, seeds=(0, 1))
+    assert (ff.solver, cg.solver) == ("filter-factors", "cg")
+    assert ff.alphas == cg.alphas and min(cg.alphas) >= 1e-4
+    assert np.all(np.abs(np.subtract(ff.errors, cg.errors)) <= 1e-8 * np.abs(cg.errors))
 
 
 def test_verify_smoothness_diagonal_benchmark():
