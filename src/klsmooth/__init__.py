@@ -17,8 +17,7 @@ from .problems import (NoisyData, ProblemSpec, add_noise, load_external,
                        make_gravity, make_power_law)
 from .landweber import (IterationTrace, LandweberConfig, landweber_run,
                         trace_to_csv, write_trace_csv)
-from .estimator import (DegenerateRegressionError, EstimateTrack,
-                        InfiniteSmoothnessError, SourceConditionModel,
+from .estimator import (EstimateTrack, SourceConditionModel,
                         detect_discretization_saturation, detect_noise_takeover,
                         detect_stable_window, estimate_track, gamma_to_mu,
                         mu_to_model, regress_prefix)

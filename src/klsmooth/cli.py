@@ -18,6 +18,7 @@ verbatim into the report, so a run is reproducible from its own output.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -191,9 +192,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         items = value if isinstance(value, list) else [value]
         if any(isinstance(v, float) and not math.isfinite(v) for v in items):
             raise ConfigError(f"{key} must be finite, got {value!r}")
-    kinds = ("power_law", "exp_solution", "exp_operator", "deriv2", "gravity", "external")
-    if cfg.problem_kind not in kinds:
-        raise ConfigError(f"problem.kind must be one of {kinds}")
+    if cfg.problem_kind not in BUILDERS:
+        raise ConfigError(f"problem.kind must be one of {tuple(BUILDERS)}")
     if cfg.problem_kind == "external" and not (cfg.problem_matrix_path and cfg.problem_y_path):
         raise ConfigError("external problems need problem.matrix_path and problem.y_path")
     if cfg.noise_rel_level < 0:
@@ -212,20 +212,21 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("estimator.eps_c_rel must be non-negative")
 
 
+# problem.kind -> the generator call that builds that kind from a config
+BUILDERS: dict[str, Callable[[ExperimentConfig], ProblemSpec]] = {
+    "power_law": lambda cfg: problems.make_power_law(cfg.problem_n, cfg.problem_eta,
+                                                     cfg.problem_beta),
+    "exp_solution": lambda cfg: problems.make_exp_solution(cfg.problem_n, cfg.problem_beta),
+    "exp_operator": lambda cfg: problems.make_exp_operator(cfg.problem_n, cfg.problem_eta),
+    "deriv2": lambda cfg: problems.make_deriv2(cfg.problem_n),
+    "gravity": lambda cfg: problems.make_gravity(cfg.problem_n, cfg.problem_depth),
+    "external": lambda cfg: problems.load_external(cfg.problem_matrix_path, cfg.problem_y_path,
+                                                   cfg.problem_x_true_path),
+}
+
+
 def build_problem(cfg: ExperimentConfig) -> ProblemSpec:
-    kind = cfg.problem_kind
-    if kind == "power_law":
-        return problems.make_power_law(cfg.problem_n, cfg.problem_eta, cfg.problem_beta)
-    if kind == "exp_solution":
-        return problems.make_exp_solution(cfg.problem_n, cfg.problem_beta)
-    if kind == "exp_operator":
-        return problems.make_exp_operator(cfg.problem_n, cfg.problem_eta)
-    if kind == "deriv2":
-        return problems.make_deriv2(cfg.problem_n)
-    if kind == "gravity":
-        return problems.make_gravity(cfg.problem_n, cfg.problem_depth)
-    return problems.load_external(cfg.problem_matrix_path, cfg.problem_y_path,
-                                  cfg.problem_x_true_path)
+    return BUILDERS[cfg.problem_kind](cfg)
 
 
 def run_pipeline(cfg: ExperimentConfig) -> dict:
@@ -302,16 +303,10 @@ def _tikhonov_section(p: ProblemSpec, track, cfg: ExperimentConfig,
         res = rate_experiment(p, track.mu_hat, levels, cfg.validation_seeds, sd)
     except ConvergenceError as exc:
         return {"note": f"failed: {exc}"}
-    return {"mu_tested": track.mu_hat,
-            "solver": res.solver,
-            "predicted_exponent": res.predicted_exponent,
-            "observed_exponent": res.observed_exponent,
-            "noise_levels": res.noise_levels,
-            "delta_abs": res.delta_abs_values,
-            "alphas": res.alphas,
-            "errors": res.errors,
-            "seeds": res.seeds,
-            "notes": res.notes}
+    # vars, not asdict: asdict's list copies raised crosscheck's peak RSS by up to 8 MiB
+    section = {"mu_tested": track.mu_hat, **vars(res)}
+    section["delta_abs"] = section.pop("delta_abs_values")
+    return section
 
 
 def _decomposition(op) -> tuple[Optional[SpectralDecomposition], str]:
@@ -325,13 +320,11 @@ def _decomposition(op) -> tuple[Optional[SpectralDecomposition], str]:
 def _svd_section(p: ProblemSpec, sd: Optional[SpectralDecomposition], note: str) -> dict:
     if sd is None:
         return {"note": note}
-    verdict = verify_smoothness(sd, p.y_clean, DEFAULT_MU_GRID)
-    mu_max = max_mu_spectral(sd, p.y_clean)
-    return {"mu_tested": verdict.mu_tested,
-            "partial_sum_growth": verdict.partial_sum_growth,
-            "admissible": verdict.admissible,
-            "mu_max_estimate": verdict.mu_max_estimate,
-            "mu_max_refined": mu_max,
+    try:
+        verdict = verify_smoothness(sd, p.y_clean, DEFAULT_MU_GRID)
+    except ValueError as exc:  # too few modes, or data on none of them
+        return {"note": f"skipped: {exc}"}
+    return {**vars(verdict), "mu_max_refined": max_mu_spectral(sd, p.y_clean),
             "retained_singular_values": int(sd.sigmas.size)}
 
 
@@ -445,10 +438,11 @@ def _tikhonov_table(config_paths, out_path) -> None:
         misfit = abs(rate["observed_exponent"] - rate["predicted_exponent"]) > TABLE_MISFIT_THRESHOLD
         rows.append((label, f"{rate['mu_tested']:.6g}", f"{rate['predicted_exponent']:.6g}",
                      f"{rate['observed_exponent']:.6g}", "yes" if misfit else "no", ""))
-    with open(out_path, "w") as fh:
-        fh.write("problem,mu_hat,predicted_rate_exponent,observed_rate_exponent,misfit,note\n")
-        for row in rows:
-            fh.write(",".join(f'"{c}"' if "," in c else c for c in row) + "\n")
+    with open(out_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("problem", "mu_hat", "predicted_rate_exponent",
+                         "observed_rate_exponent", "misfit", "note"))
+        writer.writerows(rows)
 
 
 def run_tikhonov_table(config_paths, out_path) -> int:

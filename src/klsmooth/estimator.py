@@ -45,14 +45,6 @@ VERDICT_UNSTABLE = "unstable-suspect-violation"
 VERDICT_NOISE = "noise-truncated"
 
 
-class DegenerateRegressionError(ValueError):
-    """All residuals coincide; the log-log normal equations are singular."""
-
-
-class InfiniteSmoothnessError(ValueError):
-    """gamma = 1 corresponds to an unbounded smoothness exponent."""
-
-
 @dataclass(frozen=True)
 class SourceConditionModel:
     """A power-law source condition and the exponents it induces.
@@ -85,16 +77,16 @@ class EstimateTrack:
     skipped_k: tuple = ()
 
 
-def gamma_to_mu(gamma: float) -> float:
-    """Invert gamma = (2 mu + 2) / (2 mu + 1).
+def gamma_to_mu(gamma: float | np.ndarray) -> float | np.ndarray:
+    """Invert gamma = (2 mu + 2) / (2 mu + 1), elementwise.
 
-    gamma = 1 is signaled as infinite smoothness; gamma >= 2 maps to mu <= 0
-    and is passed through (the collapse pattern of noisy runs must stay
-    visible in the track).
+    gamma = 1 (unbounded smoothness) gives a non-finite mu; gamma >= 2 maps
+    to mu <= 0 and is passed through (the collapse pattern of noisy runs
+    must stay visible in the track). A scalar gamma gives a numpy float.
     """
-    if gamma == 1.0:
-        raise InfiniteSmoothnessError("gamma = 1 corresponds to mu = infinity")
-    return (2.0 - gamma) / (2.0 * gamma - 2.0)
+    gamma = np.asarray(gamma, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (2.0 - gamma) / (2.0 * gamma - 2.0)
 
 
 def mu_to_model(mu: float, c: float) -> SourceConditionModel:
@@ -126,7 +118,7 @@ def regress_prefix(trace: IterationTrace, k: int) -> tuple[float, float]:
     lg = np.log(trace.gradient_norms[:k])
     gamma, b, degenerate = _ols(k, lr.sum(), (lr * lr).sum(), lg.sum(), (lr * lg).sum())
     if degenerate:
-        raise DegenerateRegressionError("all residuals equal; regression is singular")
+        raise ValueError("all residuals equal; regression is singular")
     return float(gamma), float(-b)
 
 
@@ -206,9 +198,8 @@ def _prefix_fits(trace: IterationTrace, k_min: int) -> EstimateTrack:
     sy = np.cumsum(lg)
     sxy = np.cumsum(lr * lg)
     gamma, b, degenerate = _ols(k, s1, s2, sy, sxy)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu = (2.0 - gamma) / (2.0 * gamma - 2.0)
-        c = np.exp(-b)
+    mu = gamma_to_mu(gamma)
+    c = np.exp(-b)
 
     sel = np.arange(k_min - 1, K_use)
     degenerate = degenerate[sel]

@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .operators import LinearOperator, SpectralDecomposition, operator_norm
+from .operators import LinearOperator, SpectralDecomposition, operator_norm, svd
 from .problems import ProblemSpec
 
 # Residual/gradient norms below this are treated as exact convergence so the
@@ -107,8 +107,8 @@ def landweber_run(p: ProblemSpec, data: np.ndarray,
     data = np.asarray(data, dtype=float)
     if data.shape != (op.shape[0],):
         raise ValueError(f"data must have length {op.shape[0]}, got shape {data.shape}")
-    if op.kind == "diagonal":
-        sd = SpectralDecomposition(sigmas=op.sigmas)
+    if sd is None and op.kind == "diagonal":
+        sd = svd(op)
     # ||A|| is exact in a decomposition; power iteration estimates it otherwise
     norm = operator_norm(op) if sd is None else float(sd.sigmas.max(initial=0.0))
     beta = resolve_step(cfg, norm)
@@ -281,14 +281,12 @@ def trace_to_csv(trace: IterationTrace,
                  upper_bounds: Optional[np.ndarray] = None) -> str:
     """Render the trace as CSV at 17 significant digits.
 
-    The estimator's per-prefix columns are sparse (they start at k_min), so
-    undefined cells are left empty. An upper-bound column is appended when
-    bound curves were computed.
+    The estimator's columns mu_k, c_k belong to the iterations k_values and
+    start at k_min, so undefined cells are left empty. An upper-bound
+    column is appended when bound curves were computed.
     """
     mu_col = c_col = None
     if mu_k is not None:
-        if k_values is None:
-            k_values = np.arange(1, len(mu_k) + 1)
         mu_col = _by_iteration(len(trace), k_values, mu_k)
         if c_k is not None:
             c_col = _by_iteration(len(trace), k_values, c_k)

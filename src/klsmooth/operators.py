@@ -32,10 +32,9 @@ _POWER_ITER_SEED = 74025  # fixed seed so the step-size choice is reproducible
 class ConvergenceError(RuntimeError):
     """Iterative computation did not reach tolerance; carries the best iterate."""
 
-    def __init__(self, message: str, best: float | None = None, residual: float | None = None):
+    def __init__(self, message: str, best: float | None = None):
         super().__init__(message)
         self.best = best
-        self.residual = residual
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .estimator import SourceConditionModel
 from .landweber import IterationTrace
-from .operators import ConvergenceError, LinearOperator, SpectralDecomposition
+from .operators import ConvergenceError, LinearOperator, SpectralDecomposition, svd
 from .problems import ProblemSpec, add_noise
 
 # Growth ratio S_n / S_{n/2} above which the partial sums are judged
@@ -38,8 +38,8 @@ DEFAULT_MU_GRID = (0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.75, 1.0)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 # relative noise levels of the rate experiment, strictly decreasing
 DEFAULT_LEVELS = tuple(np.logspace(-3, -1, 10)[::-1])
-# tighter than the 1e-10 agreement guaranteed against the diagonal closed
-# form, since the residual norm understates the solution error by ~1/alpha
+# tighter than the 1e-10 agreement guaranteed against the filter factors,
+# since the residual norm understates the solution error by ~1/alpha
 CG_TOL = 1e-13
 
 
@@ -69,20 +69,17 @@ class SmoothnessVerdict:
 
 
 def tikhonov_solve(op: LinearOperator, y: np.ndarray, alpha: float) -> np.ndarray:
-    """Minimize ||A x - y||^2 + alpha ||x||^2.
+    """Minimize ||A x - y||^2 + alpha ||x||^2 by conjugate gradients.
 
-    Diagonal operators use the closed form x_i = sigma_i y_i / (sigma_i^2 +
-    alpha); matrix kinds solve the SPD normal equations by conjugate
-    gradients to a relative residual well below 1e-10 (iteration cap 10 n).
+    Solves the SPD normal equations (A*A + alpha) x = A* y to a relative
+    residual well below 1e-10 (iteration cap 10 n); the filter factors of
+    :func:`rate_experiment` are tested against it.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     y = np.asarray(y, dtype=float)
     if y.shape != (op.shape[0],):
         raise ValueError(f"y must have length {op.shape[0]}")
-    if op.kind == "diagonal":
-        s = op.sigmas
-        return s * y / (s * s + alpha)
     rhs = op.apply_adjoint(y)
     n = op.shape[1]
     x = np.zeros(n)
@@ -105,8 +102,7 @@ def tikhonov_solve(op: LinearOperator, y: np.ndarray, alpha: float) -> np.ndarra
             return x
         p = r + (rs_new / rs) * p
         rs = rs_new
-    raise ConvergenceError("conjugate gradients did not reach tolerance",
-                           residual=float(np.sqrt(rs) / rhs_norm))
+    raise ConvergenceError("conjugate gradients did not reach tolerance")
 
 
 def _filter_factor_error(sd: SpectralDecomposition, y: np.ndarray, alpha: float,
@@ -115,8 +111,8 @@ def _filter_factor_error(sd: SpectralDecomposition, y: np.ndarray, alpha: float,
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     s = sd.sigmas
-    # the operation order of tikhonov_solve's diagonal branch, so that
-    # diagonal errors come out bit for bit as they did from it
+    # sigma y / (sigma^2 + alpha) in this operation order: reports of
+    # diagonal runs keep their rate errors bit for bit
     dev = s * sd.coefficients(y) / (s * s + alpha) - x_coeffs
     return float(np.sqrt(dev @ dev + x_out))
 
@@ -147,7 +143,7 @@ def rate_experiment(p: ProblemSpec, mu_hat: float, levels, seeds=DEFAULT_SEEDS,
 
     Given ``sd = svd(p.operator)``, each error comes from the filter factors
     sigma / (sigma^2 + alpha) in closed form, with no solve (a diagonal
-    operator always takes this path, its own sigmas being the decomposition):
+    operator always takes this path, with its own svd):
 
         ||x_alpha - x_true||^2 = sum_i (sigma_i/(sigma_i^2 + alpha) <y_delta, u_i>
                                         - <x_true, v_i>)^2 + ||x_true - V V* x_true||^2.
@@ -168,7 +164,7 @@ def rate_experiment(p: ProblemSpec, mu_hat: float, levels, seeds=DEFAULT_SEEDS,
         raise ValueError("need at least one seed")
 
     if sd is None and p.operator.kind == "diagonal":
-        sd = SpectralDecomposition(sigmas=p.operator.sigmas)
+        sd = svd(p.operator)
     if sd is not None:
         x_coeffs, x_out = sd.split(p.x_true, right=True)
 
@@ -226,12 +222,15 @@ def verify_smoothness(sd: SpectralDecomposition, y: np.ndarray, mu_list) -> Smoo
     A mu is admissible when the partial sums have saturated, i.e. the growth
     ratio S_n / S_{n/2} stays at or below RATIO_THRESHOLD. Admissibility is
     monotone (smaller mu is easier), which the construction preserves.
+    Raises ValueError with fewer than 4 modes, or with data on none of them.
     """
     coeffs = sd.coefficients(y)
     log_s = np.log(sd.sigmas)
     nz = coeffs != 0.0
-    if sd.sigmas.size < 4 or not nz.any():
+    if sd.sigmas.size < 4:
         raise ValueError("spectral decomposition too small for the summability test")
+    if not nz.any():
+        raise ValueError("the data have no part on any retained singular vector")
     with np.errstate(divide="ignore"):
         log_c2 = np.where(nz, 2.0 * np.log(np.abs(np.where(nz, coeffs, 1.0))), -np.inf)
     mu_sorted = sorted(float(m) for m in mu_list)

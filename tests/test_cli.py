@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import json
 import tempfile
@@ -204,6 +205,21 @@ def test_tikhonov_table_row_for_oversized_config(tmp_path):
     assert len(rows) == 3
     assert rows[1].startswith("deriv2(n=64),") and rows[1].endswith(",no,")
     assert rows[2].startswith('power_law,,,,,"failed: sizes too large to allocate: ')
+
+
+def test_tikhonov_table_quotes_cells_per_rfc4180(tmp_path):
+    # the failure note holds a comma and a quote; both must read back intact
+    write_matrix_market(tmp_path / "a.mtx", np.eye(2))
+    (tmp_path / "y.txt").write_text('1,"2\n')
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"problem.kind = external\nproblem.matrix_path = {tmp_path / 'a.mtx'}\n"
+                   f"problem.y_path = {tmp_path / 'y.txt'}\n")
+    table = tmp_path / "t.csv"
+    assert run_tikhonov_table([str(cfg)], table) == EXIT_OK
+    with open(table, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1] == ["external", "", "", "", "",
+                       f"failed: {tmp_path / 'y.txt'}: line 1: bad value '1,\"2'"]
 
 
 @pytest.mark.parametrize("key, name, bad", [("x_true_path", "x.txt", "nan"),
@@ -481,6 +497,28 @@ def test_svd_check_subcommand(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["svd_check"]["mu_max_refined"] == pytest.approx(0.375, abs=0.05)
     assert len(report["svd_check"]["mu_tested"]) == len(report["svd_check"]["admissible"])
+
+
+@pytest.mark.parametrize("command", ["estimate", "svd-check"])
+@pytest.mark.parametrize("rows, note", [
+    (3, "skipped: spectral decomposition too small for the summability test"),
+    (6, "skipped: the data have no part on any retained singular vector"),
+])
+def test_svd_check_that_cannot_run_is_skipped(tmp_path, command, rows, note):
+    # 3x3: too few modes. 6x4 with y = e_5: the clean data lie outside the
+    # range of A, and only the noise gives the iteration something to fit.
+    a = np.zeros((rows, min(rows, 4)))
+    np.fill_diagonal(a, [1.0, 0.5, 0.25, 0.125][:a.shape[1]])
+    y = a.sum(axis=1) if rows == 3 else np.eye(rows)[4]
+    write_matrix_market(tmp_path / "a.mtx", a)
+    write_vector(tmp_path / "y.txt", y)
+    text = (f"problem.kind = external\nproblem.matrix_path = {tmp_path / 'a.mtx'}\n"
+            f"problem.y_path = {tmp_path / 'y.txt'}\nnoise.rel_level = 0.01\n"
+            "validation.run_svd_check = true\nlandweber.max_iters = 200\n")
+    path, trace_path, report_path = write_cfg(tmp_path, text)
+    assert main([command, str(path)]) == EXIT_OK
+    assert json.loads(report_path.read_text())["svd_check"] == {"note": note}
+    assert trace_path.exists() == (command == "estimate")
 
 
 # Config-text fuzz: every line is a known key with a valid, garbage,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import klsmooth as ks
+from klsmooth import validation
 from klsmooth.estimator import mu_to_model
 from klsmooth.landweber import IterationTrace, LandweberConfig, landweber_run
 from klsmooth.operators import dense_operator, diagonal_operator, svd
@@ -42,7 +43,7 @@ def test_tikhonov_cg_matches_diagonal_shortcut():
     s = np.sort(rng.uniform(0.01, 1.0, 40))[::-1]
     y = rng.standard_normal(40)
     alpha = 0.05
-    x_diag = tikhonov_solve(diagonal_operator(s), y, alpha)
+    x_diag = s * y / (s * s + alpha)
     x_cg = tikhonov_solve(dense_operator(np.diag(s)), y, alpha)
     assert np.allclose(x_cg, x_diag, rtol=1e-10, atol=1e-13)
 
@@ -103,6 +104,13 @@ def test_rate_experiment_predicted_exponent_arithmetic():
     p = make_power_law(100, 2, 2)
     res = rate_experiment(p, 0.2, [0.1, 0.03, 0.01], seeds=(0,))
     assert res.predicted_exponent == pytest.approx(0.2857, abs=5e-5)
+
+
+def test_rate_experiment_diagonal_never_solves(monkeypatch):
+    calls = []
+    monkeypatch.setattr(validation, "tikhonov_solve", lambda *args: calls.append(args))
+    res = rate_experiment(make_power_law(100, 2, 2), 0.2, [0.1, 0.03, 0.01], seeds=(0, 1))
+    assert res.solver == "filter-factors" and calls == []
 
 
 def test_rate_experiment_validation():
