@@ -39,6 +39,8 @@ SATURATION_WINDOW = 25
 SATURATION_BAND = (0.85, 1.15)
 # windows per chunk of _rolling_slopes
 SLOPE_CHUNK = 1 << 15
+# entries per block of detect_stable_window's coarse search
+WINDOW_STRIDE = 16
 
 VERDICT_STABLE = "stable"
 VERDICT_UNSTABLE = "unstable-suspect-violation"
@@ -144,7 +146,7 @@ def estimate_track(trace: IterationTrace, k_min: int = DEFAULT_K_MIN,
     """Per-prefix estimates for k = k_min..K with stability/noise diagnostics.
 
     All prefixes are evaluated in one pass over running sums. Iterations at
-    or past an exact-convergence zero (R or G underflow) are excluded;
+    or past an exact-convergence zero (R or G equal to 0) are excluded;
     degenerate prefixes are skipped and listed in ``skipped_k``.
     """
     track = _prefix_fits(trace, k_min)
@@ -231,35 +233,74 @@ def detect_stable_window(track: EstimateTrack, w_min: int = DEFAULT_W_MIN,
 
     Every sub-window of a stable window is stable, so whether a stable
     window of a given length exists is monotone in the length: a binary
-    search over lengths finds the longest, testing all starts at once.
+    search over lengths finds the longest, testing all starts at once. A
+    coarse search comes first, over the extremes of aligned blocks of
+    WINDOW_STRIDE entries: L consecutive blocks are stable exactly when the
+    L * WINDOW_STRIDE entries they cover are, since max and min are exact.
+    With L the longest such run, every window of (L + 2) * WINDOW_STRIDE - 1
+    entries covers L + 1 whole blocks, so the fine search needs only the
+    lengths from L * WINDOW_STRIDE to (L + 2) * WINDOW_STRIDE - 2.
     """
     if not (eps_mu >= 0.0 and eps_c_rel >= 0.0):
         raise ValueError("eps_mu and eps_c_rel must be non-negative")
     n = track.mu_k.size
+    shortest = max(w_min, 1)
+    if shortest > n:
+        return None
     eligible = (np.isfinite(track.mu_k) & np.isfinite(track.c_k)
                 & (track.mu_k > 0.0) & (track.c_k > 0.0))
-    # placeholders keep the running extremes finite; the ineligible count
+    # placeholders keep the window extremes finite; the ineligible count
     # rules out every window that covers one
     mu = np.where(eligible, track.mu_k, 0.0)
     c = np.where(eligible, track.c_k, 1.0)
-    n_bad = np.concatenate(([0], np.cumsum(~eligible)))
+    bad = ~eligible
+
+    n_blocks = n // WINDOW_STRIDE
+
+    def blocks(a, op):
+        return op.reduce(a[:n_blocks * WINDOW_STRIDE].reshape(n_blocks, WINDOW_STRIDE), axis=1)
+
+    runs, _ = _longest_stable(blocks(mu, np.maximum), blocks(mu, np.minimum),
+                              blocks(c, np.maximum), blocks(c, np.minimum),
+                              blocks(bad, np.logical_or), eps_mu, eps_c_rel, 1, n_blocks)
+    found, starts = _longest_stable(mu, mu, c, c, bad, eps_mu, eps_c_rel,
+                                    max(shortest, runs * WINDOW_STRIDE),
+                                    min(n, (runs + 2) * WINDOW_STRIDE - 2))
+    if starts is None:
+        return None
+    first = int(np.argmax(starts))
+    return int(track.k_values[first]), int(track.k_values[first + found - 1])
+
+
+def _longest_stable(mu_hi, mu_lo, c_hi, c_lo, bad, eps_mu: float, eps_c_rel: float,
+                    shortest: int, longest: int) -> tuple[int, Optional[np.ndarray]]:
+    """Longest stable run of entries, by binary search over its width.
+
+    Entry i carries upper and lower bounds of mu_k and c_k (the values
+    themselves, or the extremes of a block) and whether it is ineligible.
+    Searches the widths from shortest to longest and returns the largest
+    with a stable run and, for every start, whether the run from there is
+    stable; (0, None) when not even the shortest width has one.
+    """
+    n_bad = np.concatenate(([0], np.cumsum(bad)))
 
     def stable_starts(width: int) -> np.ndarray:
         ok = n_bad[width:] == n_bad[:-width]
         with np.errstate(over="ignore"):
-            hi, lo = _window_extremes(mu, width)
-            ok &= ~(hi - lo > eps_mu)
-            hi, lo = _window_extremes(c, width)
-            ok &= ~(hi / lo > 1.0 + eps_c_rel)
+            spread = (_window_extreme(mu_hi, width, np.maximum)
+                      - _window_extreme(mu_lo, width, np.minimum))
+            ok &= ~(spread > eps_mu)
+            ratio = (_window_extreme(c_hi, width, np.maximum)
+                     / _window_extreme(c_lo, width, np.minimum))
+            ok &= ~(ratio > 1.0 + eps_c_rel)
         return ok
 
-    shortest = max(w_min, 1)
-    if shortest > n:
-        return None
+    if shortest > longest:
+        return 0, None
     starts = stable_starts(shortest)
     if not starts.any():
-        return None
-    found, too_long = shortest, n + 1
+        return 0, None
+    found, too_long = shortest, longest + 1
     while too_long - found > 1:
         width = (found + too_long) // 2
         candidate = stable_starts(width)
@@ -267,31 +308,23 @@ def detect_stable_window(track: EstimateTrack, w_min: int = DEFAULT_W_MIN,
             found, starts = width, candidate
         else:
             too_long = width
-    first = int(np.argmax(starts))
-    return int(track.k_values[first]), int(track.k_values[first + found - 1])
+    return found, starts
 
 
-def _window_extremes(a: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Max and min of `a` over every run of `width` consecutive entries.
+def _window_extreme(a: np.ndarray, width: int, op) -> np.ndarray:
+    """op (np.maximum or np.minimum) of `a` over every run of `width` entries.
 
-    Van Herk / Gil-Werman: cut `a` into blocks of `width`; a window then
-    spans the tail of one block and the head of the next, so it takes one
-    suffix extreme and one prefix extreme. Returns two arrays of length
-    a.size - width + 1.
+    A run of width w is covered by two runs of h = ceil(w/2) entries, the
+    first and the last, so the extremes over width w come from those over
+    width h by one elementwise op; log2(w) ops in all. Returns an array of
+    length a.size - width + 1.
     """
+    if width == 1:
+        return a
     n = a.size
-    n_blocks = -(-n // width)
-    # repeating the last entry changes no extreme of a window it completes
-    blocks = np.concatenate((a, np.full(n_blocks * width - n, a[-1])))
-    blocks = blocks.reshape(n_blocks, width)
-    prefix = np.empty_like(blocks)
-    suffix = np.empty_like(blocks)
-    out = []
-    for op in (np.maximum, np.minimum):
-        op.accumulate(blocks, axis=1, out=prefix)
-        op.accumulate(blocks[:, ::-1], axis=1, out=suffix[:, ::-1])
-        out.append(op(suffix.ravel()[:n - width + 1], prefix.ravel()[width - 1:n]))
-    return out[0], out[1]
+    half = (width + 1) // 2
+    m = _window_extreme(a, half, op)
+    return op(m[:n - width + 1], m[width - half:n - half + 1])
 
 
 def detect_noise_takeover(trace: IterationTrace) -> Optional[int]:
@@ -318,15 +351,18 @@ def detect_noise_takeover(trace: IterationTrace) -> Optional[int]:
         if n < TAKEOVER_PERSISTENCE + 1:
             return None
     rising = (np.diff(lb) > 0.0) & (np.diff(R) < 0.0)
-    run = 0
-    candidates = []
-    for j, flag in enumerate(rising):
-        run = run + 1 if flag else 0
-        if run == TAKEOVER_PERSISTENCE:
-            candidates.append(j - TAKEOVER_PERSISTENCE + 1)
-            run = 0
+    # a run of rising steps from s0 holds candidates s0, s0 + P, ... as long
+    # as P steps from each still lie inside it (P = TAKEOVER_PERSISTENCE)
+    edges = np.diff(np.concatenate(([0], rising.view(np.int8), [0])))
+    run_starts = np.flatnonzero(edges == 1)
+    per_run = (np.flatnonzero(edges == -1) - run_starts) // TAKEOVER_PERSISTENCE
+    first = np.cumsum(per_run) - per_run
+    nth = np.arange(per_run.sum()) - np.repeat(first, per_run)
+    candidates = np.repeat(run_starts, per_run) + TAKEOVER_PERSISTENCE * nth
+    if not candidates.size:
+        return None
     running_min = np.minimum.accumulate(lb[::-1])[::-1]
-    for start in candidates:
+    for start in candidates.tolist():
         if (lb[start + TAKEOVER_PERSISTENCE] >= TAKEOVER_MIN_RISE * lb[start]
                 and running_min[start] >= lb[start] * (1.0 - 1e-12)):
             return start + 1

@@ -27,9 +27,12 @@ import numpy as np
 from .operators import LinearOperator, SpectralDecomposition, operator_norm, svd
 from .problems import ProblemSpec
 
-# Residual/gradient norms below this are treated as exact convergence so the
-# log-log regression never sees log(0).
-EARLY_STOP_FLOOR = 1e-300
+# The iteration has converged once R_k or beta^(1/2) G_k (a residual's
+# worth of gradient) falls to this share of ||data||. The matvec loop's
+# residual floors at rounding, about eps ||data||, while the closed form decays
+# on to zero; a floor well above rounding stops both at the same iteration,
+# and keeps log(0) out of the regression.
+EARLY_STOP_REL = 1e-13
 
 # The closed form's tables of powers get about this many entries (0.5 MB of
 # float64), so one block spans 2^16 / n iterations, but never fewer than
@@ -96,8 +99,9 @@ def landweber_run(p: ProblemSpec, data: np.ndarray,
                   sd: Optional[SpectralDecomposition] = None) -> IterationTrace:
     """Run Landweber iteration on A x = data and log the trace.
 
-    Stops early once the residual or gradient norm underflows (exact
-    normal-equation solution reached). Non-finite values abort with the
+    Stops early once the residual or gradient norm falls to the rounding
+    floor EARLY_STOP_REL ||data|| (the normal-equation solution reached to
+    working precision). Non-finite values abort with the
     offending iteration index. Diagonal operators take the closed form, as
     does a dense operator whose decomposition ``sd = svd(p.operator)`` is
     given, which then also supplies ||A||; all others run the matvec loop.
@@ -137,6 +141,7 @@ def matvec_trace(op: LinearOperator, data: np.ndarray, beta: float, max_iters: i
     G = np.empty(max_iters)
     E = np.empty(max_iters) if x_true is not None else None
     x = np.zeros(op.shape[1])
+    r_floor, g_floor = _stop_floors(float(np.linalg.norm(data)), beta)
     n_done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         g = op.apply_adjoint(-data)
@@ -154,7 +159,7 @@ def matvec_trace(op: LinearOperator, data: np.ndarray, beta: float, max_iters: i
         if E is not None:
             E[k - 1] = float(np.linalg.norm(x - x_true))
         n_done = k
-        if rn < EARLY_STOP_FLOOR or gn < EARLY_STOP_FLOOR:
+        if rn <= r_floor or gn <= g_floor:
             break
     return R[:n_done], G[:n_done], None if E is None else E[:n_done]
 
@@ -178,12 +183,16 @@ def diagonal_trace(sigmas: np.ndarray, data: np.ndarray, beta: float, max_iters:
     Tables of q^(2j) and 1 - q^j, j = 1..B, are built once. The block after
     k0 iterations uses q^(k0+j) = q^k0 q^j and 1 - q^(k0+j) = (1 - q^k0) +
     q^k0 (1 - q^j), with q^k0 evaluated afresh, never as a running product,
-    so rounding does not build up over blocks: one GEMM gives R and G, one
-    per-mode pass the error. The error is kept per mode: expanded into power
-    sums, or written as (-x_true - r0/sigma) + (r0/sigma) q^k, it cancels
-    badly under noise, where r0/sigma is large on the small-sigma modes.
-    Early stop and abort happen at the same iteration as in
-    :func:`matvec_trace`.
+    so rounding does not build up over blocks: one GEMM gives R and G.
+
+    A mode is exact when data_i == sigma_i x_true_i bit for bit (noise-free
+    diagonal data). Its error is -x_true q^k, so the exact modes add
+    sum x_true^2 q^(2k0) q^(2j) to E_k^2: one GEMV per block against the
+    q^(2j) table. The other modes take a per-mode pass over the block:
+    expanded into power sums, or written as (-x_true - r0/sigma) +
+    (r0/sigma) q^k, their error cancels badly under noise, where r0/sigma is
+    large on the small-sigma modes. Early stop and abort happen at the same
+    iteration as in :func:`matvec_trace`.
     """
     s = np.asarray(sigmas, dtype=float)
     n = s.size
@@ -195,44 +204,66 @@ def diagonal_trace(sigmas: np.ndarray, data: np.ndarray, beta: float, max_iters:
         nonpos = np.flatnonzero(q <= 0.0)
         r0 = -data
         weights = np.stack((r0 * r0, (s * r0) ** 2))
-        q_2j, comp_j = _powers(q, log_q, nonpos, np.arange(1, rows + 1.0)[:, None])
-        np.square(q_2j, out=q_2j)
+        exact_sq, per_mode = None, False
         if x_true is not None:
-            pull = r0 / s
-            start = -x_true
+            # a mode whose data are exactly sigma x_true has error -x_true q^k
+            exact = data == s * x_true
+            exact_sq = np.where(exact, x_true * x_true, 0.0) if exact.any() else None
+            per_mode = not exact.all()
+            if per_mode:
+                pull = np.where(exact, 0.0, r0 / s)
+                start = np.where(exact, 0.0, -x_true)
+        q_2j, comp_j = _powers(q, log_q, nonpos, np.arange(1, rows + 1.0)[:, None],
+                              complement=per_mode)
+        np.square(q_2j, out=q_2j)
+        if per_mode:
             buf = np.empty_like(comp_j)
-    R = np.empty(max_iters)
-    G = np.empty(max_iters)
+    floors = np.array(_stop_floors(float(np.sqrt(data @ data + data_out)), beta))[:, None]
+    RG = np.empty((2, max_iters))
     E = np.empty(max_iters) if x_true is not None else None
     n_done = max_iters
-    for k0 in range(0, max_iters, rows):
-        m = min(rows, max_iters - k0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            q_k0, comp_k0 = _powers(q, log_q, nonpos, k0)
-            norms = (weights * (q_k0 * q_k0)) @ q_2j[:m].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, max_iters, rows):
+            m = min(rows, max_iters - k0)
+            q_k0, comp_k0 = _powers(q, log_q, nonpos, k0, complement=per_mode)
+            q_k0_sq = q_k0 * q_k0
+            norms = (weights * q_k0_sq) @ q_2j[:m].T
             norms[0] += data_out
-            np.sqrt(norms, out=norms)
+            norms = np.sqrt(norms, out=RG[:, k0:k0 + m])
             if E is not None:
-                dev = np.multiply(comp_j[:m], pull * q_k0, out=buf[:m])
-                np.subtract(start - pull * comp_k0, dev, out=dev)
-                E[k0:k0 + m] = np.sqrt(np.einsum("ij,ij->i", dev, dev) + x_out)
-        R[k0:k0 + m], G[k0:k0 + m] = norms
-        bad = ~np.isfinite(norms).all(axis=0)
-        stop = (norms < EARLY_STOP_FLOOR).any(axis=0)
-        first_bad = int(np.argmax(bad)) if bad.any() else m
-        first_stop = int(np.argmax(stop)) if stop.any() else m
-        if first_bad < m and first_bad <= first_stop:
-            raise RuntimeError(
-                f"non-finite residual/gradient at iteration {k0 + first_bad + 1}")
-        if first_stop < m:
-            n_done = k0 + first_stop + 1
-            break
-    return R[:n_done], G[:n_done], None if E is None else E[:n_done]
+                err_sq = x_out
+                if per_mode:
+                    dev = np.multiply(comp_j[:m], pull * q_k0, out=buf[:m])
+                    np.subtract(start - pull * comp_k0, dev, out=dev)
+                    err_sq = np.einsum("ij,ij->i", dev, dev) + err_sq
+                if exact_sq is not None:
+                    err_sq = q_2j[:m] @ (exact_sq * q_k0_sq) + err_sq
+                np.sqrt(err_sq, out=E[k0:k0 + m])
+            # a non-finite norm makes the sum non-finite
+            if np.isfinite(norms.sum()) and (norms > floors).all():
+                continue
+            bad = ~np.isfinite(norms).all(axis=0)
+            stop = (norms <= floors).any(axis=0)
+            first_bad = int(np.argmax(bad)) if bad.any() else m
+            first_stop = int(np.argmax(stop)) if stop.any() else m
+            if first_bad < m and first_bad <= first_stop:
+                raise RuntimeError(
+                    f"non-finite residual/gradient at iteration {k0 + first_bad + 1}")
+            if first_stop < m:
+                n_done = k0 + first_stop + 1
+                break
+    return RG[0, :n_done], RG[1, :n_done], None if E is None else E[:n_done]
 
 
-def _powers(q: np.ndarray, log_q: np.ndarray, nonpos: np.ndarray,
-            k) -> tuple[np.ndarray, np.ndarray]:
-    """q^k and 1 - q^k for integer k (a scalar or a column of exponents).
+def _stop_floors(data_norm: float, beta: float) -> tuple[float, float]:
+    """The floors of R_k and G_k below which the iteration has converged."""
+    floor = EARLY_STOP_REL * data_norm
+    return floor, floor / np.sqrt(beta)
+
+
+def _powers(q: np.ndarray, log_q: np.ndarray, nonpos: np.ndarray, k,
+            complement: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """q^k and, if asked for, 1 - q^k for integer k (a scalar or a column).
 
     Where q > 0 both come from k log1p(-beta sigma^2) through exp and expm1:
     that never rounds q itself, whose rounding error would grow k-fold, and
@@ -241,10 +272,11 @@ def _powers(q: np.ndarray, log_q: np.ndarray, nonpos: np.ndarray,
     """
     t = k * log_q
     q_k = np.exp(t)
-    comp = -np.expm1(t)
+    comp = -np.expm1(t) if complement else None
     if nonpos.size:
         q_k[..., nonpos] = np.power(q[nonpos], k)
-        comp[..., nonpos] = 1.0 - q_k[..., nonpos]
+        if complement:
+            comp[..., nonpos] = 1.0 - q_k[..., nonpos]
     return q_k, comp
 
 

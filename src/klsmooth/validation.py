@@ -28,7 +28,8 @@ from .problems import ProblemSpec, add_noise
 # slow (logarithmic) growth while tolerating converged tails.
 RATIO_THRESHOLD = 1.05
 # Coefficients below this fraction of the largest are rounding noise and are
-# excluded from the decay-exponent fits.
+# excluded from the decay-exponent fits; data whose coefficients all stay
+# below this fraction of ||y|| have no part on the retained singular vectors.
 COEFF_FLOOR = 1e-12
 FIT_R2_MIN = 0.99
 # max_mu_spectral bisects admissibility over this mu range to this width.
@@ -222,14 +223,15 @@ def verify_smoothness(sd: SpectralDecomposition, y: np.ndarray, mu_list) -> Smoo
     A mu is admissible when the partial sums have saturated, i.e. the growth
     ratio S_n / S_{n/2} stays at or below RATIO_THRESHOLD. Admissibility is
     monotone (smaller mu is easier), which the construction preserves.
-    Raises ValueError with fewer than 4 modes, or with data on none of them.
+    Raises ValueError with fewer than 4 modes, or with data on none of them
+    beyond rounding (every |<y,u_i>| at most COEFF_FLOOR ||y||).
     """
     coeffs = sd.coefficients(y)
     log_s = np.log(sd.sigmas)
     nz = coeffs != 0.0
     if sd.sigmas.size < 4:
         raise ValueError("spectral decomposition too small for the summability test")
-    if not nz.any():
+    if not np.abs(coeffs).max() > COEFF_FLOOR * np.linalg.norm(y):
         raise ValueError("the data have no part on any retained singular vector")
     with np.errstate(divide="ignore"):
         log_c2 = np.where(nz, 2.0 * np.log(np.abs(np.where(nz, coeffs, 1.0))), -np.inf)

@@ -134,3 +134,62 @@ def stable_window_oracle(track, w_min, eps_mu, eps_c_rel):
     if best is None:
         return None
     return int(kv[best[0]]), int(kv[best[1]])
+
+
+def brute_force_stable_window(track, w_min, eps_mu, eps_c_rel):
+    """Longest stable window by trying every start and growing it to the right.
+
+    O(n^2): from each start the running extremes of mu_k and c_k extend one
+    entry at a time until the window breaks. A longer window replaces the
+    best only when strictly longer, so the earliest of the longest wins.
+    """
+    mu = track.mu_k
+    c = track.c_k
+    kv = track.k_values
+    n = mu.size
+    eligible = np.isfinite(mu) & np.isfinite(c) & (mu > 0.0) & (c > 0.0)
+    best = None
+    for left in range(n):
+        mu_hi = mu_lo = c_hi = c_lo = None
+        for right in range(left, n):
+            if not eligible[right]:
+                break
+            mu_hi = mu[right] if mu_hi is None else max(mu_hi, mu[right])
+            mu_lo = mu[right] if mu_lo is None else min(mu_lo, mu[right])
+            c_hi = c[right] if c_hi is None else max(c_hi, c[right])
+            c_lo = c[right] if c_lo is None else min(c_lo, c[right])
+            if mu_hi - mu_lo > eps_mu or c_hi / c_lo > 1.0 + eps_c_rel:
+                break
+            length = right - left + 1
+            if length >= max(w_min, 1) and (best is None or length > best[1] - best[0] + 1):
+                best = (left, right)
+    if best is None:
+        return None
+    return int(kv[best[0]]), int(kv[best[1]])
+
+
+def noise_takeover_oracle(trace, persistence=10, min_rise=1.001):
+    """First sustained rise of R^2/G, by a step-by-step scan of the trace.
+
+    Counts consecutive iterations where the lower bound rises while the
+    residual falls; every time the count reaches `persistence` the run's
+    start is a candidate and the count restarts. The first candidate that
+    rises by `min_rise` over the run and never falls back below its start
+    afterwards is the onset (1-based). Non-finite lower bounds end the trace.
+    """
+    lb = np.asarray(trace.lower_bounds, dtype=float)
+    R = np.asarray(trace.residuals, dtype=float)
+    finite = np.isfinite(lb)
+    if not finite.all():
+        stop = int(np.argmin(finite))
+        lb, R = lb[:stop], R[:stop]
+    run = 0
+    for j in range(lb.size - 1):
+        run = run + 1 if (lb[j + 1] > lb[j] and R[j + 1] < R[j]) else 0
+        if run == persistence:
+            start = j - persistence + 1
+            run = 0
+            if (lb[start + persistence] >= min_rise * lb[start]
+                    and lb[start:].min() >= lb[start] * (1.0 - 1e-12)):
+                return start + 1
+    return None

@@ -521,6 +521,24 @@ def test_svd_check_that_cannot_run_is_skipped(tmp_path, command, rows, note):
     assert trace_path.exists() == (command == "estimate")
 
 
+@pytest.mark.parametrize("command", ["estimate", "svd-check"])
+def test_svd_check_skips_data_off_the_range_up_to_rounding(tmp_path, command):
+    # A = Q[:, :8] diag(1/i) and y = Q[:, 10]: the coefficients <y, u_i> are
+    # rounding (at most a few 1e-16 against ||y|| = 1), not data to grade
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((12, 12)))[0]
+    a = q[:, :8] / np.arange(1.0, 9.0)
+    assert np.abs(q[:, :8].T @ q[:, 10]).max() < 1e-15
+    write_matrix_market(tmp_path / "a.mtx", a)
+    write_vector(tmp_path / "y.txt", q[:, 10])
+    text = (f"problem.kind = external\nproblem.matrix_path = {tmp_path / 'a.mtx'}\n"
+            f"problem.y_path = {tmp_path / 'y.txt'}\nnoise.rel_level = 0.01\n"
+            "validation.run_svd_check = true\nlandweber.max_iters = 200\n")
+    path, _, report_path = write_cfg(tmp_path, text)
+    assert main([command, str(path)]) == EXIT_OK
+    assert json.loads(report_path.read_text())["svd_check"] == {
+        "note": "skipped: the data have no part on any retained singular vector"}
+
+
 # Config-text fuzz: every line is a known key with a valid, garbage,
 # negative, non-finite or empty value, an unknown key, or a line without
 # '='. No drawn value raises problem.n above 64 or landweber.max_iters above

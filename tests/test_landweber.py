@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from klsmooth.landweber import (LandweberConfig, diagonal_trace, landweber_run,
-                                matvec_trace, trace_to_csv)
+from klsmooth.landweber import (EARLY_STOP_REL, LandweberConfig, diagonal_trace,
+                                landweber_run, matvec_trace, trace_to_csv)
 from klsmooth.operators import (ConvergenceError, dense_operator, diagonal_operator,
                                 operator_norm, svd)
 from klsmooth.problems import ProblemSpec, add_noise, make_power_law
@@ -149,31 +149,31 @@ def test_trace_csv_with_estimates_and_upper():
     assert lines[1].split(",")[5] == ""  # k < k_min has no estimate
 
 
-def assert_traces_agree(closed, loop, rel=1e-10):
+def assert_traces_agree(closed, loop, rel=1e-10, rounding=(0.0, 0.0, 0.0)):
+    """Equal lengths, and each column within rel of the loop's value plus
+    that column's absolute rounding allowance."""
     assert len(closed[0]) == len(loop[0])
-    for a, b in zip(closed, loop):
+    for a, b, atol in zip(closed, loop, rounding):
         if b is None:
             assert a is None
             continue
-        assert np.all(np.abs(a - b) <= rel * np.abs(b))
+        assert np.all(np.abs(a - b) <= rel * np.abs(b) + atol)
 
 
 @st.composite
 def diagonal_case(draw):
     """A random diagonal problem, its data, a step and a run length.
 
-    On a converged mode the loop's residual is rounding of size eps * |data_i|,
-    so the loop is only a reference while some mode is still far from
-    converged. The cases pin sigma_n = 0.01, which stays within a factor
-    e^0.6 of its start over 3000 steps, and sigma_1 = 1, so a step past
-    1/sigma_1^2 makes q_1 = 1 - beta sigma_1^2 negative. With n up to 400 the
-    block length 2^16 // n falls below n, and few run lengths are multiples
-    of it. The data may carry noise.
+    sigma_1 = 1, so a step past 1/sigma_1^2 makes q_1 = 1 - beta sigma_1^2
+    negative; the other sigmas lie in [0.01, 1], so every mode may converge
+    within the run, and the iteration then stops at the floor. With n up to
+    400 the block length 2^16 // n falls below n, and few run lengths are
+    multiples of it. The data may carry noise.
     """
-    n = draw(st.integers(min_value=2, max_value=400))
+    n = draw(st.integers(min_value=1, max_value=400))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
-    inner = np.sort(10.0 ** rng.uniform(-2, 0, n - 2))[::-1]
-    sigmas = np.concatenate(([1.0], inner, [0.01]))
+    inner = np.sort(10.0 ** rng.uniform(-2, 0, n - 1))[::-1]
+    sigmas = np.concatenate(([1.0], inner))
     x_true = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.5, n)
     data = sigmas * x_true
     if draw(st.booleans()):
@@ -189,9 +189,58 @@ def diagonal_case(draw):
 @given(diagonal_case(), st.booleans())
 def test_closed_form_matches_matvec_loop(case, with_error):
     op, data, beta, iters, x_true = case
-    x_true = x_true if with_error else None
+    # on a converged mode the loop's residual is rounding, about eps |data_i|,
+    # and its iterate carries rounding of about eps |x_i|: once every mode
+    # has converged, the loop only bounds the closed form to that level
+    eps = np.finfo(float).eps
+    rounding = 64 * eps * np.array([1.0, beta ** -0.5, 0.0]) * np.linalg.norm(data)
+    if with_error:
+        rounding[2] = 64 * eps * np.linalg.norm(x_true)
+    else:
+        x_true = None
     closed = diagonal_trace(op.sigmas, data, beta, iters, x_true)
     loop = matvec_trace(op, data, beta, iters, x_true)
+    assert_traces_agree(closed, loop, rounding=rounding)
+
+
+@pytest.mark.parametrize("sigmas, beta", [([1.0, 0.5], 1.0),
+                                           ([0.0343], 1.0 / 0.0343 ** 2)])
+def test_both_paths_stop_where_every_mode_has_converged(sigmas, beta):
+    # the loop's residual floors at rounding, the closed form's decays on
+    # (a step of 1/sigma^2 solves the single mode up to rounding): both stop
+    # at the same iteration, the first with R_k at most EARLY_STOP_REL ||data||
+    op = diagonal_operator(sigmas)
+    data = np.array([0.7, -1.3])[:len(sigmas)]
+    closed = diagonal_trace(op.sigmas, data, beta, 3000)
+    loop = matvec_trace(op, data, beta, 3000)
+    floor = EARLY_STOP_REL * np.linalg.norm(data)
+    for R, G, _ in (closed, loop):
+        assert len(R) == len(closed[0]) < 3000
+        assert R[-1] <= floor or G[-1] <= floor / np.sqrt(beta)
+        assert np.all(R[:-1] > floor)
+
+
+@pytest.mark.parametrize("kind", ["exact", "noisy", "half-exact"])
+def test_closed_form_error_column_matches_matvec_loop(kind):
+    # exact modes (data_i == sigma_i x_i) take the power-sum error, the
+    # others the per-mode pass; half-exact runs mix both. Mode 1 of the
+    # half-exact run has data 1.5 sigma x: its error -x q^k + 0.5 x (1 - q^k)
+    # crosses zero at q^k = 1/3, near k = 4
+    rng = np.random.default_rng(11)
+    n = 300
+    sigmas = np.concatenate(([1.0, 0.5], np.sort(10.0 ** rng.uniform(-2, -0.5, n - 3))[::-1],
+                             [0.01]))
+    x_true = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.5, n)
+    exact = sigmas * x_true
+    noise = rng.standard_normal(n)
+    noisy = exact + 0.01 * np.linalg.norm(exact) * noise / np.linalg.norm(noise)
+    data = {"exact": exact, "noisy": noisy,
+            "half-exact": np.where(np.arange(n) % 2 == 0, exact, noisy)}[kind]
+    if kind == "half-exact":
+        data[1] = 1.5 * sigmas[1] * x_true[1]
+    closed = diagonal_trace(sigmas, data, 1.0, 3000, x_true)
+    loop = matvec_trace(diagonal_operator(sigmas), data, 1.0, 3000, x_true)
+    assert len(closed[2]) == 3000
     assert_traces_agree(closed, loop)
 
 

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from klsmooth.estimator import (EstimateTrack, detect_noise_takeover,
-                                detect_stable_window, estimate_track)
+from klsmooth.estimator import (WINDOW_STRIDE, EstimateTrack, _window_extreme,
+                                detect_noise_takeover, detect_stable_window,
+                                estimate_track)
 from klsmooth.landweber import IterationTrace, trace_to_csv
 from klsmooth.problems import add_noise, make_power_law
 
-from _oracles import stable_window_oracle
+from _oracles import (brute_force_stable_window, noise_takeover_oracle,
+                      stable_window_oracle)
 
 
 def mk_trace(R, G, errors=None):
@@ -86,6 +88,84 @@ def rough_track(draw):
 def test_stable_window_matches_deque_oracle(track, w_min, eps_mu, eps_c):
     assert (detect_stable_window(track, w_min=w_min, eps_mu=eps_mu, eps_c_rel=eps_c)
             == stable_window_oracle(track, w_min, eps_mu, eps_c))
+
+
+@st.composite
+def plateau_track(draw):
+    """A track of flat runs drawn from a few levels, with breaks between them.
+
+    Equal levels recur, so windows of the same length tie and the earliest
+    must win; run lengths straddle WINDOW_STRIDE, so a stable window may
+    start anywhere within a block. Lengths run from 1 to 5 strides plus a
+    remainder, and an entry may be non-finite or non-positive.
+    """
+    n = draw(st.integers(min_value=1, max_value=5 * WINDOW_STRIDE + 7))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    runs = rng.integers(1, 2 * WINDOW_STRIDE + 3, n)
+    levels = np.repeat(rng.integers(0, 3, runs.size), runs)[:n]
+    mu = np.array([0.3, 0.32, 0.5])[levels]
+    c = np.array([1.0, 1.01, 1.0])[levels]
+    for values, bad in ((mu, np.nan), (mu, -0.2), (c, np.inf), (c, 0.0)):
+        if draw(st.booleans()):
+            values[rng.integers(0, n)] = bad
+    return EstimateTrack(k_values=np.arange(3, 3 + n), mu_k=mu, c_k=c)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(rough_track(), plateau_track()), st.integers(min_value=1, max_value=90),
+       st.sampled_from([0.0, 0.01, 0.05, 0.3]), st.sampled_from([0.0, 0.01, 0.05, 0.5]))
+@example(track=EstimateTrack(k_values=np.arange(1, 8), mu_k=np.full(7, 0.3),
+                             c_k=np.ones(7)),
+         w_min=3, eps_mu=0.0, eps_c=0.0)   # shorter than one block
+@example(track=EstimateTrack(k_values=np.arange(1, 4 * WINDOW_STRIDE + 6),
+                             mu_k=np.full(4 * WINDOW_STRIDE + 5, 0.3),
+                             c_k=np.ones(4 * WINDOW_STRIDE + 5)),
+         w_min=4 * WINDOW_STRIDE + 6, eps_mu=0.05, eps_c=0.05)   # w_min > n
+def test_stable_window_matches_brute_force(track, w_min, eps_mu, eps_c):
+    assert (detect_stable_window(track, w_min=w_min, eps_mu=eps_mu, eps_c_rel=eps_c)
+            == brute_force_stable_window(track, w_min, eps_mu, eps_c))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=True, width=64),
+                min_size=1, max_size=200),
+       st.integers(min_value=1, max_value=200))
+def test_window_extreme_matches_sliding_window_view(values, width):
+    a = np.array(values)
+    width = min(width, a.size)
+    windows = np.lib.stride_tricks.sliding_window_view(a, width)
+    assert np.array_equal(_window_extreme(a, width, np.maximum), windows.max(axis=-1))
+    assert np.array_equal(_window_extreme(a, width, np.minimum), windows.min(axis=-1))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.floats(0.3, 0.97),
+       st.sampled_from([2.5e-4, 4e-3]))
+def test_noise_takeover_matches_scan_oracle(seed, p_rise, max_step):
+    # rises of R^2/G come in runs of every length, some long enough to
+    # hold several candidates; with steps of up to 2.5e-4 ten of them grow
+    # by about TAKEOVER_MIN_RISE, so some candidates pass and some fail
+    # within a run; a NaN may cut the trace short
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    rises = 1.0 + rng.uniform(0.0, max_step, n)
+    lb = np.cumprod(np.where(rng.random(n) < p_rise, rises, 0.995))
+    R = np.cumprod(np.where(rng.random(n) < 0.97, 0.99, 1.01))
+    if rng.random() < 0.2:
+        lb[rng.integers(0, n)] = np.nan
+    trace = IterationTrace(residuals=R, gradient_norms=R, lower_bounds=lb)
+    assert detect_noise_takeover(trace) == noise_takeover_oracle(trace)
+
+
+def test_noise_takeover_reads_later_candidates_of_a_run():
+    # one run of 30 rises from iteration 6: the first ten grow by less than
+    # TAKEOVER_MIN_RISE, so the onset is the run's second candidate, ten
+    # steps on, not any start in between
+    steps = np.concatenate((np.full(5, 0.99), np.full(10, 1.00005), np.full(20, 1.01)))
+    lb = np.cumprod(steps)
+    R = np.exp(-0.01 * np.arange(lb.size))
+    trace = IterationTrace(residuals=R, gradient_norms=R, lower_bounds=lb)
+    assert detect_noise_takeover(trace) == noise_takeover_oracle(trace) == 15
 
 
 @settings(deadline=None, max_examples=80)
