@@ -67,6 +67,22 @@ FIGURE_NAMES = tuple(FIGURES)
 
 TABLE_MISFIT_THRESHOLD = 0.1
 
+# The cost model of _decomposition, in nanoseconds, fitted to deriv2 timings
+# on 2 cores (Python 3.11, numpy 2.4.6 with OpenBLAS). The SVD of an m x n
+# operator takes SVD_NS_PER_CUBE m n min(m,n) + SVD_NS_PER_ENTRY m n (within
+# 20% from n = 32 to 2048), and the closed form then CLOSED_FORM_NS_PER_MODE
+# per mode and iteration. Without it, every step of power iteration,
+# Landweber and CG is a pair of matvecs: PAIR_NS + PAIR_NS_PER_ENTRY m n.
+SVD_NS_PER_CUBE = 0.29
+SVD_NS_PER_ENTRY = 200.0
+CLOSED_FORM_NS_PER_MODE = 4.0
+PAIR_NS = 20_000.0
+PAIR_NS_PER_ENTRY = 0.5
+# the pairs power iteration (6-16 on deriv2 and gravity) and one Tikhonov
+# CG solve (9-15 at the rate experiment's levels there) typically take
+NORM_PAIRS = 15
+CG_PAIRS_PER_SOLVE = 12
+
 
 class ConfigError(ValueError):
     """Raised for unusable configuration files or values."""
@@ -233,19 +249,21 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     """Problem -> (noise) -> Landweber -> estimates -> diagnostics -> validation.
 
     Returns a result dict holding the trace, the estimate track, optional
-    bound curves, and the JSON-ready report. A run with the SVD check on
-    computes the operator's SVD first, and Landweber and the Tikhonov rate
+    bound curves, and the JSON-ready report. When :func:`_decomposition`
+    gives the run the operator's SVD, Landweber and the Tikhonov rate
     experiment read it in closed form; it is dropped when the run ends. If
-    the SVD fails, both fall back to the matvec loop and CG and the check
-    reports the failure.
+    the SVD fails, both fall back to the matvec loop and CG, and the SVD
+    check, if on, reports the failure.
     """
     p = build_problem(cfg)
-    sd, svd_note = None, ""
-    if cfg.validation_run_svd_check:
-        try:
-            sd, svd_note = _decomposition(p.operator)
-        except ConvergenceError as exc:
-            svd_note = f"failed: {exc}"
+    solves = 0
+    if cfg.validation_run_tikhonov and p.x_true is not None:
+        solves = len(cfg.validation_levels or DEFAULT_LEVELS) * len(cfg.validation_seeds)
+    try:
+        sd, svd_note = _decomposition(p.operator, cfg.landweber_max_iters, solves,
+                                      checked=cfg.validation_run_svd_check)
+    except ConvergenceError as exc:
+        sd, svd_note = None, f"failed: {exc}"
     noisy = None
     data = p.y_clean
     if cfg.noise_rel_level > 0:
@@ -309,11 +327,29 @@ def _tikhonov_section(p: ProblemSpec, track, cfg: ExperimentConfig,
     return section
 
 
-def _decomposition(op) -> tuple[Optional[SpectralDecomposition], str]:
-    """svd(op), or None and the note saying why the operator has none."""
-    limit = operators.SVD_SIZE_LIMIT
-    if op.kind == "dense" and min(op.shape) > limit:
-        return None, f"skipped: operator exceeds the dense SVD limit {limit}"
+def _decomposition(op, max_iters: int, solves: int,
+                   checked: bool) -> tuple[Optional[SpectralDecomposition], str]:
+    """svd(op) if the run takes the spectral path, else None and a note.
+
+    This is the one place that decides. A diagonal operator always has its
+    singular system. A dense one over SVD_SIZE_LIMIT never gets one. A run
+    with the SVD check on (``checked``) always does: the summability test
+    needs it. Any other dense run gets it when the cost model says the SVD
+    and the closed form cost less than the loop: ``max_iters`` Landweber
+    steps, power iteration for ||A|| and ``solves`` Tikhonov solves by CG.
+    The note is what the SVD check reports for a run without the SVD.
+    """
+    if op.kind == "dense":
+        limit = operators.SVD_SIZE_LIMIT
+        m, n = op.shape
+        if min(m, n) > limit:
+            return None, f"skipped: operator exceeds the dense SVD limit {limit}"
+        pairs = max_iters + NORM_PAIRS + solves * CG_PAIRS_PER_SOLVE
+        loop_ns = pairs * (PAIR_NS + PAIR_NS_PER_ENTRY * m * n)
+        svd_ns = (m * n * (SVD_NS_PER_CUBE * min(m, n) + SVD_NS_PER_ENTRY)
+                  + CLOSED_FORM_NS_PER_MODE * max_iters * min(m, n))
+        if not checked and svd_ns >= loop_ns:
+            return None, ""
     return svd(op), ""
 
 
@@ -455,7 +491,8 @@ def _svd_check(cfg: ExperimentConfig) -> None:
     p = build_problem(cfg)
     _write_report(cfg.output_report_path,
                   {"problem": {"label": p.label, "params": p.params},
-                   "svd_check": _svd_section(p, *_decomposition(p.operator)),
+                   "svd_check": _svd_section(p, *_decomposition(
+                       p.operator, cfg.landweber_max_iters, 0, checked=True)),
                    "config": cfg.effective_dict()})
 
 

@@ -19,6 +19,7 @@ tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -82,12 +83,19 @@ class IterationTrace:
 
 
 def resolve_step(cfg: LandweberConfig, norm_est: float) -> float:
-    """Resolve the configured step against the estimated operator norm."""
-    if norm_est <= 0.0:
-        raise ValueError("operator norm is zero; the iteration cannot move")
-    upper = 2.0 / norm_est ** 2
+    """Resolve the configured step against the estimated operator norm.
+
+    A norm whose square, or 2 over it, is not a finite positive float leaves
+    no step size; that is a numerical failure (RuntimeError), whichever path
+    estimated the norm.
+    """
+    norm_sq = norm_est * norm_est
+    if not (0.0 < norm_sq < math.inf and 2.0 / norm_sq < math.inf):
+        raise RuntimeError(f"operator norm {norm_est:.6g} is out of range: "
+                           "no finite step size 1/||A||^2 exists")
+    upper = 2.0 / norm_sq
     if cfg.step_beta == "auto":
-        return 1.0 / norm_est ** 2
+        return 1.0 / norm_sq
     beta = float(cfg.step_beta)
     if not 0.0 < beta < upper:
         raise ValueError(f"step_beta must lie in (0, {upper:.6g}); got {beta:g}")

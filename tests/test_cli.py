@@ -149,6 +149,48 @@ def test_numerical_failure_exit_code(tmp_path):
     assert main(["estimate", str(path)]) == EXIT_NUMERIC
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])      # ||A||^2 overflows / underflows
+@pytest.mark.parametrize("checked, limit", [
+    (True, operators.SVD_SIZE_LIMIT),    # the SVD check's decomposition
+    (False, operators.SVD_SIZE_LIMIT),   # the cost rule's decomposition
+    (False, 2),                          # over the limit: power iteration
+])
+def test_operator_norm_out_of_range_exits_numeric(tmp_path, capsys, monkeypatch,
+                                                   scale, checked, limit):
+    monkeypatch.setattr(operators, "SVD_SIZE_LIMIT", limit)
+    a = scale * np.diag([1.0, 0.5, 0.25, 0.125])
+    write_matrix_market(tmp_path / "a.mtx", a)
+    write_vector(tmp_path / "y.txt", a.sum(axis=1))
+    text = (f"problem.kind = external\nproblem.matrix_path = {tmp_path / 'a.mtx'}\n"
+            f"problem.y_path = {tmp_path / 'y.txt'}\n"
+            f"validation.run_svd_check = {str(checked).lower()}\n")
+    path, trace_path, _ = write_cfg(tmp_path, text)
+    assert main(["estimate", str(path)]) == EXIT_NUMERIC
+    assert "numerical failure: " in capsys.readouterr().err
+    assert not trace_path.exists()
+
+
+def test_close_top_singular_values_take_the_norm_from_the_svd(tmp_path):
+    # sigma_2 / sigma_1 = 0.99998: power iteration gives up after 10^4 steps,
+    # and the cost rule sends the unchecked run to the SVD, which has sigma_1
+    rng = np.random.default_rng(1)
+    u = np.linalg.qr(rng.standard_normal((36, 36)))[0]
+    v = np.linalg.qr(rng.standard_normal((36, 36)))[0]
+    sigmas = np.concatenate(([1.0, 0.99998], np.geomspace(0.5, 0.01, 34)))
+    a = (u * sigmas) @ v.T
+    write_matrix_market(tmp_path / "a.mtx", a)
+    write_vector(tmp_path / "y.txt", a @ v[:, 5])
+    write_vector(tmp_path / "x.txt", v[:, 5])
+    text = (f"problem.kind = external\nproblem.matrix_path = {tmp_path / 'a.mtx'}\n"
+            f"problem.y_path = {tmp_path / 'y.txt'}\nproblem.x_true_path = {tmp_path / 'x.txt'}\n")
+    path, _, report_path = write_cfg(tmp_path, text)
+    assert main(["estimate", str(path)]) == EXIT_OK
+    landweber = json.loads(report_path.read_text())["landweber"]
+    assert landweber["path"] == "closed-form"
+    sigma_1 = np.linalg.svd(a, compute_uv=False)[0]   # the file holds a bit for bit
+    assert landweber["step_beta"] == pytest.approx(1.0 / sigma_1 ** 2, rel=1e-12)
+
+
 def test_io_failure_exit_code(tmp_path):
     path, _, _ = write_cfg(tmp_path, SMALL_DIAG)
     cfg = load_config(path)
@@ -275,15 +317,68 @@ DENSE_CHECKED = ("problem.kind = deriv2\nproblem.n = 32\n"
                  "validation.run_tikhonov = true\nvalidation.run_svd_check = true\n")
 
 
-def test_report_names_the_paths_taken():
+def _counting_svd(monkeypatch):
+    """Patch cli.svd to record the shape of each operator it decomposes."""
+    calls = []
+
+    def counted(op):
+        calls.append(op.shape)
+        return operators.svd(op)
+    # cli is the only module that calls svd on a pipeline run
+    monkeypatch.setattr(cli, "svd", counted)
+    return calls
+
+
+# deriv2 n=256 with the rate check, near the cost rule's boundary; w_min = 20
+# gives a K=100 run a stable window, so its rate check runs
+DERIV2_256 = ("problem.kind = deriv2\nproblem.n = 256\nestimator.w_min = 20\n"
+              "validation.run_tikhonov = true\n")
+
+
+def test_report_names_the_paths_taken(monkeypatch):
+    # one shape and solve count, K on each side of the cost rule's boundary
+    calls = _counting_svd(monkeypatch)
+    for iters, path, solver, svd_calls in ((100, "matvec", "cg", 0),
+                                           (2000, "closed-form", "filter-factors", 1)):
+        cfg = parse_config_text(DERIV2_256 + f"landweber.max_iters = {iters}\n"
+                                             "validation.seeds = 0\n")
+        report = run_pipeline(cfg)["report"]
+        assert report["landweber"]["path"] == path
+        assert report["tikhonov_rate"]["solver"] == solver
+        assert len(calls) == svd_calls
     checked = run_pipeline(parse_config_text(DENSE_CHECKED))["report"]
     assert checked["landweber"]["path"] == "closed-form"
     assert checked["tikhonov_rate"]["solver"] == "filter-factors"
-    plain = run_pipeline(parse_config_text("problem.kind = deriv2\nproblem.n = 32\n"))
-    assert plain["report"]["landweber"]["path"] == "matvec"
     diagonal = run_pipeline(parse_config_text(SMALL_DIAG + "validation.run_tikhonov = true\n"))
     assert diagonal["report"]["landweber"]["path"] == "closed-form"
     assert diagonal["report"]["tikhonov_rate"]["solver"] == "filter-factors"
+
+
+def test_tikhonov_solves_tip_the_rule_to_the_svd(monkeypatch):
+    # one shape and K: 10 solves by CG cost less than the SVD, 50 do not
+    calls = _counting_svd(monkeypatch)
+    for seeds, path, solver, svd_calls in (("0", "matvec", "cg", 0),
+                                           ("0, 1, 2, 3, 4", "closed-form", "filter-factors", 1)):
+        cfg = parse_config_text(DERIV2_256 + "landweber.max_iters = 100\n"
+                                             f"validation.seeds = {seeds}\n")
+        report = run_pipeline(cfg)["report"]
+        assert report["landweber"]["path"] == path
+        assert report["tikhonov_rate"]["solver"] == solver
+        assert len(calls) == svd_calls
+
+
+# deriv2 timings on 2 cores, Landweber only: (n, K, the faster path)
+@pytest.mark.parametrize("n, iters, faster", [
+    (256, 100, "loop"), (256, 2000, "svd"), (1024, 500, "loop"),
+    (1024, 2000, "svd"), (2048, 500, "loop"),
+])
+def test_cost_rule_at_the_measured_crossovers(monkeypatch, n, iters, faster):
+    monkeypatch.setattr(cli, "svd", lambda op: "decomposition")
+    op = operators.LinearOperator(kind="dense", shape=(n, n))   # no matrix: never applied
+    took_svd = cli._decomposition(op, iters, 0, checked=False)[0] is not None
+    assert took_svd == (faster == "svd")
+    # the SVD check always takes the SVD, up to the size limit
+    assert cli._decomposition(op, iters, 0, checked=True)[0] == "decomposition"
 
 
 def test_operator_over_the_svd_limit_takes_the_loop_and_cg(tmp_path, monkeypatch):
@@ -297,29 +392,12 @@ def test_operator_over_the_svd_limit_takes_the_loop_and_cg(tmp_path, monkeypatch
 
 
 def test_checked_dense_run_computes_one_svd(monkeypatch):
-    calls = []
-
-    def counted(op):
-        calls.append(op.shape)
-        return operators.svd(op)
-    # cli is the only module that calls svd on a pipeline run
-    monkeypatch.setattr(cli, "svd", counted)
+    calls = _counting_svd(monkeypatch)
     result = run_pipeline(parse_config_text(DENSE_CHECKED))
     assert calls == [(32, 32)]
     assert result["report"]["landweber"]["path"] == "closed-form"
     assert "mu_max_refined" in result["report"]["svd_check"]
     assert "observed_exponent" in result["report"]["tikhonov_rate"]
-
-
-def test_tikhonov_only_dense_run_computes_no_svd(monkeypatch):
-    calls = []
-    monkeypatch.setattr(cli, "svd", lambda op: calls.append(op.shape))
-    cfg = parse_config_text("problem.kind = deriv2\nproblem.n = 32\n"
-                            "validation.run_tikhonov = true\n")
-    report = run_pipeline(cfg)["report"]
-    assert calls == []
-    assert report["landweber"]["path"] == "matvec"
-    assert report["tikhonov_rate"]["solver"] == "cg"
 
 
 def test_svd_failure_falls_back_to_the_loop_and_cg(tmp_path, monkeypatch):
@@ -332,6 +410,18 @@ def test_svd_failure_falls_back_to_the_loop_and_cg(tmp_path, monkeypatch):
     assert report["landweber"]["path"] == "matvec"
     assert report["tikhonov_rate"]["solver"] == "cg"
     assert report["svd_check"] == {"note": "failed: SVD failed to converge: planted"}
+
+
+def test_svd_failure_on_an_unchecked_run_falls_back_to_the_loop_and_cg(tmp_path, monkeypatch):
+    def failing(op):
+        raise operators.ConvergenceError("SVD failed to converge: planted")
+    monkeypatch.setattr(cli, "svd", failing)
+    path, _, report_path = write_cfg(tmp_path, DERIV2_256 + "landweber.max_iters = 2000\n")
+    assert main(["estimate", str(path)]) == EXIT_OK
+    report = json.loads(report_path.read_text())
+    assert report["landweber"]["path"] == "matvec"
+    assert report["tikhonov_rate"]["solver"] == "cg"
+    assert "svd_check" not in report
 
 
 def test_rate_table_script_output_is_pinned(tmp_path, monkeypatch):
