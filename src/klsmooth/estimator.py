@@ -281,22 +281,34 @@ def _longest_stable(mu_hi, mu_lo, c_hi, c_lo, bad, eps_mu: float, eps_c_rel: flo
     Searches the widths from shortest to longest and returns the largest
     with a stable run and, for every start, whether the run from there is
     stable; (0, None) when not even the shortest width has one.
+
+    The extremes over h = ceil(longest / 2) entries are built once: every
+    width from h to 2h takes one op per array from them, which serves all
+    widths of a narrow search (the fine one); narrower widths halve their
+    own way down.
     """
+    if shortest > longest:
+        return 0, None
     n_bad = np.concatenate(([0], np.cumsum(bad)))
+    base = (longest + 1) // 2
+    arrays = ((mu_hi, np.maximum), (mu_lo, np.minimum), (c_hi, np.maximum), (c_lo, np.minimum))
+    halves = [_window_extreme(a, base, op) for a, op in arrays]
+
+    def extremes(width: int) -> list[np.ndarray]:
+        if width < base:
+            return [_window_extreme(a, width, op) for a, op in arrays]
+        n = mu_hi.size
+        return [op(m[:n - width + 1], m[width - base:n - base + 1])
+                for m, (_, op) in zip(halves, arrays)]
 
     def stable_starts(width: int) -> np.ndarray:
         ok = n_bad[width:] == n_bad[:-width]
+        mu_max, mu_min, c_max, c_min = extremes(width)
         with np.errstate(over="ignore"):
-            spread = (_window_extreme(mu_hi, width, np.maximum)
-                      - _window_extreme(mu_lo, width, np.minimum))
-            ok &= ~(spread > eps_mu)
-            ratio = (_window_extreme(c_hi, width, np.maximum)
-                     / _window_extreme(c_lo, width, np.minimum))
-            ok &= ~(ratio > 1.0 + eps_c_rel)
+            ok &= ~(mu_max - mu_min > eps_mu)
+            ok &= ~(c_max / c_min > 1.0 + eps_c_rel)
         return ok
 
-    if shortest > longest:
-        return 0, None
     starts = stable_starts(shortest)
     if not starts.any():
         return 0, None

@@ -42,6 +42,20 @@ EARLY_STOP_REL = 1e-13
 BLOCK_ELEMENTS = 1 << 16
 MIN_BLOCK_ROWS = 8
 
+# A mode is slow over a run of K iterations when q = 1 - beta sigma^2 > 0 and
+# K |log q| <= SLOW_REACH. With s = K log q and t = k / K in (0, 1], its
+# q^k = exp(t s) and q^(2k) = exp(2 t s) have |2 t s| <= 2 SLOW_REACH, so
+# the exponential series cut after degree SLOW_DEGREE leaves at most
+# (2 SLOW_REACH)^(P+1) / (P+1)! of a term (4e-20 here), and the slow modes'
+# share of R_k^2, G_k^2 and E_k^2 is a polynomial of degree P in t whose
+# coefficients are power sums of s. The error's u^2 (1 - q^k)^2 part starts
+# at degree 2, so relative to its own size the cut leaves
+# 2^(P+1) SLOW_REACH^(P-1) / (P+1)!: SLOW_DEGREE is the least P that keeps
+# both below eps / 4. In the canned figures (K = 2000) all but the first
+# 5-25 modes are slow, and the closed form pays modes times K only on those.
+SLOW_REACH = 0.125
+SLOW_DEGREE = 13
+
 Columns = tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 
@@ -188,27 +202,53 @@ def diagonal_trace(sigmas: np.ndarray, data: np.ndarray, beta: float, max_iters:
         G_k^2 = sum_i q_i^(2k) sigma_i^2 r0_i^2,
         x_k - x_true = -x_true - (r0/sigma) (1 - q^k),  plus outside[1] in E_k^2.
 
-    Tables of q^(2j) and 1 - q^j, j = 1..B, are built once. The block after
-    k0 iterations uses q^(k0+j) = q^k0 q^j and 1 - q^(k0+j) = (1 - q^k0) +
-    q^k0 (1 - q^j), with q^k0 evaluated afresh, never as a running product,
-    so rounding does not build up over blocks: one GEMM gives R and G.
+    The modes split in two. Slow modes (q > 0, finite inputs and
+    max_iters |log q| <= SLOW_REACH) never come near convergence within the
+    run, and their shares of R_k^2, G_k^2 and E_k^2 are polynomials in
+    t = k / max_iters (see SLOW_REACH), evaluated per block by one
+    Vandermonde product. The error of a slow mode is e = u c - x_true q^k,
+    with u = data / sigma - x_true (0 on an exact mode) and c = 1 - q^k, so
 
-    A mode is exact when data_i == sigma_i x_true_i bit for bit (noise-free
-    diagonal data). Its error is -x_true q^k, so the exact modes add
-    sum x_true^2 q^(2k0) q^(2j) to E_k^2: one GEMV per block against the
-    q^(2j) table. The other modes take a per-mode pass over the block:
-    expanded into power sums, or written as (-x_true - r0/sigma) +
-    (r0/sigma) q^k, their error cancels badly under noise, where r0/sigma is
-    large on the small-sigma modes. Early stop and abort happen at the same
-    iteration as in :func:`matvec_trace`.
+        e^2 = u^2 c^2 - 2 u x_true c q^k + x_true^2 q^(2k),
+
+    whose series in t s (s = max_iters log q) have the coefficients
+    2^p - 2, -2 (1 - 2^p) and 2^p over p!. The first two vanish at p = 0,
+    so u enters only as u s, about -max_iters beta sigma (data - sigma
+    x_true): the 1/sigma of a noisy small-sigma mode cancels in the
+    formula, not in rounding, and the sum keeps its digits under noise.
+
+    The other (fast) modes take tables of q^(2j) and 1 - q^j, j = 1..B,
+    built once. The block after k0 iterations uses q^(k0+j) = q^k0 q^j and
+    1 - q^(k0+j) = (1 - q^k0) + q^k0 (1 - q^j), with q^k0 evaluated afresh,
+    never as a running product, so rounding does not build up over blocks:
+    one GEMM gives their R and G. A fast mode is exact when data_i ==
+    sigma_i x_true_i bit for bit (noise-free diagonal data). Its error is
+    -x_true q^k, so the exact modes add sum x_true^2 q^(2k0) q^(2j) to
+    E_k^2: one GEMV per block against the q^(2j) table. The other fast
+    modes take a per-mode pass over the block: they lie beyond the series'
+    reach, and written as (-x_true - r0/sigma) + (r0/sigma) q^k their error
+    cancels badly under noise. Blocks span 2^16 / (fast modes) iterations,
+    and a run with no slow mode is computed as if the split did not exist.
+    Early stop and abort happen at the same iteration as in
+    :func:`matvec_trace`.
     """
     s = np.asarray(sigmas, dtype=float)
-    n = s.size
+    data = np.asarray(data, dtype=float)
     data_out, x_out = outside
-    rows = min(max_iters, max(MIN_BLOCK_ROWS, BLOCK_ELEMENTS // n))
+    floors = np.array(_stop_floors(float(np.sqrt(data @ data + data_out)), beta))[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         q = 1.0 - beta * s * s
         log_q = np.where(q > 0.0, np.log1p(-beta * s * s), 0.0)
+        slow = _slow_modes(s, q, log_q, data, x_true, max_iters)
+        slow_coefs = None
+        if slow.any():
+            slow_coefs = _slow_coefficients(s[slow], log_q[slow], data[slow],
+                                            None if x_true is None else x_true[slow],
+                                            max_iters)
+            fast = ~slow
+            s, q, log_q, data = s[fast], q[fast], log_q[fast], data[fast]
+            x_true = None if x_true is None else x_true[fast]
+        rows = min(max_iters, max(MIN_BLOCK_ROWS, BLOCK_ELEMENTS // max(s.size, 1)))
         nonpos = np.flatnonzero(q <= 0.0)
         r0 = -data
         weights = np.stack((r0 * r0, (s * r0) ** 2))
@@ -226,7 +266,6 @@ def diagonal_trace(sigmas: np.ndarray, data: np.ndarray, beta: float, max_iters:
         np.square(q_2j, out=q_2j)
         if per_mode:
             buf = np.empty_like(comp_j)
-    floors = np.array(_stop_floors(float(np.sqrt(data @ data + data_out)), beta))[:, None]
     RG = np.empty((2, max_iters))
     E = np.empty(max_iters) if x_true is not None else None
     n_done = max_iters
@@ -237,9 +276,14 @@ def diagonal_trace(sigmas: np.ndarray, data: np.ndarray, beta: float, max_iters:
             q_k0_sq = q_k0 * q_k0
             norms = (weights * q_k0_sq) @ q_2j[:m].T
             norms[0] += data_out
+            if slow_coefs is not None:
+                t = np.arange(k0 + 1.0, k0 + m + 1.0) / max_iters
+                # a sum of squares, whatever its rounding
+                slow_sq = np.maximum(slow_coefs @ _power_rows(t), 0.0)
+                norms += slow_sq[:2]
             norms = np.sqrt(norms, out=RG[:, k0:k0 + m])
             if E is not None:
-                err_sq = x_out
+                err_sq = x_out if slow_coefs is None else slow_sq[2] + x_out
                 if per_mode:
                     dev = np.multiply(comp_j[:m], pull * q_k0, out=buf[:m])
                     np.subtract(start - pull * comp_k0, dev, out=dev)
@@ -261,6 +305,56 @@ def diagonal_trace(sigmas: np.ndarray, data: np.ndarray, beta: float, max_iters:
                 n_done = k0 + first_stop + 1
                 break
     return RG[0, :n_done], RG[1, :n_done], None if E is None else E[:n_done]
+
+
+def _slow_modes(sigmas: np.ndarray, q: np.ndarray, log_q: np.ndarray, data: np.ndarray,
+                x_true: Optional[np.ndarray], max_iters: int) -> np.ndarray:
+    """Which modes :func:`diagonal_trace` sums as a series (see SLOW_REACH).
+
+    Non-finite inputs stay with the fast modes, whose blocks abort on them.
+    """
+    slow = (q > 0.0) & (max_iters * np.abs(log_q) <= SLOW_REACH) & np.isfinite(data)
+    if x_true is not None:
+        slow &= np.isfinite(x_true) & np.isfinite(data / sigmas)
+    return slow
+
+
+def _slow_coefficients(sigmas: np.ndarray, log_q: np.ndarray, data: np.ndarray,
+                       x_true: Optional[np.ndarray], max_iters: int) -> np.ndarray:
+    """Coefficients of t^0..t^SLOW_DEGREE in the slow modes' R_k^2 and G_k^2,
+    and E_k^2 when x_true is given, one row each; t = k / max_iters.
+
+    Each row is a set of power sums sum_i w_i s_i^p with s = max_iters log q,
+    times the series coefficient of its term over p!.
+    """
+    p = np.arange(SLOW_DEGREE + 1)
+    two_p = 2.0 ** p
+    scaled = max_iters * log_q
+    r0_sq = data * data
+    weights = [r0_sq, sigmas * sigmas * r0_sq]
+    if x_true is not None:
+        exact = data == sigmas * x_true
+        # u s, with the power of s that the c q^k and c^2 series start with
+        us = np.where(exact, 0.0, data / sigmas - x_true) * scaled
+        weights += [x_true * x_true, us * x_true, us * us]
+    sums = np.stack(weights) @ _power_rows(scaled).T
+    # R^2 and G^2 weigh q^(2k) = exp(2 t s)
+    coefs = sums[:2] * two_p
+    if x_true is not None:
+        err = two_p * sums[2]
+        err[1:] -= 2.0 * (1.0 - two_p[1:]) * sums[3, :-1]
+        err[2:] += (two_p[2:] - 2.0) * sums[4, :-2]
+        coefs = np.vstack((coefs, err))
+    return coefs / np.array([math.factorial(k) for k in p], dtype=float)
+
+
+def _power_rows(x: np.ndarray) -> np.ndarray:
+    """Rows x^0, x^1, ..., x^SLOW_DEGREE, by running products."""
+    rows = np.empty((SLOW_DEGREE + 1, x.size))
+    rows[0] = 1.0
+    rows[1:] = x
+    np.multiply.accumulate(rows[1:], axis=0, out=rows[1:])
+    return rows
 
 
 def _stop_floors(data_norm: float, beta: float) -> tuple[float, float]:

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from klsmooth.landweber import (EARLY_STOP_REL, LandweberConfig, diagonal_trace,
-                                landweber_run, matvec_trace, trace_to_csv)
+from klsmooth.cli import build_problem, figure_config
+from klsmooth.landweber import (EARLY_STOP_REL, SLOW_DEGREE, SLOW_REACH, LandweberConfig,
+                                _slow_modes, diagonal_trace, landweber_run, matvec_trace,
+                                trace_to_csv)
 from klsmooth.operators import (ConvergenceError, dense_operator, diagonal_operator,
                                 operator_norm, svd)
 from klsmooth.problems import ProblemSpec, add_noise, make_power_law
@@ -168,7 +172,8 @@ def diagonal_case(draw):
     negative; the other sigmas lie in [0.01, 1], so every mode may converge
     within the run, and the iteration then stops at the floor. With n up to
     400 the block length 2^16 // n falls below n, and few run lengths are
-    multiples of it. The data may carry noise.
+    multiples of it. With a small step or a short run the small sigmas are
+    slow modes, summed as a series. The data may carry noise.
     """
     n = draw(st.integers(min_value=1, max_value=400))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
@@ -185,8 +190,33 @@ def diagonal_case(draw):
     return diagonal_operator(sigmas), data, beta, iters, x_true
 
 
+def data_of_kind(kind, sigmas, rng):
+    """x_true of size 0.5-1.5 and random sign, and data of one kind: exact
+    (sigma x_true), noisy (1% relative noise), or half-exact (even modes exact,
+    odd ones noisy, and mode 1 at 1.5 sigma x_true)."""
+    n = sigmas.size
+    x_true = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.5, n)
+    exact = sigmas * x_true
+    noise = rng.standard_normal(n)
+    noisy = exact + 0.01 * np.linalg.norm(exact) * noise / np.linalg.norm(noise)
+    data = {"exact": exact, "noisy": noisy,
+            "half-exact": np.where(np.arange(n) % 2 == 0, exact, noisy)}[kind]
+    if kind == "half-exact":
+        data[1] = 1.5 * sigmas[1] * x_true[1]
+    return data, x_true
+
+
+def mixed_speed_case():
+    """A noisy diagonal case whose run of 2500 steps has slow and fast modes:
+    K beta sigma^2 crosses SLOW_REACH near sigma = 0.007."""
+    sigmas = np.geomspace(1.0, 1e-3, 120)
+    data, x_true = data_of_kind("noisy", sigmas, np.random.default_rng(3))
+    return diagonal_operator(sigmas), data, 1.0, 2500, x_true
+
+
 @settings(deadline=None, max_examples=60)
 @given(diagonal_case(), st.booleans())
+@example(case=mixed_speed_case(), with_error=True)
 def test_closed_form_matches_matvec_loop(case, with_error):
     op, data, beta, iters, x_true = case
     # on a converged mode the loop's residual is rounding, about eps |data_i|,
@@ -230,17 +260,79 @@ def test_closed_form_error_column_matches_matvec_loop(kind):
     n = 300
     sigmas = np.concatenate(([1.0, 0.5], np.sort(10.0 ** rng.uniform(-2, -0.5, n - 3))[::-1],
                              [0.01]))
-    x_true = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.5, n)
-    exact = sigmas * x_true
-    noise = rng.standard_normal(n)
-    noisy = exact + 0.01 * np.linalg.norm(exact) * noise / np.linalg.norm(noise)
-    data = {"exact": exact, "noisy": noisy,
-            "half-exact": np.where(np.arange(n) % 2 == 0, exact, noisy)}[kind]
-    if kind == "half-exact":
-        data[1] = 1.5 * sigmas[1] * x_true[1]
+    data, x_true = data_of_kind(kind, sigmas, rng)
     closed = diagonal_trace(sigmas, data, 1.0, 3000, x_true)
     loop = matvec_trace(diagonal_operator(sigmas), data, 1.0, 3000, x_true)
     assert len(closed[2]) == 3000
+    assert_traces_agree(closed, loop)
+
+
+def test_slow_series_remainder_below_rounding():
+    # the exp series of q^(2k), cut after degree P at |2 t s| <= 2 SLOW_REACH,
+    # and the u^2 (1 - q^k)^2 series, which starts at degree 2, relative to
+    # its own size
+    eps = np.finfo(float).eps
+    rest = (2.0 * SLOW_REACH) ** (SLOW_DEGREE + 1) / math.factorial(SLOW_DEGREE + 1)
+    assert rest <= eps / 4
+    assert rest / SLOW_REACH ** 2 <= eps / 4
+
+
+def slow_mask(sigmas, data, x_true, beta, iters):
+    with np.errstate(divide="ignore"):
+        log_q = np.where(beta * sigmas ** 2 < 1.0, np.log1p(-beta * sigmas ** 2), 0.0)
+    return _slow_modes(sigmas, 1.0 - beta * sigmas ** 2, log_q, data, x_true, iters)
+
+
+@pytest.mark.parametrize("kind", ["exact", "noisy", "half-exact"])
+def test_closed_form_across_the_slow_reach_matches_matvec_loop(kind):
+    # with beta = 1 and K = 3000 a mode is slow below sigma = 0.00645; the
+    # spectrum spans 1 to 3e-4 and has a pair of modes within 1e-9 of the
+    # boundary, one on each side
+    rng = np.random.default_rng(12)
+    K = 3000
+    edge = math.sqrt(-math.expm1(-SLOW_REACH / K))
+    inner = 10.0 ** rng.uniform(-3.5, -0.3, 197)
+    sigmas = np.sort(np.concatenate(([1.0, edge * (1 + 1e-9), edge * (1 - 1e-9)], inner)))[::-1]
+    data, x_true = data_of_kind(kind, sigmas, rng)
+    slow = slow_mask(sigmas, data, x_true, 1.0, K)
+    assert slow[np.flatnonzero(sigmas < edge)].all() and not slow[sigmas > edge].any()
+    for x in (x_true, None):
+        closed = diagonal_trace(sigmas, data, 1.0, K, x)
+        loop = matvec_trace(diagonal_operator(sigmas), data, 1.0, K, x)
+        assert len(closed[0]) == K
+        assert_traces_agree(closed, loop)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+def test_all_slow_closed_form_matches_matvec_loop(noise):
+    # a step of 1e-5 / sigma_1^2 keeps K beta sigma^2 at most 0.02: every
+    # mode is slow, and the run is one block of the series alone
+    rng = np.random.default_rng(13)
+    sigmas = np.geomspace(1.0, 1e-2, 150)
+    x_true = rng.standard_normal(150)
+    e = rng.standard_normal(150)
+    data = sigmas * x_true + noise * np.linalg.norm(sigmas * x_true) * e / np.linalg.norm(e)
+    beta, K = 1e-5, 2000
+    assert slow_mask(sigmas, data, x_true, beta, K).all()
+    for x in (x_true, None):
+        closed = diagonal_trace(sigmas, data, beta, K, x)
+        loop = matvec_trace(diagonal_operator(sigmas), data, beta, K, x)
+        assert_traces_agree(closed, loop)
+
+
+@pytest.mark.parametrize("name", ["noise1", "noise2", "diag1", "expon"])
+def test_canned_figures_closed_form_matches_matvec_loop(name):
+    # n = 10^4, K = 2000: all but the first 7-25 modes are slow
+    cfg = figure_config(name)
+    p = build_problem(cfg)
+    data = p.y_clean
+    if cfg.noise_rel_level > 0:
+        data = add_noise(p, cfg.noise_rel_level, cfg.noise_seed).y_delta
+    sigmas = p.operator.sigmas
+    beta = 1.0 / sigmas[0] ** 2
+    closed = diagonal_trace(sigmas, data, beta, cfg.landweber_max_iters, p.x_true)
+    loop = matvec_trace(p.operator, data, beta, cfg.landweber_max_iters, p.x_true)
+    assert len(closed[0]) == cfg.landweber_max_iters == 2000
     assert_traces_agree(closed, loop)
 
 
