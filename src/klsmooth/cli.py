@@ -70,12 +70,12 @@ TABLE_MISFIT_THRESHOLD = 0.1
 # The cost model of _decomposition, in nanoseconds, fitted to deriv2 timings
 # on 2 cores (Python 3.11, numpy 2.4.6 with OpenBLAS). The SVD of an m x n
 # operator takes SVD_NS_PER_CUBE m n min(m,n) + SVD_NS_PER_ENTRY m n (within
-# 20% from n = 32 to 2048), and the closed form then CLOSED_FORM_NS_PER_MODE
-# per mode and iteration. Without it, every step of power iteration,
-# Landweber and CG is a pair of matvecs: PAIR_NS + PAIR_NS_PER_ENTRY m n.
+# 20% from n = 32 to 2048); the closed form after it costs at most 2% of one
+# matvec pair per iteration up to n = 2048, and is left out. Without the SVD,
+# every step of power iteration, Landweber and CG is a pair of matvecs:
+# PAIR_NS + PAIR_NS_PER_ENTRY m n.
 SVD_NS_PER_CUBE = 0.29
 SVD_NS_PER_ENTRY = 200.0
-CLOSED_FORM_NS_PER_MODE = 4.0
 PAIR_NS = 20_000.0
 PAIR_NS_PER_ENTRY = 0.5
 # the pairs power iteration (6-16 on deriv2 and gravity) and one Tikhonov
@@ -335,8 +335,8 @@ def _decomposition(op, max_iters: int, solves: int,
     singular system. A dense one over SVD_SIZE_LIMIT never gets one. A run
     with the SVD check on (``checked``) always does: the summability test
     needs it. Any other dense run gets it when the cost model says the SVD
-    and the closed form cost less than the loop: ``max_iters`` Landweber
-    steps, power iteration for ||A|| and ``solves`` Tikhonov solves by CG.
+    costs less than the loop: ``max_iters`` Landweber steps, power iteration
+    for ||A|| and ``solves`` Tikhonov solves by CG.
     The note is what the SVD check reports for a run without the SVD.
     """
     if op.kind == "dense":
@@ -346,8 +346,7 @@ def _decomposition(op, max_iters: int, solves: int,
             return None, f"skipped: operator exceeds the dense SVD limit {limit}"
         pairs = max_iters + NORM_PAIRS + solves * CG_PAIRS_PER_SOLVE
         loop_ns = pairs * (PAIR_NS + PAIR_NS_PER_ENTRY * m * n)
-        svd_ns = (m * n * (SVD_NS_PER_CUBE * min(m, n) + SVD_NS_PER_ENTRY)
-                  + CLOSED_FORM_NS_PER_MODE * max_iters * min(m, n))
+        svd_ns = m * n * (SVD_NS_PER_CUBE * min(m, n) + SVD_NS_PER_ENTRY)
         if not checked and svd_ns >= loop_ns:
             return None, ""
     return svd(op), ""
@@ -389,28 +388,33 @@ def _write_outputs(result: dict, cfg: ExperimentConfig) -> None:
     _write_report(cfg.output_report_path, result["report"])
 
 
-def run_guarded(command: Callable[[], object]) -> int:
-    """Run one command; map its failure to an exit status and a message.
+def _classify(exc: Exception) -> tuple[int, str, str]:
+    """(exit status, kind, detail) of a failure; re-raises what is no failure.
 
     Invalid input gives 2, as do sizes too large to allocate; a numerical
     breakdown gives 3, and a file that cannot be read or written 4. This is
     the only place that turns an exception into an exit status.
     """
+    # LinAlgError is a ValueError, so the numerical failures go first
+    if isinstance(exc, (RuntimeError, FloatingPointError, np.linalg.LinAlgError)):
+        return EXIT_NUMERIC, "numerical failure", str(exc)
+    if isinstance(exc, ValueError):
+        return EXIT_CONFIG, "config error", str(exc)
+    if isinstance(exc, MemoryError):
+        return EXIT_CONFIG, "config error", f"sizes too large to allocate: {exc}"
+    if isinstance(exc, OSError):
+        return EXIT_IO, "i/o failure", str(exc)
+    raise exc
+
+
+def run_guarded(command: Callable[[], object]) -> int:
+    """Run one command; map its failure to an exit status and a message."""
     try:
         command()
-    # LinAlgError is a ValueError, so the numerical failures go first
-    except (ConvergenceError, RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MemoryError as exc:
-        print(f"config error: sizes too large to allocate: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except Exception as exc:
+        status, kind, detail = _classify(exc)
+        print(f"{kind}: {detail}", file=sys.stderr)
+        return status
     return EXIT_OK
 
 
@@ -453,17 +457,20 @@ def run_figure_suite(name: str, out_dir) -> int:
 
 
 def _tikhonov_table(config_paths, out_path) -> None:
-    rows = []
+    """One row per config: a config that fails fills its own row. When no
+    config's input files can be read, the first such failure ends the
+    command, as it does for ``estimate``.
+    """
+    rows, unreadable = [], []
     for path in config_paths:
         cfg = replace(load_config(path), validation_run_tikhonov=True)
         label = cfg.problem_kind
         try:
             result = run_pipeline(cfg)
-        except (ValueError, ConvergenceError, RuntimeError) as exc:
-            rows.append((label, "", "", "", "", f"failed: {exc}"))
-            continue
-        except MemoryError as exc:
-            rows.append((label, "", "", "", "", f"failed: sizes too large to allocate: {exc}"))
+        except Exception as exc:
+            rows.append((label, "", "", "", "", f"failed: {_classify(exc)[2]}"))
+            if isinstance(exc, OSError):
+                unreadable.append(exc)
             continue
         label = result["problem"].label
         rate = result["report"]["tikhonov_rate"]
@@ -474,6 +481,8 @@ def _tikhonov_table(config_paths, out_path) -> None:
         misfit = abs(rate["observed_exponent"] - rate["predicted_exponent"]) > TABLE_MISFIT_THRESHOLD
         rows.append((label, f"{rate['mu_tested']:.6g}", f"{rate['predicted_exponent']:.6g}",
                      f"{rate['observed_exponent']:.6g}", "yes" if misfit else "no", ""))
+    if unreadable and len(unreadable) == len(rows):
+        raise unreadable[0]
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("problem", "mu_hat", "predicted_rate_exponent",

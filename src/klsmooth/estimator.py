@@ -231,10 +231,12 @@ def detect_stable_window(track: EstimateTrack, w_min: int = DEFAULT_W_MIN,
     Of several longest windows the earliest is returned. Absence is a value,
     not an error.
 
-    Every sub-window of a stable window is stable, so whether a stable
-    window of a given length exists is monotone in the length: a binary
-    search over lengths finds the longest, testing all starts at once. A
-    coarse search comes first, over the extremes of aligned blocks of
+    An ineligible entry becomes NaN in both rows of one (2, n) array of
+    mu_k and c_k: every max and min over a window that covers it is NaN,
+    and both stability tests fail on NaN. Every sub-window of a stable
+    window is stable, so whether a stable window of a given length exists
+    is monotone in the length (see :func:`_longest_stable`). A coarse
+    search comes first, over the extremes of aligned blocks of
     WINDOW_STRIDE entries: L consecutive blocks are stable exactly when the
     L * WINDOW_STRIDE entries they cover are, since max and min are exact.
     With L the longest such run, every window of (L + 2) * WINDOW_STRIDE - 1
@@ -247,23 +249,14 @@ def detect_stable_window(track: EstimateTrack, w_min: int = DEFAULT_W_MIN,
     shortest = max(w_min, 1)
     if shortest > n:
         return None
-    eligible = (np.isfinite(track.mu_k) & np.isfinite(track.c_k)
-                & (track.mu_k > 0.0) & (track.c_k > 0.0))
-    # placeholders keep the window extremes finite; the ineligible count
-    # rules out every window that covers one
-    mu = np.where(eligible, track.mu_k, 0.0)
-    c = np.where(eligible, track.c_k, 1.0)
-    bad = ~eligible
+    values = np.array((track.mu_k, track.c_k), dtype=float)
+    values[:, ~((values > 0.0) & (values < np.inf)).all(axis=0)] = np.nan
 
     n_blocks = n // WINDOW_STRIDE
-
-    def blocks(a, op):
-        return op.reduce(a[:n_blocks * WINDOW_STRIDE].reshape(n_blocks, WINDOW_STRIDE), axis=1)
-
-    runs, _ = _longest_stable(blocks(mu, np.maximum), blocks(mu, np.minimum),
-                              blocks(c, np.maximum), blocks(c, np.minimum),
-                              blocks(bad, np.logical_or), eps_mu, eps_c_rel, 1, n_blocks)
-    found, starts = _longest_stable(mu, mu, c, c, bad, eps_mu, eps_c_rel,
+    blocks = values[:, :n_blocks * WINDOW_STRIDE].reshape(2, n_blocks, WINDOW_STRIDE)
+    runs, _ = _longest_stable(blocks.max(axis=2), blocks.min(axis=2),
+                              eps_mu, eps_c_rel, 1, n_blocks)
+    found, starts = _longest_stable(values, values, eps_mu, eps_c_rel,
                                     max(shortest, runs * WINDOW_STRIDE),
                                     min(n, (runs + 2) * WINDOW_STRIDE - 2))
     if starts is None:
@@ -272,71 +265,57 @@ def detect_stable_window(track: EstimateTrack, w_min: int = DEFAULT_W_MIN,
     return int(track.k_values[first]), int(track.k_values[first + found - 1])
 
 
-def _longest_stable(mu_hi, mu_lo, c_hi, c_lo, bad, eps_mu: float, eps_c_rel: float,
+def _longest_stable(hi: np.ndarray, lo: np.ndarray, eps_mu: float, eps_c_rel: float,
                     shortest: int, longest: int) -> tuple[int, Optional[np.ndarray]]:
-    """Longest stable run of entries, by binary search over its width.
+    """Longest stable run of entries, by doubling and then bisecting its width.
 
-    Entry i carries upper and lower bounds of mu_k and c_k (the values
-    themselves, or the extremes of a block) and whether it is ineligible.
-    Searches the widths from shortest to longest and returns the largest
-    with a stable run and, for every start, whether the run from there is
-    stable; (0, None) when not even the shortest width has one.
+    Column i of hi and lo holds upper and lower bounds of (mu_k, c_k) at
+    entry i (the values themselves, or the extremes of a block), NaN where
+    the entry is ineligible. Searches the widths from shortest to longest
+    and returns the largest with a stable run and, for every start, whether
+    the run from there is stable; (0, None) when not even the shortest
+    width has one.
 
-    The extremes over h = ceil(longest / 2) entries are built once: every
-    width from h to 2h takes one op per array from them, which serves all
-    widths of a narrow search (the fine one); narrower widths halve their
-    own way down.
+    The extremes over every run of `span` entries serve every width from
+    span to 2 span with one op per array, since the first and the last run
+    of `span` entries cover the width (after Bender and Farach-Colton's
+    sparse table). The span doubles as far as the shortest width allows
+    (span <= shortest < 2 span), then on while twice the span is still
+    stable, and the search bisects inside the last doubling.
     """
     if shortest > longest:
         return 0, None
-    n_bad = np.concatenate(([0], np.cumsum(bad)))
-    base = (longest + 1) // 2
-    arrays = ((mu_hi, np.maximum), (mu_lo, np.minimum), (c_hi, np.maximum), (c_lo, np.minimum))
-    halves = [_window_extreme(a, base, op) for a, op in arrays]
+    top, bot, span = hi, lo, 1
 
-    def extremes(width: int) -> list[np.ndarray]:
-        if width < base:
-            return [_window_extreme(a, width, op) for a, op in arrays]
-        n = mu_hi.size
-        return [op(m[:n - width + 1], m[width - base:n - base + 1])
-                for m, (_, op) in zip(halves, arrays)]
+    def extremes(width: int) -> tuple[np.ndarray, np.ndarray]:
+        shift = width - span
+        return (np.maximum(top[:, :top.shape[1] - shift], top[:, shift:]),
+                np.minimum(bot[:, :bot.shape[1] - shift], bot[:, shift:]))
 
-    def stable_starts(width: int) -> np.ndarray:
-        ok = n_bad[width:] == n_bad[:-width]
-        mu_max, mu_min, c_max, c_min = extremes(width)
+    def stable(wide_top: np.ndarray, wide_bot: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
-            ok &= ~(mu_max - mu_min > eps_mu)
-            ok &= ~(c_max / c_min > 1.0 + eps_c_rel)
-        return ok
+            return ((wide_top[0] - wide_bot[0] <= eps_mu)
+                    & (wide_top[1] / wide_bot[1] <= 1.0 + eps_c_rel))
 
-    starts = stable_starts(shortest)
+    while 2 * span <= shortest:
+        top, bot = extremes(2 * span)
+        span *= 2
+    starts = stable(*extremes(shortest))
     if not starts.any():
         return 0, None
     found, too_long = shortest, longest + 1
     while too_long - found > 1:
-        width = (found + too_long) // 2
-        candidate = stable_starts(width)
+        doubling = 2 * span < too_long
+        width = 2 * span if doubling else (found + too_long) // 2
+        wide = extremes(width)
+        candidate = stable(*wide)
         if candidate.any():
             found, starts = width, candidate
+            if doubling:
+                (top, bot), span = wide, width
         else:
             too_long = width
     return found, starts
-
-
-def _window_extreme(a: np.ndarray, width: int, op) -> np.ndarray:
-    """op (np.maximum or np.minimum) of `a` over every run of `width` entries.
-
-    A run of width w is covered by two runs of h = ceil(w/2) entries, the
-    first and the last, so the extremes over width w come from those over
-    width h by one elementwise op; log2(w) ops in all. Returns an array of
-    length a.size - width + 1.
-    """
-    if width == 1:
-        return a
-    n = a.size
-    half = (width + 1) // 2
-    m = _window_extreme(a, half, op)
-    return op(m[:n - width + 1], m[width - half:n - half + 1])
 
 
 def detect_noise_takeover(trace: IterationTrace) -> Optional[int]:
@@ -374,11 +353,10 @@ def detect_noise_takeover(trace: IterationTrace) -> Optional[int]:
     if not candidates.size:
         return None
     running_min = np.minimum.accumulate(lb[::-1])[::-1]
-    for start in candidates.tolist():
-        if (lb[start + TAKEOVER_PERSISTENCE] >= TAKEOVER_MIN_RISE * lb[start]
-                and running_min[start] >= lb[start] * (1.0 - 1e-12)):
-            return start + 1
-    return None
+    onset = lb[candidates]
+    onsets = candidates[(lb[candidates + TAKEOVER_PERSISTENCE] >= TAKEOVER_MIN_RISE * onset)
+                        & (running_min[candidates] >= onset * (1.0 - 1e-12))]
+    return int(onsets[0]) + 1 if onsets.size else None
 
 
 def _rolling_slopes(x: np.ndarray, y: np.ndarray, window: int) -> np.ndarray:

@@ -254,8 +254,7 @@ def diagonal_trace(sigmas: np.ndarray, data: np.ndarray, beta: float, max_iters:
         weights = np.stack((r0 * r0, (s * r0) ** 2))
         exact_sq, per_mode = None, False
         if x_true is not None:
-            # a mode whose data are exactly sigma x_true has error -x_true q^k
-            exact = data == s * x_true
+            exact = _exact_modes(s, data, x_true)
             exact_sq = np.where(exact, x_true * x_true, 0.0) if exact.any() else None
             per_mode = not exact.all()
             if per_mode:
@@ -319,6 +318,11 @@ def _slow_modes(sigmas: np.ndarray, q: np.ndarray, log_q: np.ndarray, data: np.n
     return slow
 
 
+def _exact_modes(sigmas: np.ndarray, data: np.ndarray, x_true: np.ndarray) -> np.ndarray:
+    """Modes whose data are sigma x_true bit for bit: their error is -x_true q^k."""
+    return data == sigmas * x_true
+
+
 def _slow_coefficients(sigmas: np.ndarray, log_q: np.ndarray, data: np.ndarray,
                        x_true: Optional[np.ndarray], max_iters: int) -> np.ndarray:
     """Coefficients of t^0..t^SLOW_DEGREE in the slow modes' R_k^2 and G_k^2,
@@ -333,7 +337,7 @@ def _slow_coefficients(sigmas: np.ndarray, log_q: np.ndarray, data: np.ndarray,
     r0_sq = data * data
     weights = [r0_sq, sigmas * sigmas * r0_sq]
     if x_true is not None:
-        exact = data == sigmas * x_true
+        exact = _exact_modes(sigmas, data, x_true)
         # u s, with the power of s that the c q^k and c^2 series start with
         us = np.where(exact, 0.0, data / sigmas - x_true) * scaled
         weights += [x_true * x_true, us * x_true, us * us]

@@ -249,6 +249,24 @@ def test_tikhonov_table_row_for_oversized_config(tmp_path):
     assert rows[2].startswith('power_law,,,,,"failed: sizes too large to allocate: ')
 
 
+def test_tikhonov_table_row_for_missing_matrix(tmp_path):
+    # a config whose matrix file is missing fails its own row, not the table
+    ok = tmp_path / "ok.cfg"
+    ok.write_text("problem.kind = deriv2\nproblem.n = 64\n")
+    write_vector(tmp_path / "y.txt", np.ones(8))
+    absent = tmp_path / "absent.cfg"
+    absent.write_text(f"problem.kind = external\nproblem.matrix_path = {tmp_path / 'absent.mtx'}\n"
+                      f"problem.y_path = {tmp_path / 'y.txt'}\n")
+    table = tmp_path / "t.csv"
+    assert main(["tikhonov-table", str(ok), str(absent), "--out", str(table)]) == EXIT_OK
+    with open(table, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 3
+    assert rows[1][0] == "deriv2(n=64)" and rows[1][4:] == ["no", ""]
+    assert rows[2][:5] == ["external", "", "", "", ""]
+    assert rows[2][5].startswith("failed: ") and "No such file" in rows[2][5]
+
+
 def test_tikhonov_table_quotes_cells_per_rfc4180(tmp_path):
     # the failure note holds a comma and a quote; both must read back intact
     write_matrix_market(tmp_path / "a.mtx", np.eye(2))

@@ -9,9 +9,9 @@ from klsmooth.estimator import (DEFAULT_EPS_C_REL, DEFAULT_EPS_MU, DEFAULT_W_MIN
                                 estimate_track, gamma_to_mu, mu_to_model,
                                 regress_prefix)
 from klsmooth.landweber import IterationTrace, LandweberConfig, landweber_run
-from klsmooth.problems import make_power_law
+from klsmooth.problems import add_noise, make_power_law
 
-from _oracles import brute_force_least_squares
+from _oracles import brute_force_least_squares, stable_window_oracle
 
 
 def mk_trace(R, G, errors=None):
@@ -227,6 +227,18 @@ def test_stable_window_c_criterion():
     win = detect_stable_window(track, w_min=50)
     assert win is not None
     assert win[1] <= 105
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.001])
+def test_stable_window_matches_deque_oracle_at_full_size(noise):
+    # criterion 09's n = 200 problem to K = 70,000: about 4,375 blocks of
+    # WINDOW_STRIDE entries, where the property tests' tracks reach 18
+    p = make_power_law(200, 2, 1)
+    data = add_noise(p, noise, 1).y_delta if noise else p.y_clean
+    track = estimate_track(landweber_run(p, data, LandweberConfig(max_iters=70_000)))
+    assert track.mu_k.size > 69_000
+    assert track.stable_window == stable_window_oracle(track, DEFAULT_W_MIN, DEFAULT_EPS_MU,
+                                                       DEFAULT_EPS_C_REL)
 
 
 @pytest.mark.parametrize("eps_mu, eps_c_rel", [(-1.0, 0.05), (0.05, -1.0), (np.nan, 0.05)])

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from klsmooth.estimator import (WINDOW_STRIDE, EstimateTrack, _window_extreme,
-                                detect_noise_takeover, detect_stable_window,
-                                estimate_track)
+from klsmooth.estimator import (WINDOW_STRIDE, EstimateTrack, detect_noise_takeover,
+                                detect_stable_window, estimate_track)
 from klsmooth.landweber import IterationTrace, trace_to_csv
 from klsmooth.problems import add_noise, make_power_law
 
@@ -124,18 +123,6 @@ def plateau_track(draw):
 def test_stable_window_matches_brute_force(track, w_min, eps_mu, eps_c):
     assert (detect_stable_window(track, w_min=w_min, eps_mu=eps_mu, eps_c_rel=eps_c)
             == brute_force_stable_window(track, w_min, eps_mu, eps_c))
-
-
-@settings(deadline=None, max_examples=100)
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=True, width=64),
-                min_size=1, max_size=200),
-       st.integers(min_value=1, max_value=200))
-def test_window_extreme_matches_sliding_window_view(values, width):
-    a = np.array(values)
-    width = min(width, a.size)
-    windows = np.lib.stride_tricks.sliding_window_view(a, width)
-    assert np.array_equal(_window_extreme(a, width, np.maximum), windows.max(axis=-1))
-    assert np.array_equal(_window_extreme(a, width, np.minimum), windows.min(axis=-1))
 
 
 @settings(deadline=None, max_examples=150)
