@@ -67,17 +67,22 @@ FIGURE_NAMES = tuple(FIGURES)
 
 TABLE_MISFIT_THRESHOLD = 0.1
 
-# The cost model of _decomposition, in nanoseconds, fitted to deriv2 timings
-# on 2 cores (Python 3.11, numpy 2.4.6 with OpenBLAS). The SVD of an m x n
-# operator takes SVD_NS_PER_CUBE m n min(m,n) + SVD_NS_PER_ENTRY m n (within
-# 20% from n = 32 to 2048); the closed form after it costs at most 2% of one
-# matvec pair per iteration up to n = 2048, and is left out. Without the SVD,
-# every step of power iteration, Landweber and CG is a pair of matvecs:
-# PAIR_NS + PAIR_NS_PER_ENTRY m n.
-SVD_NS_PER_CUBE = 0.29
-SVD_NS_PER_ENTRY = 200.0
-PAIR_NS = 20_000.0
-PAIR_NS_PER_ENTRY = 0.5
+# The cost model of _decomposition, in nanoseconds, fitted to one timing run
+# of deriv2 from n = 32 to 2048 on 2 cores with 2 BLAS threads (Python 3.11,
+# numpy 2.4.6 with OpenBLAS). The SVD of an m x n operator takes
+# SVD_NS_PER_CUBE m n min(m,n) + SVD_NS_PER_ENTRY m n (within 26%), and the
+# eigendecomposition svd() takes for a symmetric n x n one EIGH_NS_PER_CUBE
+# n^3 + EIGH_NS_PER_ENTRY n^2 (within 21%); the closed form after either
+# costs at most 2% of one matvec pair per iteration up to n = 2048, and is
+# left out. Without the decomposition, every step of power iteration,
+# Landweber and CG is a pair of matvecs: PAIR_NS + PAIR_NS_PER_ENTRY m n
+# (within 28% of a Landweber step).
+SVD_NS_PER_CUBE = 0.37
+SVD_NS_PER_ENTRY = 215.0
+EIGH_NS_PER_CUBE = 0.083
+EIGH_NS_PER_ENTRY = 108.0
+PAIR_NS = 24_000.0
+PAIR_NS_PER_ENTRY = 0.46
 # the pairs power iteration (6-16 on deriv2 and gravity) and one Tikhonov
 # CG solve (9-15 at the rate experiment's levels there) typically take
 NORM_PAIRS = 15
@@ -334,7 +339,8 @@ def _decomposition(op, max_iters: int, solves: int,
     This is the one place that decides. A diagonal operator always has its
     singular system. A dense one over SVD_SIZE_LIMIT never gets one. A run
     with the SVD check on (``checked``) always does: the summability test
-    needs it. Any other dense run gets it when the cost model says the SVD
+    needs it. Any other dense run gets it when the cost model says the
+    decomposition svd() will take (the eigensolver for a symmetric matrix)
     costs less than the loop: ``max_iters`` Landweber steps, power iteration
     for ||A|| and ``solves`` Tikhonov solves by CG.
     The note is what the SVD check reports for a run without the SVD.
@@ -346,8 +352,9 @@ def _decomposition(op, max_iters: int, solves: int,
             return None, f"skipped: operator exceeds the dense SVD limit {limit}"
         pairs = max_iters + NORM_PAIRS + solves * CG_PAIRS_PER_SOLVE
         loop_ns = pairs * (PAIR_NS + PAIR_NS_PER_ENTRY * m * n)
-        svd_ns = m * n * (SVD_NS_PER_CUBE * min(m, n) + SVD_NS_PER_ENTRY)
-        if not checked and svd_ns >= loop_ns:
+        cube, entry = ((EIGH_NS_PER_CUBE, EIGH_NS_PER_ENTRY) if op.symmetric
+                       else (SVD_NS_PER_CUBE, SVD_NS_PER_ENTRY))
+        if not checked and m * n * (cube * min(m, n) + entry) >= loop_ns:
             return None, ""
     return svd(op), ""
 
@@ -457,15 +464,16 @@ def run_figure_suite(name: str, out_dir) -> int:
 
 
 def _tikhonov_table(config_paths, out_path) -> None:
-    """One row per config: a config that fails fills its own row. When no
-    config's input files can be read, the first such failure ends the
-    command, as it does for ``estimate``.
+    """One row per config: a config that fails fills its own row, under its
+    path when it does not parse. When no config's input files can be read,
+    the first such failure ends the command, as it does for ``estimate``.
     """
     rows, unreadable = [], []
     for path in config_paths:
-        cfg = replace(load_config(path), validation_run_tikhonov=True)
-        label = cfg.problem_kind
+        label = str(path)
         try:
+            cfg = replace(load_config(path), validation_run_tikhonov=True)
+            label = cfg.problem_kind
             result = run_pipeline(cfg)
         except Exception as exc:
             rows.append((label, "", "", "", "", f"failed: {_classify(exc)[2]}"))

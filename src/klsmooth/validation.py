@@ -29,7 +29,9 @@ from .problems import ProblemSpec, add_noise
 RATIO_THRESHOLD = 1.05
 # Coefficients below this fraction of the largest are rounding noise and are
 # excluded from the decay-exponent fits; data whose coefficients all stay
-# below this fraction of ||y|| have no part on the retained singular vectors.
+# below this fraction of ||y|| have no part on the retained singular vectors,
+# and on a computed basis such coefficients are left out of the summability
+# test.
 COEFF_FLOOR = 1e-12
 FIT_R2_MIN = 0.99
 # max_mu_spectral bisects admissibility over this mu range to this width.
@@ -228,10 +230,14 @@ def verify_smoothness(sd: SpectralDecomposition, y: np.ndarray, mu_list) -> Smoo
     """
     coeffs = sd.coefficients(y)
     log_s = np.log(sd.sigmas)
-    nz = coeffs != 0.0
+    floor = COEFF_FLOOR * np.linalg.norm(y)
+    # a diagonal operator's coefficients are the data themselves; a computed
+    # basis leaves rounding of up to about eps ||y|| on every mode, and which
+    # rounding depends on the decomposition and the BLAS thread count
+    nz = coeffs != 0.0 if sd.u is None else np.abs(coeffs) > floor
     if sd.sigmas.size < 4:
         raise ValueError("spectral decomposition too small for the summability test")
-    if not np.abs(coeffs).max() > COEFF_FLOOR * np.linalg.norm(y):
+    if not np.abs(coeffs).max() > floor:
         raise ValueError("the data have no part on any retained singular vector")
     with np.errstate(divide="ignore"):
         log_c2 = np.where(nz, 2.0 * np.log(np.abs(np.where(nz, coeffs, 1.0))), -np.inf)

@@ -8,7 +8,7 @@ from collections import deque
 
 import numpy as np
 
-from klsmooth.operators import dense_operator
+from klsmooth.operators import SV_FLOOR, SpectralDecomposition, dense_operator
 from klsmooth.problems import ProblemSpec
 
 
@@ -66,6 +66,42 @@ def known_svd_problem(seed, m, n, rank, noise=0.0):
         data = y + noise * np.linalg.norm(y) * e / np.linalg.norm(e)
     return ProblemSpec(operator=dense_operator(a), y_clean=y, x_true=x_true,
                        label="known-svd"), data
+
+
+def general_svd(matrix):
+    """The singular system of a matrix by np.linalg.svd, whatever its
+    symmetry, truncated at SV_FLOOR sigma_1 as svd() truncates."""
+    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+    r = int((s >= SV_FLOOR * s[0]).sum())
+    return SpectralDecomposition(sigmas=s[:r], u=u[:, :r], v=vt[:r].T)
+
+
+def known_symmetric_problem(seed, n, rank, noise=0.0):
+    """A symmetric indefinite n x n problem A = Q diag(lam) Q* of the given
+    rank, symmetrized bit for bit, and its data.
+
+    |lam| follows known_svd_problem's sigmas (1, log-uniform in [0.01, 0.5],
+    0.01), each with a random sign, and lam = 0 past the rank. x_true has a
+    coefficient of size 0.5-1.5 and random sign on every eigenvector, its
+    null-space part included when rank < n. The data are A x_true plus, with
+    noise > 0, a random vector of that relative norm. Returns the
+    ProblemSpec and the data.
+    """
+    rng = np.random.default_rng(seed)
+    inner = np.sort(10.0 ** rng.uniform(-2, np.log10(0.5), rank - 2))[::-1]
+    lams = np.concatenate(([1.0], inner, [0.01], np.zeros(n - rank)))
+    lams *= rng.choice([-1.0, 1.0], n)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a = (q * lams) @ q.T
+    a = 0.5 * (a + a.T)   # a + a.T is symmetric entry by entry
+    x_true = q @ (rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.5, n))
+    y = a @ x_true
+    data = y
+    if noise > 0:
+        e = rng.standard_normal(n)
+        data = y + noise * np.linalg.norm(y) * e / np.linalg.norm(e)
+    return ProblemSpec(operator=dense_operator(a), y_clean=y, x_true=x_true,
+                       label="known-symmetric"), data
 
 
 def power_law_verif_terms(eta, beta, mu, n):

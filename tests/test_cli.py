@@ -267,6 +267,22 @@ def test_tikhonov_table_row_for_missing_matrix(tmp_path):
     assert rows[2][5].startswith("failed: ") and "No such file" in rows[2][5]
 
 
+def test_tikhonov_table_row_for_unparseable_config(tmp_path):
+    # a config whose value does not parse fails its own row, under its path
+    ok = tmp_path / "ok.cfg"
+    ok.write_text("problem.kind = deriv2\nproblem.n = 64\n")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("problem.kind = deriv2\nproblem.n = abc\n")
+    table = tmp_path / "t.csv"
+    assert main(["tikhonov-table", str(ok), str(bad), "--out", str(table)]) == EXIT_OK
+    with open(table, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 3
+    assert rows[1][0] == "deriv2(n=64)" and rows[1][4:] == ["no", ""]
+    assert rows[2] == [str(bad), "", "", "", "",
+                       "failed: problem.n: expected an integer, got 'abc'"]
+
+
 def test_tikhonov_table_quotes_cells_per_rfc4180(tmp_path):
     # the failure note holds a comma and a quote; both must read back intact
     write_matrix_market(tmp_path / "a.mtx", np.eye(2))
@@ -347,10 +363,13 @@ def _counting_svd(monkeypatch):
     return calls
 
 
-# deriv2 n=256 with the rate check, near the cost rule's boundary; w_min = 20
-# gives a K=100 run a stable window, so its rate check runs
+# deriv2 with the rate check; w_min = 20 gives a K=100 run a stable window,
+# so its rate check runs. At n = 512 a K=100 run with one seed sits near the
+# cost rule's boundary: its eigendecomposition is priced at 40 ms, the loop
+# and 10 CG solves at 34 ms
 DERIV2_256 = ("problem.kind = deriv2\nproblem.n = 256\nestimator.w_min = 20\n"
               "validation.run_tikhonov = true\n")
+DERIV2_512 = DERIV2_256.replace("problem.n = 256", "problem.n = 512")
 
 
 def test_report_names_the_paths_taken(monkeypatch):
@@ -358,7 +377,7 @@ def test_report_names_the_paths_taken(monkeypatch):
     calls = _counting_svd(monkeypatch)
     for iters, path, solver, svd_calls in ((100, "matvec", "cg", 0),
                                            (2000, "closed-form", "filter-factors", 1)):
-        cfg = parse_config_text(DERIV2_256 + f"landweber.max_iters = {iters}\n"
+        cfg = parse_config_text(DERIV2_512 + f"landweber.max_iters = {iters}\n"
                                              "validation.seeds = 0\n")
         report = run_pipeline(cfg)["report"]
         assert report["landweber"]["path"] == path
@@ -377,7 +396,7 @@ def test_tikhonov_solves_tip_the_rule_to_the_svd(monkeypatch):
     calls = _counting_svd(monkeypatch)
     for seeds, path, solver, svd_calls in (("0", "matvec", "cg", 0),
                                            ("0, 1, 2, 3, 4", "closed-form", "filter-factors", 1)):
-        cfg = parse_config_text(DERIV2_256 + "landweber.max_iters = 100\n"
+        cfg = parse_config_text(DERIV2_512 + "landweber.max_iters = 100\n"
                                              f"validation.seeds = {seeds}\n")
         report = run_pipeline(cfg)["report"]
         assert report["landweber"]["path"] == path
@@ -385,18 +404,36 @@ def test_tikhonov_solves_tip_the_rule_to_the_svd(monkeypatch):
         assert len(calls) == svd_calls
 
 
-# deriv2 timings on 2 cores, Landweber only: (n, K, the faster path)
+def _assert_rule_takes(monkeypatch, symmetric, n, iters, faster):
+    monkeypatch.setattr(cli, "svd", lambda op: "decomposition")
+    # a broadcast matrix: never applied, only tested for symmetry
+    row = np.zeros(n) if symmetric else np.arange(n, dtype=float)
+    op = operators.dense_operator(np.broadcast_to(row, (n, n)))
+    assert op.symmetric == symmetric
+    took_svd = cli._decomposition(op, iters, 0, checked=False)[0] is not None
+    assert took_svd == (faster == "svd")
+    # the SVD check always takes the SVD, up to the size limit
+    assert cli._decomposition(op, iters, 0, checked=True)[0] == "decomposition"
+
+
+# deriv2 timings on 2 cores, Landweber only: (n, K, the faster path), with
+# the SVD taken as for a general matrix
 @pytest.mark.parametrize("n, iters, faster", [
     (256, 100, "loop"), (256, 2000, "svd"), (1024, 500, "loop"),
     (1024, 2000, "svd"), (2048, 500, "loop"),
 ])
 def test_cost_rule_at_the_measured_crossovers(monkeypatch, n, iters, faster):
-    monkeypatch.setattr(cli, "svd", lambda op: "decomposition")
-    op = operators.LinearOperator(kind="dense", shape=(n, n))   # no matrix: never applied
-    took_svd = cli._decomposition(op, iters, 0, checked=False)[0] is not None
-    assert took_svd == (faster == "svd")
-    # the SVD check always takes the SVD, up to the size limit
-    assert cli._decomposition(op, iters, 0, checked=True)[0] == "decomposition"
+    _assert_rule_takes(monkeypatch, False, n, iters, faster)
+
+
+# the same, with the eigendecomposition svd() takes for a symmetric matrix
+@pytest.mark.parametrize("n, iters, faster", [
+    (256, 100, "loop"), (256, 2000, "svd"), (512, 500, "svd"), (1024, 500, "svd"),
+    (2048, 500, "loop"),
+])
+def test_cost_rule_prices_the_eigensolver_for_a_symmetric_operator(monkeypatch, n, iters,
+                                                                   faster):
+    _assert_rule_takes(monkeypatch, True, n, iters, faster)
 
 
 def test_operator_over_the_svd_limit_takes_the_loop_and_cg(tmp_path, monkeypatch):

@@ -6,13 +6,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from klsmooth.cli import build_problem, figure_config
 from klsmooth.landweber import (EARLY_STOP_REL, SLOW_DEGREE, SLOW_REACH, LandweberConfig,
-                                _slow_modes, diagonal_trace, landweber_run, matvec_trace,
-                                trace_to_csv)
+                                _slow_modes, _stop_floors, diagonal_trace, landweber_run,
+                                matvec_trace, trace_to_csv)
 from klsmooth.operators import (ConvergenceError, dense_operator, diagonal_operator,
                                 operator_norm, svd)
 from klsmooth.problems import ProblemSpec, add_noise, make_power_law
 
-from _oracles import diagonal_landweber_oracle, known_svd_problem
+from _oracles import (diagonal_landweber_oracle, known_svd_problem,
+                      known_symmetric_problem)
 
 
 def make_diag_problem(sigmas, x_true):
@@ -153,15 +154,27 @@ def test_trace_csv_with_estimates_and_upper():
     assert lines[1].split(",")[5] == ""  # k < k_min has no estimate
 
 
-def assert_traces_agree(closed, loop, rel=1e-10, rounding=(0.0, 0.0, 0.0)):
+def assert_traces_agree(closed, loop, rel=1e-10, rounding=(0.0, 0.0, 0.0), floors=None):
     """Equal lengths, and each column within rel of the loop's value plus
-    that column's absolute rounding allowance."""
-    assert len(closed[0]) == len(loop[0])
+    that column's absolute rounding allowance.
+
+    Given the stop floors of R and G, one path may run one row past the
+    other's stop at a tie: the paths round differently, so an R_k or G_k
+    within rounding of its floor can stop one and not the other. Then the
+    longer path's R or G at the shorter one's last row lies within rel and
+    the allowance of its floor, and the columns agree up to that row.
+    """
+    rows = min(len(closed[0]), len(loop[0]))
+    if len(closed[0]) != len(loop[0]):
+        assert floors is not None and max(len(closed[0]), len(loop[0])) == rows + 1
+        longer = closed if len(closed[0]) > rows else loop
+        assert any(col[rows - 1] <= (1.0 + rel) * floor + atol
+                   for col, floor, atol in zip(longer, floors, rounding))
     for a, b, atol in zip(closed, loop, rounding):
         if b is None:
             assert a is None
             continue
-        assert np.all(np.abs(a - b) <= rel * np.abs(b) + atol)
+        assert np.all(np.abs(a[:rows] - b[:rows]) <= rel * np.abs(b[:rows]) + atol)
 
 
 @st.composite
@@ -214,9 +227,18 @@ def mixed_speed_case():
     return diagonal_operator(sigmas), data, 1.0, 2500, x_true
 
 
+def tie_case():
+    """q = 1 - beta = -0.1, so R_13 = 0.1^13 |data| is EARLY_STOP_REL ||data||
+    in exact arithmetic: the loop's R_13 rounds below the floor and stops
+    it, the closed form's R_13 lies just above and runs on to K = 14."""
+    data = np.array([0.76978671])
+    return diagonal_operator([1.0]), data, 1.1, 14, data
+
+
 @settings(deadline=None, max_examples=60)
 @given(diagonal_case(), st.booleans())
 @example(case=mixed_speed_case(), with_error=True)
+@example(case=tie_case(), with_error=False)
 def test_closed_form_matches_matvec_loop(case, with_error):
     op, data, beta, iters, x_true = case
     # on a converged mode the loop's residual is rounding, about eps |data_i|,
@@ -230,7 +252,8 @@ def test_closed_form_matches_matvec_loop(case, with_error):
         x_true = None
     closed = diagonal_trace(op.sigmas, data, beta, iters, x_true)
     loop = matvec_trace(op, data, beta, iters, x_true)
-    assert_traces_agree(closed, loop, rounding=rounding)
+    assert_traces_agree(closed, loop, rounding=rounding,
+                        floors=_stop_floors(np.linalg.norm(data), beta))
 
 
 @pytest.mark.parametrize("sigmas, beta", [([1.0, 0.5], 1.0),
@@ -385,6 +408,47 @@ def test_dense_closed_form_matches_matvec_loop(m, n, rank_drop, seed, noise, bet
     assert (closed.path, loop.path) == ("closed-form", "matvec")
     assert_traces_agree((closed.residuals, closed.gradient_norms, closed.errors),
                         (loop.residuals, loop.gradient_norms, loop.errors))
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(2, 120), rank_drop=st.integers(0, 30), seed=st.integers(0, 2**31 - 1),
+       noise=st.sampled_from([0.0, 1e-3, 0.05]), beta=st.floats(0.05, 1.95),
+       iters=st.integers(1, 3000))
+# rank-deficient and noisy, K = 2 * 1092 + 17 rows of 1092 (2^16 // 60)
+@example(n=70, rank_drop=10, seed=3, noise=0.05, beta=1.0, iters=2201)
+def test_symmetric_decomposition_matches_slow_paths(n, rank_drop, seed, noise, beta, iters):
+    """svd() of a symmetric indefinite matrix, by the eigensolver, against
+    the definition of a singular system, np.linalg.svd, and the matvec loop.
+
+    The spectrum is known_svd_problem's, so no mode converges within the
+    run (see test_dense_closed_form_matches_matvec_loop); the zero
+    eigenvalues of a rank-deficient A fall below SV_FLOOR and are dropped.
+
+    G_k can be small against R_k, where data's parts on the slow modes are
+    small and its part outside range(A) is not. The loop's A* r_k carries
+    rounding of about eps ||A|| ||r_k||, with ||A|| = 1 and ||r_k|| <=
+    ||data||, so G has the allowance test_closed_form_matches_matvec_loop
+    gives it.
+    """
+    rank = max(2, n - rank_drop)
+    p, data = known_symmetric_problem(seed, n, rank, noise)
+    a = p.operator.matrix
+    assert p.operator.symmetric
+    sd = svd(p.operator)
+    s = sd.sigmas
+    assert s.size == rank and np.all(np.diff(s) <= 0.0)
+    tol = 1e-12 * s[0]
+    assert np.abs(a @ sd.v - sd.u * s).max() <= tol
+    for basis in (sd.u, sd.v):
+        assert np.abs(basis.T @ basis - np.eye(rank)).max() <= 1e-12
+    assert np.abs(s - np.linalg.svd(a, compute_uv=False)[:rank]).max() <= tol
+    cfg = LandweberConfig(step_beta=beta, max_iters=iters)
+    closed = landweber_run(p, data, cfg, sd)
+    loop = landweber_run(p, data, cfg)
+    assert (closed.path, loop.path) == ("closed-form", "matvec")
+    rounding = (0.0, 64 * np.finfo(float).eps * np.linalg.norm(data), 0.0)
+    assert_traces_agree((closed.residuals, closed.gradient_norms, closed.errors),
+                        (loop.residuals, loop.gradient_norms, loop.errors), rounding=rounding)
 
 
 def test_decomposition_supplies_the_norm_power_iteration_misses():

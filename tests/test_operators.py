@@ -146,6 +146,33 @@ def test_svd_reconstruction_and_singular_system():
     assert np.linalg.norm(a - u @ (u.T @ a)) <= 1e-8 * sd.sigmas[0]
 
 
+def test_svd_takes_the_eigensolver_only_for_a_symmetric_matrix(monkeypatch):
+    # a matrix one ulp from symmetric takes the SVD; a LinAlgError of either
+    # becomes a ConvergenceError
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    a = kernel_operator(deriv2_kernel, 16).matrix
+    sd = svd(dense_operator(a))
+    assert calls == [(16, 16)]
+    assert np.abs(a @ sd.v - sd.u * sd.sigmas).max() <= 1e-14 * sd.sigmas[0]
+    nudged = a.copy()
+    nudged[0, 1] = np.nextafter(nudged[0, 1], np.inf)
+    op = dense_operator(nudged)
+    assert not op.symmetric
+    svd(op)
+    assert calls == [(16, 16)]
+
+    def failing(a):
+        raise np.linalg.LinAlgError("planted")
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(ConvergenceError, match="planted"):
+        svd(dense_operator(a))
+
+
 def test_svd_truncation_floor():
     op = dense_operator(np.diag([1.0, 1e-3, 1e-16]))
     sd = svd(op)

@@ -6,12 +6,13 @@ import klsmooth as ks
 from klsmooth import validation
 from klsmooth.estimator import mu_to_model
 from klsmooth.landweber import IterationTrace, LandweberConfig, landweber_run
-from klsmooth.operators import dense_operator, diagonal_operator, svd
+from klsmooth.operators import SpectralDecomposition, dense_operator, diagonal_operator, svd
 from klsmooth.problems import make_gravity, make_power_law
-from klsmooth.validation import (apriori_alpha, bound_curves, max_mu_spectral,
-                                 rate_experiment, tikhonov_solve, verify_smoothness)
+from klsmooth.validation import (BISECT_TOL, COEFF_FLOOR, apriori_alpha, bound_curves,
+                                 max_mu_spectral, rate_experiment, tikhonov_solve,
+                                 verify_smoothness)
 
-from _oracles import known_svd_problem
+from _oracles import general_svd, known_svd_problem
 
 
 def test_tikhonov_scalar():
@@ -184,10 +185,29 @@ def test_max_mu_spectral_power_law_fit_path():
     assert mu1 == pytest.approx(0.1, abs=0.05)
 
 
-def test_max_mu_spectral_gravity_absent():
+def test_max_mu_spectral_gravity_same_under_both_decompositions():
+    # gravity is symmetric, so svd() takes the eigensolver. Its data reach
+    # 27 of the 49 retained modes beyond COEFF_FLOOR ||y||; further down the
+    # coefficients fall to rounding, 1e-18 to 2e-16 ||y||, which differs
+    # between decompositions and BLAS thread counts. The summability test
+    # skips all of them, so both decompositions give one verdict
     p = make_gravity(256)
-    sd = svd(p.operator)
-    assert max_mu_spectral(sd, p.y_clean) is None
+    for sd in (svd(p.operator), general_svd(p.operator.matrix)):
+        assert max_mu_spectral(sd, p.y_clean) == pytest.approx(0.228, abs=BISECT_TOL)
+
+
+def test_summability_skips_rounding_on_a_computed_basis_only():
+    # the same data, as exact diagonal data and as coefficients on a
+    # computed basis: a tail of rounding's size, 1e-16 ||y||, on sigmas of
+    # 1e-13 makes mu = 0.1 inadmissible when it counts
+    sigmas = np.concatenate((1.0 / np.arange(1.0, 41.0) ** 2, np.full(8, 1e-13)))
+    y = np.concatenate((sigmas[:40] ** 2, np.full(8, 1e-16)))
+    assert 1e-16 < COEFF_FLOOR * np.linalg.norm(y)
+    basis = np.eye(sigmas.size)
+    diagonal = verify_smoothness(SpectralDecomposition(sigmas), y, [0.1])
+    computed = verify_smoothness(SpectralDecomposition(sigmas, u=basis, v=basis), y, [0.1])
+    assert diagonal.admissible == [False]
+    assert computed.admissible == [True]
 
 
 def test_max_mu_spectral_deriv2_bisection_path():
