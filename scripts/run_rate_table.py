@@ -13,7 +13,7 @@ stable but fails the spectral summability test.
 import sys
 from pathlib import Path
 
-from klsmooth.cli import run_tikhonov_table
+from klsmooth import cli
 
 CONFIGS = {
     "diag2.cfg": ("problem.kind = power_law\nproblem.n = 10000\n"
@@ -32,7 +32,7 @@ def main() -> int:
         path.write_text(body + "landweber.max_iters = 2000\n")
         paths.append(str(path))
     table_path = out_dir / "tikhonov_table.csv"
-    status = run_tikhonov_table(paths, table_path)
+    status = cli.main(["tikhonov-table", *paths, "--out", str(table_path)])
     if status == 0:
         print(table_path.read_text().strip())
     return status

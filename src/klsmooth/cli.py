@@ -1,4 +1,4 @@
-"""Experiment runner: config parsing, the full pipeline, and canned suites.
+"""Experiment runner: config parsing, the full pipeline, and canned experiments.
 
 Configs are flat ``key = value`` text with dotted section prefixes::
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import estimator, operators, problems, validation
 from .estimator import estimate_track, detect_discretization_saturation, mu_to_model
-from .landweber import LandweberConfig, columns_to_csv, landweber_run, write_trace_csv
+from .landweber import LandweberConfig, landweber_run, write_trace_csv
 from .operators import ConvergenceError, SpectralDecomposition, svd
 from .problems import ProblemSpec, add_noise
 from .validation import (DEFAULT_LEVELS, DEFAULT_MU_GRID, max_mu_spectral,
@@ -261,14 +261,12 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     check, if on, reports the failure.
     """
     p = build_problem(cfg)
+    levels = cfg.validation_levels or DEFAULT_LEVELS
     solves = 0
     if cfg.validation_run_tikhonov and p.x_true is not None:
-        solves = len(cfg.validation_levels or DEFAULT_LEVELS) * len(cfg.validation_seeds)
-    try:
-        sd, svd_note = _decomposition(p.operator, cfg.landweber_max_iters, solves,
-                                      checked=cfg.validation_run_svd_check)
-    except ConvergenceError as exc:
-        sd, svd_note = None, f"failed: {exc}"
+        solves = len(levels) * len(cfg.validation_seeds)
+    sd, svd_note = _decomposition(p.operator, cfg.landweber_max_iters, solves,
+                                  checked=cfg.validation_run_svd_check)
     noisy = None
     data = p.y_clean
     if cfg.noise_rel_level > 0:
@@ -279,51 +277,51 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     trace = landweber_run(p, data, lw_cfg, sd)
     track = estimate_track(trace, k_min=cfg.estimator_k_min, w_min=cfg.estimator_w_min,
                            eps_mu=cfg.estimator_eps_mu, eps_c_rel=cfg.estimator_eps_c_rel)
-    saturation_k = detect_discretization_saturation(trace)
 
     upper = None
     if p.source_w is not None and p.mu_exact is not None and p.mu_exact > 0:
         model = mu_to_model(p.mu_exact, 1.0)
         _, upper = bound_curves(trace, model, w_norm=float(np.linalg.norm(p.source_w)))
 
-    report = {
-        "problem": {"label": p.label, "params": p.params,
-                    "mu_exact": p.mu_exact},
-        "noise": None if noisy is None else {"rel_level": noisy.rel_level,
-                                             "delta_abs": noisy.delta_abs,
-                                             "seed": noisy.seed},
-        "landweber": {"step_beta": trace.step_beta, "iterations": len(trace),
-                      "path": trace.path},
-        "estimate": {
+    report = _report(
+        p, cfg,
+        noise=None if noisy is None else {"rel_level": noisy.rel_level,
+                                          "delta_abs": noisy.delta_abs,
+                                          "seed": noisy.seed},
+        landweber={"step_beta": trace.step_beta, "iterations": len(trace),
+                   "path": trace.path},
+        estimate={
             "mu_hat": track.mu_hat,
             "c_hat": track.c_hat,
             "window": None if track.stable_window is None else list(track.stable_window),
             "verdict": track.verdict,
             "noise_takeover_k": track.noise_takeover_k,
-            "saturation_k": saturation_k,
+            "saturation_k": detect_discretization_saturation(trace),
             "skipped_k": list(track.skipped_k),
-        },
-        "config": cfg.effective_dict(),
-    }
+        })
 
     if cfg.validation_run_tikhonov:
-        report["tikhonov_rate"] = _tikhonov_section(p, track, cfg, sd)
+        report["tikhonov_rate"] = _tikhonov_section(p, track, levels, cfg.validation_seeds, sd)
     if cfg.validation_run_svd_check:
         report["svd_check"] = _svd_section(p, sd, svd_note)
 
-    return {"problem": p, "trace": trace, "track": track, "upper": upper,
-            "saturation_k": saturation_k, "report": report}
+    return {"trace": trace, "track": track, "upper": upper, "report": report}
 
 
-def _tikhonov_section(p: ProblemSpec, track, cfg: ExperimentConfig,
+def _report(p: ProblemSpec, cfg: ExperimentConfig, **sections) -> dict:
+    """A report: the problem, the given sections, and the config echo."""
+    return {"problem": {"label": p.label, "params": p.params, "mu_exact": p.mu_exact},
+            **sections, "config": cfg.effective_dict()}
+
+
+def _tikhonov_section(p: ProblemSpec, track, levels, seeds,
                       sd: Optional[SpectralDecomposition]) -> dict:
     if p.x_true is None:
         return {"note": "skipped: exact solution unknown"}
     if track.mu_hat is None or track.mu_hat <= 0:
         return {"note": "skipped: no stable-window estimate to test"}
-    levels = cfg.validation_levels or DEFAULT_LEVELS
     try:
-        res = rate_experiment(p, track.mu_hat, levels, cfg.validation_seeds, sd)
+        res = rate_experiment(p, track.mu_hat, levels, seeds, sd)
     except ConvergenceError as exc:
         return {"note": f"failed: {exc}"}
     # vars, not asdict: asdict's list copies raised crosscheck's peak RSS by up to 8 MiB
@@ -343,7 +341,8 @@ def _decomposition(op, max_iters: int, solves: int,
     decomposition svd() will take (the eigensolver for a symmetric matrix)
     costs less than the loop: ``max_iters`` Landweber steps, power iteration
     for ||A|| and ``solves`` Tikhonov solves by CG.
-    The note is what the SVD check reports for a run without the SVD.
+    The note is what the SVD check reports for a run without the SVD,
+    including one whose SVD does not converge.
     """
     if op.kind == "dense":
         limit = operators.SVD_SIZE_LIMIT
@@ -356,7 +355,10 @@ def _decomposition(op, max_iters: int, solves: int,
                        else (SVD_NS_PER_CUBE, SVD_NS_PER_ENTRY))
         if not checked and m * n * (cube * min(m, n) + entry) >= loop_ns:
             return None, ""
-    return svd(op), ""
+    try:
+        return svd(op), ""
+    except ConvergenceError as exc:
+        return None, f"failed: {exc}"
 
 
 def _svd_section(p: ProblemSpec, sd: Optional[SpectralDecomposition], note: str) -> dict:
@@ -414,26 +416,8 @@ def _classify(exc: Exception) -> tuple[int, str, str]:
     raise exc
 
 
-def run_guarded(command: Callable[[], object]) -> int:
-    """Run one command; map its failure to an exit status and a message."""
-    try:
-        command()
-    except Exception as exc:
-        status, kind, detail = _classify(exc)
-        print(f"{kind}: {detail}", file=sys.stderr)
-        return status
-    return EXIT_OK
-
-
-def _estimate(cfg: ExperimentConfig) -> dict:
-    result = run_pipeline(cfg)
-    _write_outputs(result, cfg)
-    return result
-
-
-def run_estimate(cfg: ExperimentConfig) -> int:
-    """Execute one configured run; returns a process exit status."""
-    return run_guarded(lambda: _estimate(cfg))
+def _estimate(cfg: ExperimentConfig) -> None:
+    _write_outputs(run_pipeline(cfg), cfg)
 
 
 def figure_config(name: str) -> ExperimentConfig:
@@ -443,28 +427,19 @@ def figure_config(name: str) -> ExperimentConfig:
     return replace(ExperimentConfig(), **FIGURES[name])
 
 
-def _figure_suite(name: str, out_dir) -> None:
-    cfg = figure_config(name)
+def _figure_config_in(name: str, out_dir) -> ExperimentConfig:
+    """figure_config(name), writing <name>_trace.csv and <name>_report.json in out_dir."""
     out = Path(out_dir)
+    cfg = replace(figure_config(name), output_trace_path=str(out / f"{name}_trace.csv"),
+                  output_report_path=str(out / f"{name}_report.json"))
     out.mkdir(parents=True, exist_ok=True)
-    cfg.output_trace_path = str(out / f"{name}_trace.csv")
-    cfg.output_report_path = str(out / f"{name}_report.json")
-    result = _estimate(cfg)
-    trace, track = result["trace"], result["track"]
-    (out / f"{name}_estimates.csv").write_text(columns_to_csv(
-        ("k", "mu_k", "c_k"), (track.k_values, track.mu_k, track.c_k)))
-    (out / f"{name}_bounds.csv").write_text(columns_to_csv(
-        ("residual", "error", "lower_bound", "upper_bound"),
-        (trace.residuals, trace.errors, trace.lower_bounds, result["upper"])))
-
-
-def run_figure_suite(name: str, out_dir) -> int:
-    """Run one named experiment and also write its two plot-ready CSV series."""
-    return run_guarded(lambda: _figure_suite(name, out_dir))
+    return cfg
 
 
 def _tikhonov_table(config_paths, out_path) -> None:
-    """One row per config: a config that fails fills its own row, under its
+    """Predicted vs. observed convergence-rate table over several problems.
+
+    One row per config: a config that fails fills its own row, under its
     path when it does not parse. When no config's input files can be read,
     the first such failure ends the command, as it does for ``estimate``.
     """
@@ -474,14 +449,14 @@ def _tikhonov_table(config_paths, out_path) -> None:
         try:
             cfg = replace(load_config(path), validation_run_tikhonov=True)
             label = cfg.problem_kind
-            result = run_pipeline(cfg)
+            report = run_pipeline(cfg)["report"]
         except Exception as exc:
             rows.append((label, "", "", "", "", f"failed: {_classify(exc)[2]}"))
             if isinstance(exc, OSError):
                 unreadable.append(exc)
             continue
-        label = result["problem"].label
-        rate = result["report"]["tikhonov_rate"]
+        label = report["problem"]["label"]
+        rate = report["tikhonov_rate"]
         if "note" in rate:
             # a row that tested nothing failed, whatever the section calls it
             rows.append((label, "", "", "", "", "failed: " + rate["note"].partition(": ")[2]))
@@ -498,19 +473,11 @@ def _tikhonov_table(config_paths, out_path) -> None:
         writer.writerows(rows)
 
 
-def run_tikhonov_table(config_paths, out_path) -> int:
-    """Predicted vs. observed convergence-rate table over several problems."""
-    return run_guarded(lambda: _tikhonov_table(config_paths, out_path))
-
-
 def _svd_check(cfg: ExperimentConfig) -> None:
     """Spectral summability check only; writes the report."""
     p = build_problem(cfg)
-    _write_report(cfg.output_report_path,
-                  {"problem": {"label": p.label, "params": p.params},
-                   "svd_check": _svd_section(p, *_decomposition(
-                       p.operator, cfg.landweber_max_iters, 0, checked=True)),
-                   "config": cfg.effective_dict()})
+    sd, note = _decomposition(p.operator, cfg.landweber_max_iters, 0, checked=True)
+    _write_report(cfg.output_report_path, _report(p, cfg, svd_check=_svd_section(p, sd, note)))
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -525,6 +492,10 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit status, printing any failure's message.
+
+    This is the one runner: the scripts and the benchmark call it too.
+    """
     parser = argparse.ArgumentParser(
         prog="klsmooth",
         description="Estimate the source-condition smoothness exponent of a "
@@ -549,11 +520,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     commands = {
         "estimate": lambda: _estimate(_apply_overrides(load_config(args.config), args)),
-        "figures": lambda: _figure_suite(args.name, args.out_dir),
+        "figures": lambda: _estimate(_figure_config_in(args.name, args.out_dir)),
         "tikhonov-table": lambda: _tikhonov_table(args.configs, args.out),
         "svd-check": lambda: _svd_check(_apply_overrides(load_config(args.config), args)),
     }
-    return run_guarded(commands[args.command])
+    try:
+        commands[args.command]()
+    except Exception as exc:
+        status, kind, detail = _classify(exc)
+        print(f"{kind}: {detail}", file=sys.stderr)
+        return status
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -386,55 +386,43 @@ def _powers(q: np.ndarray, log_q: np.ndarray, nonpos: np.ndarray, k,
     return q_k, comp
 
 
-def columns_to_csv(header: Sequence[str],
-                   columns: Sequence[Optional[np.ndarray]]) -> str:
-    """CSV text of equally long columns, one value per row.
+def trace_to_csv(trace: IterationTrace,
+                 mu_k: Optional[np.ndarray] = None,
+                 c_k: Optional[np.ndarray] = None,
+                 k_values: Optional[np.ndarray] = None,
+                 upper_bounds: Optional[np.ndarray] = None) -> str:
+    """Render the trace as CSV, one row per iteration.
 
-    Float columns are written at 17 significant digits, so they read back
-    bit-exactly; non-finite cells stay empty, as does every cell of a None
-    column. Other columns (integer counters) are written as they print.
+    Values are written at 17 significant digits, so they read back
+    bit-exactly; non-finite cells stay empty, as does every cell of a column
+    that is not given. The estimator's columns mu_k, c_k belong to the
+    iterations k_values and start at k_min, so their earlier cells are empty.
+    An upper-bound column is appended when bound curves were computed.
     """
-    n_rows = max(len(c) for c in columns if c is not None)
-    cells = []
+    n = len(trace)
+    mu_col = c_col = None
+    if mu_k is not None:
+        mu_col = _by_iteration(n, k_values, mu_k)
+        if c_k is not None:
+            c_col = _by_iteration(n, k_values, c_k)
+    header = ["k", "residual", "gradient_norm", "lower_bound", "error", "mu_k", "c_k"]
+    columns = [trace.residuals, trace.gradient_norms, trace.lower_bounds, trace.errors,
+               mu_col, c_col]
+    if upper_bounds is not None:
+        header.append("upper_bound")
+        columns.append(upper_bounds)
+    cells = [[str(k) for k in trace.k_values.tolist()]]
     for col in columns:
         if col is None:
-            cells.append(("",) * n_rows)
+            cells.append(("",) * n)
             continue
-        col = np.asarray(col)
-        if col.dtype.kind != "f":
-            cells.append([str(x) for x in col.tolist()])
-            continue
+        col = np.asarray(col, dtype=float)
         text = [f"{x:.17g}" for x in col.tolist()]
         for i in np.flatnonzero(~np.isfinite(col)).tolist():
             text[i] = ""
         cells.append(text)
     rows = map(",".join, zip(*cells))
     return ",".join(header) + "\n" + "".join(row + "\n" for row in rows)
-
-
-def trace_to_csv(trace: IterationTrace,
-                 mu_k: Optional[np.ndarray] = None,
-                 c_k: Optional[np.ndarray] = None,
-                 k_values: Optional[np.ndarray] = None,
-                 upper_bounds: Optional[np.ndarray] = None) -> str:
-    """Render the trace as CSV at 17 significant digits.
-
-    The estimator's columns mu_k, c_k belong to the iterations k_values and
-    start at k_min, so undefined cells are left empty. An upper-bound
-    column is appended when bound curves were computed.
-    """
-    mu_col = c_col = None
-    if mu_k is not None:
-        mu_col = _by_iteration(len(trace), k_values, mu_k)
-        if c_k is not None:
-            c_col = _by_iteration(len(trace), k_values, c_k)
-    header = ["k", "residual", "gradient_norm", "lower_bound", "error", "mu_k", "c_k"]
-    columns = [trace.k_values, trace.residuals, trace.gradient_norms,
-               trace.lower_bounds, trace.errors, mu_col, c_col]
-    if upper_bounds is not None:
-        header.append("upper_bound")
-        columns.append(upper_bounds)
-    return columns_to_csv(header, columns)
 
 
 def _by_iteration(n: int, k_values: np.ndarray, values: np.ndarray) -> np.ndarray:

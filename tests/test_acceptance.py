@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import klsmooth as ks
-from klsmooth.cli import EXIT_OK, load_config, run_estimate
+from klsmooth.cli import EXIT_OK, main
 from klsmooth.estimator import (detect_discretization_saturation, estimate_track,
                                 mu_to_model, regress_prefix)
 from klsmooth.landweber import LandweberConfig, landweber_run
@@ -263,7 +263,7 @@ def test_criterion_10_external_pipeline(tmp_path):
                 f"output.report_path = {tmp_path / 'report.json'}\n")
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(cfg_text)
-    assert run_estimate(load_config(cfg_path)) == EXIT_OK
+    assert main(["estimate", str(cfg_path)]) == EXIT_OK
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["landweber"]["iterations"] == 800
     assert "svd_check" in report and "tikhonov_rate" in report

@@ -11,8 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from klsmooth.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                           ConfigError, ExperimentConfig, figure_config,
-                          load_config, main, parse_config_text, run_estimate,
-                          run_figure_suite, run_pipeline, run_tikhonov_table)
+                          main, parse_config_text, run_pipeline)
 from klsmooth import cli, operators
 from klsmooth.operators import write_matrix_market, write_vector
 from klsmooth.problems import make_gravity
@@ -33,6 +32,21 @@ def write_cfg(tmp_path, text, name="run.cfg", **outputs):
     path = tmp_path / name
     path.write_text(body)
     return path, trace, report
+
+
+def config_text(echo):
+    """A report's config echo as config text, as a user would write it: None
+    and empty lists left out, lists joined by the repr of their items."""
+    lines = []
+    for key, value in echo.items():
+        if value is None or value == []:
+            continue
+        if isinstance(value, bool):
+            value = str(value).lower()
+        elif isinstance(value, list):
+            value = ", ".join(map(repr, value))
+        lines.append(f"{key} = {value}\n")
+    return "".join(lines)
 
 
 def test_parse_defaults():
@@ -93,7 +107,7 @@ def test_effective_dict_covers_every_key():
 
 def test_run_estimate_end_to_end(tmp_path):
     path, trace_path, report_path = write_cfg(tmp_path, SMALL_DIAG)
-    assert run_estimate(load_config(path)) == EXIT_OK
+    assert main(["estimate", str(path)]) == EXIT_OK
     assert trace_path.exists() and report_path.exists()
     report = json.loads(report_path.read_text())
     assert set(report["estimate"]) >= {"mu_hat", "c_hat", "window", "verdict",
@@ -112,14 +126,42 @@ def test_run_estimate_deterministic(tmp_path):
                                        trace="t1.csv", report="r1.json")
     path2, trace2, report2 = write_cfg(tmp_path, text, name="b.cfg",
                                        trace="t2.csv", report="r2.json")
-    assert run_estimate(load_config(path1)) == EXIT_OK
-    assert run_estimate(load_config(path2)) == EXIT_OK
+    assert main(["estimate", str(path1)]) == EXIT_OK
+    assert main(["estimate", str(path2)]) == EXIT_OK
     assert trace1.read_bytes() == trace2.read_bytes()
     r1 = json.loads(report1.read_text())
     r2 = json.loads(report2.read_text())
     del r1["config"]["output.trace_path"], r2["config"]["output.trace_path"]
     del r1["config"]["output.report_path"], r2["config"]["output.report_path"]
     assert r1 == r2
+
+
+@pytest.mark.parametrize("text", [
+    SMALL_DIAG,
+    # the rate check on with the default levels: an empty list in the echo
+    SMALL_DIAG + "validation.run_tikhonov = true\nvalidation.run_svd_check = yes\n",
+    SMALL_DIAG + "validation.levels = 0.1, 0.03\nvalidation.seeds = 7\n"
+                 "landweber.step_beta = 0.5\nnoise.rel_level = 0.001\n",
+], ids=["defaults", "default-levels", "lists-set"])
+def test_config_echo_parses_back(tmp_path, text):
+    path, _, report_path = write_cfg(tmp_path, text)
+    assert main(["estimate", str(path)]) == EXIT_OK
+    echo = json.loads(report_path.read_text())["config"]
+    assert parse_config_text(config_text(echo)) == parse_config_text(path.read_text())
+
+
+def test_estimate_and_svd_check_share_the_problem_section(tmp_path):
+    text = SMALL_DIAG + "validation.run_svd_check = true\n"
+    path, _, report_path = write_cfg(tmp_path, text)
+    reports = []
+    for command in ("estimate", "svd-check"):
+        assert main([command, str(path)]) == EXIT_OK
+        reports.append(json.loads(report_path.read_text()))
+    estimated, checked = reports
+    assert set(checked) == {"problem", "svd_check", "config"}
+    assert estimated["problem"]["mu_exact"] == pytest.approx(0.375)
+    for key in checked:
+        assert checked[key] == estimated[key]
 
 
 @pytest.mark.parametrize("text, flags", [
@@ -191,11 +233,10 @@ def test_close_top_singular_values_take_the_norm_from_the_svd(tmp_path):
     assert landweber["step_beta"] == pytest.approx(1.0 / sigma_1 ** 2, rel=1e-12)
 
 
-def test_io_failure_exit_code(tmp_path):
-    path, _, _ = write_cfg(tmp_path, SMALL_DIAG)
-    cfg = load_config(path)
-    cfg.output_trace_path = str(tmp_path / "missing_dir" / "trace.csv")
-    assert run_estimate(cfg) == EXIT_IO
+def test_io_failure_exit_code(tmp_path, capsys):
+    path, _, _ = write_cfg(tmp_path, SMALL_DIAG, trace="missing_dir/trace.csv")
+    assert main(["estimate", str(path)]) == EXIT_IO
+    assert "i/o failure:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["estimate", "svd-check", "tikhonov-table"])
@@ -291,7 +332,7 @@ def test_tikhonov_table_quotes_cells_per_rfc4180(tmp_path):
     cfg.write_text(f"problem.kind = external\nproblem.matrix_path = {tmp_path / 'a.mtx'}\n"
                    f"problem.y_path = {tmp_path / 'y.txt'}\n")
     table = tmp_path / "t.csv"
-    assert run_tikhonov_table([str(cfg)], table) == EXIT_OK
+    assert main(["tikhonov-table", str(cfg), "--out", str(table)]) == EXIT_OK
     with open(table, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[1] == ["external", "", "", "", "",
@@ -455,16 +496,19 @@ def test_checked_dense_run_computes_one_svd(monkeypatch):
     assert "observed_exponent" in result["report"]["tikhonov_rate"]
 
 
-def test_svd_failure_falls_back_to_the_loop_and_cg(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["estimate", "svd-check"])
+def test_svd_failure_falls_back_to_the_loop_and_cg(tmp_path, monkeypatch, command):
+    # both commands report the failure as a note and exit 0
     def failing(op):
         raise operators.ConvergenceError("SVD failed to converge: planted")
     monkeypatch.setattr(cli, "svd", failing)
     path, _, report_path = write_cfg(tmp_path, DENSE_CHECKED)
-    assert main(["estimate", str(path)]) == EXIT_OK
+    assert main([command, str(path)]) == EXIT_OK
     report = json.loads(report_path.read_text())
-    assert report["landweber"]["path"] == "matvec"
-    assert report["tikhonov_rate"]["solver"] == "cg"
     assert report["svd_check"] == {"note": "failed: SVD failed to converge: planted"}
+    if command == "estimate":
+        assert report["landweber"]["path"] == "matvec"
+        assert report["tikhonov_rate"]["solver"] == "cg"
 
 
 def test_svd_failure_on_an_unchecked_run_falls_back_to_the_loop_and_cg(tmp_path, monkeypatch):
@@ -518,7 +562,9 @@ def test_run_pipeline_report_sections(tmp_path):
 
 
 def test_figure_unknown_name(tmp_path, capsys):
-    assert run_figure_suite("diag9", tmp_path) == EXIT_CONFIG
+    with pytest.raises(SystemExit) as exc:
+        main(["figures", "diag9", str(tmp_path)])
+    assert exc.value.code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "diag1" in err and "gravity" in err
 
@@ -531,14 +577,25 @@ def test_figure_config_table():
         figure_config("nope")
 
 
+def run_figure(name, out_dir):
+    """Run ``klsmooth figures``; returns its trace CSV's columns by header."""
+    assert main(["figures", name, str(out_dir)]) == EXIT_OK
+    with open(Path(out_dir) / f"{name}_trace.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    return dict(zip(rows[0], zip(*rows[1:])))
+
+
+def _defined(columns, key):
+    """(k, value) of every non-empty cell of one trace column."""
+    return [(int(k), float(v)) for k, v in zip(columns["k"], columns[key]) if v]
+
+
 def test_figure_suite_diag3_two_slope(tmp_path):
-    assert run_figure_suite("diag3", tmp_path) == EXIT_OK
-    est = (tmp_path / "diag3_estimates.csv").read_text().splitlines()
-    assert est[0] == "k,mu_k,c_k"
-    bounds = (tmp_path / "diag3_bounds.csv").read_text().splitlines()
-    assert bounds[0] == "residual,error,lower_bound,upper_bound"
-    rows = np.array([[float(c) for c in line.split(",")] for line in bounds[1:]])
-    resid, lower = rows[:, 0], rows[:, 2]
+    columns = run_figure("diag3", tmp_path)
+    assert list(columns) == ["k", "residual", "gradient_norm", "lower_bound", "error",
+                             "mu_k", "c_k", "upper_bound"]
+    resid = np.array(columns["residual"], dtype=float)
+    lower = np.array(columns["lower_bound"], dtype=float)
     report = json.loads((tmp_path / "diag3_report.json").read_text())
     onset = report["estimate"]["saturation_k"]
     assert onset is not None
@@ -552,27 +609,22 @@ def test_figure_suite_diag3_two_slope(tmp_path):
 
 
 def test_figure_suite_noise1_collapse(tmp_path):
-    assert run_figure_suite("noise1", tmp_path) == EXIT_OK
+    columns = run_figure("noise1", tmp_path)
     report = json.loads((tmp_path / "noise1_report.json").read_text())
     assert report["estimate"]["verdict"] == "noise-truncated"
     assert report["estimate"]["noise_takeover_k"] is not None
-    est = (tmp_path / "noise1_estimates.csv").read_text().splitlines()[1:]
-    mu_series = [float(line.split(",")[1]) for line in est if line.split(",")[1]]
-    assert mu_series[-1] < 0.0  # late collapse below zero
+    assert _defined(columns, "mu_k")[-1][1] < 0.0  # late collapse below zero
 
 
 def test_figure_suite_diag1_burn_in(tmp_path):
-    assert run_figure_suite("diag1", tmp_path) == EXIT_OK
-    est = (tmp_path / "diag1_estimates.csv").read_text().splitlines()[1:]
-    rows = [(int(l.split(",")[0]), float(l.split(",")[1])) for l in est if l.split(",")[1]]
-    mu = dict(rows)
+    columns = run_figure("diag1", tmp_path)
+    mu = dict(_defined(columns, "mu_k"))
     # early estimates are burn-in; past it the series settles around 0.1
     assert mu[50] > 0.15
     assert all(0.05 <= mu[k] <= 0.15 for k in range(750, 2001, 50))
     report = json.loads((tmp_path / "diag1_report.json").read_text())
     assert report["estimate"]["mu_hat"] == pytest.approx(0.1, abs=0.05)
-    bounds = (tmp_path / "diag1_bounds.csv").read_text().splitlines()
-    assert len(bounds) == 2001
+    assert len(columns["residual"]) == 2000
 
 
 def test_tikhonov_table(tmp_path):
@@ -584,8 +636,7 @@ def test_tikhonov_table(tmp_path):
     blind = tmp_path / "blind.cfg"
     blind.write_text(text + "problem.eta = 0.7\nlandweber.max_iters = 50\n")
     out = tmp_path / "table.csv"
-    assert run_tikhonov_table([str(cfg_path), str(blind)], out) == EXIT_OK
-    import csv
+    assert main(["tikhonov-table", str(cfg_path), str(blind), "--out", str(out)]) == EXIT_OK
     with open(out) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["problem", "mu_hat", "predicted_rate_exponent",
@@ -606,8 +657,7 @@ def test_tikhonov_table_kernel_problems(tmp_path):
     g_cfg = tmp_path / "gravity.cfg"
     g_cfg.write_text("problem.kind = gravity\nproblem.n = 256\n" + base)
     out = tmp_path / "table.csv"
-    assert run_tikhonov_table([str(d_cfg), str(g_cfg)], out) == EXIT_OK
-    import csv
+    assert main(["tikhonov-table", str(d_cfg), str(g_cfg), "--out", str(out)]) == EXIT_OK
     with open(out) as fh:
         rows = {r[0].split("(")[0]: r for r in list(csv.reader(fh))[1:]}
     assert rows["deriv2"][4] == "no"
@@ -617,22 +667,33 @@ def test_tikhonov_table_kernel_problems(tmp_path):
 
 
 def test_figure_suite_expon_op_unstable(tmp_path):
-    assert run_figure_suite("expon_op", tmp_path) == EXIT_OK
-    report = json.loads((tmp_path / "expon_op_report.json").read_text())
+    run_figure("expon_op", tmp_path / "out")
+    report = json.loads((tmp_path / "out" / "expon_op_report.json").read_text())
     assert report["estimate"]["verdict"] == "unstable-suspect-violation"
-    assert (tmp_path / "expon_op_estimates.csv").exists()
-    assert (tmp_path / "expon_op_bounds.csv").exists()
+    # figures writes what estimate writes for the same config, and nothing else
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "expon_op_report.json", "expon_op_trace.csv"]
+    cfg = replace(figure_config("expon_op"), output_trace_path=str(tmp_path / "trace.csv"),
+                  output_report_path=str(tmp_path / "report.json"))
+    path = tmp_path / "expon_op.cfg"
+    path.write_text(config_text(cfg.effective_dict()))
+    assert main(["estimate", str(path)]) == EXIT_OK
+    assert (tmp_path / "trace.csv").read_bytes() == (
+        tmp_path / "out" / "expon_op_trace.csv").read_bytes()
+    estimated = json.loads((tmp_path / "report.json").read_text())
+    for key in ("output.trace_path", "output.report_path"):
+        del estimated["config"][key], report["config"][key]
+    assert estimated == report
 
 
 def test_figure_suite_diag2_stable_estimate(tmp_path):
-    assert run_figure_suite("diag2", tmp_path) == EXIT_OK
+    columns = run_figure("diag2", tmp_path)
     report = json.loads((tmp_path / "diag2_report.json").read_text())
     assert report["estimate"]["verdict"] == "stable"
     assert abs(report["estimate"]["mu_hat"] - 0.375) <= 0.05
     assert report["problem"]["mu_exact"] == pytest.approx(0.375)
-    # the source element is known here, so the bound CSV carries all four series
-    first_row = (tmp_path / "diag2_bounds.csv").read_text().splitlines()[1]
-    assert all(cell for cell in first_row.split(","))
+    # the source element is known here, so the trace carries all four bound series
+    assert all(columns[key][0] for key in ("residual", "error", "lower_bound", "upper_bound"))
 
 
 def test_svd_check_subcommand(tmp_path):

@@ -388,6 +388,9 @@ def test_closed_form_aborts_at_the_loops_iteration(bad):
 @example(m=90, n=70, rank_drop=10, seed=3, noise=0.05, beta=1.0, iters=2201)
 # m < n, full rank, K = 1024 + 5 rows of 1024 (2^16 // 64)
 @example(m=64, n=110, rank_drop=0, seed=4, noise=1e-3, beta=1.9, iters=1029)
+# the noise all but cancels the data's part on u_2: G_7 = 1.5e-7 against
+# R_7 = 0.054, and the loop's G_7 is off by 3e-17 of rounding
+@example(m=11, n=42, rank_drop=9, seed=1604, noise=0.05, beta=0.90625, iters=7)
 def test_dense_closed_form_matches_matvec_loop(m, n, rank_drop, seed, noise, beta, iters):
     """The closed form from a dense operator's SVD against the matvec loop.
 
@@ -397,6 +400,12 @@ def test_dense_closed_form_matches_matvec_loop(m, n, rank_drop, seed, noise, bet
     while the closed form decays on to zero, and the loop stops being a
     reference. Zero singular values of a rank-deficient A fall below SV_FLOOR
     and are dropped; their parts of data and x_true enter as constants.
+
+    G_k can be small against R_k, where data's parts on the slow modes are
+    small and its part outside range(A) is not. The loop's A* r_k carries
+    rounding of about eps ||A|| ||r_k||, with ||A|| = 1 and ||r_k|| <=
+    ||data||, so G has the allowance test_closed_form_matches_matvec_loop
+    gives it.
     """
     rank = max(2, min(m, n) - rank_drop)
     p, data = known_svd_problem(seed, m, n, rank, noise)
@@ -406,8 +415,9 @@ def test_dense_closed_form_matches_matvec_loop(m, n, rank_drop, seed, noise, bet
     closed = landweber_run(p, data, cfg, sd)
     loop = landweber_run(p, data, cfg)
     assert (closed.path, loop.path) == ("closed-form", "matvec")
+    rounding = (0.0, 64 * np.finfo(float).eps * np.linalg.norm(data), 0.0)
     assert_traces_agree((closed.residuals, closed.gradient_norms, closed.errors),
-                        (loop.residuals, loop.gradient_norms, loop.errors))
+                        (loop.residuals, loop.gradient_norms, loop.errors), rounding=rounding)
 
 
 @settings(deadline=None, max_examples=40)
