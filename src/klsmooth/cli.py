@@ -310,7 +310,7 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
 
 def _report(p: ProblemSpec, cfg: ExperimentConfig, **sections) -> dict:
     """A report: the problem, the given sections, and the config echo."""
-    return {"problem": {"label": p.label, "params": p.params, "mu_exact": p.mu_exact},
+    return {"problem": {"label": p.label, "mu_exact": p.mu_exact},
             **sections, "config": cfg.effective_dict()}
 
 

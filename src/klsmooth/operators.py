@@ -261,7 +261,9 @@ def write_matrix_market(path, matrix) -> None:
 def read_matrix_market(path) -> np.ndarray:
     """Read a real matrix in MatrixMarket array or coordinate format.
 
-    Parse errors report the offending 1-based line number.
+    An array entry line holds one value; a coordinate entry line holds
+    ``i j value``, or just ``i j`` under the ``pattern`` field. Parse errors
+    report the offending 1-based line number.
     """
     with open(path) as fh:
         lines = fh.readlines()
@@ -298,7 +300,7 @@ def read_matrix_market(path) -> np.ndarray:
         a = np.empty((m, n))
         for idx, (lineno, text) in enumerate(entries):
             try:
-                val = float(text.split()[0])
+                val = float(text)   # one value: float() rejects inner whitespace
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: bad value {text!r}") from None
             a[idx % m, idx // m] = val
@@ -309,13 +311,16 @@ def read_matrix_market(path) -> np.ndarray:
     entries = body[1:]
     if len(entries) != nnz:
         raise ValueError(f"{path}: expected {nnz} entries, found {len(entries)}")
+    width = 2 if qualifiers[0] == "pattern" else 3
     a = np.zeros((m, n))
     for lineno, text in entries:
         parts = text.split()
         try:
+            if len(parts) != width:
+                raise ValueError
             i, j = int(parts[0]), int(parts[1])
-            val = float(parts[2]) if len(parts) > 2 else 1.0
-        except (ValueError, IndexError):
+            val = float(parts[2]) if width == 3 else 1.0
+        except ValueError:
             raise ValueError(f"{path}: line {lineno}: bad coordinate entry {text!r}") from None
         if not (1 <= i <= m and 1 <= j <= n):
             raise ValueError(f"{path}: line {lineno}: index ({i},{j}) out of range")

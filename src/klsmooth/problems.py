@@ -9,7 +9,7 @@ and the preimage w with x = (A*A)^mu w is stored alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,7 +36,6 @@ class ProblemSpec:
         mu_exact: analytic source-condition exponent, when one exists.
         source_w: preimage w with x_true = (A*A)^mu_exact w, when available.
         label: human-readable problem name.
-        params: generator parameters for provenance.
     """
 
     operator: LinearOperator
@@ -45,7 +44,6 @@ class ProblemSpec:
     mu_exact: Optional[float] = None
     source_w: Optional[np.ndarray] = None
     label: str = ""
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,7 @@ def make_power_law(n: int, eta: float, beta: float) -> ProblemSpec:
     op = diagonal_operator(sigmas)
     return ProblemSpec(operator=op, y_clean=sigmas * x_true, x_true=x_true,
                        mu_exact=mu, source_w=w,
-                       label=f"power-law(eta={eta:g}, beta={beta:g}, n={n})",
-                       params={"generator": "power_law", "n": n, "eta": eta, "beta": beta})
+                       label=f"power-law(eta={eta:g}, beta={beta:g}, n={n})")
 
 
 def make_exp_solution(n: int, beta: float) -> ProblemSpec:
@@ -97,8 +94,7 @@ def make_exp_solution(n: int, beta: float) -> ProblemSpec:
     x_true = np.exp(-i)
     op = diagonal_operator(sigmas)
     return ProblemSpec(operator=op, y_clean=sigmas * x_true, x_true=x_true,
-                       label=f"supersmooth(beta={beta:g}, n={n})",
-                       params={"generator": "exp_solution", "n": n, "beta": beta})
+                       label=f"supersmooth(beta={beta:g}, n={n})")
 
 
 def make_exp_operator(n: int, eta: float) -> ProblemSpec:
@@ -117,8 +113,7 @@ def make_exp_operator(n: int, eta: float) -> ProblemSpec:
     x_true = i ** (-eta)
     op = diagonal_operator(sigmas)
     return ProblemSpec(operator=op, y_clean=sigmas * x_true, x_true=x_true,
-                       label=f"exp-operator(eta={eta:g}, n={n}), source condition violated",
-                       params={"generator": "exp_operator", "n": n, "eta": eta})
+                       label=f"exp-operator(eta={eta:g}, n={n}), source condition violated")
 
 
 def deriv2_kernel(s, t):
@@ -133,8 +128,7 @@ def make_deriv2(n: int) -> ProblemSpec:
     op = kernel_operator(deriv2_kernel, n)
     x_true = midpoint_nodes(n)
     return ProblemSpec(operator=op, y_clean=op.apply(x_true), x_true=x_true,
-                       label=f"deriv2(n={n})",
-                       params={"generator": "deriv2", "n": n})
+                       label=f"deriv2(n={n})")
 
 
 def make_gravity(n: int, depth: float = DEFAULT_GRAVITY_DEPTH) -> ProblemSpec:
@@ -151,8 +145,7 @@ def make_gravity(n: int, depth: float = DEFAULT_GRAVITY_DEPTH) -> ProblemSpec:
     t = midpoint_nodes(n)
     x_true = np.sin(np.pi * t) + 0.5 * np.sin(2.0 * np.pi * t)
     return ProblemSpec(operator=op, y_clean=op.apply(x_true), x_true=x_true,
-                       label=f"gravity(n={n}, depth={depth:g}), severely ill-posed candidate",
-                       params={"generator": "gravity", "n": n, "depth": depth})
+                       label=f"gravity(n={n}, depth={depth:g}), severely ill-posed candidate")
 
 
 def add_noise(p: ProblemSpec, rel_level: float, seed: int) -> NoisyData:
@@ -185,7 +178,4 @@ def load_external(matrix_path, y_path, x_true_path=None) -> ProblemSpec:
                 f"x_true has length {x_true.size}")
     op = dense_operator(a)
     return ProblemSpec(operator=op, y_clean=y, x_true=x_true,
-                       label=f"external({matrix_path})",
-                       params={"generator": "external", "matrix_path": str(matrix_path),
-                               "y_path": str(y_path),
-                               "x_true_path": None if x_true_path is None else str(x_true_path)})
+                       label=f"external({matrix_path})")

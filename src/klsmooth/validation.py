@@ -27,11 +27,10 @@ from .problems import ProblemSpec, add_noise
 # divergent. Finite sums never literally diverge; this threshold flags even
 # slow (logarithmic) growth while tolerating converged tails.
 RATIO_THRESHOLD = 1.05
-# Coefficients below this fraction of the largest are rounding noise and are
-# excluded from the decay-exponent fits; data whose coefficients all stay
-# below this fraction of ||y|| have no part on the retained singular vectors,
-# and on a computed basis such coefficients are left out of the summability
-# test.
+# On a computed basis, coefficients at or below this fraction of ||y|| are
+# rounding and count in neither the summability test nor the decay fits
+# (_counted_modes, the one rule); data with none above it have no part on
+# the retained singular vectors.
 COEFF_FLOOR = 1e-12
 FIT_R2_MIN = 0.99
 # max_mu_spectral bisects admissibility over this mu range to this width.
@@ -205,15 +204,33 @@ def rate_experiment(p: ProblemSpec, mu_hat: float, levels, seeds=DEFAULT_SEEDS,
         solver="cg" if sd is None else "filter-factors")
 
 
-def _growth_ratio(log_terms: np.ndarray) -> float:
-    """S_n / S_{n/2} evaluated in log space to dodge overflow."""
-    n = log_terms.size
-    shift = float(log_terms.max())
-    if not np.isfinite(shift):
-        return np.inf
-    terms = np.exp(log_terms - shift)
-    partial = np.cumsum(terms)
-    half = partial[n // 2 - 1]
+def _counted_modes(sd: SpectralDecomposition, y: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mode numbers i, log sigma_i and log |<y,u_i>| of the modes that count.
+
+    A diagonal operator's coefficients are the data themselves, and every
+    nonzero one counts. A computed basis leaves rounding of up to about
+    eps ||y|| on every mode, and which rounding depends on the decomposition
+    and the BLAS thread count, so there only |<y,u_i>| > COEFF_FLOOR ||y||
+    counts. Raises ValueError with fewer than 4 modes, or with data on none
+    of them beyond rounding.
+    """
+    if sd.sigmas.size < 4:
+        raise ValueError("spectral decomposition too small for the summability test")
+    abs_c = np.abs(sd.coefficients(y))
+    floor = COEFF_FLOOR * np.linalg.norm(y)
+    if not abs_c.max() > floor:
+        raise ValueError("the data have no part on any retained singular vector")
+    i = np.flatnonzero(abs_c != 0.0 if sd.u is None else abs_c > floor)
+    return i + 1.0, np.log(sd.sigmas[i]), np.log(abs_c[i])
+
+
+def _growth_ratio(log_s: np.ndarray, log_c: np.ndarray, mu: float) -> float:
+    """S_n / S_{n/2} of the terms |c_i|^2 / sigma_i^(2+4 mu), in log space
+    to dodge overflow."""
+    log_terms = 2.0 * log_c - (2.0 + 4.0 * mu) * log_s
+    partial = np.cumsum(np.exp(log_terms - log_terms.max()))
+    half = partial[log_terms.size // 2 - 1]
     if half == 0.0:
         return np.inf
     return float(partial[-1] / half)
@@ -222,33 +239,17 @@ def _growth_ratio(log_terms: np.ndarray) -> float:
 def verify_smoothness(sd: SpectralDecomposition, y: np.ndarray, mu_list) -> SmoothnessVerdict:
     """Test each mu for summability of |<y,u_i>|^2 / sigma_i^(2+4 mu).
 
-    A mu is admissible when the partial sums have saturated, i.e. the growth
-    ratio S_n / S_{n/2} stays at or below RATIO_THRESHOLD. Admissibility is
+    A mu is admissible when the partial sums over the counted modes
+    (:func:`_counted_modes`) have saturated, i.e. the growth ratio
+    S_n / S_{n/2} stays at or below RATIO_THRESHOLD. Admissibility is
     monotone (smaller mu is easier), which the construction preserves.
     Raises ValueError with fewer than 4 modes, or with data on none of them
     beyond rounding (every |<y,u_i>| at most COEFF_FLOOR ||y||).
     """
-    coeffs = sd.coefficients(y)
-    log_s = np.log(sd.sigmas)
-    floor = COEFF_FLOOR * np.linalg.norm(y)
-    # a diagonal operator's coefficients are the data themselves; a computed
-    # basis leaves rounding of up to about eps ||y|| on every mode, and which
-    # rounding depends on the decomposition and the BLAS thread count
-    nz = coeffs != 0.0 if sd.u is None else np.abs(coeffs) > floor
-    if sd.sigmas.size < 4:
-        raise ValueError("spectral decomposition too small for the summability test")
-    if not np.abs(coeffs).max() > floor:
-        raise ValueError("the data have no part on any retained singular vector")
-    with np.errstate(divide="ignore"):
-        log_c2 = np.where(nz, 2.0 * np.log(np.abs(np.where(nz, coeffs, 1.0))), -np.inf)
+    _, log_s, log_c = _counted_modes(sd, y)
     mu_sorted = sorted(float(m) for m in mu_list)
-    growth = []
-    admissible = []
-    for mu in mu_sorted:
-        lt = log_c2 - (2.0 + 4.0 * mu) * log_s
-        ratio = _growth_ratio(lt[np.isfinite(lt)])
-        growth.append(ratio)
-        admissible.append(bool(np.isfinite(ratio) and ratio <= RATIO_THRESHOLD))
+    growth = [_growth_ratio(log_s, log_c, mu) for mu in mu_sorted]
+    admissible = [ratio <= RATIO_THRESHOLD for ratio in growth]
     # enforce downward closure against borderline numerical ties
     for j in range(len(admissible) - 2, -1, -1):
         if admissible[j + 1]:
@@ -274,27 +275,25 @@ def _fit_r2(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 def max_mu_spectral(sd: SpectralDecomposition, y: np.ndarray) -> Optional[float]:
     """Largest mu compatible with the spectral summability test.
 
-    Stage one fits decay exponents: b from log sigma_i against log i and s
-    from log |<y,u_i>| against log sigma_i, over coefficients above the
-    floor. When both fits are credible (R^2 >= FIT_R2_MIN) the closed form
-    mu = (s - 1)/2 - 1/(4 b) is returned. Otherwise the admissibility
-    predicate is bisected over BISECT_BRACKET. None means even the smallest
-    tested mu is inadmissible.
+    Both stages read the modes the summability test counts
+    (:func:`_counted_modes`). Stage one fits decay exponents: b from
+    log sigma_i against log i and s from log |<y,u_i>| against log sigma_i.
+    When both fits are credible (R^2 >= FIT_R2_MIN) the closed form
+    mu = (s - 1)/2 - 1/(4 b) is returned. Otherwise the growth-ratio test
+    is bisected over BISECT_BRACKET. None means even the smallest tested mu
+    is inadmissible. Raises ValueError as :func:`verify_smoothness` does.
     """
-    coeffs = sd.coefficients(y)
-    abs_c = np.abs(coeffs)
-    keep = abs_c >= COEFF_FLOOR * abs_c.max()
-    idx = np.arange(1, sd.sigmas.size + 1, dtype=float)
-    if keep.sum() >= 4:
-        b_slope, r2_b = _fit_r2(np.log(idx[keep]), np.log(sd.sigmas[keep]))
-        s_slope, r2_s = _fit_r2(np.log(sd.sigmas[keep]), np.log(abs_c[keep]))
+    i, log_s, log_c = _counted_modes(sd, y)
+    if i.size >= 4:
+        b_slope, r2_b = _fit_r2(np.log(i), log_s)
+        s_slope, r2_s = _fit_r2(log_s, log_c)
         b = -b_slope
         if r2_b >= FIT_R2_MIN and r2_s >= FIT_R2_MIN and b > 0.0:
             mu = (s_slope - 1.0) / 2.0 - 1.0 / (4.0 * b)
             return float(mu) if mu > 0.0 else None
 
     def admissible(mu: float) -> bool:
-        return verify_smoothness(sd, y, [mu]).admissible[0]
+        return _growth_ratio(log_s, log_c, mu) <= RATIO_THRESHOLD
 
     lo, hi = BISECT_BRACKET
     if not admissible(lo):

@@ -1,6 +1,9 @@
 import csv
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -324,6 +327,21 @@ def test_tikhonov_table_row_for_unparseable_config(tmp_path):
                        "failed: problem.n: expected an integer, got 'abc'"]
 
 
+def test_tikhonov_table_row_for_missing_config(tmp_path):
+    # a config file that cannot be read fails its own row, under its path
+    ok = tmp_path / "ok.cfg"
+    ok.write_text("problem.kind = deriv2\nproblem.n = 64\n")
+    absent = tmp_path / "absent.cfg"
+    table = tmp_path / "t.csv"
+    assert main(["tikhonov-table", str(ok), str(absent), "--out", str(table)]) == EXIT_OK
+    with open(table, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 3
+    assert rows[1][0] == "deriv2(n=64)" and rows[1][4:] == ["no", ""]
+    assert rows[2][:5] == [str(absent), "", "", "", ""]
+    assert rows[2][5].startswith(f"failed: cannot read config {absent}: ")
+
+
 def test_tikhonov_table_quotes_cells_per_rfc4180(tmp_path):
     # the failure note holds a comma and a quote; both must read back intact
     write_matrix_market(tmp_path / "a.mtx", np.eye(2))
@@ -340,7 +358,9 @@ def test_tikhonov_table_quotes_cells_per_rfc4180(tmp_path):
 
 
 @pytest.mark.parametrize("key, name, bad", [("x_true_path", "x.txt", "nan"),
-                                            ("y_path", "y.txt", "inf")])
+                                            ("y_path", "y.txt", "inf"),
+                                            # two values on an array line
+                                            ("matrix_path", "a.mtx", "1 7")])
 def test_non_finite_vector_file_exits_with_config_error(tmp_path, capsys, key, name, bad):
     p = make_gravity(8)
     write_matrix_market(tmp_path / "a.mtx", p.operator.matrix)
@@ -365,6 +385,18 @@ def test_readme_config_block_shows_every_default():
     shown = {line.split("=", 1)[0].strip() for line in block.splitlines() if line.strip()}
     inputs = {"problem.matrix_path", "problem.y_path", "problem.x_true_path"}
     assert shown == set(ExperimentConfig().effective_dict()) - inputs
+
+
+def test_readme_library_use_block_runs(tmp_path):
+    # the block as a reader would run it: a fresh interpreter with src on the path
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    block = readme.split("## Library use\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", block],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 2
 
 
 def _reject_constant(token):

@@ -231,6 +231,16 @@ def test_matrix_market_coordinate(tmp_path):
     assert a[0, 1] == 4.5 and a[1, 2] == -1.0 and a[0, 0] == 0.0
 
 
+def test_matrix_market_pattern_entries_are_ones(tmp_path):
+    # under the pattern field an entry line holds only i j; a value is an error
+    path = tmp_path / "p.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n2 1\n")
+    assert np.array_equal(read_matrix_market(path), [[1.0, 0.0], [1.0, 0.0]])
+    path.write_text("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1 2.0\n")
+    with pytest.raises(ValueError, match="line 3: bad coordinate entry"):
+        read_matrix_market(path)
+
+
 @pytest.mark.parametrize("content,fragment", [
     ("", "empty"),
     ("%%MatrixMarket vector\n1 1\n0\n", "header"),
@@ -239,6 +249,12 @@ def test_matrix_market_coordinate(tmp_path):
     ("%%MatrixMarket matrix coordinate real general\n2 2 1\n5 5 1.0\n", "out of range"),
     ("%%MatrixMarket matrix array real symmetric\n2 2\n1\n2\n3\n4\n", "general"),
     ("%%MatrixMarket matrix array complex general\n1 1\n1 0\n", "complex"),
+    # each entry line holds exactly its fields: no value dropped or made up
+    ("%%MatrixMarket matrix array real general\n1 1\n1 7\n", "line 3: bad value '1 7'"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n2 2\n",
+     "line 3: bad coordinate entry '2 2'"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 3.5 9 9\n",
+     "line 3: bad coordinate entry '1 1 3.5 9 9'"),
 ])
 def test_matrix_market_parse_errors(tmp_path, content, fragment):
     path = tmp_path / "bad.mtx"

@@ -210,6 +210,32 @@ def test_summability_skips_rounding_on_a_computed_basis_only():
     assert computed.admissible == [True]
 
 
+def test_max_mu_spectral_agrees_with_the_test_it_refines():
+    # diagonal data i^-3 with a flat 1e-13 tail: every nonzero coefficient
+    # counts in the summability test, so the decay fits must read the tail
+    # too. Fitted over the decaying head alone they gave mu = 0.75, where
+    # the test rejects 0.7
+    i = np.arange(1.0, 100_001.0)
+    y = np.where(i <= 10_000, i ** -3.0, 1e-13)
+    sd = SpectralDecomposition(1.0 / i)
+    mu = max_mu_spectral(sd, y)
+    assert verify_smoothness(sd, y, [mu - 0.05, mu + 0.05]).admissible == [True, False]
+
+
+def test_spectral_check_projects_the_data_once(monkeypatch):
+    # the bisection reads the counted modes, not a fresh U* y per step
+    calls = []
+    project = SpectralDecomposition.coefficients
+    monkeypatch.setattr(SpectralDecomposition, "coefficients",
+                        lambda sd, y: calls.append(1) or project(sd, y))
+    p = ks.make_deriv2(64)
+    sd = svd(p.operator)
+    verify_smoothness(sd, p.y_clean, validation.DEFAULT_MU_GRID)
+    assert len(calls) == 1
+    assert max_mu_spectral(sd, p.y_clean) is not None
+    assert len(calls) == 2
+
+
 def test_max_mu_spectral_deriv2_bisection_path():
     # sigma decay bends at the grid scale, so the fit is not credible and the
     # admissibility bisection takes over; the analytic ceiling is 1/8
