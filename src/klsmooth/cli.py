@@ -369,7 +369,7 @@ def _svd_section(p: ProblemSpec, sd: Optional[SpectralDecomposition], note: str)
     except ValueError as exc:  # too few modes, or data on none of them
         return {"note": f"skipped: {exc}"}
     return {**vars(verdict), "mu_max_refined": max_mu_spectral(sd, p.y_clean),
-            "retained_singular_values": int(sd.sigmas.size)}
+            "retained_singular_values": int(sd.sigmas.size), "decomposition": sd.method}
 
 
 def _finite_or_none(value):

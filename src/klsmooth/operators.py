@@ -14,7 +14,7 @@ Operators are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -26,6 +26,18 @@ SVD_SIZE_LIMIT = 2048
 
 # Singular values below this fraction of sigma_1 are numerically void.
 SV_FLOOR = 1e-14
+
+# A symmetric matrix of 8 BLOCK columns or more first tries a block of
+# BLOCK columns (_leading_block); a smaller one's full eigh costs about what
+# the block does. The block is accepted only when at least BLOCK_BELOW_FLOOR
+# of its Ritz values fall below SV_FLOOR sigma_1 and the probe estimate of
+# its residual from BLOCK_PROBES random vectors is at most BLOCK_RESIDUAL
+# sigma_1: rounding, which reads 1.6-2.5e-14 sigma_1 on gravity at n = 512
+# to 2048.
+BLOCK = 64
+BLOCK_BELOW_FLOOR = 10
+BLOCK_PROBES = 8
+BLOCK_RESIDUAL = 10 * SV_FLOOR
 
 _POWER_ITER_SEED = 74025  # fixed seed so the step-size choice is reproducible
 
@@ -92,12 +104,15 @@ class SpectralDecomposition:
     """Singular values sigma_i with left and right singular vectors u_i, v_i.
 
     A v_i = sigma_i u_i. u = v = None is the canonical basis (u_i = v_i = e_i)
-    of a diagonal operator, left implicit.
+    of a diagonal operator, left implicit. ``method`` names what computed
+    it: "canonical" (a diagonal operator's own sigmas), "svd", "eigh" or
+    "block" (see :func:`svd`).
     """
 
     sigmas: np.ndarray
     u: Optional[np.ndarray] = None   # m x r, columns u_i
     v: Optional[np.ndarray] = None   # n x r, columns v_i
+    method: str = field(kw_only=True)
 
     def coefficients(self, y: np.ndarray) -> np.ndarray:
         """<y, u_i> for every retained i."""
@@ -197,7 +212,7 @@ def operator_norm(op: LinearOperator, tol: float = 1e-10, max_iters: int = 10000
 
 
 def svd(op: LinearOperator) -> SpectralDecomposition:
-    """Full singular value decomposition, truncated at SV_FLOOR * sigma_1.
+    """Singular value decomposition, truncated at SV_FLOOR * sigma_1.
 
     Diagonal operators return their stored sigmas with the canonical basis,
     untruncated: those values are exact data, not the output of a numerical
@@ -205,17 +220,24 @@ def svd(op: LinearOperator) -> SpectralDecomposition:
     A dense matrix equal to its transpose bit for bit is decomposed by the
     symmetric eigensolver, about three times faster than the SVD: from
     A = V diag(lam) V*, sigma = |lam|, u = V and v = sign(lam) V (Golub and
-    Van Loan, Matrix Computations, sections 8.1 and 8.6).
+    Van Loan, Matrix Computations, sections 8.1 and 8.6). From 8 BLOCK
+    columns on it first tries :func:`_leading_block`, which finds the
+    retained modes of a spectrum that falls below the floor early without
+    computing the others; the full eigensolver runs when that block is
+    refused. Any other matrix takes the SVD.
     """
     if op.kind == "diagonal":
-        return SpectralDecomposition(sigmas=op.sigmas.copy())
+        return SpectralDecomposition(sigmas=op.sigmas.copy(), method="canonical")
     m, n = op.shape
     if min(m, n) > SVD_SIZE_LIMIT:
         raise ValueError(
             f"dense SVD supported up to min(m,n) <= {SVD_SIZE_LIMIT}; got {min(m, n)}")
     try:
         if op.symmetric:
-            return _symmetric_svd(*np.linalg.eigh(op.matrix))
+            block = _leading_block(op.matrix) if n >= 8 * BLOCK else None
+            if block is not None:
+                return block
+            return _symmetric_svd(*np.linalg.eigh(op.matrix), method="eigh")
         u, s, vt = np.linalg.svd(op.matrix, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD failed to converge: {exc}") from exc
@@ -223,10 +245,55 @@ def svd(op: LinearOperator) -> SpectralDecomposition:
     if r < s.size:
         # copies, so the vectors of the dropped modes are freed with u and vt
         u, vt = u[:, :r].copy(), vt[:r].copy()
-    return SpectralDecomposition(sigmas=s[:r], u=u, v=vt.T)
+    return SpectralDecomposition(sigmas=s[:r], u=u, v=vt.T, method="svd")
 
 
-def _symmetric_svd(lam: np.ndarray, vecs: np.ndarray) -> SpectralDecomposition:
+def _leading_block(a: np.ndarray) -> Optional[SpectralDecomposition]:
+    """The singular system of a symmetric matrix from a block of BLOCK
+    columns, or None when that block cannot stand in for the full eigh.
+
+    A randomized range finder with one power step and a Rayleigh-Ritz step
+    (Halko, Martinsson and Tropp, SIAM Review 53(2), 2011, algorithms 4.4
+    and 5.3): Y = A Omega for a Gaussian Omega from the fixed seed, so one
+    matrix always gives one result; Q = qr(Y), one power step Q = qr(A Q),
+    and the eigendecomposition W diag(lam) W* of Q* A Q gives the modes
+    Q W. The block is accepted only when
+    - at least BLOCK_BELOW_FLOOR of the Ritz values lam fall below
+      SV_FLOOR max |lam|: the spectrum crossed the floor inside the block;
+    - the a-posteriori estimate 10 sqrt(2/pi) max_j ||(I - Q Q*) A w_j||
+      over BLOCK_PROBES fresh Gaussian w_j (section 4.3: it bounds
+      ||(I - Q Q*) A|| except with probability 10^-BLOCK_PROBES) is at
+      most BLOCK_RESIDUAL max |lam|: nothing above rounding lies outside Q.
+    Before either, the Gram matrix Y* Y refuses a slowly decaying spectrum
+    after one product: it needs BLOCK_BELOW_FLOOR of its eigenvalues, the
+    squared singular values of Y, at or below SV_FLOOR times the largest.
+    That is a singular value at 1e-7 of the largest, far above the floor the
+    first test asks for (gravity has 39 such at n = 512 to 2048; deriv2's
+    tenth smallest eigenvalue is 3e-8 of the largest).
+    """
+    n = a.shape[0]
+    rng = np.random.default_rng(_POWER_ITER_SEED)
+    y = a @ rng.standard_normal((n, BLOCK))
+    gram = np.linalg.eigvalsh(y.T @ y)   # ascending
+    if not gram[BLOCK_BELOW_FLOOR - 1] <= SV_FLOOR * gram[-1]:
+        return None
+    q = np.linalg.qr(a @ np.linalg.qr(y)[0])[0]
+    # one product serves the Ritz step and the probe
+    aq = a @ np.hstack((q, rng.standard_normal((n, BLOCK_PROBES))))
+    aq, probe = aq[:, :BLOCK], aq[:, BLOCK:]
+    b = q.T @ aq
+    lam, w = np.linalg.eigh(0.5 * (b + b.T))
+    top = np.abs(lam).max()
+    if (np.abs(lam) < SV_FLOOR * top).sum() < BLOCK_BELOW_FLOOR:
+        return None
+    probe -= q @ (q.T @ probe)
+    estimate = 10.0 * math.sqrt(2.0 / math.pi) * np.linalg.norm(probe, axis=0).max()
+    if estimate > BLOCK_RESIDUAL * top:
+        return None
+    return _symmetric_svd(lam, q @ w, method="block")
+
+
+def _symmetric_svd(lam: np.ndarray, vecs: np.ndarray, method: str) -> SpectralDecomposition:
     """The singular system of V diag(lam) V*: modes by |lam| non-increasing,
     truncated at SV_FLOOR max |lam|."""
     order = np.argsort(-np.abs(lam), kind="stable")
@@ -235,7 +302,7 @@ def _symmetric_svd(lam: np.ndarray, vecs: np.ndarray) -> SpectralDecomposition:
     order = order[:r]
     u = vecs[:, order]   # a copy, so the dropped modes' vectors go with vecs
     lam = lam[order]     # none is 0: |lam| >= SV_FLOOR max |lam| > 0
-    return SpectralDecomposition(sigmas=s[:r], u=u,
+    return SpectralDecomposition(sigmas=s[:r], u=u, method=method,
                                  v=u if (lam > 0.0).all() else u * np.sign(lam))
 
 
@@ -244,6 +311,13 @@ def _symmetric_svd(lam: np.ndarray, vecs: np.ndarray) -> SpectralDecomposition:
 # Writers use 17 significant digits so write+read round-trips bit-exactly.
 # ---------------------------------------------------------------------------
 
+def _decimal_lines(values: np.ndarray) -> str:
+    """One value per line at 17 significant digits, which read back bit for
+    bit; one % over the whole vector formats as f"{x:.17g}" does, a third
+    faster than a join."""
+    return ("%.17g\n" * values.size) % tuple(values.tolist())
+
+
 def write_matrix_market(path, matrix) -> None:
     """Write a dense matrix in MatrixMarket array format."""
     a = np.asarray(matrix, dtype=float)
@@ -251,19 +325,17 @@ def write_matrix_market(path, matrix) -> None:
         raise ValueError("matrix must be 2-d")
     m, n = a.shape
     with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix array real general\n")
-        fh.write(f"{m} {n}\n")
-        for j in range(n):          # array format is column-major
-            for i in range(m):
-                fh.write(f"{a[i, j]:.17g}\n")
+        fh.write(f"%%MatrixMarket matrix array real general\n{m} {n}\n")
+        fh.writelines(map(_decimal_lines, a.T))   # column-major, one column at a time
 
 
 def read_matrix_market(path) -> np.ndarray:
     """Read a real matrix in MatrixMarket array or coordinate format.
 
     An array entry line holds one value; a coordinate entry line holds
-    ``i j value``, or just ``i j`` under the ``pattern`` field. Parse errors
-    report the offending 1-based line number.
+    ``i j value``, or just ``i j`` under the ``pattern`` field. All entry
+    lines are converted at once; when that fails, a pass over the lines
+    finds the first bad one, and the error reports its 1-based line number.
     """
     with open(path) as fh:
         lines = fh.readlines()
@@ -280,51 +352,68 @@ def read_matrix_market(path) -> np.ndarray:
         raise ValueError(f"{path}: line 1: complex matrices not supported")
     if len(header) >= 5 and header[4].lower() != "general":
         raise ValueError(f"{path}: line 1: only 'general' symmetry is supported")
-    body = [(i + 1, ln.strip()) for i, ln in enumerate(lines[1:], start=1)
-            if ln.strip() and not ln.lstrip().startswith("%")]
+    body = [text for line in lines[1:] if (text := line.strip()) and text[0] != "%"]
     if not body:
         raise ValueError(f"{path}: missing size line")
-    size_lineno, size_line = body[0]
-    parts = size_line.split()
+
+    def lineno(k: int) -> int:
+        """The 1-based line number of body[k]."""
+        return [i for i, line in enumerate(lines[1:], start=2)
+                if (text := line.strip()) and text[0] != "%"][k]
+
+    size_line = body[0]
     try:
-        dims = [int(p) for p in parts]
+        dims = [int(p) for p in size_line.split()]
     except ValueError:
-        raise ValueError(f"{path}: line {size_lineno}: bad size line {size_line!r}") from None
+        raise ValueError(f"{path}: line {lineno(0)}: bad size line {size_line!r}") from None
+    entries = body[1:]
     if fmt == "array":
         if len(dims) != 2:
-            raise ValueError(f"{path}: line {size_lineno}: array size line needs 2 integers")
+            raise ValueError(f"{path}: line {lineno(0)}: array size line needs 2 integers")
         m, n = dims
-        entries = body[1:]
         if len(entries) != m * n:
             raise ValueError(f"{path}: expected {m * n} entries, found {len(entries)}")
-        a = np.empty((m, n))
-        for idx, (lineno, text) in enumerate(entries):
-            try:
-                val = float(text)   # one value: float() rejects inner whitespace
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad value {text!r}") from None
-            a[idx % m, idx // m] = val
-        return a
+        try:
+            values = np.array(entries, dtype=float)   # float() of each: one value per line
+        except ValueError:
+            for k, text in enumerate(entries, start=1):
+                try:
+                    float(text)
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno(k)}: bad value {text!r}") from None
+            raise
+        return np.ascontiguousarray(values.reshape(n, m).T)   # column-major entries
     if len(dims) != 3:
-        raise ValueError(f"{path}: line {size_lineno}: coordinate size line needs 3 integers")
+        raise ValueError(f"{path}: line {lineno(0)}: coordinate size line needs 3 integers")
     m, n, nnz = dims
-    entries = body[1:]
     if len(entries) != nnz:
         raise ValueError(f"{path}: expected {nnz} entries, found {len(entries)}")
     width = 2 if qualifiers[0] == "pattern" else 3
+    rows = [text.split() for text in entries]
+    try:
+        if any(len(parts) != width for parts in rows):
+            raise ValueError
+        fields = np.array(rows, dtype=str).reshape(nnz, width)
+        i, j = fields[:, 0].astype(np.int64), fields[:, 1].astype(np.int64)
+        values = fields[:, 2].astype(float) if width == 3 else 1.0
+        if ((i < 1) | (i > m) | (j < 1) | (j > n)).any():
+            raise ValueError
+    except (ValueError, OverflowError):
+        for k, parts in enumerate(rows, start=1):
+            try:
+                if len(parts) != width:
+                    raise ValueError
+                i, j = int(parts[0]), int(parts[1])
+                if width == 3:
+                    float(parts[2])
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno(k)}: bad coordinate entry "
+                                 f"{entries[k - 1]!r}") from None
+            if not (1 <= i <= m and 1 <= j <= n):
+                raise ValueError(f"{path}: line {lineno(k)}: index ({i},{j}) out of range")
+        raise
     a = np.zeros((m, n))
-    for lineno, text in entries:
-        parts = text.split()
-        try:
-            if len(parts) != width:
-                raise ValueError
-            i, j = int(parts[0]), int(parts[1])
-            val = float(parts[2]) if width == 3 else 1.0
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: bad coordinate entry {text!r}") from None
-        if not (1 <= i <= m and 1 <= j <= n):
-            raise ValueError(f"{path}: line {lineno}: index ({i},{j}) out of range")
-        a[i - 1, j - 1] = val
+    a[i - 1, j - 1] = values   # a repeated (i, j): the last entry holds
     return a
 
 
@@ -334,8 +423,7 @@ def write_vector(path, vec) -> None:
     if v.ndim != 1:
         raise ValueError("vector must be 1-d")
     with open(path, "w") as fh:
-        for x in v:
-            fh.write(f"{x:.17g}\n")
+        fh.write(_decimal_lines(v))
 
 
 def read_vector(path) -> np.ndarray:

@@ -73,7 +73,7 @@ def general_svd(matrix):
     symmetry, truncated at SV_FLOOR sigma_1 as svd() truncates."""
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     r = int((s >= SV_FLOOR * s[0]).sum())
-    return SpectralDecomposition(sigmas=s[:r], u=u[:, :r], v=vt[:r].T)
+    return SpectralDecomposition(sigmas=s[:r], u=u[:, :r], v=vt[:r].T, method="svd")
 
 
 def known_symmetric_problem(seed, n, rank, noise=0.0):
@@ -102,6 +102,24 @@ def known_symmetric_problem(seed, n, rank, noise=0.0):
         data = y + noise * np.linalg.norm(y) * e / np.linalg.norm(e)
     return ProblemSpec(operator=dense_operator(a), y_clean=y, x_true=x_true,
                        label="known-symmetric"), data
+
+
+def planted_symmetric_problem(seed, n, abs_lams):
+    """A symmetric indefinite n x n problem A = Q diag(lam) Q*, symmetrized
+    bit for bit, with |lam| = abs_lams (0 past their number), each with a
+    random sign.
+
+    x_true = Q (|lam| w) with w of size 0.5-1.5 and random sign satisfies
+    the source condition with mu = 1/2, and the data are A x_true.
+    """
+    rng = np.random.default_rng(seed)
+    abs_lams = np.concatenate((abs_lams, np.zeros(n - len(abs_lams))))
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a = (q * (abs_lams * rng.choice([-1.0, 1.0], n))) @ q.T
+    a = 0.5 * (a + a.T)   # a + a.T is symmetric entry by entry
+    x_true = q @ (abs_lams * rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.5, n))
+    return ProblemSpec(operator=dense_operator(a), y_clean=a @ x_true, x_true=x_true,
+                       label="planted-symmetric")
 
 
 def power_law_verif_terms(eta, beta, mu, n):

@@ -735,6 +735,21 @@ def test_svd_check_subcommand(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["svd_check"]["mu_max_refined"] == pytest.approx(0.375, abs=0.05)
     assert len(report["svd_check"]["mu_tested"]) == len(report["svd_check"]["admissible"])
+    assert report["svd_check"]["decomposition"] == "canonical"
+
+
+@pytest.mark.parametrize("kind, n, decomposition", [
+    ("gravity", 512, "block"),     # 49 modes above the floor, from 64 columns
+    ("gravity", 256, "eigh"),      # under 8 blocks: the full eigh
+    ("deriv2", 512, "eigh"),       # every mode above the floor
+])
+def test_svd_check_reports_its_decomposition(tmp_path, kind, n, decomposition):
+    path, _, report_path = write_cfg(tmp_path, f"problem.kind = {kind}\nproblem.n = {n}\n")
+    assert main(["svd-check", str(path)]) == EXIT_OK
+    section = json.loads(report_path.read_text())["svd_check"]
+    assert section["decomposition"] == decomposition
+    if kind == "gravity":
+        assert section["retained_singular_values"] == 49
 
 
 @pytest.mark.parametrize("command", ["estimate", "svd-check"])

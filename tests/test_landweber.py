@@ -8,12 +8,13 @@ from klsmooth.cli import build_problem, figure_config
 from klsmooth.landweber import (EARLY_STOP_REL, SLOW_DEGREE, SLOW_REACH, LandweberConfig,
                                 _slow_modes, _stop_floors, diagonal_trace, landweber_run,
                                 matvec_trace, trace_to_csv)
-from klsmooth.operators import (ConvergenceError, dense_operator, diagonal_operator,
-                                operator_norm, svd)
-from klsmooth.problems import ProblemSpec, add_noise, make_power_law
+from klsmooth.operators import (ConvergenceError, _symmetric_svd, dense_operator,
+                                diagonal_operator, operator_norm, svd)
+from klsmooth.problems import ProblemSpec, add_noise, make_gravity, make_power_law
+from klsmooth.validation import DEFAULT_MU_GRID, max_mu_spectral, verify_smoothness
 
 from _oracles import (diagonal_landweber_oracle, known_svd_problem,
-                      known_symmetric_problem)
+                      known_symmetric_problem, planted_symmetric_problem)
 
 
 def make_diag_problem(sigmas, x_true):
@@ -459,6 +460,41 @@ def test_symmetric_decomposition_matches_slow_paths(n, rank_drop, seed, noise, b
     rounding = (0.0, 64 * np.finfo(float).eps * np.linalg.norm(data), 0.0)
     assert_traces_agree((closed.residuals, closed.gradient_norms, closed.errors),
                         (loop.residuals, loop.gradient_norms, loop.errors), rounding=rounding)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_gravity(512),
+    lambda: make_gravity(1024),
+    # |lam| falls geometrically from 1 to 1e-18 over 40 modes, 31 above the floor
+    lambda: planted_symmetric_problem(7, 512, np.geomspace(1.0, 1e-18, 40)),
+], ids=["gravity-512", "gravity-1024", "planted-512"])
+def test_block_decomposition_matches_the_full_eigh(make):
+    """svd() of a symmetric matrix whose spectrum crosses SV_FLOOR inside
+    the leading block, against the full eigh it stands in for: the same
+    retained modes, a singular system to 1e-12, the same closed-form
+    Landweber trace and the same spectral verdict, and one result per
+    matrix."""
+    p = make()
+    a = p.operator.matrix
+    sd = svd(p.operator)
+    oracle = _symmetric_svd(*np.linalg.eigh(a), method="eigh")
+    s = sd.sigmas
+    assert (sd.method, s.size) == ("block", oracle.sigmas.size)
+    assert np.linalg.norm(a @ sd.v - sd.u * s, axis=0).max() <= 1e-12 * s[0]
+    for basis in (sd.u, sd.v):
+        assert np.abs(basis.T @ basis - np.eye(s.size)).max() <= 1e-12
+    cfg = LandweberConfig()
+    block, full = (landweber_run(p, p.y_clean, cfg, d) for d in (sd, oracle))
+    assert (block.path, full.path) == ("closed-form", "closed-form")
+    rounding = (0.0, 64 * np.finfo(float).eps * np.linalg.norm(p.y_clean), 0.0)
+    assert_traces_agree((block.residuals, block.gradient_norms, block.errors),
+                        (full.residuals, full.gradient_norms, full.errors), rounding=rounding)
+    assert (verify_smoothness(sd, p.y_clean, DEFAULT_MU_GRID).admissible
+            == verify_smoothness(oracle, p.y_clean, DEFAULT_MU_GRID).admissible)
+    assert max_mu_spectral(sd, p.y_clean) == max_mu_spectral(oracle, p.y_clean)
+    again = svd(dense_operator(a))
+    for x, y in ((sd.sigmas, again.sigmas), (sd.u, again.u), (sd.v, again.v)):
+        assert np.array_equal(x, y)
 
 
 def test_decomposition_supplies_the_norm_power_iteration_misses():

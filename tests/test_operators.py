@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klsmooth.operators import (ConvergenceError, SVD_SIZE_LIMIT, dense_operator,
-                                diagonal_operator, kernel_operator, operator_norm,
-                                read_matrix_market, read_vector, svd,
+from klsmooth import operators
+from klsmooth.operators import (BLOCK, ConvergenceError, SVD_SIZE_LIMIT, _symmetric_svd,
+                                dense_operator, diagonal_operator, kernel_operator,
+                                operator_norm, read_matrix_market, read_vector, svd,
                                 write_matrix_market, write_vector)
-from klsmooth.problems import deriv2_kernel
+from klsmooth.problems import deriv2_kernel, make_gravity
+
+from _oracles import planted_symmetric_problem
 
 
 def test_apply_diagonal():
@@ -173,6 +176,50 @@ def test_svd_takes_the_eigensolver_only_for_a_symmetric_matrix(monkeypatch):
         svd(dense_operator(a))
 
 
+def _flat_tail(level, modes, n=512):
+    """|lam| from 1 down to 1e-12 over 30 modes, then `modes` more at `level`."""
+    return planted_symmetric_problem(3, n, np.concatenate((np.geomspace(1.0, 1e-12, 30),
+                                                           np.full(modes, level)))).operator
+
+
+@pytest.mark.parametrize("make, refused_by", [
+    # the Gram matrix of A Omega refuses slow decay after one product
+    (lambda: kernel_operator(deriv2_kernel, 512), "sketch"),
+    (lambda: planted_symmetric_problem(3, 512, np.geomspace(1.0, 1e-6, 512)).operator, "sketch"),
+    # no Ritz value below the floor: 482 modes at 1e-8
+    (lambda: _flat_tail(1e-8, 482), "ritz"),
+    # 300 modes of +-2e-14, just above the floor: Ritz values fall below it,
+    # and only the probe sees what the block cannot hold
+    (lambda: _flat_tail(2e-14, 300), "probe"),
+], ids=["deriv2-512", "slow-geometric", "flat-1e-8-tail", "tail-above-floor"])
+def test_refused_block_runs_the_full_eigh_once(monkeypatch, make, refused_by):
+    op = make()
+    n = op.shape[1]
+    oracle = _symmetric_svd(*np.linalg.eigh(op.matrix), method="eigh")
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sd = svd(op)
+    assert sd.method == "eigh"
+    assert calls == ([(n, n)] if refused_by == "sketch" else [(BLOCK, BLOCK), (n, n)])
+    assert np.array_equal(sd.sigmas, oracle.sigmas)
+    if refused_by == "probe":
+        assert sd.sigmas.size == 330
+        monkeypatch.setattr(operators, "BLOCK_RESIDUAL", np.inf)
+        assert svd(dense_operator(op.matrix)).sigmas.size <= BLOCK
+
+
+def test_block_decomposition_failure_is_a_convergence_error(monkeypatch):
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("planted")
+    monkeypatch.setattr(np.linalg, "qr", failing)   # the block alone calls qr
+    with pytest.raises(ConvergenceError, match="planted"):
+        svd(make_gravity(512).operator)
+
+
 def test_svd_truncation_floor():
     op = dense_operator(np.diag([1.0, 1e-3, 1e-16]))
     sd = svd(op)
@@ -229,6 +276,24 @@ def test_matrix_market_coordinate(tmp_path):
     a = read_matrix_market(path)
     assert a.shape == (2, 3)
     assert a[0, 1] == 4.5 and a[1, 2] == -1.0 and a[0, 0] == 0.0
+
+
+def test_matrix_market_repeated_coordinate_entry_last_holds(tmp_path):
+    path = tmp_path / "r.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 2 4.5\n"
+                    "2 1 1.0\n1 2 7.0\n")
+    assert np.array_equal(read_matrix_market(path), [[0.0, 7.0], [1.0, 0.0]])
+
+
+def test_writers_print_one_17_digit_value_per_line(tmp_path):
+    a = np.array([[np.pi, -0.0, 5e-324], [1.0 / 3.0, np.inf, -2.5e17]])
+    write_matrix_market(tmp_path / "a.mtx", a)
+    values = [a[i, j] for j in range(3) for i in range(2)]   # column-major
+    assert (tmp_path / "a.mtx").read_text() == (
+        "%%MatrixMarket matrix array real general\n2 3\n"
+        + "".join(f"{x:.17g}\n" for x in values))
+    write_vector(tmp_path / "v.txt", a[0])
+    assert (tmp_path / "v.txt").read_text() == "".join(f"{x:.17g}\n" for x in a[0])
 
 
 def test_matrix_market_pattern_entries_are_ones(tmp_path):

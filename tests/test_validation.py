@@ -204,8 +204,9 @@ def test_summability_skips_rounding_on_a_computed_basis_only():
     y = np.concatenate((sigmas[:40] ** 2, np.full(8, 1e-16)))
     assert 1e-16 < COEFF_FLOOR * np.linalg.norm(y)
     basis = np.eye(sigmas.size)
-    diagonal = verify_smoothness(SpectralDecomposition(sigmas), y, [0.1])
-    computed = verify_smoothness(SpectralDecomposition(sigmas, u=basis, v=basis), y, [0.1])
+    diagonal = verify_smoothness(SpectralDecomposition(sigmas, method="canonical"), y, [0.1])
+    computed = verify_smoothness(SpectralDecomposition(sigmas, u=basis, v=basis, method="svd"),
+                                 y, [0.1])
     assert diagonal.admissible == [False]
     assert computed.admissible == [True]
 
@@ -217,7 +218,7 @@ def test_max_mu_spectral_agrees_with_the_test_it_refines():
     # the test rejects 0.7
     i = np.arange(1.0, 100_001.0)
     y = np.where(i <= 10_000, i ** -3.0, 1e-13)
-    sd = SpectralDecomposition(1.0 / i)
+    sd = SpectralDecomposition(1.0 / i, method="canonical")
     mu = max_mu_spectral(sd, y)
     assert verify_smoothness(sd, y, [mu - 0.05, mu + 0.05]).admissible == [True, False]
 
