@@ -76,7 +76,7 @@ def general_svd(matrix):
     return SpectralDecomposition(sigmas=s[:r], u=u[:, :r], v=vt[:r].T, method="svd")
 
 
-def known_symmetric_problem(seed, n, rank, noise=0.0):
+def known_symmetric_problem(seed, n, rank, noise=0.0, centro=False):
     """A symmetric indefinite n x n problem A = Q diag(lam) Q* of the given
     rank, symmetrized bit for bit, and its data.
 
@@ -84,16 +84,24 @@ def known_symmetric_problem(seed, n, rank, noise=0.0):
     0.01), each with a random sign, and lam = 0 past the rank. x_true has a
     coefficient of size 0.5-1.5 and random sign on every eigenvector, its
     null-space part included when rank < n. The data are A x_true plus, with
-    noise > 0, a random vector of that relative norm. Returns the
-    ProblemSpec and the data.
+    noise > 0, a random vector of that relative norm. With centro=True (n
+    even) the eigenvectors are [w; J w] / sqrt(2) and [z; -J z] / sqrt(2)
+    for orthonormal w and z of order n/2, J the exchange matrix, and A is
+    also centrosymmetric bit for bit. Returns the ProblemSpec and the data.
     """
     rng = np.random.default_rng(seed)
     inner = np.sort(10.0 ** rng.uniform(-2, np.log10(0.5), rank - 2))[::-1]
     lams = np.concatenate(([1.0], inner, [0.01], np.zeros(n - rank)))
     lams *= rng.choice([-1.0, 1.0], n)
-    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    if centro:
+        w, z = (np.linalg.qr(rng.standard_normal((n // 2, n // 2)))[0] for _ in range(2))
+        q = np.sqrt(0.5) * np.block([[w, z], [w[::-1], -z[::-1]]])
+    else:
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     a = (q * lams) @ q.T
-    a = 0.5 * (a + a.T)   # a + a.T is symmetric entry by entry
+    if centro:
+        a = 0.5 * (a + a[::-1, ::-1])   # equal to its mirror J A J entry by entry
+    a = 0.5 * (a + a.T)   # a + a.T is symmetric entry by entry, and keeps the mirror
     x_true = q @ (rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.5, n))
     y = a @ x_true
     data = y

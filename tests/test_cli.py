@@ -740,8 +740,9 @@ def test_svd_check_subcommand(tmp_path):
 
 @pytest.mark.parametrize("kind, n, decomposition", [
     ("gravity", 512, "block"),     # 49 modes above the floor, from 64 columns
-    ("gravity", 256, "eigh"),      # under 8 blocks: the full eigh
-    ("deriv2", 512, "eigh"),       # every mode above the floor
+    ("gravity", 256, "centro"),    # under 8 blocks, and its own mirror on 2^k cells
+    ("deriv2", 512, "centro"),     # every mode above the floor: no block
+    ("deriv2", 1000, "eigh"),      # 1 ulp from its mirror: the full eigh
 ])
 def test_svd_check_reports_its_decomposition(tmp_path, kind, n, decomposition):
     path, _, report_path = write_cfg(tmp_path, f"problem.kind = {kind}\nproblem.n = {n}\n")

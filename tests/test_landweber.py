@@ -8,9 +8,9 @@ from klsmooth.cli import build_problem, figure_config
 from klsmooth.landweber import (EARLY_STOP_REL, SLOW_DEGREE, SLOW_REACH, LandweberConfig,
                                 _slow_modes, _stop_floors, diagonal_trace, landweber_run,
                                 matvec_trace, trace_to_csv)
-from klsmooth.operators import (ConvergenceError, _symmetric_svd, dense_operator,
-                                diagonal_operator, operator_norm, svd)
-from klsmooth.problems import ProblemSpec, add_noise, make_gravity, make_power_law
+from klsmooth.operators import (ConvergenceError, _centro_halves, _symmetric_svd,
+                                dense_operator, diagonal_operator, operator_norm, svd)
+from klsmooth.problems import ProblemSpec, add_noise, make_deriv2, make_gravity, make_power_law
 from klsmooth.validation import DEFAULT_MU_GRID, max_mu_spectral, verify_smoothness
 
 from _oracles import (diagonal_landweber_oracle, known_svd_problem,
@@ -424,12 +424,16 @@ def test_dense_closed_form_matches_matvec_loop(m, n, rank_drop, seed, noise, bet
 @settings(deadline=None, max_examples=40)
 @given(n=st.integers(2, 120), rank_drop=st.integers(0, 30), seed=st.integers(0, 2**31 - 1),
        noise=st.sampled_from([0.0, 1e-3, 0.05]), beta=st.floats(0.05, 1.95),
-       iters=st.integers(1, 3000))
+       iters=st.integers(1, 3000), centro=st.booleans())
 # rank-deficient and noisy, K = 2 * 1092 + 17 rows of 1092 (2^16 // 60)
-@example(n=70, rank_drop=10, seed=3, noise=0.05, beta=1.0, iters=2201)
-def test_symmetric_decomposition_matches_slow_paths(n, rank_drop, seed, noise, beta, iters):
-    """svd() of a symmetric indefinite matrix, by the eigensolver, against
-    the definition of a singular system, np.linalg.svd, and the matvec loop.
+@example(n=70, rank_drop=10, seed=3, noise=0.05, beta=1.0, iters=2201, centro=False)
+@example(n=70, rank_drop=10, seed=3, noise=0.05, beta=1.0, iters=2201, centro=True)
+def test_symmetric_decomposition_matches_slow_paths(n, rank_drop, seed, noise, beta, iters,
+                                                    centro):
+    """svd() of a symmetric indefinite matrix, by the eigensolver or, when
+    the matrix is also centrosymmetric (n made even), by its two halves,
+    against the definition of a singular system, np.linalg.svd, and the
+    matvec loop.
 
     The spectrum is known_svd_problem's, so no mode converges within the
     run (see test_dense_closed_form_matches_matvec_loop); the zero
@@ -441,11 +445,14 @@ def test_symmetric_decomposition_matches_slow_paths(n, rank_drop, seed, noise, b
     ||data||, so G has the allowance test_closed_form_matches_matvec_loop
     gives it.
     """
+    if centro:
+        n += n % 2   # the halves need an even order
     rank = max(2, n - rank_drop)
-    p, data = known_symmetric_problem(seed, n, rank, noise)
+    p, data = known_symmetric_problem(seed, n, rank, noise, centro)
     a = p.operator.matrix
     assert p.operator.symmetric
     sd = svd(p.operator)
+    assert sd.method == ("centro" if centro else "eigh")
     s = sd.sigmas
     assert s.size == rank and np.all(np.diff(s) <= 0.0)
     tol = 1e-12 * s[0]
@@ -495,6 +502,46 @@ def test_block_decomposition_matches_the_full_eigh(make):
     again = svd(dense_operator(a))
     for x, y in ((sd.sigmas, again.sigmas), (sd.u, again.u), (sd.v, again.v)):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("make, n", [(make_deriv2, 256), (make_gravity, 256),
+                                     (make_deriv2, 1024), (make_gravity, 1024)],
+                         ids=["deriv2-256", "gravity-256", "deriv2-1024", "gravity-1024"])
+def test_centro_decomposition_matches_the_full_eigh(monkeypatch, make, n):
+    """The two half-size eigenproblems of a matrix symmetric and
+    centrosymmetric bit for bit, against the full eigh: the same retained
+    modes, sigmas to 1e-13 sigma_1, a singular system at rounding, modes
+    that are even or odd bit for bit, the same closed-form Landweber trace
+    and the same spectral verdict. svd() takes the block for gravity at
+    n = 1024, so the halves are called directly."""
+    p = make(n)
+    a = p.operator.matrix
+    oracle = _symmetric_svd(*np.linalg.eigh(a), method="eigh")
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(b):
+        calls.append(b.shape)
+        return eigh(b)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sd = _centro_halves(a)
+    assert calls == [(n // 2, n // 2)] * 2
+    s = sd.sigmas
+    assert (sd.method, s.size) == ("centro", oracle.sigmas.size)
+    assert np.abs(s - oracle.sigmas).max() <= 1e-13 * s[0]
+    assert np.linalg.norm(a @ sd.v - sd.u * s, axis=0).max() <= 1e-14 * s[0]
+    assert np.abs(sd.u.T @ sd.u - np.eye(s.size)).max() <= 1e-14
+    assert np.array_equal(np.abs(sd.u[::-1]), np.abs(sd.u))
+    cfg = LandweberConfig()
+    centro, full = (landweber_run(p, p.y_clean, cfg, d) for d in (sd, oracle))
+    rounding = (0.0, 64 * np.finfo(float).eps * np.linalg.norm(p.y_clean), 0.0)
+    assert_traces_agree((centro.residuals, centro.gradient_norms, centro.errors),
+                        (full.residuals, full.gradient_norms, full.errors), rounding=rounding)
+    assert (verify_smoothness(sd, p.y_clean, DEFAULT_MU_GRID).admissible
+            == verify_smoothness(oracle, p.y_clean, DEFAULT_MU_GRID).admissible)
+    # deriv2 at n = 1024 counts coefficients near rounding, whose fit moves
+    # in the 10th digit between decompositions as between BLAS thread counts
+    assert max_mu_spectral(sd, p.y_clean) == pytest.approx(max_mu_spectral(oracle, p.y_clean),
+                                                           rel=1e-9)
 
 
 def test_decomposition_supplies_the_norm_power_iteration_misses():

@@ -151,14 +151,15 @@ def test_svd_reconstruction_and_singular_system():
 
 def test_svd_takes_the_eigensolver_only_for_a_symmetric_matrix(monkeypatch):
     # a matrix one ulp from symmetric takes the SVD; a LinAlgError of either
-    # becomes a ConvergenceError
+    # becomes a ConvergenceError. The planted matrix is not centrosymmetric,
+    # so the full eigh runs
     calls, eigh = [], np.linalg.eigh
 
     def counted(a):
         calls.append(a.shape)
         return eigh(a)
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    a = kernel_operator(deriv2_kernel, 16).matrix
+    a = planted_symmetric_problem(2, 16, np.geomspace(1.0, 1e-3, 16)).operator.matrix
     sd = svd(dense_operator(a))
     assert calls == [(16, 16)]
     assert np.abs(a @ sd.v - sd.u * sd.sigmas).max() <= 1e-14 * sd.sigmas[0]
@@ -183,15 +184,16 @@ def _flat_tail(level, modes, n=512):
 
 
 @pytest.mark.parametrize("make, refused_by", [
-    # the Gram matrix of A Omega refuses slow decay after one product
-    (lambda: kernel_operator(deriv2_kernel, 512), "sketch"),
+    # the Gram matrix of A Omega refuses slow decay after one product; deriv2
+    # at n = 1000 is centrosymmetric only to 1 ulp, so the halves refuse it too
+    (lambda: kernel_operator(deriv2_kernel, 1000), "sketch"),
     (lambda: planted_symmetric_problem(3, 512, np.geomspace(1.0, 1e-6, 512)).operator, "sketch"),
     # no Ritz value below the floor: 482 modes at 1e-8
     (lambda: _flat_tail(1e-8, 482), "ritz"),
     # 300 modes of +-2e-14, just above the floor: Ritz values fall below it,
     # and only the probe sees what the block cannot hold
     (lambda: _flat_tail(2e-14, 300), "probe"),
-], ids=["deriv2-512", "slow-geometric", "flat-1e-8-tail", "tail-above-floor"])
+], ids=["deriv2-1000", "slow-geometric", "flat-1e-8-tail", "tail-above-floor"])
 def test_refused_block_runs_the_full_eigh_once(monkeypatch, make, refused_by):
     op = make()
     n = op.shape[1]
@@ -210,6 +212,34 @@ def test_refused_block_runs_the_full_eigh_once(monkeypatch, make, refused_by):
         assert sd.sigmas.size == 330
         monkeypatch.setattr(operators, "BLOCK_RESIDUAL", np.inf)
         assert svd(dense_operator(op.matrix)).sigmas.size <= BLOCK
+
+
+def _mirror_nudged(n):
+    """deriv2 on n cells, centrosymmetric bit for bit, with a[0, 1] and
+    a[1, 0] one ulp up: still symmetric, no longer equal to its mirror."""
+    a = kernel_operator(deriv2_kernel, n).matrix.copy()
+    a[0, 1] = a[1, 0] = np.nextafter(a[0, 1], np.inf)
+    return dense_operator(a)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: kernel_operator(deriv2_kernel, 255),   # odd order
+    lambda: _mirror_nudged(256),
+], ids=["odd-255", "mirror-nudged-256"])
+def test_centro_refusal_runs_the_full_eigh_once(monkeypatch, make):
+    # deriv2 at n = 1000, 1 ulp from centrosymmetric, is refused in
+    # test_refused_block_runs_the_full_eigh_once
+    op = make()
+    n = op.shape[1]
+    assert op.symmetric
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert svd(op).method == "eigh"
+    assert calls == [(n, n)]
 
 
 def test_block_decomposition_failure_is_a_convergence_error(monkeypatch):
