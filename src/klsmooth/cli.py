@@ -202,9 +202,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise ConfigError(str(operators.not_utf8(path))) from None
     return parse_config_text(text)
 
 

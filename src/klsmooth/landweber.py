@@ -398,6 +398,10 @@ def trace_to_csv(trace: IterationTrace,
     that is not given. The estimator's columns mu_k, c_k belong to the
     iterations k_values and start at k_min, so their earlier cells are empty.
     An upper-bound column is appended when bound curves were computed.
+
+    One % formats the whole table from its values interleaved row by row.
+    Every float cell follows the integer k and a comma, so replacing
+    ",nan", ",-inf" and ",inf" blanks exactly the non-finite cells.
     """
     n = len(trace)
     mu_col = c_col = None
@@ -411,18 +415,15 @@ def trace_to_csv(trace: IterationTrace,
     if upper_bounds is not None:
         header.append("upper_bound")
         columns.append(upper_bounds)
-    cells = [[str(k) for k in trace.k_values.tolist()]]
-    for col in columns:
-        if col is None:
-            cells.append(("",) * n)
-            continue
-        col = np.asarray(col, dtype=float)
-        text = [f"{x:.17g}" for x in col.tolist()]
-        for i in np.flatnonzero(~np.isfinite(col)).tolist():
-            text[i] = ""
-        cells.append(text)
-    rows = map(",".join, zip(*cells))
-    return ",".join(header) + "\n" + "".join(row + "\n" for row in rows)
+    given = [col for col in columns if col is not None]
+    table = np.empty((n, 1 + len(given)))
+    table[:, 0] = trace.k_values
+    for j, col in enumerate(given, start=1):
+        table[:, j] = col
+    row = "%d" + "".join("," if col is None else ",%.17g" for col in columns) + "\n"
+    text = (row * n) % tuple(table.ravel().tolist())
+    text = text.replace(",nan", ",").replace(",-inf", ",").replace(",inf", ",")
+    return ",".join(header) + "\n" + text
 
 
 def _by_iteration(n: int, k_values: np.ndarray, values: np.ndarray) -> np.ndarray:

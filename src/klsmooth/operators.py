@@ -13,6 +13,7 @@ Operators are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -105,18 +106,22 @@ class SpectralDecomposition:
     """Singular values sigma_i with left and right singular vectors u_i, v_i.
 
     A v_i = sigma_i u_i. u = v = None is the canonical basis (u_i = v_i = e_i)
-    of a diagonal operator, left implicit. ``method`` names what computed
-    it: "canonical" (a diagonal operator's own sigmas), "svd", "eigh",
-    "block" or "centro" (see :func:`svd`).
+    of a diagonal operator, left implicit. A symmetric decomposition
+    A = U diag(lam) U* keeps no second n x r array: v = None, and its right
+    vectors are v_i = signs_i u_i with signs_i = sign(lam_i). ``method``
+    names what computed it: "canonical" (a diagonal operator's own sigmas),
+    "svd", "eigh", "block" or "centro" (see :func:`svd`).
     """
 
     sigmas: np.ndarray
     u: Optional[np.ndarray] = None   # m x r, columns u_i
     v: Optional[np.ndarray] = None   # n x r, columns v_i
     method: str = field(kw_only=True)
+    signs: Optional[np.ndarray] = field(default=None, kw_only=True)   # r values +-1
 
     def coefficients(self, y: np.ndarray) -> np.ndarray:
-        """<y, u_i> for every retained i."""
+        """<y, u_i> for every retained i; for an n x k array y, the r x k
+        coefficients of its columns by one product."""
         y = np.asarray(y, dtype=float)
         return y.copy() if self.u is None else self.u.T @ y
 
@@ -124,13 +129,19 @@ class SpectralDecomposition:
         """<vec, u_i> (or <vec, v_i> with right=True) for every retained i,
         and the squared norm of the part of vec outside the span of those
         vectors: the part no retained mode of A reaches.
+
+        With v = signs u the right split is the left one with its
+        coefficients times signs: negation is exact, so this equals the
+        split by an explicit basis u * signs bit for bit.
         """
         vec = np.asarray(vec, dtype=float)
-        basis = self.v if right else self.u
+        basis = self.v if right and self.v is not None else self.u
         if basis is None:
             return vec.copy(), 0.0
         coeffs = basis.T @ vec
         rest = vec - basis @ coeffs
+        if right and self.v is None:
+            coeffs *= self.signs
         return coeffs, float(rest @ rest)
 
 
@@ -171,14 +182,21 @@ def kernel_operator(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     (A x)(s_i) ~= sum_j kernel(s_i, t_j) x(t_j) / n with s, t the
     :func:`midpoint_nodes`. The kernel is called with s as a column and t as
-    a row, so it must broadcast; no n-by-n grids of nodes are built. The
-    result is a plain dense operator.
+    a row, so it must broadcast; no n-by-n grids of nodes are built. A
+    kernel that returns a writeable n x n float array hands it over: that
+    array is scaled by 1/n in place and becomes the matrix, so the operator
+    costs one n x n array. Any other result (a scalar, a row, a read-only
+    view, another dtype) is broadcast into a new one first. The result is a
+    plain dense operator.
     """
     if n < 2:
         raise ValueError("need at least 2 quadrature cells")
     t = midpoint_nodes(n)
     values = np.asarray(kernel(t[:, None], t[None, :]), dtype=float)
-    return dense_operator(np.broadcast_to(values, (n, n)) * (1.0 / n))
+    if values.shape != (n, n) or not values.flags.writeable:
+        values = np.broadcast_to(values, (n, n)).copy()
+    values *= 1.0 / n
+    return dense_operator(values)
 
 
 def operator_norm(op: LinearOperator, tol: float = 1e-10, max_iters: int = 10000) -> float:
@@ -221,13 +239,14 @@ def svd(op: LinearOperator) -> SpectralDecomposition:
     A dense matrix equal to its transpose bit for bit is decomposed by the
     symmetric eigensolver, about three times faster than the SVD: from
     A = V diag(lam) V*, sigma = |lam|, u = V and v = sign(lam) V (Golub and
-    Van Loan, Matrix Computations, sections 8.1 and 8.6). From 8 BLOCK
-    columns on it first tries :func:`_leading_block`, which finds the
-    retained modes of a spectrum that falls below the floor early without
-    computing the others. When there is no block, a matrix that is also
-    centrosymmetric bit for bit is decomposed by :func:`_centro_halves` as
-    two eigenproblems of half the size; otherwise the full eigensolver
-    runs. Any other matrix takes the SVD.
+    Van Loan, Matrix Computations, sections 8.1 and 8.6), kept as the signs
+    alone. From 8 BLOCK columns on it first tries :func:`_leading_block`,
+    which finds the retained modes of a spectrum that falls below the floor
+    early without computing the others. When there is no block, a matrix
+    that is also centrosymmetric bit for bit is decomposed by
+    :func:`_centro_halves` from two eigenproblems of half the size, each
+    split again while it is centrosymmetric bit for bit; otherwise the full
+    eigensolver runs. Any other matrix takes the SVD.
     """
     if op.kind == "diagonal":
         return SpectralDecomposition(sigmas=op.sigmas.copy(), method="canonical")
@@ -300,55 +319,126 @@ def _leading_block(a: np.ndarray) -> Optional[SpectralDecomposition]:
 
 def _centro_halves(a: np.ndarray) -> Optional[SpectralDecomposition]:
     """The singular system of a symmetric matrix that is also
-    centrosymmetric bit for bit (A = J A J, J the exchange matrix), from two
-    eigenproblems of half the size; None for any other matrix.
+    centrosymmetric bit for bit (A = J A J, J the exchange matrix), from
+    eigenproblems of half the size or less; None for any other matrix.
 
     With n = 2m and A = [[A11, A12], [A21, A22]], A is orthogonally similar
     to diag(A11 + A12 J, A11 - A12 J) (Cantoni and Butler, Linear Algebra
     Appl. 13, 1976): an eigenvector w of the first half gives the mode
     [w; J w] / sqrt(2), and z of the second [z; -J z] / sqrt(2), with the
     same eigenvalues. A12 J is symmetric bit for bit when A is symmetric
-    and centrosymmetric bit for bit, so both halves are too. Comparing the
-    top m rows with those of J A J tests the whole matrix: the bottom rows
-    are the same comparisons. The midpoint-rule kernels deriv2 and gravity
-    pass on n = 2^k grids; at n = 1000 they are 1 ulp off and take the
-    full eigh. Two eigh of order m cost about a quarter of one of order n.
+    and centrosymmetric bit for bit, so both halves are too, and each is
+    decomposed by :func:`_centro_eigh`: split again by the same exact test,
+    or by eigh. The midpoint-rule kernels deriv2 and gravity pass on n = 2^k
+    grids; at n = 1000 they are 1 ulp off and take the full eigh. deriv2's
+    odd half is the Dirichlet Green's function on [0, 1/2], again
+    centrosymmetric bit for bit, so deriv2 at n = 1024 calls eigh on orders
+    512, 256, ..., 2, 1 and 1; its even half and both of gravity's are not.
+    Two eigh of order m cost about a quarter of one of order n. Only the
+    retained modes are assembled, in their final order, into one n x r
+    array.
+    """
+    split = _centro_split(a)
+    if split is None:
+        return None
+    lam, wz = split
+    order = _retained(lam)
+    lam = lam[order]   # none is 0: |lam| >= SV_FLOOR max |lam| > 0
+    return SpectralDecomposition(sigmas=np.abs(lam), u=_unfold(wz, order), signs=np.sign(lam),
+                                 method="centro")
+
+
+def _centro_split(a: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The eigenvalues of the halves A11 + A12 J and A11 - A12 J of a
+    symmetric matrix centrosymmetric bit for bit, and their eigenvectors
+    side by side, [W Z] (m x n), each half by :func:`_centro_eigh`; None
+    when the matrix is not centrosymmetric bit for bit or has odd order.
+
+    Comparing the top m rows with those of J A J tests the whole matrix:
+    the bottom rows are the same comparisons. Each half is freed once
+    decomposed.
     """
     n = a.shape[0]
     m = n // 2
     if n % 2 or not np.array_equal(a[:m], a[::-1, ::-1][:m]):
         return None
     a11, a12j = a[:m, :m], a[:m, m:][:, ::-1]
-    # each half's eigenvectors go straight into the modes' top rows, so no
-    # copy of them outlives its eigh
-    vecs = np.empty((n, n))
-    lam_w, vecs[:m, :m] = np.linalg.eigh(a11 + a12j)
-    lam_z, vecs[:m, m:] = np.linalg.eigh(a11 - a12j)
-    vecs[m:] = vecs[m - 1::-1]   # J w and J z
-    vecs[m:, m:] *= -1.0
-    vecs *= math.sqrt(0.5)
-    return _symmetric_svd(np.concatenate((lam_w, lam_z)), vecs, method="centro")
+    lam_w, w = _centro_eigh(a11 + a12j)
+    lam_z, z = _centro_eigh(a11 - a12j)
+    return np.concatenate((lam_w, lam_z)), np.hstack((w, z))
+
+
+def _centro_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a symmetric matrix, unsorted: from
+    its halves, recursively, while it is centrosymmetric bit for bit, and by
+    eigh otherwise."""
+    split = _centro_split(a)
+    if split is None:
+        return np.linalg.eigh(a)
+    lam, wz = split
+    return lam, _unfold(wz, np.arange(a.shape[0]))
+
+
+def _unfold(wz: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Columns ``order`` of [[W, Z], [J W, -J Z]] / sqrt(2), the modes of a
+    centrosymmetric matrix from the eigenvectors [W Z] of its halves."""
+    m = wz.shape[0]
+    out = np.empty((2 * m, order.size))
+    # out[:m] is contiguous, and mode="clip" takes without a buffer
+    np.take(wz, order, axis=1, out=out[:m], mode="clip")
+    out[:m] *= math.sqrt(0.5)
+    np.multiply(out[m - 1::-1], np.where(order < m, 1.0, -1.0), out=out[m:])   # J w, -J z
+    return out
+
+
+def _retained(lam: np.ndarray) -> np.ndarray:
+    """Indices of the modes by |lam| non-increasing, truncated at
+    SV_FLOOR max |lam|."""
+    abs_lam = np.abs(lam)
+    order = np.argsort(-abs_lam, kind="stable")
+    top = abs_lam[order[0]]
+    return order[:0 if top == 0.0 else int((abs_lam >= SV_FLOOR * top).sum())]
 
 
 def _symmetric_svd(lam: np.ndarray, vecs: np.ndarray, method: str) -> SpectralDecomposition:
     """The singular system of V diag(lam) V*: modes by |lam| non-increasing,
     truncated at SV_FLOOR max |lam|."""
-    order = np.argsort(-np.abs(lam), kind="stable")
-    s = np.abs(lam[order])
-    r = 0 if s[0] == 0.0 else int((s >= SV_FLOOR * s[0]).sum())
-    order = order[:r]
+    order = _retained(lam)
+    lam = lam[order]   # none is 0: |lam| >= SV_FLOOR max |lam| > 0
     # a copy, so the dropped modes' vectors go with vecs; np.take gathers
     # the columns four times faster than vecs[:, order] at n = 1024
-    u = np.take(vecs, order, axis=1)
-    lam = lam[order]     # none is 0: |lam| >= SV_FLOOR max |lam| > 0
-    return SpectralDecomposition(sigmas=s[:r], u=u, method=method,
-                                 v=u if (lam > 0.0).all() else u * np.sign(lam))
+    return SpectralDecomposition(sigmas=np.abs(lam), u=np.take(vecs, order, axis=1),
+                                 signs=np.sign(lam), method=method)
 
 
 # ---------------------------------------------------------------------------
 # File formats: MatrixMarket for matrices, one-value-per-line for vectors.
 # Writers use 17 significant digits so write+read round-trips bit-exactly.
 # ---------------------------------------------------------------------------
+
+def not_utf8(path) -> ValueError:
+    """The error for a text file that is not UTF-8: it names the file, the
+    first line that does not decode and that line's first bad byte."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ValueError(f"{path}: line {lineno}: not UTF-8 text "
+                                  f"(byte {line[exc.start]:#04x})")
+    return ValueError(f"{path}: not UTF-8 text")
+
+
+def _utf8_text(read: Callable) -> Callable:
+    """read(path) with a file that is not UTF-8 reported by :func:`not_utf8`."""
+    @functools.wraps(read)
+    def checked(path):
+        try:
+            return read(path)
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
+    return checked
+
 
 def _decimal_lines(values: np.ndarray) -> str:
     """One value per line at 17 significant digits, which read back bit for
@@ -368,6 +458,7 @@ def write_matrix_market(path, matrix) -> None:
         fh.writelines(map(_decimal_lines, a.T))   # column-major, one column at a time
 
 
+@_utf8_text
 def read_matrix_market(path) -> np.ndarray:
     """Read a real matrix in MatrixMarket array or coordinate format.
 
@@ -377,9 +468,9 @@ def read_matrix_market(path) -> np.ndarray:
     when it fails or finds other than m n values, float() converts each
     entry line in turn. Coordinate entry lines are converted at once; when
     that fails, a pass over them finds the first bad one. Errors report the
-    bad line's 1-based number.
+    bad line's 1-based number, as do bytes that are not UTF-8.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         first = fh.readline()
         # the size line: the first after the header neither blank nor a comment
         for size_at, line in enumerate(fh, start=2):
@@ -415,7 +506,8 @@ def read_matrix_market(path) -> np.ndarray:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 try:
-                    values = np.loadtxt(path, comments=None, skiprows=size_at, ndmin=1)
+                    values = np.loadtxt(path, comments=None, skiprows=size_at, ndmin=1,
+                                        encoding="utf-8")
                 except ValueError:
                     values = None
             if values is not None and values.shape == (m * n,):
@@ -481,10 +573,12 @@ def write_vector(path, vec) -> None:
         fh.write(_decimal_lines(v))
 
 
+@_utf8_text
 def read_vector(path) -> np.ndarray:
-    """Read a one-value-per-line vector of finite numbers; errors carry the line number."""
+    """Read a one-value-per-line vector of finite numbers; errors, bytes that
+    are not UTF-8 among them, carry the line number."""
     values = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith(("%", "#")):

@@ -117,8 +117,26 @@ def make_exp_operator(n: int, eta: float) -> ProblemSpec:
 
 
 def deriv2_kernel(s, t):
-    """Green's function of the second derivative with zero boundary values."""
-    return np.where(s <= t, s * (t - 1.0), t * (s - 1.0))
+    """Green's function of the second derivative with zero boundary values,
+    min(s,t) (max(s,t) - 1): the products s (t - 1) for s <= t and
+    t (s - 1) otherwise, evaluated into one array (0-d for scalars) by
+    masked in-place products."""
+    k = np.asarray(np.maximum(s, t))
+    k -= 1.0
+    np.multiply(k, s, out=k, where=s <= t)
+    np.multiply(k, t, out=k, where=s > t)
+    return k
+
+
+def gravity_kernel(s, t, depth):
+    """The gravity surveying kernel depth (depth^2 + (s - t)^2)^(-3/2),
+    evaluated into one array by in-place operations."""
+    k = s - t
+    k *= k
+    k += depth ** 2
+    k **= -1.5
+    k *= depth
+    return k
 
 
 def make_deriv2(n: int) -> ProblemSpec:
@@ -141,7 +159,7 @@ def make_gravity(n: int, depth: float = DEFAULT_GRAVITY_DEPTH) -> ProblemSpec:
         raise ValueError("n must be >= 8")
     if depth <= 0:
         raise ValueError("depth must be positive")
-    op = kernel_operator(lambda s, t: depth * (depth ** 2 + (s - t) ** 2) ** (-1.5), n)
+    op = kernel_operator(lambda s, t: gravity_kernel(s, t, depth), n)
     t = midpoint_nodes(n)
     x_true = np.sin(np.pi * t) + 0.5 * np.sin(2.0 * np.pi * t)
     return ProblemSpec(operator=op, y_clean=op.apply(x_true), x_true=x_true,
@@ -155,11 +173,15 @@ def add_noise(p: ProblemSpec, rel_level: float, seed: int) -> NoisyData:
     y = p.y_clean
     if rel_level == 0.0:
         return NoisyData(y_delta=y.copy(), delta_abs=0.0, rel_level=0.0, seed=seed)
-    rng = np.random.default_rng(seed)
-    e = rng.standard_normal(y.size)
+    e = noise_draw(y.size, seed)
     delta_abs = rel_level * float(np.linalg.norm(y))
     e *= delta_abs / np.linalg.norm(e)
     return NoisyData(y_delta=y + e, delta_abs=delta_abs, rel_level=rel_level, seed=seed)
+
+
+def noise_draw(size: int, seed: int) -> np.ndarray:
+    """The white Gaussian noise :func:`add_noise` rescales, for one seed."""
+    return np.random.default_rng(seed).standard_normal(size)
 
 
 def load_external(matrix_path, y_path, x_true_path=None) -> ProblemSpec:

@@ -21,7 +21,7 @@ import numpy as np
 from .estimator import SourceConditionModel
 from .landweber import IterationTrace
 from .operators import ConvergenceError, LinearOperator, SpectralDecomposition, svd
-from .problems import ProblemSpec, add_noise
+from .problems import ProblemSpec, noise_draw
 
 # Growth ratio S_n / S_{n/2} above which the partial sums are judged
 # divergent. Finite sums never literally diverge; this threshold flags even
@@ -107,15 +107,16 @@ def tikhonov_solve(op: LinearOperator, y: np.ndarray, alpha: float) -> np.ndarra
     raise ConvergenceError("conjugate gradients did not reach tolerance")
 
 
-def _filter_factor_error(sd: SpectralDecomposition, y: np.ndarray, alpha: float,
+def _filter_factor_error(sd: SpectralDecomposition, coeffs: np.ndarray, alpha: float,
                          x_coeffs: np.ndarray, x_out: float) -> float:
-    """||x_alpha - x_true|| from the filter factors, x_true given by its split."""
+    """||x_alpha - x_true|| from the filter factors, given the data's
+    coefficients <y_delta, u_i> and x_true by its split."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     s = sd.sigmas
     # sigma y / (sigma^2 + alpha) in this operation order: reports of
     # diagonal runs keep their rate errors bit for bit
-    dev = s * sd.coefficients(y) / (s * s + alpha) - x_coeffs
+    dev = s * coeffs / (s * s + alpha) - x_coeffs
     return float(np.sqrt(dev @ dev + x_out))
 
 
@@ -150,7 +151,13 @@ def rate_experiment(p: ProblemSpec, mu_hat: float, levels, seeds=DEFAULT_SEEDS,
         ||x_alpha - x_true||^2 = sum_i (sigma_i/(sigma_i^2 + alpha) <y_delta, u_i>
                                         - <x_true, v_i>)^2 + ||x_true - V V* x_true||^2.
 
-    Otherwise :func:`tikhonov_solve` computes each x_alpha by CG.
+    Otherwise :func:`tikhonov_solve` computes each x_alpha by CG. Each
+    seed's noise e is drawn once, as :func:`add_noise` draws it, and scaled
+    to each level: y_delta = y + (delta / ||e||) e. The filter factors then
+    read <y_delta, u_i> = <y, u_i> + (delta / ||e||) <e, u_i>, with y and
+    every e projected by one product; a diagonal operator's coefficients
+    are the vectors themselves, so its errors are those of add_noise bit for
+    bit.
     """
     if p.x_true is None:
         raise ValueError("rate experiment needs the exact solution")
@@ -167,24 +174,29 @@ def rate_experiment(p: ProblemSpec, mu_hat: float, levels, seeds=DEFAULT_SEEDS,
 
     if sd is None and p.operator.kind == "diagonal":
         sd = svd(p.operator)
+    y = p.y_clean
+    y_norm = float(np.linalg.norm(y))
+    draws = [noise_draw(y.size, seed) for seed in seeds]
+    draw_norms = [np.linalg.norm(e) for e in draws]
     if sd is not None:
         x_coeffs, x_out = sd.split(p.x_true, right=True)
+        # one row per vector: each seed's coefficients are contiguous, as a
+        # fresh vector is, so a diagonal run's dot products sum as before
+        c_y, *c_e = np.ascontiguousarray(sd.coefficients(np.vstack([y] + draws).T).T)
 
     kept_levels, kept_deltas, kept_alphas, kept_errors, notes = [], [], [], [], []
     for level in levels:
+        delta = level * y_norm
+        alpha = apriori_alpha(delta, mu_hat)
         errs = []
-        alpha = None
-        delta = None
         try:
-            for seed in seeds:
-                noisy = add_noise(p, level, seed)
-                delta = noisy.delta_abs
-                alpha = apriori_alpha(delta, mu_hat)
+            for j, (e, e_norm) in enumerate(zip(draws, draw_norms)):
+                scale = delta / e_norm
                 if sd is None:
-                    x_alpha = tikhonov_solve(p.operator, noisy.y_delta, alpha)
+                    x_alpha = tikhonov_solve(p.operator, y + e * scale, alpha)
                     errs.append(float(np.linalg.norm(x_alpha - p.x_true)))
                 else:
-                    errs.append(_filter_factor_error(sd, noisy.y_delta, alpha,
+                    errs.append(_filter_factor_error(sd, c_y + c_e[j] * scale, alpha,
                                                      x_coeffs, x_out))
         except ConvergenceError as exc:
             notes.append(f"level {level:g} excluded: {exc}")

@@ -76,6 +76,12 @@ def general_svd(matrix):
     return SpectralDecomposition(sigmas=s[:r], u=u[:, :r], v=vt[:r].T, method="svd")
 
 
+def right_vectors(sd):
+    """The right singular vectors v_i of a computed decomposition as an
+    n x r array: the stored v, or sign(lam_i) u_i for a symmetric one."""
+    return sd.v if sd.signs is None else sd.u * sd.signs
+
+
 def known_symmetric_problem(seed, n, rank, noise=0.0, centro=False):
     """A symmetric indefinite n x n problem A = Q diag(lam) Q* of the given
     rank, symmetrized bit for bit, and its data.
@@ -255,3 +261,35 @@ def noise_takeover_oracle(trace, persistence=10, min_rise=1.001):
                     and lb[start:].min() >= lb[start] * (1.0 - 1e-12)):
                 return start + 1
     return None
+
+
+def trace_csv_by_column(trace, mu_k=None, c_k=None, k_values=None, upper_bounds=None):
+    """trace_to_csv's table written one column at a time: each value by
+    f"{x:.17g}", each non-finite one blanked by its index, rows joined by
+    commas."""
+    from klsmooth.landweber import _by_iteration
+
+    n = len(trace)
+    mu_col = c_col = None
+    if mu_k is not None:
+        mu_col = _by_iteration(n, k_values, mu_k)
+        if c_k is not None:
+            c_col = _by_iteration(n, k_values, c_k)
+    header = ["k", "residual", "gradient_norm", "lower_bound", "error", "mu_k", "c_k"]
+    columns = [trace.residuals, trace.gradient_norms, trace.lower_bounds, trace.errors,
+               mu_col, c_col]
+    if upper_bounds is not None:
+        header.append("upper_bound")
+        columns.append(upper_bounds)
+    cells = [[str(k) for k in trace.k_values.tolist()]]
+    for col in columns:
+        if col is None:
+            cells.append(("",) * n)
+            continue
+        col = np.asarray(col, dtype=float)
+        text = [f"{x:.17g}" for x in col.tolist()]
+        for i in np.flatnonzero(~np.isfinite(col)).tolist():
+            text[i] = ""
+        cells.append(text)
+    rows = map(",".join, zip(*cells))
+    return ",".join(header) + "\n" + "".join(row + "\n" for row in rows)

@@ -378,6 +378,26 @@ def test_non_finite_vector_file_exits_with_config_error(tmp_path, capsys, key, n
     assert not trace_path.exists()
 
 
+@pytest.mark.parametrize("name", ["a.mtx", "y.txt", "x.txt", "run.cfg"])
+def test_file_that_is_not_utf8_exits_with_config_error(tmp_path, capsys, name):
+    # the third line of each file holds a byte that starts no UTF-8 sequence
+    p = make_gravity(8)
+    write_matrix_market(tmp_path / "a.mtx", p.operator.matrix)
+    write_vector(tmp_path / "y.txt", p.y_clean)
+    write_vector(tmp_path / "x.txt", p.x_true)
+    text = (f"problem.kind = external\nproblem.matrix_path = {tmp_path / 'a.mtx'}\n"
+            f"# comment\nproblem.y_path = {tmp_path / 'y.txt'}\n"
+            f"problem.x_true_path = {tmp_path / 'x.txt'}\nlandweber.max_iters = 50\n")
+    path, trace_path, _ = write_cfg(tmp_path, text)
+    target = tmp_path / name if name != "run.cfg" else path
+    lines = target.read_bytes().split(b"\n")
+    lines[2] += b" \xff"
+    target.write_bytes(b"\n".join(lines))
+    assert main(["estimate", str(path)]) == EXIT_CONFIG
+    assert f"{target}: line 3: not UTF-8 text (byte 0xff)" in capsys.readouterr().err
+    assert not trace_path.exists()
+
+
 def test_readme_config_block_shows_every_default():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]

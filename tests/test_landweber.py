@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from klsmooth.cli import build_problem, figure_config
-from klsmooth.landweber import (EARLY_STOP_REL, SLOW_DEGREE, SLOW_REACH, LandweberConfig,
-                                _slow_modes, _stop_floors, diagonal_trace, landweber_run,
-                                matvec_trace, trace_to_csv)
+from klsmooth.cli import build_problem, figure_config, run_pipeline
+from klsmooth.landweber import (EARLY_STOP_REL, SLOW_DEGREE, SLOW_REACH, IterationTrace,
+                                LandweberConfig, _slow_modes, _stop_floors, diagonal_trace,
+                                landweber_run, matvec_trace, trace_to_csv)
 from klsmooth.operators import (ConvergenceError, _centro_halves, _symmetric_svd,
                                 dense_operator, diagonal_operator, operator_norm, svd)
 from klsmooth.problems import ProblemSpec, add_noise, make_deriv2, make_gravity, make_power_law
 from klsmooth.validation import DEFAULT_MU_GRID, max_mu_spectral, verify_smoothness
 
 from _oracles import (diagonal_landweber_oracle, known_svd_problem,
-                      known_symmetric_problem, planted_symmetric_problem)
+                      known_symmetric_problem, planted_symmetric_problem, right_vectors,
+                      trace_csv_by_column)
 
 
 def make_diag_problem(sigmas, x_true):
@@ -153,6 +154,29 @@ def test_trace_csv_with_estimates_and_upper():
     row7 = lines[7].split(",")
     assert float(row7[5]) == 0.3 and float(row7[6]) == 1.0
     assert lines[1].split(",")[5] == ""  # k < k_min has no estimate
+
+
+@pytest.mark.parametrize("name", ["diag2", "noise1", "deriv2", "expon_op"])
+def test_trace_csv_matches_the_column_writer_on_figure_traces(name):
+    result = run_pipeline(figure_config(name))
+    track = result["track"]
+    kwargs = dict(mu_k=track.mu_k, c_k=track.c_k, k_values=track.k_values,
+                  upper_bounds=result["upper"])
+    assert trace_to_csv(result["trace"], **kwargs) == trace_csv_by_column(result["trace"], **kwargs)
+
+
+def test_trace_csv_blanks_exactly_the_non_finite_cells():
+    # NaN, -inf and inf in every float column, one column missing, a
+    # negative value beside each, and estimates on only some rows
+    special = np.array([np.nan, -np.inf, np.inf, -1.5e-300, 0.0, -0.0, 2.0, np.nan])
+    trace = IterationTrace(residuals=special, gradient_norms=special[::-1].copy(),
+                           lower_bounds=np.roll(special, 3), errors=None)
+    kwargs = dict(mu_k=np.array([np.inf, -0.25, np.nan]), c_k=np.array([1.0, -np.inf, 3.0]),
+                  k_values=np.array([2, 5, 8]), upper_bounds=np.roll(special, 5))
+    text = trace_to_csv(trace, **kwargs)
+    assert text == trace_csv_by_column(trace, **kwargs)
+    assert "nan" not in text and "inf" not in text
+    assert trace_to_csv(trace) == trace_csv_by_column(trace)
 
 
 def assert_traces_agree(closed, loop, rel=1e-10, rounding=(0.0, 0.0, 0.0), floors=None):
@@ -456,8 +480,8 @@ def test_symmetric_decomposition_matches_slow_paths(n, rank_drop, seed, noise, b
     s = sd.sigmas
     assert s.size == rank and np.all(np.diff(s) <= 0.0)
     tol = 1e-12 * s[0]
-    assert np.abs(a @ sd.v - sd.u * s).max() <= tol
-    for basis in (sd.u, sd.v):
+    assert np.abs(a @ right_vectors(sd) - sd.u * s).max() <= tol
+    for basis in (sd.u, right_vectors(sd)):
         assert np.abs(basis.T @ basis - np.eye(rank)).max() <= 1e-12
     assert np.abs(s - np.linalg.svd(a, compute_uv=False)[:rank]).max() <= tol
     cfg = LandweberConfig(step_beta=beta, max_iters=iters)
@@ -487,8 +511,8 @@ def test_block_decomposition_matches_the_full_eigh(make):
     oracle = _symmetric_svd(*np.linalg.eigh(a), method="eigh")
     s = sd.sigmas
     assert (sd.method, s.size) == ("block", oracle.sigmas.size)
-    assert np.linalg.norm(a @ sd.v - sd.u * s, axis=0).max() <= 1e-12 * s[0]
-    for basis in (sd.u, sd.v):
+    assert np.linalg.norm(a @ right_vectors(sd) - sd.u * s, axis=0).max() <= 1e-12 * s[0]
+    for basis in (sd.u, right_vectors(sd)):
         assert np.abs(basis.T @ basis - np.eye(s.size)).max() <= 1e-12
     cfg = LandweberConfig()
     block, full = (landweber_run(p, p.y_clean, cfg, d) for d in (sd, oracle))
@@ -500,7 +524,7 @@ def test_block_decomposition_matches_the_full_eigh(make):
             == verify_smoothness(oracle, p.y_clean, DEFAULT_MU_GRID).admissible)
     assert max_mu_spectral(sd, p.y_clean) == max_mu_spectral(oracle, p.y_clean)
     again = svd(dense_operator(a))
-    for x, y in ((sd.sigmas, again.sigmas), (sd.u, again.u), (sd.v, again.v)):
+    for x, y in ((sd.sigmas, again.sigmas), (sd.u, again.u), (sd.signs, again.signs)):
         assert np.array_equal(x, y)
 
 
@@ -508,12 +532,14 @@ def test_block_decomposition_matches_the_full_eigh(make):
                                      (make_deriv2, 1024), (make_gravity, 1024)],
                          ids=["deriv2-256", "gravity-256", "deriv2-1024", "gravity-1024"])
 def test_centro_decomposition_matches_the_full_eigh(monkeypatch, make, n):
-    """The two half-size eigenproblems of a matrix symmetric and
-    centrosymmetric bit for bit, against the full eigh: the same retained
-    modes, sigmas to 1e-13 sigma_1, a singular system at rounding, modes
-    that are even or odd bit for bit, the same closed-form Landweber trace
-    and the same spectral verdict. svd() takes the block for gravity at
-    n = 1024, so the halves are called directly."""
+    """The half-size eigenproblems of a matrix symmetric and
+    centrosymmetric bit for bit, split recursively, against the full eigh:
+    the same retained modes, sigmas to 1e-13 sigma_1, a singular system at
+    rounding, modes that are even or odd bit for bit, the same closed-form
+    Landweber trace and the same spectral verdict. deriv2's odd half is
+    centrosymmetric again down to order 2, gravity's halves are not. svd()
+    takes the block for gravity at n = 1024, so the halves are called
+    directly."""
     p = make(n)
     a = p.operator.matrix
     oracle = _symmetric_svd(*np.linalg.eigh(a), method="eigh")
@@ -524,11 +550,16 @@ def test_centro_decomposition_matches_the_full_eigh(monkeypatch, make, n):
         return eigh(b)
     monkeypatch.setattr(np.linalg, "eigh", counted)
     sd = _centro_halves(a)
-    assert calls == [(n // 2, n // 2)] * 2
+    if make is make_deriv2:
+        # the even half of each order n/2, n/4, ..., 2, then the two of order 1
+        orders = [n >> k for k in range(1, n.bit_length())] + [1]
+        assert calls == [(m, m) for m in orders]
+    else:
+        assert calls == [(n // 2, n // 2)] * 2
     s = sd.sigmas
     assert (sd.method, s.size) == ("centro", oracle.sigmas.size)
     assert np.abs(s - oracle.sigmas).max() <= 1e-13 * s[0]
-    assert np.linalg.norm(a @ sd.v - sd.u * s, axis=0).max() <= 1e-14 * s[0]
+    assert np.linalg.norm(a @ right_vectors(sd) - sd.u * s, axis=0).max() <= 1e-14 * s[0]
     assert np.abs(sd.u.T @ sd.u - np.eye(s.size)).max() <= 1e-14
     assert np.array_equal(np.abs(sd.u[::-1]), np.abs(sd.u))
     cfg = LandweberConfig()

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klsmooth import operators
-from klsmooth.operators import (BLOCK, ConvergenceError, SVD_SIZE_LIMIT, _symmetric_svd,
-                                dense_operator, diagonal_operator, kernel_operator,
-                                operator_norm, read_matrix_market, read_vector, svd,
-                                write_matrix_market, write_vector)
-from klsmooth.problems import deriv2_kernel, make_gravity
+from klsmooth.operators import (BLOCK, ConvergenceError, SVD_SIZE_LIMIT, SpectralDecomposition,
+                                _symmetric_svd, dense_operator, diagonal_operator,
+                                kernel_operator, midpoint_nodes, operator_norm,
+                                read_matrix_market, read_vector, svd, write_matrix_market,
+                                write_vector)
+from klsmooth.problems import deriv2_kernel, make_deriv2, make_gravity
 
-from _oracles import planted_symmetric_problem
+from _oracles import planted_symmetric_problem, right_vectors
 
 
 def test_apply_diagonal():
@@ -162,7 +163,7 @@ def test_svd_takes_the_eigensolver_only_for_a_symmetric_matrix(monkeypatch):
     a = planted_symmetric_problem(2, 16, np.geomspace(1.0, 1e-3, 16)).operator.matrix
     sd = svd(dense_operator(a))
     assert calls == [(16, 16)]
-    assert np.abs(a @ sd.v - sd.u * sd.sigmas).max() <= 1e-14 * sd.sigmas[0]
+    assert np.abs(a @ right_vectors(sd) - sd.u * sd.sigmas).max() <= 1e-14 * sd.sigmas[0]
     nudged = a.copy()
     nudged[0, 1] = np.nextafter(nudged[0, 1], np.inf)
     op = dense_operator(nudged)
@@ -248,6 +249,42 @@ def test_block_decomposition_failure_is_a_convergence_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", failing)   # the block alone calls qr
     with pytest.raises(ConvergenceError, match="planted"):
         svd(make_gravity(512).operator)
+
+
+@pytest.mark.parametrize("make, signs", [
+    (lambda: make_deriv2(256).operator, {-1.0}),   # negative definite, by centro
+    (lambda: planted_symmetric_problem(5, 64, np.geomspace(1.0, 1e-3, 64)).operator,
+     {-1.0, 1.0}),                                  # indefinite, by eigh
+], ids=["deriv2-256", "planted-indefinite-64"])
+def test_right_split_by_signs_matches_an_explicit_basis(make, signs):
+    # a symmetric decomposition keeps v = sign(lam) u as the signs alone;
+    # its right split equals the split by the explicit n x r basis bit for bit
+    sd = svd(make())
+    assert sd.v is None and set(sd.signs.tolist()) == signs
+    explicit = SpectralDecomposition(sd.sigmas, u=sd.u, v=sd.u * sd.signs, method=sd.method)
+    rng = np.random.default_rng(4)
+    for vec in (rng.standard_normal(sd.u.shape[0]), sd.u[:, 3] + 1e-3, np.ones(sd.u.shape[0])):
+        coeffs, rest = sd.split(vec, right=True)
+        want, want_rest = explicit.split(vec, right=True)
+        assert np.array_equal(coeffs, want) and rest == want_rest
+
+
+def test_kernel_operator_scales_a_returned_array_in_place_and_copies_any_other():
+    returned = []
+
+    def kernel(s, t):
+        returned.append(s + 2.0 * t)
+        return returned[-1]
+    op = kernel_operator(kernel, 4)
+    assert op.matrix is returned[0]
+    nodes = midpoint_nodes(4)
+    assert np.array_equal(op.matrix, (nodes[:, None] + 2.0 * nodes[None, :]) * 0.25)
+    # a scalar, a row and a read-only view are broadcast into a new array
+    assert np.array_equal(kernel_operator(lambda s, t: 2.0, 4).matrix, np.full((4, 4), 0.5))
+    assert np.array_equal(kernel_operator(lambda s, t: t, 4).matrix,
+                          np.broadcast_to(nodes * 0.25, (4, 4)))
+    view = np.broadcast_to(nodes, (4, 4))
+    assert np.array_equal(kernel_operator(lambda s, t: view, 4).matrix, view * 0.25)
 
 
 def test_svd_truncation_floor():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from klsmooth.operators import midpoint_nodes, write_matrix_market, write_vector
-from klsmooth.problems import (EXP_OPERATOR_MAX_N, add_noise, load_external,
+from klsmooth.problems import (DEFAULT_GRAVITY_DEPTH, EXP_OPERATOR_MAX_N, add_noise,
+                               load_external,
                                make_deriv2, make_exp_operator, make_exp_solution,
                                make_gravity, make_power_law)
 
@@ -139,6 +140,19 @@ def test_gravity_kernel_values():
     assert k[0, -1] == pytest.approx(expected, rel=1e-12)
     # endpoint evaluation K(0, 1) = 0.25 * 1.0625^(-3/2)
     assert 0.25 * (0.0625 + 1.0) ** (-1.5) == pytest.approx(0.2282690, abs=5e-7)
+
+
+@pytest.mark.parametrize("n", [8, 255, 256, 1000, 1024])
+def test_kernels_match_the_broadcast_formulas_bit_for_bit(n):
+    # each kernel evaluates into one array, which kernel_operator scales in
+    # place; the matrices are those of the np.where and broadcast formulas
+    nodes = midpoint_nodes(n)
+    s, t = nodes[:, None], nodes[None, :]
+    d = DEFAULT_GRAVITY_DEPTH
+    deriv2 = np.broadcast_to(np.where(s <= t, s * (t - 1.0), t * (s - 1.0)), (n, n)) * (1.0 / n)
+    gravity = np.broadcast_to(d * (d ** 2 + (s - t) ** 2) ** (-1.5), (n, n)) * (1.0 / n)
+    assert np.array_equal(make_deriv2(n).operator.matrix, deriv2)
+    assert np.array_equal(make_gravity(n).operator.matrix, gravity)
 
 
 def test_gravity_validation():

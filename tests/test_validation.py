@@ -7,8 +7,9 @@ from klsmooth import validation
 from klsmooth.estimator import mu_to_model
 from klsmooth.landweber import IterationTrace, LandweberConfig, landweber_run
 from klsmooth.operators import SpectralDecomposition, dense_operator, diagonal_operator, svd
-from klsmooth.problems import make_gravity, make_power_law
-from klsmooth.validation import (BISECT_TOL, COEFF_FLOOR, apriori_alpha, bound_curves,
+from klsmooth.problems import add_noise, make_deriv2, make_gravity, make_power_law
+from klsmooth.validation import (BISECT_TOL, COEFF_FLOOR, DEFAULT_LEVELS, DEFAULT_SEEDS,
+                                 apriori_alpha, bound_curves,
                                  max_mu_spectral, rate_experiment, tikhonov_solve,
                                  verify_smoothness)
 
@@ -125,6 +126,51 @@ def test_rate_experiment_validation():
     p_blind = ks.ProblemSpec(operator=p.operator, y_clean=p.y_clean)
     with pytest.raises(ValueError):
         rate_experiment(p_blind, 0.3, [0.1, 0.03, 0.01])
+
+
+def _rate_errors_by_add_noise(p, mu, sd):
+    """The seed-averaged filter-factor errors per level, each (level, seed)
+    drawing its data by add_noise and projecting them on its own."""
+    x_coeffs, x_out = sd.split(p.x_true, right=True)
+    errors = []
+    for level in DEFAULT_LEVELS:
+        errs = []
+        for seed in DEFAULT_SEEDS:
+            noisy = add_noise(p, level, seed)
+            alpha = apriori_alpha(noisy.delta_abs, mu)
+            errs.append(validation._filter_factor_error(sd, sd.coefficients(noisy.y_delta),
+                                                        alpha, x_coeffs, x_out))
+        errors.append(float(np.mean(errs)))
+    return errors
+
+
+@pytest.mark.parametrize("make, rel", [(lambda: make_power_law(3000, 2, 2), 0.0),
+                                       (lambda: make_deriv2(256), 1e-12)],
+                         ids=["diagonal", "dense"])
+def test_rate_experiment_matches_add_noise_per_level_and_seed(make, rel):
+    # one noise draw and one projection per seed: bit for bit on a diagonal
+    # operator, whose coefficients are the data, and at rounding on a dense one
+    p = make()
+    sd = svd(p.operator)
+    res = rate_experiment(p, 0.3, DEFAULT_LEVELS, DEFAULT_SEEDS, sd)
+    oracle = _rate_errors_by_add_noise(p, 0.3, sd)
+    assert res.delta_abs_values == [add_noise(p, l, 0).delta_abs for l in DEFAULT_LEVELS]
+    if rel == 0.0:
+        assert res.errors == oracle
+    else:
+        assert np.all(np.abs(np.subtract(res.errors, oracle)) <= rel * np.abs(oracle))
+
+
+def test_rate_experiment_solves_with_the_data_add_noise_makes(monkeypatch):
+    p, _ = known_svd_problem(3, 20, 20, 20)
+    levels, seeds = (0.1, 0.03, 0.01), (0, 1)
+    seen = []
+    monkeypatch.setattr(validation, "tikhonov_solve",
+                        lambda op, y, alpha: seen.append(y) or p.x_true + 1.0)
+    rate_experiment(p, 0.5, levels, seeds)
+    expected = [add_noise(p, level, seed).y_delta for level in levels for seed in seeds]
+    assert len(seen) == len(expected)
+    assert all(np.array_equal(y, want) for y, want in zip(seen, expected))
 
 
 @settings(deadline=None, max_examples=25)
