@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .operators import LinearOperator, SpectralDecomposition, operator_norm, svd
+from .operators import (LinearOperator, SpectralDecomposition, decimal_rows, operator_norm,
+                        svd)
 from .problems import ProblemSpec
 
 # The iteration has converged once R_k or beta^(1/2) G_k (a residual's
@@ -393,16 +394,18 @@ def trace_to_csv(trace: IterationTrace,
                  upper_bounds: Optional[np.ndarray] = None) -> str:
     """Render the trace as CSV, one row per iteration.
 
-    Values are written at 17 significant digits, so they read back
-    bit-exactly; non-finite cells stay empty, as does every cell of a column
-    that is not given. The estimator's columns mu_k, c_k belong to the
-    iterations k_values and start at k_min, so their earlier cells are empty.
-    An upper-bound column is appended when bound curves were computed.
-
-    One % formats the whole table from its values interleaved row by row.
-    Every float cell follows the integer k and a comma, so replacing
-    ",nan", ",-inf" and ",inf" blanks exactly the non-finite cells.
+    Values are written at 17 significant digits by :func:`decimal_rows`, so
+    they read back bit-exactly; non-finite cells stay empty, as does every
+    cell of a column that is not given. The estimator's columns mu_k, c_k
+    belong to the iterations k_values and start at k_min, so their earlier
+    cells are empty. An upper-bound column is appended when bound curves were
+    computed. k prints as an integer, as %.17g prints any integer below 1e17.
     """
+    return "".join(_csv_blocks(trace, mu_k, c_k, k_values, upper_bounds))
+
+
+def _csv_blocks(trace: IterationTrace, mu_k, c_k, k_values, upper_bounds) -> Iterator[str]:
+    """:func:`trace_to_csv`'s text: the header line, then the rows in blocks."""
     n = len(trace)
     mu_col = c_col = None
     if mu_k is not None:
@@ -415,15 +418,13 @@ def trace_to_csv(trace: IterationTrace,
     if upper_bounds is not None:
         header.append("upper_bound")
         columns.append(upper_bounds)
-    given = [col for col in columns if col is not None]
-    table = np.empty((n, 1 + len(given)))
+    table = np.full((n, len(header)), np.nan)
     table[:, 0] = trace.k_values
-    for j, col in enumerate(given, start=1):
-        table[:, j] = col
-    row = "%d" + "".join("," if col is None else ",%.17g" for col in columns) + "\n"
-    text = (row * n) % tuple(table.ravel().tolist())
-    text = text.replace(",nan", ",").replace(",-inf", ",").replace(",inf", ",")
-    return ",".join(header) + "\n" + text
+    for j, col in enumerate(columns, start=1):
+        if col is not None:
+            table[:, j] = col
+    yield ",".join(header) + "\n"
+    yield from decimal_rows(table, blank_nonfinite=True)
 
 
 def _by_iteration(n: int, k_values: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -435,7 +436,8 @@ def _by_iteration(n: int, k_values: np.ndarray, values: np.ndarray) -> np.ndarra
     return out
 
 
-def write_trace_csv(path, trace: IterationTrace, **kwargs) -> None:
-    """Write :func:`trace_to_csv` output to a file."""
+def write_trace_csv(path, trace: IterationTrace, mu_k=None, c_k=None, k_values=None,
+                    upper_bounds=None) -> None:
+    """Write :func:`trace_to_csv` output to a file, a block of rows at a time."""
     with open(path, "w") as fh:
-        fh.write(trace_to_csv(trace, **kwargs))
+        fh.writelines(_csv_blocks(trace, mu_k, c_k, k_values, upper_bounds))

@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -440,11 +440,210 @@ def _utf8_text(read: Callable) -> Callable:
     return checked
 
 
-def _decimal_lines(values: np.ndarray) -> str:
-    """One value per line at 17 significant digits, which read back bit for
-    bit; one % over the whole vector formats as f"{x:.17g}" does, a third
-    faster than a join."""
-    return ("%.17g\n" * values.size) % tuple(values.tolist())
+# decimal_rows: a value whose decimal exponent lies beyond +-_DECIMAL_EXP is
+# formatted by %, so that the products below stay normal and finite; values
+# are formatted _DECIMAL_BLOCK at a time, which keeps the work arrays in cache.
+_DECIMAL_EXP = 250
+_DECIMAL_BLOCK = 4096
+_SPLIT = 134217729.0   # 2^27 + 1, Dekker's splitting constant
+_ROW18 = np.arange(18, dtype=np.uint8)[:, None]
+
+
+@functools.cache
+def _decimal_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """decimal_rows' tables, built on first use.
+
+    scale: rows hi, lo, and hi's Dekker halves, of 10^(16 - e) for e from
+    _DECIMAL_EXP down to -_DECIMAL_EXP: hi rounds 10^(16 - e) and lo rounds
+    10^(16 - e) - hi, both computed from Python ints (int / int rounds
+    correctly), so hi + lo holds 10^(16 - e) to about 2^-106.
+    groups: "0000" to "9999", each as the uint32 of its four ASCII bytes.
+    zeros: the trailing zeros of each 4-digit group, 4 for "0000".
+    suffix: "e-251" to "e+251" as 5 rows of bytes, NUL after two digits.
+    """
+    hi, lo = [], []
+    q = 10 ** (_DECIMAL_EXP - 16)
+    for _ in range(16 - _DECIMAL_EXP, 0):        # 10^j = 1 / q for j < 0
+        h = 1 / q
+        a, b = h.as_integer_ratio()               # h = a / b, b a power of 2
+        hi.append(h)
+        lo.append(math.ldexp((b - a * q) / q, 1 - b.bit_length()))
+        q //= 10
+    p = 1
+    for _ in range(16 + _DECIMAL_EXP + 1):
+        h = float(p)
+        hi.append(h)
+        lo.append(float(p - int(h)))
+        p *= 10
+    hi, lo = np.array(hi), np.array(lo)
+    c = _SPLIT * hi
+    hi1 = c - (c - hi)
+    scale = np.stack([hi, lo, hi1, hi - hi1])
+    g = np.arange(10000, dtype=np.int16)
+    ascii4 = np.empty((10000, 4), np.uint8)
+    for k in range(4):
+        ascii4[:, 3 - k] = g // 10 ** k % 10 + 48
+    groups = ascii4.view(np.uint32).ravel()
+    zeros = np.zeros(10000, np.uint8)
+    for k in range(1, 5):
+        zeros += g % 10 ** k == 0
+    e = np.arange(-_DECIMAL_EXP - 1, _DECIMAL_EXP + 2)
+    a = np.abs(e)
+    three = a >= 100
+    suffix = np.stack([np.full(e.size, ord("e")), np.where(e < 0, ord("-"), ord("+")),
+                       48 + np.where(three, a // 100, a // 10),
+                       48 + np.where(three, a // 10 % 10, a % 10),
+                       np.where(three, 48 + a % 10, 0)]).astype(np.uint8)
+    return scale, groups, zeros, suffix
+
+
+def _scaled(ax: np.ndarray, e: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer part (int64) and fraction of ax * 10^(16 - e), good to about 1e-13
+    for ax * 10^(16 - e) below 10^18: Dekker's exact product of ax with
+    10^(16 - e)'s high part, plus ax times its low part."""
+    hi, lo, hi1, hi2 = np.take(scale, _DECIMAL_EXP - e, axis=1)
+    p = ax * hi
+    c = _SPLIT * ax
+    a1 = c - (c - ax)
+    a2 = ax - a1
+    err = (((a1 * hi1 - p) + a1 * hi2) + a2 * hi1) + a2 * hi2    # p + err = ax * hi exactly
+    whole = np.floor(p)
+    t = (p - whole) + (err + ax * lo)
+    carry = np.floor(t)
+    return whole.astype(np.int64) + carry.astype(np.int64), t - carry
+
+
+def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 significant digits N (int64) and decimal exponent e of each value,
+    and where they are exact: N = round(|x| 10^(16 - e)) in [10^16, 10^17),
+    0 with e = 0 for a zero.
+
+    N is not settled where e lies beyond +-_DECIMAL_EXP, where the fraction of
+    the product lies within 1e-6 of a half (the product is good to about
+    1e-13), or for a non-finite value.
+    """
+    scale = _decimal_tables()[0]
+    ax = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(ax))
+    exact = np.abs(e) <= _DECIMAL_EXP                  # False for 0, inf and nan
+    e = np.where(exact, e, 0).astype(np.int64)
+    ax = np.where(exact, ax, 1.0)
+    digits, frac = _scaled(ax, e, scale)
+    # log10 can be one off near a power of ten: correct e by the product, not
+    # by its rounding. A product within 1e-6 below 10^16 or 10^17 counts as
+    # that edge; either exponent then prints 1 followed by zeros.
+    edge = digits + (frac > 1 - 1e-6)
+    step = (edge >= 10 ** 17).astype(np.int64) - (edge < 10 ** 16)
+    fix = np.flatnonzero(step)
+    if fix.size:
+        e_fix = e[fix] + step[fix]
+        inside = np.abs(e_fix) <= _DECIMAL_EXP
+        exact[fix] &= inside
+        e[fix] = e_fix * inside
+        digits[fix], frac[fix] = _scaled(ax[fix], e[fix], scale)
+        edge[fix] = digits[fix] + (frac[fix] > 1 - 1e-6)
+    exact &= (edge >= 10 ** 16) & (edge < 10 ** 17) & (np.abs(frac - 0.5) > 1e-6)
+    digits += frac > 0.5
+    up = digits == 10 ** 17                            # rounded up to 1 in the next decade
+    digits -= up * (9 * 10 ** 16)
+    e += up
+    zero = x == 0
+    digits *= ~zero
+    e *= ~zero
+    return digits, e, exact | zero
+
+
+def _ascii_digits(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 digits of each N as ASCII, in rows 0 to 16 of an (18, n) array
+    whose row 17 is NUL, and the number of trailing zeros of each N (16 for
+    0), both read from the 4-digit group tables."""
+    groups, zeros = _decimal_tables()[1:3]
+    n = digits.size
+    high = (digits // 10 ** 8).astype(np.int32)        # d0 .. d8
+    low = (digits - high * np.int64(10 ** 8)).astype(np.int32)
+    g = np.empty((5, n), np.int32)
+    g[0] = high // 10 ** 8
+    g[2] = high - g[0] * 10 ** 8
+    g[1] = g[2] // 10 ** 4
+    g[2] -= g[1] * 10 ** 4
+    g[3] = low // 10 ** 4
+    g[4] = low - g[3] * 10 ** 4
+    ascii = np.take(groups, g).view(np.uint8).reshape(5, n, 4)
+    d = np.zeros((18, n), np.uint8)
+    d[0] = ascii[0, :, 3]
+    d[1:17].reshape(4, 4, n)[...] = ascii[1:].transpose(0, 2, 1)
+    z = np.take(zeros, g[1:])
+    trailing = z[3] + (g[4] == 0) * (z[2] + (g[3] == 0) * (z[1] + (g[2] == 0) * z[0]))
+    return d, trailing
+
+
+def _decimal_block(x: np.ndarray, sep: np.ndarray, blank_nonfinite: bool) -> str:
+    """Each value of x as "%.17g" % x prints it, followed by its separator byte.
+
+    The text is laid out by %g's rule in a 24-byte cell per value (enough for
+    -1.2345678901234567e-308) whose unused bytes are NUL, and the NULs are
+    dropped at the end. The cell is the sign, then either "0." and up to
+    three zeros followed by the digits (-4 <= e < 0), or the digits with the
+    point after digit e (0 <= e < 17) or after the first one, followed by the
+    exponent ("e-05", "e+123"). Trailing zeros after the point, and a point
+    with no digit after it, are NUL. A value whose digits are not settled
+    (see :func:`_decimal_digits`) is formatted by % instead, but for a
+    non-finite one under blank_nonfinite, whose cell stays empty.
+    """
+    digits, e, exact = _decimal_digits(x)
+    d, trailing = _ascii_digits(digits)
+    n = x.size
+    fixed = (e >= -4) & (e < 17)
+    small = (fixed & (e < 0)).view(np.uint8)
+    whole = fixed & (e >= 0)
+    # the digits written: trailing zeros go, but not those before the point
+    keep = np.where(whole, np.maximum(17 - trailing, e + 1), 17 - trailing).astype(np.uint8)
+    d *= _ROW18 < keep
+    # body row i: digit i up to digit `point`, then the point (NUL when no
+    # digit follows it), then digit i - 1; "0.ddd" has no point in its body
+    point = np.where(whole, e, 17 * small).astype(np.uint8)
+    shifted = np.zeros((18, n), np.uint8)
+    shifted[1:] = d[:17]
+    dot = (keep > point + 1) * np.uint8(46)
+    body = (shifted + (_ROW18 <= point) * (d - shifted)
+            + (_ROW18 == point + 1) * (dot - shifted))
+    lead = np.empty((5, n), np.uint8)     # "0." and -1 - e zeros
+    lead[0] = 48
+    lead[1] = 46
+    lead[2:] = (_ROW18[:3] < -1 - e) * np.uint8(48)
+    tail = np.take(_decimal_tables()[3], e + _DECIMAL_EXP + 1, axis=1) * ~fixed
+
+    cells = np.empty((25, n), np.uint8)
+    cells[0] = np.signbit(x) * np.uint8(45)
+    cells[1:6] = body[:5] + small * (lead - body[:5])
+    cells[6:19] = body[5:] + small * (body[:13] - body[5:])
+    cells[19:24] = tail + small * (body[13:] - tail)
+    cells[:24] *= exact
+    cells[24] = sep
+    slow = np.flatnonzero(~exact & (np.isfinite(x) | (not blank_nonfinite)))
+    if slow.size:
+        text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype="S24")
+        cells[:24, slow] = text.view(np.uint8).reshape(-1, 24).T
+    return cells.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def decimal_rows(table, blank_nonfinite: bool = False) -> Iterator[str]:
+    """The rows of a 2-d array as text, a block of rows at a time: each value
+    exactly as "%.17g" % x prints it, which reads back bit for bit, values
+    joined by commas and each row ended by a newline. Non-finite values print
+    as nan, inf and -inf, or as empty cells under blank_nonfinite.
+
+    No Python call is made per value but for the rare value whose digits the
+    double-double product cannot settle (see :func:`_decimal_block`).
+    """
+    table = np.asarray(table, dtype=float)
+    rows, cols = table.shape
+    step = max(1, _DECIMAL_BLOCK // cols)
+    sep = np.tile(np.array([44] * (cols - 1) + [10], np.uint8), step)
+    for start in range(0, rows, step):
+        block = table[start:start + step].ravel()
+        yield _decimal_block(block, sep[:block.size], blank_nonfinite)
 
 
 def write_matrix_market(path, matrix) -> None:
@@ -455,7 +654,10 @@ def write_matrix_market(path, matrix) -> None:
     m, n = a.shape
     with open(path, "w") as fh:
         fh.write(f"%%MatrixMarket matrix array real general\n{m} {n}\n")
-        fh.writelines(map(_decimal_lines, a.T))   # column-major, one column at a time
+        # column-major, a block of columns copied at a time
+        step = max(1, _DECIMAL_BLOCK // max(m, 1))
+        for j in range(0, n, step):
+            fh.writelines(decimal_rows(a[:, j:j + step].reshape(-1, 1, order="F")))
 
 
 @_utf8_text
@@ -570,7 +772,7 @@ def write_vector(path, vec) -> None:
     if v.ndim != 1:
         raise ValueError("vector must be 1-d")
     with open(path, "w") as fh:
-        fh.write(_decimal_lines(v))
+        fh.writelines(decimal_rows(v[:, None]))
 
 
 @_utf8_text

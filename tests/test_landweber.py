@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from klsmooth.cli import build_problem, figure_config, run_pipeline
+from klsmooth.cli import FIGURE_NAMES, build_problem, figure_config, run_pipeline
 from klsmooth.landweber import (EARLY_STOP_REL, SLOW_DEGREE, SLOW_REACH, IterationTrace,
                                 LandweberConfig, _slow_modes, _stop_floors, diagonal_trace,
                                 landweber_run, matvec_trace, trace_to_csv)
-from klsmooth.operators import (ConvergenceError, _centro_halves, _symmetric_svd,
-                                dense_operator, diagonal_operator, operator_norm, svd)
+from klsmooth.operators import (_DECIMAL_BLOCK, ConvergenceError, _centro_halves,
+                                _symmetric_svd, dense_operator, diagonal_operator,
+                                operator_norm, svd)
 from klsmooth.problems import ProblemSpec, add_noise, make_deriv2, make_gravity, make_power_law
 from klsmooth.validation import DEFAULT_MU_GRID, max_mu_spectral, verify_smoothness
 
@@ -156,13 +157,36 @@ def test_trace_csv_with_estimates_and_upper():
     assert lines[1].split(",")[5] == ""  # k < k_min has no estimate
 
 
-@pytest.mark.parametrize("name", ["diag2", "noise1", "deriv2", "expon_op"])
+@pytest.mark.parametrize("name", FIGURE_NAMES)
 def test_trace_csv_matches_the_column_writer_on_figure_traces(name):
     result = run_pipeline(figure_config(name))
     track = result["track"]
     kwargs = dict(mu_k=track.mu_k, c_k=track.c_k, k_values=track.k_values,
                   upper_bounds=result["upper"])
     assert trace_to_csv(result["trace"], **kwargs) == trace_csv_by_column(result["trace"], **kwargs)
+
+
+def test_trace_csv_matches_the_column_writer_across_blocks():
+    # 10,001 rows: k passes 9999 -> 10000, the rows span many of the
+    # formatter's blocks, and non-finite cells sit on both sides of one edge
+    rng = np.random.default_rng(11)
+    n = 10_001
+    edge = _DECIMAL_BLOCK // 8        # rows per block with all eight columns
+    R, G, lb, E, upper = (np.exp(rng.uniform(-80, 5, n)) * rng.choice([-1.0, 1.0], n)
+                          for _ in range(5))
+    R[edge - 1], G[edge], lb[edge - 1], E[edge], upper[edge - 1] = (np.nan, np.inf, -np.inf,
+                                                                   np.nan, np.inf)
+    trace = IterationTrace(residuals=R, gradient_norms=G, lower_bounds=lb, errors=E)
+    k_values = np.arange(20, n + 1)
+    mu_k = rng.uniform(-1, 2, k_values.size)
+    c_k = np.exp(rng.uniform(-5, 5, k_values.size))
+    mu_k[edge - 20], c_k[edge - 19] = np.nan, -np.inf     # rows edge and edge + 1
+    kwargs = dict(mu_k=mu_k, c_k=c_k, k_values=k_values, upper_bounds=upper)
+    text = trace_to_csv(trace, **kwargs)
+    assert text == trace_csv_by_column(trace, **kwargs)
+    lines = text.splitlines()
+    assert lines[9999].startswith("9999,") and lines[10001].startswith("10001,")
+    assert lines[edge].split(",")[1] == "" and lines[edge + 1].split(",")[2] == ""
 
 
 def test_trace_csv_blanks_exactly_the_non_finite_cells():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from klsmooth import operators
 from klsmooth.operators import (BLOCK, ConvergenceError, SVD_SIZE_LIMIT, SpectralDecomposition,
-                                _symmetric_svd, dense_operator, diagonal_operator,
+                                _decimal_digits, _symmetric_svd, decimal_rows,
+                                dense_operator, diagonal_operator,
                                 kernel_operator, midpoint_nodes, operator_norm,
                                 read_matrix_market, read_vector, svd, write_matrix_market,
                                 write_vector)
@@ -361,6 +362,73 @@ def test_writers_print_one_17_digit_value_per_line(tmp_path):
         + "".join(f"{x:.17g}\n" for x in values))
     write_vector(tmp_path / "v.txt", a[0])
     assert (tmp_path / "v.txt").read_text() == "".join(f"{x:.17g}\n" for x in a[0])
+
+
+def percent_17g(values):
+    return ["%.17g" % x for x in np.asarray(values, dtype=float).tolist()]
+
+
+def formatted(values):
+    """decimal_rows' text of each value, one value per row."""
+    column = np.asarray(values, dtype=float).reshape(-1, 1)
+    return "".join(decimal_rows(column)).split("\n")[:-1]
+
+
+# frac(|x| 10^(16 - e)) is 0.49999943 here, too near a half for the product
+# to settle the rounding (found by a search over uniform draws); the second
+# value is an exact tie, rounded to even
+NEAR_HALF = (0.6437573485641276, 1234567890123456.75)
+# decimal exponents beyond the scale table's +-250
+OUT_OF_RANGE = (1e-300, -3.5e251, 1e300, 5e-324)
+POWERS_OF_TEN = [x for k in range(-30, 31) for ten in [float(f"1e{k}")]
+                 for x in (np.nextafter(ten, 0.0), ten, np.nextafter(ten, np.inf))]
+PINNED = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-5, 1e-4,
+          0.5, 2.0**53, 2.0**53 + 2, 9999999999999999.0, 1e16, 99999999999999999.0,
+          *NEAR_HALF, *OUT_OF_RANGE, *POWERS_OF_TEN)
+
+
+def pinned(values):
+    def pin(test):
+        for x in values:
+            test = example(float(x))(test)
+        return test
+    return pin
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(st.floats())
+@pinned(PINNED)
+def test_decimal_rows_prints_what_percent_17g_prints(x):
+    assert formatted([x]) == percent_17g([x])
+
+
+def test_decimal_rows_matches_percent_17g_on_random_bit_patterns():
+    x = np.random.default_rng(20).integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)
+    got, want = formatted(x), percent_17g(x)
+    bad = [(v.hex(), g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+def test_powers_of_ten_and_their_neighbours_are_settled_by_the_product():
+    # log10 puts some a decade off (the double nearest 1e-21 lies below
+    # 10^-21, yet its log10 rounds to -21), and an exact power such as 1e20
+    # can come out of the product just below 10^16: the exponent is
+    # corrected, and only 999999999999999.875, a tie at its 17th digit, is
+    # left to %
+    x = np.array(POWERS_OF_TEN)
+    settled = _decimal_digits(x)[2]
+    assert x[~settled].tolist() == [999999999999999.875]
+    assert formatted(x) == percent_17g(x)
+
+
+def test_decimal_rows_formats_unsettled_values_by_percent():
+    # the last value, NEAR_HALF[0]'s neighbour, is settled by the product
+    x = np.array([*NEAR_HALF, *OUT_OF_RANGE, np.nan, -np.inf, 0.6437573485641277])
+    assert _decimal_digits(x)[2].tolist() == [False] * 8 + [True]
+    assert formatted(x) == percent_17g(x)
+    table = np.array([[np.nan, 1.0], [np.inf, -np.inf], [2.5, NEAR_HALF[0]]])
+    assert "".join(decimal_rows(table, blank_nonfinite=True)) == (
+        ",1\n,\n2.5,0.64375734856412758\n")
 
 
 def test_matrix_market_pattern_entries_are_ones(tmp_path):
