@@ -33,8 +33,8 @@ from .estimator import estimate_track, detect_discretization_saturation, mu_to_m
 from .landweber import LandweberConfig, landweber_run, write_trace_csv
 from .operators import ConvergenceError, SpectralDecomposition, svd
 from .problems import ProblemSpec, add_noise
-from .validation import (DEFAULT_LEVELS, DEFAULT_MU_GRID, max_mu_spectral,
-                         rate_experiment, bound_curves, verify_smoothness)
+from .validation import (DEFAULT_MU_GRID, max_mu_spectral, rate_experiment, bound_curves,
+                         verify_smoothness)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,20 +67,10 @@ FIGURE_NAMES = tuple(FIGURES)
 
 TABLE_MISFIT_THRESHOLD = 0.1
 
-# The cost model of _decomposition, in nanoseconds, fitted to one timing run
-# of deriv2 from n = 32 to 2048 on 2 cores with 2 BLAS threads (Python 3.11,
-# numpy 2.4.6 with OpenBLAS). The SVD of an m x n operator takes
-# SVD_NS_PER_CUBE m n min(m,n) + SVD_NS_PER_ENTRY m n (within 26%), and the
-# eigendecomposition svd() takes for a symmetric n x n one EIGH_NS_PER_CUBE
-# n^3 + EIGH_NS_PER_ENTRY n^2 (within 21%); the closed form after either
-# costs at most 2% of one matvec pair per iteration up to n = 2048, and is
-# left out. Without the decomposition, every step of power iteration,
-# Landweber and CG is a pair of matvecs: PAIR_NS + PAIR_NS_PER_ENTRY m n
-# (within 28% of a Landweber step).
-SVD_NS_PER_CUBE = 0.37
-SVD_NS_PER_ENTRY = 215.0
-EIGH_NS_PER_CUBE = 0.083
-EIGH_NS_PER_ENTRY = 108.0
+# _decomposition's loop side, fitted to operators.plan_ns's timing run: every
+# step of power iteration, Landweber and CG is a matvec pair, PAIR_NS +
+# PAIR_NS_PER_ENTRY m n ns (within 28%). The closed form after a decomposition
+# costs at most 2% of one pair per iteration up to n = 2048, and is left out.
 PAIR_NS = 24_000.0
 PAIR_NS_PER_ENTRY = 0.46
 # the pairs power iteration (6-16 on deriv2 and gravity) and one Tikhonov
@@ -114,8 +104,8 @@ class ExperimentConfig:
     estimator_eps_mu: float = estimator.DEFAULT_EPS_MU
     estimator_eps_c_rel: float = estimator.DEFAULT_EPS_C_REL
     validation_run_tikhonov: bool = False
-    validation_levels: tuple = ()
-    validation_seeds: tuple = tuple(validation.DEFAULT_SEEDS)
+    validation_levels: tuple = validation.DEFAULT_LEVELS
+    validation_seeds: tuple = validation.DEFAULT_SEEDS
     validation_run_svd_check: bool = False
     output_trace_path: str = "trace.csv"
     output_report_path: str = "report.json"
@@ -134,46 +124,30 @@ class ExperimentConfig:
 
 _BOOL_VALUES = {"true": True, "yes": True, "1": True,
                 "false": False, "no": False, "0": False}
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number"}
 
 
 def _coerce(key: str, raw: str, template) -> object:
+    """``raw`` as the type of the field's default ``template``: a list as one
+    of its default's element type, and an empty list as the default."""
     if template is None or isinstance(template, str):
         return raw
-    if isinstance(template, bool):
-        try:
-            return _BOOL_VALUES[raw.lower()]
-        except KeyError:
-            raise ConfigError(f"{key}: expected a boolean, got {raw!r}") from None
-    if isinstance(template, int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    if isinstance(template, float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-    if isinstance(template, tuple):
-        if not raw.strip():
-            return ()
-        parts = [p.strip() for p in raw.split(",")]
-        try:
-            if key == "validation.seeds":
-                return tuple(int(p) for p in parts)
-            return tuple(float(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a comma-separated list, got {raw!r}") from None
-    return raw
+    listed = isinstance(template, tuple)
+    if listed and not raw.strip():
+        return template
+    kind = type(template[0] if listed else template)
+    parse = (lambda v: _BOOL_VALUES[v.lower()]) if kind is bool else kind
+    try:
+        return tuple(parse(p.strip()) for p in raw.split(",")) if listed else parse(raw)
+    except (KeyError, ValueError):
+        expected = "a comma-separated list" if listed else _EXPECTED[kind]
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse ``key = value`` lines into a validated ExperimentConfig."""
     defaults = ExperimentConfig()
-    known = {}
-    for f in fields(ExperimentConfig):
-        section, _, rest = f.name.partition("_")
-        known[f"{section}.{rest}"] = f.name
+    known = dict(zip(defaults.effective_dict(), (f.name for f in fields(defaults))))
     cfg = ExperimentConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -233,6 +207,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("estimator.eps_mu must be non-negative")
     if cfg.estimator_eps_c_rel < 0:
         raise ConfigError("estimator.eps_c_rel must be non-negative")
+    if cfg.validation_run_tikhonov:
+        try:
+            validation.rate_inputs(cfg.validation_levels, cfg.validation_seeds)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 # problem.kind -> the generator call that builds that kind from a config
@@ -263,10 +242,9 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     check, if on, reports the failure.
     """
     p = build_problem(cfg)
-    levels = cfg.validation_levels or DEFAULT_LEVELS
     solves = 0
     if cfg.validation_run_tikhonov and p.x_true is not None:
-        solves = len(levels) * len(cfg.validation_seeds)
+        solves = len(cfg.validation_levels) * len(cfg.validation_seeds)
     sd, svd_note = _decomposition(p.operator, cfg.landweber_max_iters, solves,
                                   checked=cfg.validation_run_svd_check)
     noisy = None
@@ -303,7 +281,8 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
         })
 
     if cfg.validation_run_tikhonov:
-        report["tikhonov_rate"] = _tikhonov_section(p, track, levels, cfg.validation_seeds, sd)
+        report["tikhonov_rate"] = _tikhonov_section(p, track, cfg.validation_levels,
+                                                    cfg.validation_seeds, sd)
     if cfg.validation_run_svd_check:
         report["svd_check"] = _svd_section(p, sd, svd_note)
 
@@ -334,33 +313,24 @@ def _tikhonov_section(p: ProblemSpec, track, levels, seeds,
 
 def _decomposition(op, max_iters: int, solves: int,
                    checked: bool) -> tuple[Optional[SpectralDecomposition], str]:
-    """svd(op) if the run takes the spectral path, else None and a note.
+    """svd(op) if the run takes the spectral path, else None and the note
+    the SVD check reports: an operator over the size limit, or no convergence.
 
-    This is the one place that decides. A diagonal operator always has its
-    singular system. A dense one over SVD_SIZE_LIMIT never gets one. A run
-    with the SVD check on (``checked``) always does: the summability test
-    needs it. Any other dense run gets it when the cost model says the
-    decomposition svd() will take (the eigensolver for a symmetric matrix)
-    costs less than the loop: ``max_iters`` Landweber steps, power iteration
-    for ||A|| and ``solves`` Tikhonov solves by CG.
-    The note is what the SVD check reports for a run without the SVD,
-    including one whose SVD does not converge.
+    This is the one place that decides. A checked run always takes it, for
+    the summability test; any other when operators.plan_ns prices it below
+    the loop: ``max_iters`` Landweber steps, power iteration and ``solves``
+    Tikhonov solves by CG (a diagonal operator's is free).
     """
-    if op.kind == "dense":
-        limit = operators.SVD_SIZE_LIMIT
-        m, n = op.shape
-        if min(m, n) > limit:
-            return None, f"skipped: operator exceeds the dense SVD limit {limit}"
-        pairs = max_iters + NORM_PAIRS + solves * CG_PAIRS_PER_SOLVE
-        loop_ns = pairs * (PAIR_NS + PAIR_NS_PER_ENTRY * m * n)
-        cube, entry = ((EIGH_NS_PER_CUBE, EIGH_NS_PER_ENTRY) if op.symmetric
-                       else (SVD_NS_PER_CUBE, SVD_NS_PER_ENTRY))
-        if not checked and m * n * (cube * min(m, n) + entry) >= loop_ns:
-            return None, ""
+    m, n = op.shape
+    pairs = max_iters + NORM_PAIRS + solves * CG_PAIRS_PER_SOLVE
     try:
+        if not checked and operators.plan_ns(op) >= pairs * (PAIR_NS + PAIR_NS_PER_ENTRY * m * n):
+            return None, ""
         return svd(op), ""
     except ConvergenceError as exc:
         return None, f"failed: {exc}"
+    except ValueError as exc:   # plan() refuses an operator over SVD_SIZE_LIMIT
+        return None, f"skipped: {exc}"
 
 
 def _svd_section(p: ProblemSpec, sd: Optional[SpectralDecomposition], note: str) -> dict:
@@ -451,6 +421,7 @@ def _tikhonov_table(config_paths, out_path) -> None:
         try:
             cfg = replace(load_config(path), validation_run_tikhonov=True)
             label = cfg.problem_kind
+            _validate(cfg)
             report = run_pipeline(cfg)["report"]
         except Exception as exc:
             rows.append((label, "", "", "", "", f"failed: {_classify(exc)[2]}"))

@@ -22,8 +22,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-# Full dense SVD is only attempted below this size; beyond it use the
-# diagonal kind or skip spectral verification.
+# plan() refuses a dense operator over this size in min(m, n); beyond it use
+# the diagonal kind or skip spectral verification.
 SVD_SIZE_LIMIT = 2048
 
 # Singular values below this fraction of sigma_1 are numerically void.
@@ -99,6 +99,11 @@ class LinearOperator:
         a, (m, n) = self.matrix, self.shape
         return m == n and all(np.array_equal(a[i:i + 64, j:j + 64], a[j:j + 64, i:i + 64].T)
                               for i in range(0, n, 64) for j in range(i, n, 64))
+
+    @cached_property
+    def centrosymmetric(self) -> bool:
+        """A square matrix that :func:`_splits`, tested once, as symmetric is."""
+        return _splits(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -230,39 +235,71 @@ def operator_norm(op: LinearOperator, tol: float = 1e-10, max_iters: int = 10000
         f"power iteration did not converge in {max_iters} iterations", best=float(est))
 
 
-def svd(op: LinearOperator) -> SpectralDecomposition:
-    """Singular value decomposition, truncated at SV_FLOOR * sigma_1.
-
-    Diagonal operators return their stored sigmas with the canonical basis,
-    untruncated: those values are exact data, not the output of a numerical
-    factorization. The basis is left implicit, so this costs O(n) memory.
-    A dense matrix equal to its transpose bit for bit is decomposed by the
-    symmetric eigensolver, about three times faster than the SVD: from
-    A = V diag(lam) V*, sigma = |lam|, u = V and v = sign(lam) V (Golub and
-    Van Loan, Matrix Computations, sections 8.1 and 8.6), kept as the signs
-    alone. From 8 BLOCK columns on it first tries :func:`_leading_block`,
-    which finds the retained modes of a spectrum that falls below the floor
-    early without computing the others. When there is no block, a matrix
-    that is also centrosymmetric bit for bit is decomposed by
-    :func:`_centro_halves` from two eigenproblems of half the size, each
-    split again while it is centrosymmetric bit for bit; otherwise the full
-    eigensolver runs. Any other matrix takes the SVD.
+def plan(op: LinearOperator, block: bool = False) -> str:
+    """The path :func:`svd` takes, from exact tests alone, each run once per
+    operator: "canonical" (diagonal), "svd" (not symmetric bit for bit),
+    "centro" (symmetric and :func:`_splits`) or "eigh". This is the one
+    place that refuses a dense operator over SVD_SIZE_LIMIT. From 8 BLOCK
+    columns svd() tries :func:`_leading_block` before the centrosymmetry
+    test: ``block`` names it "block" there.
     """
     if op.kind == "diagonal":
+        return "canonical"
+    if min(op.shape) > SVD_SIZE_LIMIT:
+        raise ValueError(f"operator exceeds the dense SVD limit {SVD_SIZE_LIMIT}")
+    if not op.symmetric:
+        return "svd"
+    if block and op.shape[1] >= 8 * BLOCK:
+        return "block"
+    return "centro" if op.centrosymmetric else "eigh"
+
+
+# plan_ns's fits, in nanoseconds, to one timing run of deriv2 from n = 32 to
+# 2048 on 2 cores with 2 BLAS threads (Python 3.11, numpy 2.4.6, OpenBLAS):
+# the SVD of an m x n matrix, m n (SVD_NS_PER_CUBE min(m, n) + SVD_NS_PER_ENTRY)
+# within 26%, and eigh of order n, n^2 (EIGH_NS_PER_CUBE n + EIGH_NS_PER_ENTRY)
+# within 21%.
+SVD_NS_PER_CUBE = 0.37
+SVD_NS_PER_ENTRY = 215.0
+EIGH_NS_PER_CUBE = 0.083
+EIGH_NS_PER_ENTRY = 108.0
+
+
+def plan_ns(op: LinearOperator) -> float:
+    """plan(op)'s decomposition in nanoseconds. "centro" is two eigh of order
+    n/2, an upper bound where a half splits again (deriv2's odd half does);
+    a block, accepted only after a product, is priced as its fallback."""
+    path, (m, n) = plan(op), op.shape
+    if path == "svd":
+        return m * n * (SVD_NS_PER_CUBE * min(m, n) + SVD_NS_PER_ENTRY)
+    count, order = {"canonical": (0, 0), "eigh": (1, n), "centro": (2, n / 2)}[path]
+    return count * order * order * (EIGH_NS_PER_CUBE * order + EIGH_NS_PER_ENTRY)
+
+
+def svd(op: LinearOperator) -> SpectralDecomposition:
+    """Singular value decomposition, truncated at SV_FLOOR * sigma_1, by the
+    path :func:`plan` names, or by :func:`_leading_block` where that block is
+    tried and accepted. A diagonal operator keeps its stored sigmas (exact
+    data, untruncated) and an implicit canonical basis. A symmetric matrix
+    takes eigh, about three times faster than the SVD: from A = V diag(lam) V*,
+    sigma = |lam|, u = V and v = sign(lam) V (Golub and Van Loan, Matrix
+    Computations, sections 8.1 and 8.6), kept as the signs alone.
+    """
+    path = plan(op, block=True)
+    if path == "canonical":
         return SpectralDecomposition(sigmas=op.sigmas.copy(), method="canonical")
-    m, n = op.shape
-    if min(m, n) > SVD_SIZE_LIMIT:
-        raise ValueError(
-            f"dense SVD supported up to min(m,n) <= {SVD_SIZE_LIMIT}; got {min(m, n)}")
+    a = op.matrix
     try:
-        if op.symmetric:
-            sd = _leading_block(op.matrix) if n >= 8 * BLOCK else None
-            if sd is None:
-                sd = _centro_halves(op.matrix)
-            if sd is None:
-                sd = _symmetric_svd(*np.linalg.eigh(op.matrix), method="eigh")
-            return sd
-        u, s, vt = np.linalg.svd(op.matrix, full_matrices=False)
+        if path == "block":
+            sd = _leading_block(a)
+            if sd is not None:
+                return sd
+            path = plan(op)
+        if path == "centro":
+            return _centro_halves(a)
+        if path == "eigh":
+            return _symmetric_svd(*np.linalg.eigh(a), method="eigh")
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD failed to converge: {exc}") from exc
     r = 0 if s[0] == 0.0 else int((s >= SV_FLOOR * s[0]).sum())
@@ -317,10 +354,9 @@ def _leading_block(a: np.ndarray) -> Optional[SpectralDecomposition]:
     return _symmetric_svd(lam, q @ w, method="block")
 
 
-def _centro_halves(a: np.ndarray) -> Optional[SpectralDecomposition]:
-    """The singular system of a symmetric matrix that is also
-    centrosymmetric bit for bit (A = J A J, J the exchange matrix), from
-    eigenproblems of half the size or less; None for any other matrix.
+def _centro_halves(a: np.ndarray) -> SpectralDecomposition:
+    """The singular system of a symmetric matrix that :func:`_splits` (A = J A J,
+    J the exchange matrix), from eigenproblems of half the size or less.
 
     With n = 2m and A = [[A11, A12], [A21, A22]], A is orthogonally similar
     to diag(A11 + A12 J, A11 - A12 J) (Cantoni and Butler, Linear Algebra
@@ -328,40 +364,30 @@ def _centro_halves(a: np.ndarray) -> Optional[SpectralDecomposition]:
     [w; J w] / sqrt(2), and z of the second [z; -J z] / sqrt(2), with the
     same eigenvalues. A12 J is symmetric bit for bit when A is symmetric
     and centrosymmetric bit for bit, so both halves are too, and each is
-    decomposed by :func:`_centro_eigh`: split again by the same exact test,
-    or by eigh. The midpoint-rule kernels deriv2 and gravity pass on n = 2^k
-    grids; at n = 1000 they are 1 ulp off and take the full eigh. deriv2's
-    odd half is the Dirichlet Green's function on [0, 1/2], again
-    centrosymmetric bit for bit, so deriv2 at n = 1024 calls eigh on orders
-    512, 256, ..., 2, 1 and 1; its even half and both of gravity's are not.
-    Two eigh of order m cost about a quarter of one of order n. Only the
-    retained modes are assembled, in their final order, into one n x r
-    array.
+    decomposed by :func:`_centro_eigh`: split again while it :func:`_splits`,
+    or by eigh. deriv2 and gravity split on n = 2^k grids, and deriv2's odd
+    half (the Dirichlet Green's function on [0, 1/2]) splits again, so at
+    n = 1024 it calls eigh on orders 512, 256, ..., 2, 1 and 1. Two eigh of
+    order m cost about a quarter of one of order n.
     """
-    split = _centro_split(a)
-    if split is None:
-        return None
-    lam, wz = split
-    order = _retained(lam)
-    lam = lam[order]   # none is 0: |lam| >= SV_FLOOR max |lam| > 0
-    return SpectralDecomposition(sigmas=np.abs(lam), u=_unfold(wz, order), signs=np.sign(lam),
-                                 method="centro")
+    return _symmetric_svd(*_centro_split(a), method="centro")
 
 
-def _centro_split(a: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The eigenvalues of the halves A11 + A12 J and A11 - A12 J of a
-    symmetric matrix centrosymmetric bit for bit, and their eigenvectors
-    side by side, [W Z] (m x n), each half by :func:`_centro_eigh`; None
-    when the matrix is not centrosymmetric bit for bit or has odd order.
-
-    Comparing the top m rows with those of J A J tests the whole matrix:
-    the bottom rows are the same comparisons. Each half is freed once
-    decomposed.
-    """
+def _splits(a: np.ndarray) -> bool:
+    """Whether a square matrix has even order and equals J A J bit for bit
+    (about 5 ms at n = 2048). The top m rows against those of J A J test the
+    whole matrix: the bottom rows are the same comparisons."""
     n = a.shape[0]
-    m = n // 2
-    if n % 2 or not np.array_equal(a[:m], a[::-1, ::-1][:m]):
-        return None
+    return n % 2 == 0 and np.array_equal(a[:n // 2], a[::-1, ::-1][:n // 2])
+
+
+def _centro_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of the halves A11 + A12 J and A11 - A12 J of a
+    symmetric matrix that :func:`_splits`, and their eigenvectors side by
+    side, [W Z] (m x n), each half by :func:`_centro_eigh`. Each half is
+    freed once decomposed.
+    """
+    m = a.shape[0] // 2
     a11, a12j = a[:m, :m], a[:m, m:][:, ::-1]
     lam_w, w = _centro_eigh(a11 + a12j)
     lam_z, z = _centro_eigh(a11 - a12j)
@@ -372,10 +398,9 @@ def _centro_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a symmetric matrix, unsorted: from
     its halves, recursively, while it is centrosymmetric bit for bit, and by
     eigh otherwise."""
-    split = _centro_split(a)
-    if split is None:
+    if not _splits(a):
         return np.linalg.eigh(a)
-    lam, wz = split
+    lam, wz = _centro_split(a)
     return lam, _unfold(wz, np.arange(a.shape[0]))
 
 
@@ -391,24 +416,20 @@ def _unfold(wz: np.ndarray, order: np.ndarray) -> np.ndarray:
     return out
 
 
-def _retained(lam: np.ndarray) -> np.ndarray:
-    """Indices of the modes by |lam| non-increasing, truncated at
-    SV_FLOOR max |lam|."""
+def _symmetric_svd(lam: np.ndarray, vecs: np.ndarray, method: str) -> SpectralDecomposition:
+    """The singular system of V diag(lam) V*: modes by |lam| non-increasing,
+    truncated at SV_FLOOR max |lam|. For "centro" vecs holds the halves'
+    eigenvectors [W Z], and only the retained modes are unfolded, in their
+    final order, into one n x r array."""
     abs_lam = np.abs(lam)
     order = np.argsort(-abs_lam, kind="stable")
     top = abs_lam[order[0]]
-    return order[:0 if top == 0.0 else int((abs_lam >= SV_FLOOR * top).sum())]
-
-
-def _symmetric_svd(lam: np.ndarray, vecs: np.ndarray, method: str) -> SpectralDecomposition:
-    """The singular system of V diag(lam) V*: modes by |lam| non-increasing,
-    truncated at SV_FLOOR max |lam|."""
-    order = _retained(lam)
+    order = order[:0 if top == 0.0 else int((abs_lam >= SV_FLOOR * top).sum())]
     lam = lam[order]   # none is 0: |lam| >= SV_FLOOR max |lam| > 0
     # a copy, so the dropped modes' vectors go with vecs; np.take gathers
     # the columns four times faster than vecs[:, order] at n = 1024
-    return SpectralDecomposition(sigmas=np.abs(lam), u=np.take(vecs, order, axis=1),
-                                 signs=np.sign(lam), method=method)
+    u = _unfold(vecs, order) if method == "centro" else np.take(vecs, order, axis=1)
+    return SpectralDecomposition(sigmas=np.abs(lam), u=u, signs=np.sign(lam), method=method)
 
 
 # ---------------------------------------------------------------------------

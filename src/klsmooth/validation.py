@@ -39,7 +39,7 @@ BISECT_TOL = 1e-3
 DEFAULT_MU_GRID = (0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.75, 1.0)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 # relative noise levels of the rate experiment, strictly decreasing
-DEFAULT_LEVELS = tuple(np.logspace(-3, -1, 10)[::-1])
+DEFAULT_LEVELS = tuple(np.logspace(-3, -1, 10)[::-1].tolist())
 # tighter than the 1e-10 agreement guaranteed against the filter factors,
 # since the residual norm understates the solution error by ~1/alpha
 CG_TOL = 1e-13
@@ -134,6 +134,22 @@ def apriori_alpha(delta_abs: float, mu: float) -> float:
     return float(delta_abs ** (2.0 / (2.0 * mu + 1.0)))
 
 
+def rate_inputs(levels, seeds) -> tuple[list, list]:
+    """The levels sorted decreasing and the seeds as ints; a ValueError
+    unless there are at least 3 distinct levels, all in (0, 1), and a seed."""
+    levels = sorted((float(l) for l in levels), reverse=True)
+    if len(levels) < 3:
+        raise ValueError("need at least 3 noise levels")
+    if len(set(levels)) < len(levels):
+        raise ValueError("noise levels must be distinct")
+    if not all(0.0 < l < 1.0 for l in levels):
+        raise ValueError("levels must lie in (0, 1)")
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ValueError("need at least one seed")
+    return levels, seeds
+
+
 def rate_experiment(p: ProblemSpec, mu_hat: float, levels, seeds=DEFAULT_SEEDS,
                     sd: Optional[SpectralDecomposition] = None) -> RateExperimentResult:
     """Measure the Tikhonov convergence rate under the a-priori choice for mu_hat.
@@ -161,16 +177,7 @@ def rate_experiment(p: ProblemSpec, mu_hat: float, levels, seeds=DEFAULT_SEEDS,
     """
     if p.x_true is None:
         raise ValueError("rate experiment needs the exact solution")
-    levels = sorted((float(l) for l in levels), reverse=True)
-    if len(levels) < 3:
-        raise ValueError("need at least 3 noise levels")
-    if len(set(levels)) < len(levels):
-        raise ValueError("noise levels must be distinct")
-    if not all(0.0 < l < 1.0 for l in levels):
-        raise ValueError("levels must lie in (0, 1)")
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise ValueError("need at least one seed")
+    levels, seeds = rate_inputs(levels, seeds)
 
     if sd is None and p.operator.kind == "diagonal":
         sd = svd(p.operator)

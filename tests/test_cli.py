@@ -17,7 +17,8 @@ from klsmooth.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                           main, parse_config_text, run_pipeline)
 from klsmooth import cli, operators
 from klsmooth.operators import write_matrix_market, write_vector
-from klsmooth.problems import make_gravity
+from klsmooth.problems import make_deriv2, make_gravity
+from klsmooth.validation import DEFAULT_LEVELS, DEFAULT_SEEDS
 
 SMALL_DIAG = """
 problem.kind = power_law
@@ -141,7 +142,7 @@ def test_run_estimate_deterministic(tmp_path):
 
 @pytest.mark.parametrize("text", [
     SMALL_DIAG,
-    # the rate check on with the default levels: an empty list in the echo
+    # the rate check on with the default levels, echoed in full
     SMALL_DIAG + "validation.run_tikhonov = true\nvalidation.run_svd_check = yes\n",
     SMALL_DIAG + "validation.levels = 0.1, 0.03\nvalidation.seeds = 7\n"
                  "landweber.step_beta = 0.5\nnoise.rel_level = 0.001\n",
@@ -277,6 +278,40 @@ def test_repeated_noise_levels_exit_with_config_error(tmp_path, capsys):
     table = tmp_path / "table.csv"
     assert main(["tikhonov-table", str(path), "--out", str(table)]) == EXIT_OK
     assert table.read_text().splitlines()[1].endswith(",failed: noise levels must be distinct")
+
+
+def test_bad_levels_exit_before_the_run(tmp_path, capsys):
+    # this run finds no stable window, so the rate experiment never runs; the
+    # levels are checked when the config is, whenever the rate check is on
+    text = ("problem.kind = deriv2\nproblem.n = 64\nnoise.rel_level = 0.05\n"
+            "validation.levels = 0.5, 2\n")
+    path, trace_path, _ = write_cfg(tmp_path, text + "validation.run_tikhonov = true\n")
+    assert main(["estimate", str(path)]) == EXIT_CONFIG
+    assert "need at least 3 noise levels" in capsys.readouterr().err
+    assert not trace_path.exists()
+    # tikhonov-table turns the check on, then checks the levels
+    path, trace_path, _ = write_cfg(tmp_path, text)
+    table = tmp_path / "table.csv"
+    assert main(["tikhonov-table", str(path), "--out", str(table)]) == EXIT_OK
+    assert table.read_text().splitlines()[1] == "deriv2,,,,,failed: need at least 3 noise levels"
+    assert not trace_path.exists()
+
+
+def test_list_defaults_live_in_the_config(tmp_path):
+    # an empty list means the default; the levels are plain floats, so a
+    # config written from their repr parses back, and the report echoes them
+    cfg = parse_config_text("validation.levels =\nvalidation.seeds =\n")
+    assert cfg == ExperimentConfig()
+    assert cfg.validation_levels == DEFAULT_LEVELS and len(DEFAULT_LEVELS) == 10
+    assert all(type(level) is float for level in cfg.validation_levels)
+    assert cfg.validation_seeds == DEFAULT_SEEDS
+    with pytest.raises(ConfigError, match="validation.seeds"):
+        parse_config_text("validation.seeds = 0, 1.5\n")
+    path, _, report_path = write_cfg(tmp_path, SMALL_DIAG + "validation.run_tikhonov = true\n")
+    assert main(["estimate", str(path)]) == EXIT_OK
+    report = json.loads(report_path.read_text())
+    assert report["config"]["validation.levels"] == list(DEFAULT_LEVELS)
+    assert report["tikhonov_rate"]["noise_levels"] == list(DEFAULT_LEVELS)
 
 
 def test_tikhonov_table_row_for_oversized_config(tmp_path):
@@ -457,12 +492,12 @@ def _counting_svd(monkeypatch):
 
 
 # deriv2 with the rate check; w_min = 20 gives a K=100 run a stable window,
-# so its rate check runs. At n = 512 a K=100 run with one seed sits near the
-# cost rule's boundary: its eigendecomposition is priced at 40 ms, the loop
-# and 10 CG solves at 34 ms
+# so its rate check runs. At n = 500, not a 2^k grid, svd() takes the full
+# eigh, and a K=100 run with one seed sits near the cost rule's boundary:
+# the eigh is priced at 37 ms, the loop and 10 CG solves at 33 ms
 DERIV2_256 = ("problem.kind = deriv2\nproblem.n = 256\nestimator.w_min = 20\n"
               "validation.run_tikhonov = true\n")
-DERIV2_512 = DERIV2_256.replace("problem.n = 256", "problem.n = 512")
+DERIV2_500 = DERIV2_256.replace("problem.n = 256", "problem.n = 500")
 
 
 def test_report_names_the_paths_taken(monkeypatch):
@@ -470,7 +505,7 @@ def test_report_names_the_paths_taken(monkeypatch):
     calls = _counting_svd(monkeypatch)
     for iters, path, solver, svd_calls in ((100, "matvec", "cg", 0),
                                            (2000, "closed-form", "filter-factors", 1)):
-        cfg = parse_config_text(DERIV2_512 + f"landweber.max_iters = {iters}\n"
+        cfg = parse_config_text(DERIV2_500 + f"landweber.max_iters = {iters}\n"
                                              "validation.seeds = 0\n")
         report = run_pipeline(cfg)["report"]
         assert report["landweber"]["path"] == path
@@ -489,7 +524,7 @@ def test_tikhonov_solves_tip_the_rule_to_the_svd(monkeypatch):
     calls = _counting_svd(monkeypatch)
     for seeds, path, solver, svd_calls in (("0", "matvec", "cg", 0),
                                            ("0, 1, 2, 3, 4", "closed-form", "filter-factors", 1)):
-        cfg = parse_config_text(DERIV2_512 + "landweber.max_iters = 100\n"
+        cfg = parse_config_text(DERIV2_500 + "landweber.max_iters = 100\n"
                                              f"validation.seeds = {seeds}\n")
         report = run_pipeline(cfg)["report"]
         assert report["landweber"]["path"] == path
@@ -497,12 +532,16 @@ def test_tikhonov_solves_tip_the_rule_to_the_svd(monkeypatch):
         assert len(calls) == svd_calls
 
 
-def _assert_rule_takes(monkeypatch, symmetric, n, iters, faster):
+def _assert_rule_takes(monkeypatch, structure, n, iters, faster):
     monkeypatch.setattr(cli, "svd", lambda op: "decomposition")
-    # a broadcast matrix: never applied, only tested for symmetry
-    row = np.zeros(n) if symmetric else np.arange(n, dtype=float)
-    op = operators.dense_operator(np.broadcast_to(row, (n, n)))
-    assert op.symmetric == symmetric
+    # never applied, only tested for symmetry and centrosymmetry: a broadcast
+    # zero row is both, a broadcast arange row neither, and a diagonal of
+    # distinct values only symmetric
+    matrix = {"svd": lambda: np.broadcast_to(np.arange(n, dtype=float), (n, n)),
+              "eigh": lambda: np.diag(np.arange(n, dtype=float)),
+              "centro": lambda: np.broadcast_to(np.zeros(n), (n, n))}[structure]()
+    op = operators.dense_operator(matrix)
+    assert operators.plan(op) == structure
     took_svd = cli._decomposition(op, iters, 0, checked=False)[0] is not None
     assert took_svd == (faster == "svd")
     # the SVD check always takes the SVD, up to the size limit
@@ -516,17 +555,39 @@ def _assert_rule_takes(monkeypatch, symmetric, n, iters, faster):
     (1024, 2000, "svd"), (2048, 500, "loop"),
 ])
 def test_cost_rule_at_the_measured_crossovers(monkeypatch, n, iters, faster):
-    _assert_rule_takes(monkeypatch, False, n, iters, faster)
+    _assert_rule_takes(monkeypatch, "svd", n, iters, faster)
 
 
-# the same, with the eigendecomposition svd() takes for a symmetric matrix
+# the same, with the full eigh svd() takes for a symmetric matrix that is
+# not centrosymmetric
 @pytest.mark.parametrize("n, iters, faster", [
     (256, 100, "loop"), (256, 2000, "svd"), (512, 500, "svd"), (1024, 500, "svd"),
     (2048, 500, "loop"),
 ])
 def test_cost_rule_prices_the_eigensolver_for_a_symmetric_operator(monkeypatch, n, iters,
                                                                    faster):
-    _assert_rule_takes(monkeypatch, True, n, iters, faster)
+    _assert_rule_takes(monkeypatch, "eigh", n, iters, faster)
+
+
+# the same, with the two eigh of order n/2 of a centrosymmetric matrix, at
+# crossovers measured on deriv2 by run_pipeline with each path forced
+@pytest.mark.parametrize("n, iters, faster", [
+    (256, 50, "loop"), (256, 2000, "svd"), (1024, 100, "loop"), (1024, 500, "svd"),
+    (2048, 100, "loop"), (2048, 500, "svd"),
+])
+def test_cost_rule_prices_two_half_size_eigh_for_a_centrosymmetric_operator(
+        monkeypatch, n, iters, faster):
+    _assert_rule_takes(monkeypatch, "centro", n, iters, faster)
+
+
+def test_unchecked_deriv2_2048_takes_the_decomposition_at_500_iterations(monkeypatch):
+    # priced as two eigh of order 1024 (405 ms) against 515 matvec pairs
+    # (1,006 ms); one full eigh would be 1,166 ms and keep the loop
+    monkeypatch.setattr(cli, "svd", lambda op: "decomposition")
+    op = make_deriv2(2048).operator
+    assert operators.plan(op) == "centro"
+    assert cli._decomposition(op, 500, 0, checked=False)[0] == "decomposition"
+    assert cli._decomposition(op, 100, 0, checked=False)[0] is None
 
 
 def test_operator_over_the_svd_limit_takes_the_loop_and_cg(tmp_path, monkeypatch):

@@ -6,12 +6,13 @@ from klsmooth import operators
 from klsmooth.operators import (BLOCK, ConvergenceError, SVD_SIZE_LIMIT, SpectralDecomposition,
                                 _decimal_digits, _symmetric_svd, decimal_rows,
                                 dense_operator, diagonal_operator,
-                                kernel_operator, midpoint_nodes, operator_norm,
+                                kernel_operator, midpoint_nodes, operator_norm, plan,
                                 read_matrix_market, read_vector, svd, write_matrix_market,
                                 write_vector)
 from klsmooth.problems import deriv2_kernel, make_deriv2, make_gravity
 
-from _oracles import planted_symmetric_problem, right_vectors
+from _oracles import (known_svd_problem, known_symmetric_problem,
+                      planted_symmetric_problem, right_vectors)
 
 
 def test_apply_diagonal():
@@ -302,11 +303,69 @@ def test_svd_kernel_operator_is_dense():
 
 
 def test_svd_size_limit():
+    # the plan refuses it before any exact test: Fake has no matrix
     class Fake:
         kind = "dense"
         shape = (SVD_SIZE_LIMIT + 1, SVD_SIZE_LIMIT + 1)
     with pytest.raises(ValueError):
         svd(Fake())
+    with pytest.raises(ValueError, match=f"operator exceeds the dense SVD limit {SVD_SIZE_LIMIT}"):
+        plan(Fake())
+
+
+# (operator, its plan, what svd() takes): the block stands in for the plan
+# when it is accepted
+@pytest.mark.parametrize("make, planned, method", [
+    (lambda: known_symmetric_problem(1, 64, 40)[0].operator, "eigh", "eigh"),
+    (lambda: known_symmetric_problem(1, 64, 40, centro=True)[0].operator, "centro", "centro"),
+    (lambda: known_svd_problem(1, 48, 32, 20)[0].operator, "svd", "svd"),
+    (lambda: diagonal_operator(np.geomspace(1.0, 1e-3, 50)), "canonical", "canonical"),
+    (lambda: make_deriv2(256).operator, "centro", "centro"),
+    (lambda: make_gravity(256).operator, "centro", "centro"),
+    (lambda: make_deriv2(1024).operator, "centro", "centro"),
+    (lambda: make_gravity(1024).operator, "centro", "block"),
+    (lambda: make_deriv2(1000).operator, "eigh", "eigh"),
+], ids=["symmetric-64", "centro-64", "general-48x32", "diagonal-50", "deriv2-256",
+        "gravity-256", "deriv2-1024", "gravity-1024", "deriv2-1000"])
+def test_plan_names_the_path_svd_takes(monkeypatch, make, planned, method):
+    op = make()
+    assert plan(op) == planned
+    assert svd(op).method == method
+    # with the block refused, svd() takes the plan
+    monkeypatch.setattr(operators, "_leading_block", lambda a: None)
+    assert svd(op).method == planned
+
+
+def test_exact_tests_run_once_and_only_where_svd_needs_them(monkeypatch):
+    calls, splits = [], operators._splits
+
+    def counted(a):
+        calls.append(a.shape[0])
+        return splits(a)
+    monkeypatch.setattr(operators, "_splits", counted)
+    # priced, then decomposed: the operator's own test runs once, the
+    # halves' tests as the split recurses
+    op = make_deriv2(512).operator
+    assert operators.plan_ns(op) > 0
+    assert svd(op).method == "centro"
+    assert calls.count(512) == 1 and 256 in calls
+    # the block accepts gravity before any centrosymmetry test
+    calls.clear()
+    op = make_gravity(1024).operator
+    assert svd(op).method == "block"
+    assert calls == [] and "centrosymmetric" not in vars(op)
+
+
+def test_plan_prices_two_half_size_eigh_for_centro():
+    sym = known_symmetric_problem(1, 64, 40)[0].operator
+    centro = known_symmetric_problem(1, 64, 40, centro=True)[0].operator
+    general = known_svd_problem(1, 48, 32, 20)[0].operator
+    eigh_ns = lambda n: n * n * (operators.EIGH_NS_PER_CUBE * n + operators.EIGH_NS_PER_ENTRY)
+    assert operators.plan_ns(sym) == eigh_ns(64)
+    assert operators.plan_ns(centro) == 2 * eigh_ns(32)
+    assert operators.plan_ns(general) == pytest.approx(
+        48 * 32 * (operators.SVD_NS_PER_CUBE * 32 + operators.SVD_NS_PER_ENTRY))
+    assert operators.plan_ns(diagonal_operator(np.ones(10))) == 0.0
 
 
 def test_second_derivative_spectrum_decay():
