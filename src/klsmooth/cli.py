@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -411,16 +412,17 @@ def _figure_config_in(name: str, out_dir) -> ExperimentConfig:
 def _tikhonov_table(config_paths, out_path) -> None:
     """Predicted vs. observed convergence-rate table over several problems.
 
-    One row per config: a config that fails fills its own row, under its
-    path when it does not parse. When no config's input files can be read,
-    the first such failure ends the command, as it does for ``estimate``.
+    One row per config, under its problem's label: a config that fails fills
+    its own row, under its path when it does not parse. When no config's
+    input files can be read, the first such failure ends the command, as it
+    does for ``estimate``.
     """
     rows, unreadable = [], []
     for path in config_paths:
         label = str(path)
         try:
             cfg = replace(load_config(path), validation_run_tikhonov=True)
-            label = cfg.problem_kind
+            label = _label(cfg)
             _validate(cfg)
             report = run_pipeline(cfg)["report"]
         except Exception as exc:
@@ -428,7 +430,6 @@ def _tikhonov_table(config_paths, out_path) -> None:
             if isinstance(exc, OSError):
                 unreadable.append(exc)
             continue
-        label = report["problem"]["label"]
         rate = report["tikhonov_rate"]
         if "note" in rate:
             # a row that tested nothing failed, whatever the section calls it
@@ -444,6 +445,16 @@ def _tikhonov_table(config_paths, out_path) -> None:
         writer.writerow(("problem", "mu_hat", "predicted_rate_exponent",
                          "observed_rate_exponent", "misfit", "note"))
         writer.writerows(rows)
+
+
+def _label(cfg: ExperimentConfig) -> str:
+    """The label the config's problem carries once built; an unknown kind is
+    its own label."""
+    template = problems.LABELS.get(cfg.problem_kind)
+    if template is None:
+        return cfg.problem_kind
+    return template.format(n=cfg.problem_n, eta=cfg.problem_eta, beta=cfg.problem_beta,
+                           depth=cfg.problem_depth, matrix_path=cfg.problem_matrix_path)
 
 
 def _svd_check(cfg: ExperimentConfig) -> None:
@@ -464,11 +475,9 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg
 
 
-def main(argv=None) -> int:
-    """Run one command; returns its exit status, printing any failure's message.
-
-    This is the one runner: the scripts and the benchmark call it too.
-    """
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="klsmooth",
         description="Estimate the source-condition smoothness exponent of a "
@@ -489,8 +498,15 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override noise.seed")
         p.add_argument("--iters", type=int, default=None, help="override landweber.max_iters")
         p.add_argument("--noise", type=float, default=None, help="override noise.rel_level")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    """Run one command; returns its exit status, printing any failure's message.
+
+    This is the one runner: the scripts and the benchmark call it too.
+    """
+    args = _parser().parse_args(argv)
     commands = {
         "estimate": lambda: _estimate(_apply_overrides(load_config(args.config), args)),
         "figures": lambda: _estimate(_figure_config_in(args.name, args.out_dir)),

@@ -203,12 +203,11 @@ def _prefix_fits(trace: IterationTrace, k_min: int) -> EstimateTrack:
     mu = gamma_to_mu(gamma)
     c = np.exp(-b)
 
-    sel = np.arange(k_min - 1, K_use)
-    degenerate = degenerate[sel]
-    k_values = sel + 1
+    degenerate = degenerate[k_min - 1:]
+    k_values = np.arange(k_min, K_use + 1)
     return EstimateTrack(k_values=k_values,
-                         mu_k=np.where(degenerate, np.nan, mu[sel]),
-                         c_k=np.where(degenerate, np.nan, c[sel]),
+                         mu_k=np.where(degenerate, np.nan, mu[k_min - 1:]),
+                         c_k=np.where(degenerate, np.nan, c[k_min - 1:]),
                          skipped_k=tuple(int(x) for x in k_values[degenerate]))
 
 

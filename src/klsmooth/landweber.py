@@ -39,7 +39,8 @@ EARLY_STOP_REL = 1e-13
 # The closed form's tables of powers get about this many entries (0.5 MB of
 # float64), so one block spans 2^16 / n iterations, but never fewer than
 # MIN_BLOCK_ROWS: each block also makes a dozen passes over whole n-vectors,
-# and with fewer rows than that the matvec loop would be faster.
+# and with fewer rows than that the matvec loop would be faster. A chunk of
+# blocks, computed by one matrix product, holds weights of about as many.
 BLOCK_ELEMENTS = 1 << 16
 MIN_BLOCK_ROWS = 8
 
@@ -206,9 +207,9 @@ def diagonal_trace(sigmas: np.ndarray, data: np.ndarray, beta: float, max_iters:
     The modes split in two. Slow modes (q > 0, finite inputs and
     max_iters |log q| <= SLOW_REACH) never come near convergence within the
     run, and their shares of R_k^2, G_k^2 and E_k^2 are polynomials in
-    t = k / max_iters (see SLOW_REACH), evaluated per block by one
-    Vandermonde product. The error of a slow mode is e = u c - x_true q^k,
-    with u = data / sigma - x_true (0 on an exact mode) and c = 1 - q^k, so
+    t = k / max_iters (see SLOW_REACH), evaluated by a Vandermonde product.
+    The error of a slow mode is e = u c - x_true q^k, with u = data / sigma
+    - x_true (0 on an exact mode) and c = 1 - q^k, so
 
         e^2 = u^2 c^2 - 2 u x_true c q^k + x_true^2 q^(2k),
 
@@ -218,19 +219,24 @@ def diagonal_trace(sigmas: np.ndarray, data: np.ndarray, beta: float, max_iters:
     x_true): the 1/sigma of a noisy small-sigma mode cancels in the
     formula, not in rounding, and the sum keeps its digits under noise.
 
-    The other (fast) modes take tables of q^(2j) and 1 - q^j, j = 1..B,
-    built once. The block after k0 iterations uses q^(k0+j) = q^k0 q^j and
-    1 - q^(k0+j) = (1 - q^k0) + q^k0 (1 - q^j), with q^k0 evaluated afresh,
-    never as a running product, so rounding does not build up over blocks:
-    one GEMM gives their R and G. A fast mode is exact when data_i ==
-    sigma_i x_true_i bit for bit (noise-free diagonal data). Its error is
-    -x_true q^k, so the exact modes add sum x_true^2 q^(2k0) q^(2j) to
-    E_k^2: one GEMV per block against the q^(2j) table. The other fast
-    modes take a per-mode pass over the block: they lie beyond the series'
-    reach, and written as (-x_true - r0/sigma) + (r0/sigma) q^k their error
-    cancels badly under noise. Blocks span 2^16 / (fast modes) iterations,
-    and a run with no slow mode is computed as if the split did not exist.
-    Early stop and abort happen at the same iteration as in
+    The other (fast) modes take tables of q^(2j) and 1 - q^j, j = 1..J,
+    built once, with J = 2^16 / (fast modes). The block after k0 iterations
+    uses q^(k0+j) = q^k0 q^j and 1 - q^(k0+j) = (1 - q^k0) + q^k0 (1 - q^j),
+    with q^k0 evaluated afresh, never as a running product, so rounding does
+    not build up over blocks. Blocks go in chunks of as many as keep the
+    chunk's weights within the table's 2^16 entries. The weights r0^2,
+    (sigma r0)^2 and, on the exact modes, x_true^2, each scaled by every
+    block's q^(2k0), stack into one array, and its product with the q^(2j)
+    table writes R^2, G^2 and the exact modes' share of E^2 for the whole
+    chunk straight into the trace. A fast mode is exact when data_i ==
+    sigma_i x_true_i bit for bit (noise-free diagonal data): its error is
+    -x_true q^k. The other fast modes take a per-mode pass over each block:
+    they lie beyond the series' reach, and written as (-x_true - r0/sigma) +
+    (r0/sigma) q^k their error cancels badly under noise. The slow modes'
+    series is evaluated over the chunk by one product, and a run with no
+    slow mode is computed as if the split did not exist. Each chunk is then
+    scanned for its first row at the stop floor or its first non-finite
+    row, so early stop and abort happen at the same iteration as in
     :func:`matvec_trace`.
     """
     s = np.asarray(sigmas, dtype=float)
@@ -249,48 +255,72 @@ def diagonal_trace(sigmas: np.ndarray, data: np.ndarray, beta: float, max_iters:
             fast = ~slow
             s, q, log_q, data = s[fast], q[fast], log_q[fast], data[fast]
             x_true = None if x_true is None else x_true[fast]
-        rows = min(max_iters, max(MIN_BLOCK_ROWS, BLOCK_ELEMENTS // max(s.size, 1)))
         nonpos = np.flatnonzero(q <= 0.0)
         r0 = -data
-        weights = np.stack((r0 * r0, (s * r0) ** 2))
-        exact_sq, per_mode = None, False
+        weights = [r0 * r0, (s * r0) ** 2]
+        per_mode = False
         if x_true is not None:
             exact = _exact_modes(s, data, x_true)
-            exact_sq = np.where(exact, x_true * x_true, 0.0) if exact.any() else None
+            if exact.any():
+                weights.append(np.where(exact, x_true * x_true, 0.0))
             per_mode = not exact.all()
             if per_mode:
                 pull = np.where(exact, 0.0, r0 / s)
                 start = np.where(exact, 0.0, -x_true)
+        weights = np.stack(weights)[:, None, :]
+        nw = len(weights)
+        rows, chunk = _block_sizes(s.size, nw, max_iters)
         q_2j, comp_j = _powers(q, log_q, nonpos, np.arange(1, rows + 1.0)[:, None],
                               complement=per_mode)
         np.square(q_2j, out=q_2j)
+        q_2j = q_2j.T
         if per_mode:
             buf = np.empty_like(comp_j)
-    RG = np.empty((2, max_iters))
-    E = np.empty(max_iters) if x_true is not None else None
+    # whole blocks, so the columns have room for the last one's unused rows;
+    # E in an array of its own, as one array for all three raised the peak
+    # resident memory of long runs
+    size = -(-max_iters // rows) * rows
+    RG = np.empty((2, size))
+    E = np.empty(size) if x_true is not None else None
     n_done = max_iters
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, max_iters, rows):
-            m = min(rows, max_iters - k0)
+        for c0 in range(0, max_iters, chunk):
+            m = min(chunk, max_iters - c0)
+            k0 = np.arange(c0, c0 + m, rows, dtype=float)[:, None]
             q_k0, comp_k0 = _powers(q, log_q, nonpos, k0, complement=per_mode)
-            q_k0_sq = q_k0 * q_k0
-            norms = (weights * q_k0_sq) @ q_2j[:m].T
+            # R^2, G^2 and the exact modes' E^2 over the chunk's blocks,
+            # straight into the columns
+            scaled = weights * (q_k0 * q_k0)
+            blocks = len(k0)
+            rg, out = scaled[:2], RG[:, c0:c0 + blocks * rows].reshape(2, blocks, rows)
+            if blocks == 1:
+                # one two-row GEMM, not two matrix-vector products that round otherwise
+                rg, out = rg[:, 0], out[:, 0]
+            np.matmul(rg, q_2j, out=out)
+            if nw == 3:
+                np.matmul(scaled[2], q_2j, out=E[c0:c0 + blocks * rows].reshape(blocks, rows))
+            norms = RG[:, c0:c0 + m]
             norms[0] += data_out
             if slow_coefs is not None:
-                t = np.arange(k0 + 1.0, k0 + m + 1.0) / max_iters
+                t = np.arange(c0 + 1.0, c0 + m + 1.0) / max_iters
                 # a sum of squares, whatever its rounding
                 slow_sq = np.maximum(slow_coefs @ _power_rows(t), 0.0)
                 norms += slow_sq[:2]
-            norms = np.sqrt(norms, out=RG[:, k0:k0 + m])
+            np.sqrt(norms, out=norms)
             if E is not None:
                 err_sq = x_out if slow_coefs is None else slow_sq[2] + x_out
                 if per_mode:
-                    dev = np.multiply(comp_j[:m], pull * q_k0, out=buf[:m])
-                    np.subtract(start - pull * comp_k0, dev, out=dev)
-                    err_sq = np.einsum("ij,ij->i", dev, dev) + err_sq
-                if exact_sq is not None:
-                    err_sq = q_2j[:m] @ (exact_sq * q_k0_sq) + err_sq
-                np.sqrt(err_sq, out=E[k0:k0 + m])
+                    # block by block: written as a product it would cancel
+                    dev_sq = np.empty(m)
+                    for b, j0 in enumerate(range(0, m, rows)):
+                        dev = np.multiply(comp_j[:m - j0], pull * q_k0[b], out=buf[:m - j0])
+                        np.subtract(start - pull * comp_k0[b], dev, out=dev)
+                        dev_sq[j0:j0 + rows] = np.einsum("ij,ij->i", dev, dev)
+                    err_sq = dev_sq + err_sq
+                err = E[c0:c0 + m]
+                if nw == 3:
+                    err_sq = np.add(err, err_sq, out=err)
+                np.sqrt(err_sq, out=err)
             # a non-finite norm makes the sum non-finite
             if np.isfinite(norms.sum()) and (norms > floors).all():
                 continue
@@ -300,11 +330,19 @@ def diagonal_trace(sigmas: np.ndarray, data: np.ndarray, beta: float, max_iters:
             first_stop = int(np.argmax(stop)) if stop.any() else m
             if first_bad < m and first_bad <= first_stop:
                 raise RuntimeError(
-                    f"non-finite residual/gradient at iteration {k0 + first_bad + 1}")
+                    f"non-finite residual/gradient at iteration {c0 + first_bad + 1}")
             if first_stop < m:
-                n_done = k0 + first_stop + 1
+                n_done = c0 + first_stop + 1
                 break
     return RG[0, :n_done], RG[1, :n_done], None if E is None else E[:n_done]
+
+
+def _block_sizes(fast: int, weight_rows: int, max_iters: int) -> tuple[int, int]:
+    """Iterations per block and per chunk of :func:`diagonal_trace`'s fast
+    modes: the table of powers and a chunk's scaled weights, weight_rows per
+    block, each fill about BLOCK_ELEMENTS."""
+    rows = min(max_iters, max(MIN_BLOCK_ROWS, BLOCK_ELEMENTS // max(fast, 1)))
+    return rows, rows * max(1, BLOCK_ELEMENTS // max(weight_rows * fast, 1))
 
 
 def _slow_modes(sigmas: np.ndarray, q: np.ndarray, log_q: np.ndarray, data: np.ndarray,

@@ -24,6 +24,17 @@ EXP_OPERATOR_MAX_N = 400
 
 DEFAULT_GRAVITY_DEPTH = 0.25
 
+# Each kind's label, formatted from its maker's parameters; the CLI labels a
+# config that fails before its problem exists by the same template.
+LABELS = {
+    "power_law": "power-law(eta={eta:g}, beta={beta:g}, n={n})",
+    "exp_solution": "supersmooth(beta={beta:g}, n={n})",
+    "exp_operator": "exp-operator(eta={eta:g}, n={n}), source condition violated",
+    "deriv2": "deriv2(n={n})",
+    "gravity": "gravity(n={n}, depth={depth:g}), severely ill-posed candidate",
+    "external": "external({matrix_path})",
+}
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -76,7 +87,7 @@ def make_power_law(n: int, eta: float, beta: float) -> ProblemSpec:
     op = diagonal_operator(sigmas)
     return ProblemSpec(operator=op, y_clean=sigmas * x_true, x_true=x_true,
                        mu_exact=mu, source_w=w,
-                       label=f"power-law(eta={eta:g}, beta={beta:g}, n={n})")
+                       label=LABELS["power_law"].format(eta=eta, beta=beta, n=n))
 
 
 def make_exp_solution(n: int, beta: float) -> ProblemSpec:
@@ -94,7 +105,7 @@ def make_exp_solution(n: int, beta: float) -> ProblemSpec:
     x_true = np.exp(-i)
     op = diagonal_operator(sigmas)
     return ProblemSpec(operator=op, y_clean=sigmas * x_true, x_true=x_true,
-                       label=f"supersmooth(beta={beta:g}, n={n})")
+                       label=LABELS["exp_solution"].format(beta=beta, n=n))
 
 
 def make_exp_operator(n: int, eta: float) -> ProblemSpec:
@@ -113,7 +124,7 @@ def make_exp_operator(n: int, eta: float) -> ProblemSpec:
     x_true = i ** (-eta)
     op = diagonal_operator(sigmas)
     return ProblemSpec(operator=op, y_clean=sigmas * x_true, x_true=x_true,
-                       label=f"exp-operator(eta={eta:g}, n={n}), source condition violated")
+                       label=LABELS["exp_operator"].format(eta=eta, n=n))
 
 
 def deriv2_kernel(s, t):
@@ -146,7 +157,7 @@ def make_deriv2(n: int) -> ProblemSpec:
     op = kernel_operator(deriv2_kernel, n)
     x_true = midpoint_nodes(n)
     return ProblemSpec(operator=op, y_clean=op.apply(x_true), x_true=x_true,
-                       label=f"deriv2(n={n})")
+                       label=LABELS["deriv2"].format(n=n))
 
 
 def make_gravity(n: int, depth: float = DEFAULT_GRAVITY_DEPTH) -> ProblemSpec:
@@ -163,7 +174,7 @@ def make_gravity(n: int, depth: float = DEFAULT_GRAVITY_DEPTH) -> ProblemSpec:
     t = midpoint_nodes(n)
     x_true = np.sin(np.pi * t) + 0.5 * np.sin(2.0 * np.pi * t)
     return ProblemSpec(operator=op, y_clean=op.apply(x_true), x_true=x_true,
-                       label=f"gravity(n={n}, depth={depth:g}), severely ill-posed candidate")
+                       label=LABELS["gravity"].format(n=n, depth=depth))
 
 
 def add_noise(p: ProblemSpec, rel_level: float, seed: int) -> NoisyData:
@@ -200,4 +211,4 @@ def load_external(matrix_path, y_path, x_true_path=None) -> ProblemSpec:
                 f"x_true has length {x_true.size}")
     op = dense_operator(a)
     return ProblemSpec(operator=op, y_clean=y, x_true=x_true,
-                       label=f"external({matrix_path})")
+                       label=LABELS["external"].format(matrix_path=matrix_path))

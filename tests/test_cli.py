@@ -293,8 +293,25 @@ def test_bad_levels_exit_before_the_run(tmp_path, capsys):
     path, trace_path, _ = write_cfg(tmp_path, text)
     table = tmp_path / "table.csv"
     assert main(["tikhonov-table", str(path), "--out", str(table)]) == EXIT_OK
-    assert table.read_text().splitlines()[1] == "deriv2,,,,,failed: need at least 3 noise levels"
+    assert table.read_text().splitlines()[1] == (
+        "deriv2(n=64),,,,,failed: need at least 3 noise levels")
     assert not trace_path.exists()
+
+
+def test_tikhonov_table_labels_a_failed_row_as_a_run_one(tmp_path):
+    # a config that fails before its problem is built and one that runs
+    # read alike when they describe the same problem
+    ok = tmp_path / "ok.cfg"
+    ok.write_text("problem.kind = deriv2\nproblem.n = 64\n")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("problem.kind = deriv2\nproblem.n = 64\nvalidation.levels = 0.5, 2\n")
+    table = tmp_path / "t.csv"
+    assert main(["tikhonov-table", str(ok), str(bad), "--out", str(table)]) == EXIT_OK
+    with open(table, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1][0] == rows[2][0] == "deriv2(n=64)"
+    assert rows[1][4:] == ["no", ""]
+    assert rows[2][1:] == ["", "", "", "", "failed: need at least 3 noise levels"]
 
 
 def test_list_defaults_live_in_the_config(tmp_path):
@@ -325,7 +342,8 @@ def test_tikhonov_table_row_for_oversized_config(tmp_path):
     rows = table.read_text().splitlines()
     assert len(rows) == 3
     assert rows[1].startswith("deriv2(n=64),") and rows[1].endswith(",no,")
-    assert rows[2].startswith('power_law,,,,,"failed: sizes too large to allocate: ')
+    assert rows[2].startswith('"power-law(eta=2, beta=2, n=1000000000000000)",,,,,'
+                              '"failed: sizes too large to allocate: ')
 
 
 def test_tikhonov_table_row_for_missing_matrix(tmp_path):
@@ -342,7 +360,7 @@ def test_tikhonov_table_row_for_missing_matrix(tmp_path):
         rows = list(csv.reader(fh))
     assert len(rows) == 3
     assert rows[1][0] == "deriv2(n=64)" and rows[1][4:] == ["no", ""]
-    assert rows[2][:5] == ["external", "", "", "", ""]
+    assert rows[2][:5] == [f"external({tmp_path / 'absent.mtx'})", "", "", "", ""]
     assert rows[2][5].startswith("failed: ") and "No such file" in rows[2][5]
 
 
@@ -388,7 +406,7 @@ def test_tikhonov_table_quotes_cells_per_rfc4180(tmp_path):
     assert main(["tikhonov-table", str(cfg), "--out", str(table)]) == EXIT_OK
     with open(table, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[1] == ["external", "", "", "", "",
+    assert rows[1] == [f"external({tmp_path / 'a.mtx'})", "", "", "", "",
                        f"failed: {tmp_path / 'y.txt'}: line 1: bad value '1,\"2'"]
 
 
@@ -659,6 +677,26 @@ def test_cli_overrides(tmp_path):
     assert report["noise"]["rel_level"] == 0.02
     assert report["noise"]["seed"] == 9
     assert report["landweber"]["iterations"] == 200
+
+
+def test_parser_built_once_keeps_no_state_between_calls(tmp_path, capsys):
+    # the parser is cached: an override given to one call must not reach the
+    # next, whatever command that runs, and a bad command still exits 2
+    assert cli._parser() is cli._parser()
+    path, _, report_path = write_cfg(tmp_path, SMALL_DIAG)
+    assert main(["estimate", str(path), "--noise", "0.02", "--seed", "9",
+                 "--iters", "200"]) == EXIT_OK
+    assert json.loads(report_path.read_text())["landweber"]["iterations"] == 200
+    check, _, check_report = write_cfg(tmp_path, SMALL_DIAG, name="check.cfg",
+                                       report="check.json")
+    assert main(["svd-check", str(check)]) == EXIT_OK
+    assert json.loads(check_report.read_text())["config"]["landweber.max_iters"] == 400
+    assert main(["estimate", str(path)]) == EXIT_OK
+    report = json.loads(report_path.read_text())
+    assert report["noise"] is None and report["landweber"]["iterations"] == 400
+    with pytest.raises(SystemExit) as exc:
+        main(["figures", "no-such-figure", str(tmp_path)])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
 def test_run_pipeline_report_sections(tmp_path):

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from klsmooth.cli import FIGURE_NAMES, build_problem, figure_config, run_pipeline
 from klsmooth.landweber import (EARLY_STOP_REL, SLOW_DEGREE, SLOW_REACH, IterationTrace,
-                                LandweberConfig, _slow_modes, _stop_floors, diagonal_trace,
-                                landweber_run, matvec_trace, trace_to_csv)
+                                LandweberConfig, _block_sizes, _slow_modes, _stop_floors,
+                                diagonal_trace, landweber_run, matvec_trace, trace_to_csv)
 from klsmooth.operators import (_DECIMAL_BLOCK, ConvergenceError, _centro_halves,
                                 _symmetric_svd, dense_operator, diagonal_operator,
                                 operator_norm, svd)
@@ -427,6 +427,88 @@ def test_closed_form_aborts_at_the_loops_iteration(bad):
         diagonal_trace(op.sigmas, data, 0.5, 40)
     with pytest.raises(RuntimeError, match="iteration 1$"):
         matvec_trace(op, data, 0.5, 40)
+
+
+def chunk_of(k, fast, weight_rows, iters):
+    """(chunk, block within the chunk) that diagonal_trace computes row k in."""
+    rows, chunk = _block_sizes(fast, weight_rows, iters)
+    return (k - 1) // chunk, (k - 1) % chunk // rows
+
+
+@pytest.mark.parametrize("kind", ["exact", "noisy", "half-exact", None])
+@pytest.mark.parametrize("slow", [0, 100])
+def test_chunked_closed_form_matches_matvec_loop(kind, slow):
+    # 2000 fast modes make blocks of 32 rows and chunks of 10 or 16 blocks
+    # (320 or 512 rows, by whether exact modes add an error row); K = 2001
+    # spans 4-7 chunks and ends inside a block. With slow = 100 the spectrum
+    # also reaches below K beta sigma^2 = SLOW_REACH, so the series adds to
+    # every chunk
+    rng = np.random.default_rng(21)
+    fast = 2000
+    sigmas = np.geomspace(1.0, 0.05, fast)
+    if slow:
+        sigmas = np.concatenate((sigmas, np.geomspace(5e-3, 1e-4, slow)))
+    data, x_true = data_of_kind(kind or "exact", sigmas, rng)
+    x_true = None if kind is None else x_true
+    K = 2001
+    assert slow_mask(sigmas, data, x_true, 1.0, K).sum() == slow
+    for weight_rows in (2, 3):
+        rows, chunk = _block_sizes(fast, weight_rows, K)
+        assert K >= 3 * chunk and K % rows and K % chunk
+    closed = diagonal_trace(sigmas, data, 1.0, K, x_true)
+    loop = matvec_trace(diagonal_operator(sigmas), data, 1.0, K, x_true)
+    assert len(closed[0]) == K
+    assert_traces_agree(closed, loop)
+
+
+def test_chunked_closed_form_stops_in_a_later_chunk():
+    # every mode converges, the slowest (sigma = 0.16) by k = 939: a row of
+    # chunk 1's block 13 is the first at the floor, on both paths. Converged
+    # modes leave the loop's residual at rounding, hence the allowance of
+    # test_closed_form_matches_matvec_loop
+    n = 2000
+    sigmas = np.geomspace(1.0, 0.16, n)
+    rng = np.random.default_rng(5)
+    data = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.5, n) * sigmas
+    closed = diagonal_trace(sigmas, data, 1.0, 3000)
+    loop = matvec_trace(diagonal_operator(sigmas), data, 1.0, 3000)
+    assert len(closed[0]) == len(loop[0]) == 939
+    assert chunk_of(939, n, 2, 3000) == (1, 13)
+    rounding = 64 * np.finfo(float).eps * np.linalg.norm(data) * np.array([1.0, 1.0, 0.0])
+    assert_traces_agree(closed, loop, rounding=rounding,
+                        floors=_stop_floors(np.linalg.norm(data), 1.0))
+
+
+@pytest.mark.parametrize("with_error", [False, True])
+def test_chunked_closed_form_aborts_in_a_later_chunk(with_error):
+    # beta sigma_1^2 = 2.5 makes q_1 = -1.5: G_k^2 overflows at k = 874, in
+    # chunk 1 (block 11) without an error row and chunk 2 (block 7) with one
+    n = 2000
+    sigmas = np.geomspace(1.0, 0.16, n)
+    rng = np.random.default_rng(5)
+    data = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.5, n) * sigmas
+    sigmas[0] = math.sqrt(2.5)
+    x_true = data / sigmas if with_error else None
+    assert chunk_of(874, n, 2 + with_error, 3000) == ((2, 7) if with_error else (1, 11))
+    with pytest.raises(RuntimeError, match="iteration 874$"):
+        diagonal_trace(sigmas, data, 1.0, 3000, x_true)
+    with pytest.raises(RuntimeError, match="iteration 874$"):
+        matvec_trace(diagonal_operator(sigmas), data, 1.0, 3000, x_true)
+
+
+def test_saturation_run_closed_form_matches_matvec_loop():
+    # the benchmark's saturation problem: 200 fast modes to K = 1.75 n^2,
+    # well into the well-posed regime, in chunks of 109 blocks of 327 rows
+    p = make_power_law(200, 2.0, 1.0)
+    sigmas = p.operator.sigmas
+    K = 70_000
+    beta = 1.0 / sigmas[0] ** 2
+    assert not slow_mask(sigmas, p.y_clean, p.x_true, beta, K).any()
+    assert _block_sizes(200, 3, K) == (327, 109 * 327)
+    closed = diagonal_trace(sigmas, p.y_clean, beta, K, p.x_true)
+    loop = matvec_trace(p.operator, p.y_clean, beta, K, p.x_true)
+    assert len(closed[0]) == K
+    assert_traces_agree(closed, loop)
 
 
 @settings(deadline=None, max_examples=40)
