@@ -15,8 +15,7 @@ from .operators import (ConvergenceError, LinearOperator, SpectralDecomposition,
 from .problems import (NoisyData, ProblemSpec, add_noise, load_external,
                        make_deriv2, make_exp_operator, make_exp_solution,
                        make_gravity, make_power_law)
-from .landweber import (IterationTrace, LandweberConfig, landweber_run,
-                        trace_to_csv, write_trace_csv)
+from .landweber import IterationTrace, LandweberConfig, landweber_run, write_trace_csv
 from .estimator import (EstimateTrack, SourceConditionModel,
                         detect_discretization_saturation, detect_noise_takeover,
                         detect_stable_window, estimate_track, gamma_to_mu,

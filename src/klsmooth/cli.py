@@ -22,6 +22,8 @@ import csv
 import functools
 import json
 import math
+import os
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -126,6 +128,9 @@ class ExperimentConfig:
 _BOOL_VALUES = {"true": True, "yes": True, "1": True,
                 "false": False, "no": False, "0": False}
 _EXPECTED = {bool: "a boolean", int: "an integer", float: "a number"}
+# a comment starts at a "#" that begins the line or follows whitespace, so
+# that a value such as run#1_trace.csv keeps its "#"
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _coerce(key: str, raw: str, template) -> object:
@@ -151,7 +156,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     known = dict(zip(defaults.effective_dict(), (f.name for f in fields(defaults))))
     cfg = ExperimentConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT.split(line, 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
@@ -194,6 +199,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"problem.kind must be one of {tuple(BUILDERS)}")
     if cfg.problem_kind == "external" and not (cfg.problem_matrix_path and cfg.problem_y_path):
         raise ConfigError("external problems need problem.matrix_path and problem.y_path")
+    if os.path.abspath(cfg.output_trace_path) == os.path.abspath(cfg.output_report_path):
+        raise ConfigError("output.trace_path and output.report_path name the same file")
     if cfg.noise_rel_level < 0:
         raise ConfigError("noise.rel_level must be non-negative")
     if cfg.noise_seed < 0 or any(seed < 0 for seed in cfg.validation_seeds):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -425,12 +425,18 @@ def _powers(q: np.ndarray, log_q: np.ndarray, nonpos: np.ndarray, k,
     return q_k, comp
 
 
-def trace_to_csv(trace: IterationTrace,
-                 mu_k: Optional[np.ndarray] = None,
-                 c_k: Optional[np.ndarray] = None,
-                 k_values: Optional[np.ndarray] = None,
-                 upper_bounds: Optional[np.ndarray] = None) -> str:
-    """Render the trace as CSV, one row per iteration.
+def _by_iteration(n: int, k_values: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values[j] placed at row k_values[j] - 1 of n rows, NaN elsewhere."""
+    out = np.full(n, np.nan)
+    rows = np.asarray(k_values) - 1
+    keep = (rows >= 0) & (rows < n)
+    out[rows[keep]] = np.asarray(values, dtype=float)[keep]
+    return out
+
+
+def write_trace_csv(path, trace: IterationTrace, mu_k=None, c_k=None, k_values=None,
+                    upper_bounds=None) -> None:
+    """Write the trace as CSV, one row per iteration, a block of rows at a time.
 
     Values are written at 17 significant digits by :func:`decimal_rows`, so
     they read back bit-exactly; non-finite cells stay empty, as does every
@@ -439,11 +445,6 @@ def trace_to_csv(trace: IterationTrace,
     cells are empty. An upper-bound column is appended when bound curves were
     computed. k prints as an integer, as %.17g prints any integer below 1e17.
     """
-    return "".join(_csv_blocks(trace, mu_k, c_k, k_values, upper_bounds))
-
-
-def _csv_blocks(trace: IterationTrace, mu_k, c_k, k_values, upper_bounds) -> Iterator[str]:
-    """:func:`trace_to_csv`'s text: the header line, then the rows in blocks."""
     n = len(trace)
     mu_col = c_col = None
     if mu_k is not None:
@@ -461,21 +462,6 @@ def _csv_blocks(trace: IterationTrace, mu_k, c_k, k_values, upper_bounds) -> Ite
     for j, col in enumerate(columns, start=1):
         if col is not None:
             table[:, j] = col
-    yield ",".join(header) + "\n"
-    yield from decimal_rows(table, blank_nonfinite=True)
-
-
-def _by_iteration(n: int, k_values: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """values[j] placed at row k_values[j] - 1 of n rows, NaN elsewhere."""
-    out = np.full(n, np.nan)
-    rows = np.asarray(k_values) - 1
-    keep = (rows >= 0) & (rows < n)
-    out[rows[keep]] = np.asarray(values, dtype=float)[keep]
-    return out
-
-
-def write_trace_csv(path, trace: IterationTrace, mu_k=None, c_k=None, k_values=None,
-                    upper_bounds=None) -> None:
-    """Write :func:`trace_to_csv` output to a file, a block of rows at a time."""
     with open(path, "w") as fh:
-        fh.writelines(_csv_blocks(trace, mu_k, c_k, k_values, upper_bounds))
+        fh.write(",".join(header) + "\n")
+        fh.writelines(decimal_rows(table, blank_nonfinite=True))

@@ -681,17 +681,70 @@ def write_matrix_market(path, matrix) -> None:
             fh.writelines(decimal_rows(a[:, j:j + step].reshape(-1, 1, order="F")))
 
 
+def _bad_value(text: str, row) -> str:
+    return f"bad value {text!r}"
+
+
+def _entries(path, skip: int, fields: str, comments, valid: Callable = np.isfinite,
+             bad: Callable = _bad_value) -> np.ndarray:
+    """The lines after the first ``skip`` that hold more than whitespace and
+    comments, as one structured array: a column per letter of ``fields``,
+    ``i`` and ``j`` int64 and ``v`` float.
+
+    One np.loadtxt call reads them, each line cut at the first of the
+    ``comments`` characters, and valid(*columns) must hold on every row. When
+    either fails, the lines are halved until the first bad one is left, each
+    half read the same way, so the search never disagrees with the read. The
+    ValueError names that line, with bad(text, row) as the message: row is the
+    line's record, or None where np.loadtxt refuses the line.
+    """
+    dtype = np.dtype([(f, np.int64 if f in "ij" else float) for f in fields])
+
+    def load(source, skiprows=0) -> Optional[np.ndarray]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)     # no entry lines
+            try:
+                return np.loadtxt(source, dtype, comments=comments, skiprows=skiprows,
+                                  ndmin=1, encoding="utf-8")
+            except ValueError:
+                return None
+
+    def good(table: Optional[np.ndarray]) -> bool:
+        return table is not None and valid(*(table[f] for f in fields)).all()
+
+    table = load(path, skip)
+    if good(table):
+        return table
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()[skip:]
+    lo, hi = 0, len(lines)              # lines[lo:hi] holds the first bad line
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if good(load(lines[lo:mid])):
+            lo = mid
+        else:
+            hi = mid
+    row = load(lines[lo:hi])
+    if good(row):                       # no line is bad on its own
+        raise ValueError(f"{path}: entries that np.loadtxt cannot read")
+    text = lines[lo]
+    for c in comments:
+        text = text.partition(c)[0]
+    raise ValueError(f"{path}: line {skip + lo + 1}: "
+                     f"{bad(text.strip(), None if row is None else row[0])}")
+
+
 @_utf8_text
 def read_matrix_market(path) -> np.ndarray:
     """Read a real matrix in MatrixMarket array or coordinate format.
 
     An array entry line holds one value; a coordinate entry line holds
-    ``i j value``, or just ``i j`` under the ``pattern`` field. Array
-    entries are converted by one np.loadtxt call, which reads the file in C;
-    when it fails or finds other than m n values, float() converts each
-    entry line in turn. Coordinate entry lines are converted at once; when
-    that fails, a pass over them finds the first bad one. Errors report the
-    bad line's 1-based number, as do bytes that are not UTF-8.
+    ``i j value``, or just ``i j`` under the ``pattern`` field. Values must be
+    finite, and ``%`` starts a comment on any line. Numbers, the sizes among
+    them, follow np.loadtxt's grammar: the entry lines are read by
+    :func:`_entries`, one call that is repeated by halves only to name a bad
+    line. Errors report the bad line's 1-based number, as do bytes that are
+    not UTF-8.
     """
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
@@ -717,73 +770,34 @@ def read_matrix_market(path) -> np.ndarray:
         if not size_line:
             raise ValueError(f"{path}: missing size line")
         try:
-            dims = [int(p) for p in size_line.split()]
+            dims = np.loadtxt([size_line], np.int64, comments="%", ndmin=1).tolist()
+            if min(dims) < 0:
+                raise ValueError
         except ValueError:
             raise ValueError(f"{path}: line {size_at}: bad size line {size_line!r}") from None
-        if fmt == "array":
-            if len(dims) != 2:
-                raise ValueError(f"{path}: line {size_at}: array size line needs 2 integers")
-            m, n = dims
-            # loadtxt accepts a subset of what float() does, one value per
-            # line, and warns about a file with no entries
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                try:
-                    values = np.loadtxt(path, comments=None, skiprows=size_at, ndmin=1,
-                                        encoding="utf-8")
-                except ValueError:
-                    values = None
-            if values is not None and values.shape == (m * n,):
-                return np.ascontiguousarray(values.reshape(n, m).T)   # column-major entries
-        rest = fh.readlines()
-    entries = [text for line in rest if (text := line.strip()) and text[0] != "%"]
-
-    def lineno(k: int) -> int:
-        """The 1-based line number of entries[k - 1]."""
-        return [i for i, line in enumerate(rest, start=size_at + 1)
-                if (text := line.strip()) and text[0] != "%"][k - 1]
-
+    need = 2 if fmt == "array" else 3
+    if len(dims) != need:
+        raise ValueError(f"{path}: line {size_at}: {fmt} size line needs {need} integers")
+    m, n = dims[:2]
     if fmt == "array":
-        if len(entries) != m * n:
-            raise ValueError(f"{path}: expected {m * n} entries, found {len(entries)}")
-        values = np.empty(m * n)
-        for k, text in enumerate(entries, start=1):
-            try:
-                values[k - 1] = float(text)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno(k)}: bad value {text!r}") from None
-        return np.ascontiguousarray(values.reshape(n, m).T)
-    if len(dims) != 3:
-        raise ValueError(f"{path}: line {size_at}: coordinate size line needs 3 integers")
-    m, n, nnz = dims
-    if len(entries) != nnz:
-        raise ValueError(f"{path}: expected {nnz} entries, found {len(entries)}")
-    width = 2 if qualifiers[0] == "pattern" else 3
-    rows = [text.split() for text in entries]
-    try:
-        if any(len(parts) != width for parts in rows):
-            raise ValueError
-        fields = np.array(rows, dtype=str).reshape(nnz, width)
-        i, j = fields[:, 0].astype(np.int64), fields[:, 1].astype(np.int64)
-        values = fields[:, 2].astype(float) if width == 3 else 1.0
-        if ((i < 1) | (i > m) | (j < 1) | (j > n)).any():
-            raise ValueError
-    except (ValueError, OverflowError):
-        for k, parts in enumerate(rows, start=1):
-            try:
-                if len(parts) != width:
-                    raise ValueError
-                i, j = int(parts[0]), int(parts[1])
-                if width == 3:
-                    float(parts[2])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno(k)}: bad coordinate entry "
-                                 f"{entries[k - 1]!r}") from None
-            if not (1 <= i <= m and 1 <= j <= n):
-                raise ValueError(f"{path}: line {lineno(k)}: index ({i},{j}) out of range")
-        raise
+        values = _entries(path, size_at, "v", "%")["v"]
+        if values.size != m * n:
+            raise ValueError(f"{path}: expected {m * n} entries, found {values.size}")
+        return np.ascontiguousarray(values.reshape(n, m).T)   # column-major entries
+
+    def bad_entry(text: str, row) -> str:
+        if row is not None and np.isfinite(row[-1]):      # read, yet not valid
+            return f"index ({row[0]},{row[1]}) out of range"
+        return f"bad coordinate entry {text!r}"
+
+    fields = "ij" if qualifiers[0] == "pattern" else "ijv"
+    table = _entries(path, size_at, fields, "%", lambda i, j, v=1.0: (
+        (1 <= i) & (i <= m) & (1 <= j) & (j <= n) & np.isfinite(v)), bad_entry)
+    if table.size != dims[2]:
+        raise ValueError(f"{path}: expected {dims[2]} entries, found {table.size}")
     a = np.zeros((m, n))
-    a[i - 1, j - 1] = values   # a repeated (i, j): the last entry holds
+    # a repeated (i, j): the last entry holds
+    a[table["i"] - 1, table["j"] - 1] = table["v"] if "v" in fields else 1.0
     return a
 
 
@@ -798,21 +812,10 @@ def write_vector(path, vec) -> None:
 
 @_utf8_text
 def read_vector(path) -> np.ndarray:
-    """Read a one-value-per-line vector of finite numbers; errors, bytes that
-    are not UTF-8 among them, carry the line number."""
-    values = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith(("%", "#")):
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(f"{path}: line {lineno}: bad value {text!r}")
-            values.append(value)
-    if not values:
+    """Read a vector of finite numbers, one per line, by np.loadtxt's grammar
+    (see :func:`_entries`); ``%`` and ``#`` start comments. Errors, bytes
+    that are not UTF-8 among them, carry the line number."""
+    values = _entries(path, 0, "v", ("%", "#"))["v"]
+    if not values.size:
         raise ValueError(f"{path}: no values found")
-    return np.asarray(values)
+    return values

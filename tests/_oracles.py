@@ -1,14 +1,20 @@
 """Independent closed-form references used to check the iterative code paths.
 
 Everything here is computed directly from per-mode formulas, never by
-running the iteration under test.
+running the iteration under test. The file readers at the end are the ones
+the package used before every entry line went through one np.loadtxt call.
 """
 
+import math
+import tempfile
+import warnings
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
-from klsmooth.operators import SV_FLOOR, SpectralDecomposition, dense_operator
+from klsmooth.landweber import write_trace_csv
+from klsmooth.operators import SV_FLOOR, SpectralDecomposition, _utf8_text, dense_operator
 from klsmooth.problems import ProblemSpec
 
 
@@ -264,7 +270,7 @@ def noise_takeover_oracle(trace, persistence=10, min_rise=1.001):
 
 
 def trace_csv_by_column(trace, mu_k=None, c_k=None, k_values=None, upper_bounds=None):
-    """trace_to_csv's table written one column at a time: each value by
+    """write_trace_csv's table written one column at a time: each value by
     f"{x:.17g}", each non-finite one blanked by its index, rows joined by
     commas."""
     from klsmooth.landweber import _by_iteration
@@ -293,3 +299,145 @@ def trace_csv_by_column(trace, mu_k=None, c_k=None, k_values=None, upper_bounds=
         cells.append(text)
     rows = map(",".join, zip(*cells))
     return ",".join(header) + "\n" + "".join(row + "\n" for row in rows)
+
+
+def written_trace_csv(trace, **columns) -> str:
+    """The text write_trace_csv writes for the trace and columns."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_trace_csv(path, trace, **columns)
+        return path.read_text()
+
+
+@_utf8_text
+def matrix_market_oracle(path) -> np.ndarray:
+    """read_matrix_market as it read files before its entries went through one
+    np.loadtxt call: np.loadtxt, then float() per line for array entries, and
+    coordinate entries split in Python. Kept as the readers' oracle.
+
+    Read a real matrix in MatrixMarket array or coordinate format.
+
+    An array entry line holds one value; a coordinate entry line holds
+    ``i j value``, or just ``i j`` under the ``pattern`` field. Array
+    entries are converted by one np.loadtxt call, which reads the file in C;
+    when it fails or finds other than m n values, float() converts each
+    entry line in turn. Coordinate entry lines are converted at once; when
+    that fails, a pass over them finds the first bad one. Errors report the
+    bad line's 1-based number, as do bytes that are not UTF-8.
+    """
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline()
+        # the size line: the first after the header neither blank nor a comment
+        for size_at, line in enumerate(fh, start=2):
+            if (size_line := line.strip()) and size_line[0] != "%":
+                break
+        else:
+            size_line = ""
+        if not first:
+            raise ValueError(f"{path}: empty file")
+        header = first.split()
+        if len(header) < 4 or header[0] != "%%MatrixMarket" or header[1] != "matrix":
+            raise ValueError(f"{path}: line 1: not a MatrixMarket matrix header")
+        fmt = header[2].lower()
+        if fmt not in ("array", "coordinate"):
+            raise ValueError(f"{path}: line 1: unsupported format {fmt!r}")
+        qualifiers = [h.lower() for h in header[3:]]
+        if "complex" in qualifiers:
+            raise ValueError(f"{path}: line 1: complex matrices not supported")
+        if len(header) >= 5 and header[4].lower() != "general":
+            raise ValueError(f"{path}: line 1: only 'general' symmetry is supported")
+        if not size_line:
+            raise ValueError(f"{path}: missing size line")
+        try:
+            dims = [int(p) for p in size_line.split()]
+        except ValueError:
+            raise ValueError(f"{path}: line {size_at}: bad size line {size_line!r}") from None
+        if fmt == "array":
+            if len(dims) != 2:
+                raise ValueError(f"{path}: line {size_at}: array size line needs 2 integers")
+            m, n = dims
+            # loadtxt accepts a subset of what float() does, one value per
+            # line, and warns about a file with no entries
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                try:
+                    values = np.loadtxt(path, comments=None, skiprows=size_at, ndmin=1,
+                                        encoding="utf-8")
+                except ValueError:
+                    values = None
+            if values is not None and values.shape == (m * n,):
+                return np.ascontiguousarray(values.reshape(n, m).T)   # column-major entries
+        rest = fh.readlines()
+    entries = [text for line in rest if (text := line.strip()) and text[0] != "%"]
+
+    def lineno(k: int) -> int:
+        """The 1-based line number of entries[k - 1]."""
+        return [i for i, line in enumerate(rest, start=size_at + 1)
+                if (text := line.strip()) and text[0] != "%"][k - 1]
+
+    if fmt == "array":
+        if len(entries) != m * n:
+            raise ValueError(f"{path}: expected {m * n} entries, found {len(entries)}")
+        values = np.empty(m * n)
+        for k, text in enumerate(entries, start=1):
+            try:
+                values[k - 1] = float(text)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno(k)}: bad value {text!r}") from None
+        return np.ascontiguousarray(values.reshape(n, m).T)
+    if len(dims) != 3:
+        raise ValueError(f"{path}: line {size_at}: coordinate size line needs 3 integers")
+    m, n, nnz = dims
+    if len(entries) != nnz:
+        raise ValueError(f"{path}: expected {nnz} entries, found {len(entries)}")
+    width = 2 if qualifiers[0] == "pattern" else 3
+    rows = [text.split() for text in entries]
+    try:
+        if any(len(parts) != width for parts in rows):
+            raise ValueError
+        fields = np.array(rows, dtype=str).reshape(nnz, width)
+        i, j = fields[:, 0].astype(np.int64), fields[:, 1].astype(np.int64)
+        values = fields[:, 2].astype(float) if width == 3 else 1.0
+        if ((i < 1) | (i > m) | (j < 1) | (j > n)).any():
+            raise ValueError
+    except (ValueError, OverflowError):
+        for k, parts in enumerate(rows, start=1):
+            try:
+                if len(parts) != width:
+                    raise ValueError
+                i, j = int(parts[0]), int(parts[1])
+                if width == 3:
+                    float(parts[2])
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno(k)}: bad coordinate entry "
+                                 f"{entries[k - 1]!r}") from None
+            if not (1 <= i <= m and 1 <= j <= n):
+                raise ValueError(f"{path}: line {lineno(k)}: index ({i},{j}) out of range")
+        raise
+    a = np.zeros((m, n))
+    a[i - 1, j - 1] = values   # a repeated (i, j): the last entry holds
+    return a
+
+
+@_utf8_text
+def vector_oracle(path) -> np.ndarray:
+    """read_vector as it read files before np.loadtxt did: float() per line.
+
+    Read a one-value-per-line vector of finite numbers; errors, bytes that
+    are not UTF-8 among them, carry the line number."""
+    values = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text or text.startswith(("%", "#")):
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: line {lineno}: bad value {text!r}")
+            values.append(value)
+    if not values:
+        raise ValueError(f"{path}: no values found")
+    return np.asarray(values)

@@ -78,6 +78,23 @@ def test_parse_values_and_comments():
     assert cfg.landweber_step_beta == 0.5
 
 
+def test_hash_inside_a_value_is_no_comment(tmp_path):
+    # "#" starts a comment at the start of a line or after whitespace only
+    path, trace, report = write_cfg(tmp_path, "problem.n = 64  # modes\n#\n",
+                                    trace="run#1_trace.csv", report="run#1_report.json")
+    cfg = cli.load_config(path)
+    assert (cfg.problem_n, cfg.output_trace_path) == (64, str(trace))
+    assert main(["estimate", str(path)]) == EXIT_OK
+    assert trace.read_text().startswith("k,") and json.loads(report.read_text())
+
+
+def test_equal_output_paths_exit_with_config_error(tmp_path, capsys):
+    path, trace, _ = write_cfg(tmp_path, "problem.n = 64", report="out/../trace.csv")
+    assert main(["estimate", str(path)]) == EXIT_CONFIG
+    assert "name the same file" in capsys.readouterr().err
+    assert not trace.exists()
+
+
 @pytest.mark.parametrize("text", [
     "problem.kind = mystery\n",
     "problem.wat = 3\n",
@@ -413,7 +430,8 @@ def test_tikhonov_table_quotes_cells_per_rfc4180(tmp_path):
 @pytest.mark.parametrize("key, name, bad", [("x_true_path", "x.txt", "nan"),
                                             ("y_path", "y.txt", "inf"),
                                             # two values on an array line
-                                            ("matrix_path", "a.mtx", "1 7")])
+                                            ("matrix_path", "a.mtx", "1 7"),
+                                            ("matrix_path", "a.mtx", "nan")])
 def test_non_finite_vector_file_exits_with_config_error(tmp_path, capsys, key, name, bad):
     p = make_gravity(8)
     write_matrix_market(tmp_path / "a.mtx", p.operator.matrix)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from klsmooth.cli import FIGURE_NAMES, build_problem, figure_config, run_pipeline
 from klsmooth.landweber import (EARLY_STOP_REL, SLOW_DEGREE, SLOW_REACH, IterationTrace,
                                 LandweberConfig, _block_sizes, _slow_modes, _stop_floors,
-                                diagonal_trace, landweber_run, matvec_trace, trace_to_csv)
+                                diagonal_trace, landweber_run, matvec_trace)
 from klsmooth.operators import (_DECIMAL_BLOCK, ConvergenceError, _centro_halves,
                                 _symmetric_svd, dense_operator, diagonal_operator,
                                 operator_norm, svd)
@@ -16,7 +16,7 @@ from klsmooth.validation import DEFAULT_MU_GRID, max_mu_spectral, verify_smoothn
 
 from _oracles import (diagonal_landweber_oracle, known_svd_problem,
                       known_symmetric_problem, planted_symmetric_problem, right_vectors,
-                      trace_csv_by_column)
+                      trace_csv_by_column, written_trace_csv)
 
 
 def make_diag_problem(sigmas, x_true):
@@ -132,7 +132,7 @@ def test_invalid_config():
 def test_trace_csv_format():
     p = make_power_law(20, 2, 2)
     trace = landweber_run(p, p.y_clean, LandweberConfig(max_iters=8))
-    text = trace_to_csv(trace)
+    text = written_trace_csv(trace)
     lines = text.strip().splitlines()
     assert lines[0] == "k,residual,gradient_norm,lower_bound,error,mu_k,c_k"
     assert len(lines) == 9
@@ -149,7 +149,8 @@ def test_trace_csv_with_estimates_and_upper():
     c_k = np.array([1.0, 1.1])
     k_values = np.array([7, 8])
     upper = np.linspace(1.0, 0.5, 8)
-    text = trace_to_csv(trace, mu_k=mu_k, c_k=c_k, k_values=k_values, upper_bounds=upper)
+    text = written_trace_csv(trace, mu_k=mu_k, c_k=c_k, k_values=k_values,
+                             upper_bounds=upper)
     lines = text.strip().splitlines()
     assert lines[0].endswith(",upper_bound")
     row7 = lines[7].split(",")
@@ -163,7 +164,8 @@ def test_trace_csv_matches_the_column_writer_on_figure_traces(name):
     track = result["track"]
     kwargs = dict(mu_k=track.mu_k, c_k=track.c_k, k_values=track.k_values,
                   upper_bounds=result["upper"])
-    assert trace_to_csv(result["trace"], **kwargs) == trace_csv_by_column(result["trace"], **kwargs)
+    text = written_trace_csv(result["trace"], **kwargs)
+    assert text == trace_csv_by_column(result["trace"], **kwargs)
 
 
 def test_trace_csv_matches_the_column_writer_across_blocks():
@@ -182,7 +184,7 @@ def test_trace_csv_matches_the_column_writer_across_blocks():
     c_k = np.exp(rng.uniform(-5, 5, k_values.size))
     mu_k[edge - 20], c_k[edge - 19] = np.nan, -np.inf     # rows edge and edge + 1
     kwargs = dict(mu_k=mu_k, c_k=c_k, k_values=k_values, upper_bounds=upper)
-    text = trace_to_csv(trace, **kwargs)
+    text = written_trace_csv(trace, **kwargs)
     assert text == trace_csv_by_column(trace, **kwargs)
     lines = text.splitlines()
     assert lines[9999].startswith("9999,") and lines[10001].startswith("10001,")
@@ -197,10 +199,10 @@ def test_trace_csv_blanks_exactly_the_non_finite_cells():
                            lower_bounds=np.roll(special, 3), errors=None)
     kwargs = dict(mu_k=np.array([np.inf, -0.25, np.nan]), c_k=np.array([1.0, -np.inf, 3.0]),
                   k_values=np.array([2, 5, 8]), upper_bounds=np.roll(special, 5))
-    text = trace_to_csv(trace, **kwargs)
+    text = written_trace_csv(trace, **kwargs)
     assert text == trace_csv_by_column(trace, **kwargs)
     assert "nan" not in text and "inf" not in text
-    assert trace_to_csv(trace) == trace_csv_by_column(trace)
+    assert written_trace_csv(trace) == trace_csv_by_column(trace)
 
 
 def assert_traces_agree(closed, loop, rel=1e-10, rounding=(0.0, 0.0, 0.0), floors=None):

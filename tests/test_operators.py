@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import tempfile
+from pathlib import Path
+
 from hypothesis import example, given, settings, strategies as st
 
 from klsmooth import operators
@@ -11,8 +14,8 @@ from klsmooth.operators import (BLOCK, ConvergenceError, SVD_SIZE_LIMIT, Spectra
                                 write_vector)
 from klsmooth.problems import deriv2_kernel, make_deriv2, make_gravity
 
-from _oracles import (known_svd_problem, known_symmetric_problem,
-                      planted_symmetric_problem, right_vectors)
+from _oracles import (known_svd_problem, known_symmetric_problem, matrix_market_oracle,
+                      planted_symmetric_problem, right_vectors, vector_oracle)
 
 
 def test_apply_diagonal():
@@ -514,12 +517,146 @@ def test_matrix_market_pattern_entries_are_ones(tmp_path):
      "line 3: bad coordinate entry '2 2'"),
     ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 3.5 9 9\n",
      "line 3: bad coordinate entry '1 1 3.5 9 9'"),
+    # a negative size is refused on its line, not where it is used
+    ("%%MatrixMarket matrix coordinate real general\n-1 5 0\n", "line 2: bad size line '-1 5 0'"),
+    ("%%MatrixMarket matrix array real general\n% c\n-1 2\n", "line 3: bad size line '-1 2'"),
+    ("%%MatrixMarket matrix array real general\n2 x\n", "line 2: bad size line '2 x'"),
+    # every value is finite, so the matrix file names the line
+    ("%%MatrixMarket matrix array real general\n1 2\n1\ninf\n", "line 4: bad value 'inf'"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 nan\n",
+     "line 3: bad coordinate entry '1 2 nan'"),
 ])
 def test_matrix_market_parse_errors(tmp_path, content, fragment):
     path = tmp_path / "bad.mtx"
     path.write_text(content)
     with pytest.raises(ValueError, match=fragment):
         read_matrix_market(path)
+
+
+# Files drawn for the reader oracle: a MatrixMarket array, coordinate or
+# pattern file, or a vector, with comment and blank lines among the entries
+# and at most one defect.
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+            1.7976931348623157e308)
+_REAL = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from(_SPECIAL)).map("%.17g".__mod__)
+_INTEGER = st.integers(-10**6, 10**6).map(str)
+_BAD_VALUE = st.sampled_from(["foo", "1.2.3", "--1", "1e", "0x1", "1,5", "1d3", "e5", "+-2", ".",
+                              "nan(1)", "infx"])
+_BAD_INDEX = st.sampled_from(["1.0", "1e0", "x", "0x1", "--1", "1.", "+"])
+_DEFECTS = (None, None, "token", "fields", "missing", "extra", "range")
+
+
+@st.composite
+def reader_files(draw):
+    """(kind, text, None): kind "matrix" or "vector", and the file's text."""
+    kind = draw(st.sampled_from(["array", "coordinate", "pattern", "vector"]))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    field = "pattern" if kind == "pattern" else draw(st.sampled_from(["real", "integer"]))
+    value = _INTEGER if field == "integer" else _REAL
+    if kind in ("array", "vector"):
+        rows = [[draw(value)] for _ in range(m * n)]
+    else:
+        rows = [[str(draw(st.integers(1, m))), str(draw(st.integers(1, n)))]
+                + [draw(value)] * (kind == "coordinate") for _ in range(draw(st.integers(0, 6)))]
+    defect = draw(st.sampled_from(_DEFECTS)) if rows else None
+    k = draw(st.integers(0, len(rows) - 1)) if rows else 0
+    if defect == "token":
+        c = draw(st.integers(0, len(rows[k]) - 1))
+        numeric = kind in ("array", "vector") or c == 2
+        bad = _BAD_VALUE | st.just("nan") if kind == "vector" else _BAD_VALUE
+        rows[k][c] = draw(bad if numeric else _BAD_INDEX)
+    elif defect == "fields":
+        rows[k] = rows[k][:-1] if len(rows[k]) > 1 and draw(st.booleans()) else rows[k] + ["1"]
+    elif defect == "missing":
+        del rows[k]
+    elif defect == "extra":
+        rows.insert(k, rows[k])
+    elif defect == "range" and kind in ("coordinate", "pattern"):
+        c = draw(st.integers(0, 1))
+        rows[k][c] = str(draw(st.sampled_from([0, -1, (m, n)[c] + 1])))
+    filler = st.sampled_from(["", "   ", "% a comment", "%%", "\t"]
+                             + ["# a comment"] * (kind == "vector"))
+    sep = st.sampled_from([" ", "  ", "\t"])
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(filler, max_size=2))
+        lines.append(draw(sep).join(row))
+    if kind != "vector":
+        size = f"{m} {n}" if kind == "array" else f"{m} {n} {len(rows) - (defect == 'extra')}"
+        if defect == "missing":
+            size = f"{m} {n}" + f" {len(rows) + 1}" * (kind != "array")
+        lines = ([f"%%MatrixMarket matrix {'array' if kind == 'array' else 'coordinate'} "
+                  f"{field} general"] + draw(st.lists(filler, max_size=1)) + [size] + lines)
+    return ("vector" if kind == "vector" else "matrix", "\n".join(lines) + "\n", None)
+
+
+def read_both(kind, text):
+    """Each reader's array, or the message of the ValueError it raised: the
+    klsmooth reader's, then the oracle's."""
+    readers = ((read_vector, vector_oracle) if kind == "vector"
+               else (read_matrix_market, matrix_market_oracle))
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.txt"
+        path.write_text(text)
+        for read in readers:
+            try:
+                out.append(read(path))
+            except ValueError as exc:
+                out.append(str(exc).replace(str(path), "f"))
+    return out
+
+
+MM = "%%MatrixMarket matrix {} real general\n{}\n"
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(reader_files())
+# the grammar is np.loadtxt's, on the size line too: "_" in a number and
+# non-ASCII digits are refused, where float() and int() read 10, 3, 2 and 1
+@example(("matrix", MM.format("array", "1 1") + "1_0\n", "f: line 3: bad value '1_0'"))
+@example(("vector", "2\n\u0663\n", "f: line 2: bad value '\u0663'"))
+@example(("matrix", MM.format("array", "0_1 1") + "5\n", "f: line 2: bad size line '0_1 1'"))
+@example(("matrix", MM.format("coordinate", "2 2 1") + "1 0_2 2\n",
+          "f: line 3: bad coordinate entry '1 0_2 2'"))
+# text after "%" on an entry line, or after "#" in a vector file, is a
+# comment where it was an error
+@example(("matrix", MM.format("array", "2 1") + "1.5 % first\n2.5\n",
+          MM.format("array", "2 1") + "1.5\n2.5\n"))
+@example(("matrix", MM.format("coordinate", "2 2 1") + "2 1 -3%a\n",
+          MM.format("coordinate", "2 2 1") + "2 1 -3\n"))
+@example(("vector", "4.25 # x\n-1\n", "4.25\n-1\n"))
+def test_readers_match_the_oracle_readers(case):
+    # each valid file gives the oracle's array bit for bit; each malformed
+    # one the oracle's message, which names the same line. A third item
+    # pins a declared change: the message of a file the oracle read, or the
+    # text of the file the oracle reads as this one
+    kind, text, declared = case
+    new, old = read_both(kind, text)
+    if declared is None:
+        assert type(new) is type(old)
+        if isinstance(old, str):
+            assert new == old
+        else:
+            assert new.shape == old.shape and new.tobytes() == old.tobytes()
+    elif declared.startswith("f: line"):
+        assert isinstance(old, np.ndarray) and new == declared
+    else:
+        assert isinstance(old, str)
+        assert new.tobytes() == read_both(kind, declared)[1].tobytes()
+
+
+def test_gravity_reads_back_the_same_as_array_and_as_coordinate(tmp_path):
+    a = make_gravity(64).operator.matrix
+    write_matrix_market(tmp_path / "a.mtx", a)
+    i, j = np.nonzero(np.ones_like(a))
+    lines = [f"{r + 1} {c + 1} {a[r, c]:.17g}\n" for r, c in zip(i.tolist(), j.tolist())]
+    (tmp_path / "c.mtx").write_text("%%MatrixMarket matrix coordinate real general\n"
+                                    f"64 64 {a.size}\n" + "".join(lines))
+    for name in ("a.mtx", "c.mtx"):
+        back = read_matrix_market(tmp_path / name)
+        assert back.flags.c_contiguous and back.tobytes() == a.tobytes()
 
 
 def test_vector_roundtrip(tmp_path):

@@ -10,11 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from klsmooth.estimator import (WINDOW_STRIDE, EstimateTrack, detect_noise_takeover,
                                 detect_stable_window, estimate_track)
-from klsmooth.landweber import IterationTrace, trace_to_csv
+from klsmooth.landweber import IterationTrace
 from klsmooth.problems import add_noise, make_power_law
 
 from _oracles import (brute_force_stable_window, noise_takeover_oracle,
-                      stable_window_oracle)
+                      stable_window_oracle, written_trace_csv)
 
 
 def mk_trace(R, G, errors=None):
@@ -206,7 +206,7 @@ def test_trace_csv_round_trips_at_full_precision(seed):
     G = np.exp(rng.uniform(-300, 2, n))
     E = np.exp(rng.uniform(-10, 2, n))
     trace = mk_trace(R, G, errors=E)
-    lines = trace_to_csv(trace).strip().splitlines()[1:]
+    lines = written_trace_csv(trace).strip().splitlines()[1:]
     for idx, line in enumerate(lines):
         cells = line.split(",")
         assert int(cells[0]) == idx + 1
