@@ -19,7 +19,7 @@ from .landweber import IterationTrace, LandweberConfig, landweber_run, write_tra
 from .estimator import (EstimateTrack, SourceConditionModel,
                         detect_discretization_saturation, detect_noise_takeover,
                         detect_stable_window, estimate_track, gamma_to_mu,
-                        mu_to_model, regress_prefix)
+                        mu_to_model)
 from .validation import (RateExperimentResult, SmoothnessVerdict, apriori_alpha,
                          bound_curves, max_mu_spectral, rate_experiment,
                          tikhonov_solve, verify_smoothness)

@@ -32,12 +32,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import estimator, operators, problems, validation
-from .estimator import estimate_track, detect_discretization_saturation, mu_to_model
+from .estimator import estimate_track, detect_discretization_saturation
 from .landweber import LandweberConfig, landweber_run, write_trace_csv
 from .operators import ConvergenceError, SpectralDecomposition, svd
 from .problems import ProblemSpec, add_noise
-from .validation import (DEFAULT_MU_GRID, max_mu_spectral, rate_experiment, bound_curves,
-                         verify_smoothness)
+from .validation import DEFAULT_MU_GRID, max_mu_spectral, rate_experiment, verify_smoothness
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -268,8 +267,10 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
 
     upper = None
     if p.source_w is not None and p.mu_exact is not None and p.mu_exact > 0:
-        model = mu_to_model(p.mu_exact, 1.0)
-        _, upper = bound_curves(trace, model, w_norm=float(np.linalg.norm(p.source_w)))
+        # validation.bound_curves' upper curve; its lower one is the trace's
+        mu = p.mu_exact
+        upper = (float(np.linalg.norm(p.source_w)) ** (1.0 / (2.0 * mu + 1.0))
+                 * trace.residuals ** (2.0 * mu / (2.0 * mu + 1.0)))
 
     report = _report(
         p, cfg,

@@ -106,24 +106,6 @@ def mu_to_model(mu: float, c: float) -> SourceConditionModel:
     )
 
 
-def regress_prefix(trace: IterationTrace, k: int) -> tuple[float, float]:
-    """Least-squares fit of log G_i = gamma log R_i + b over i = 1..k.
-
-    Returns (gamma_hat, c_log_hat) with c_log_hat = -b, i.e. the log of the
-    constant in G = R^gamma / c.
-    """
-    if k < 2:
-        raise ValueError("need at least two iterations to regress")
-    if k > len(trace):
-        raise ValueError(f"trace has only {len(trace)} iterations")
-    lr = np.log(trace.residuals[:k])
-    lg = np.log(trace.gradient_norms[:k])
-    gamma, b, degenerate = _ols(k, lr.sum(), (lr * lr).sum(), lg.sum(), (lr * lg).sum())
-    if degenerate:
-        raise ValueError("all residuals equal; regression is singular")
-    return float(gamma), float(-b)
-
-
 def _ols(k, s1, s2, sy, sxy):
     """Line fit y = gamma x + b from the sums over k points.
 
@@ -236,11 +218,23 @@ def detect_stable_window(track: EstimateTrack, w_min: int = DEFAULT_W_MIN,
     window is stable, so whether a stable window of a given length exists
     is monotone in the length (see :func:`_longest_stable`). A coarse
     search comes first, over the extremes of aligned blocks of
-    WINDOW_STRIDE entries: L consecutive blocks are stable exactly when the
-    L * WINDOW_STRIDE entries they cover are, since max and min are exact.
-    With L the longest such run, every window of (L + 2) * WINDOW_STRIDE - 1
-    entries covers L + 1 whole blocks, so the fine search needs only the
-    lengths from L * WINDOW_STRIDE to (L + 2) * WINDOW_STRIDE - 2.
+    WINDOW_STRIDE = S entries: L consecutive blocks are stable exactly when
+    the L * S entries they cover are, since max and min are exact. With L
+    the longest such run, every window of (L + 2) * S - 1 entries covers
+    L + 1 whole blocks, so the fine search needs only the lengths from L * S
+    to (L + 2) * S - 2.
+
+    With L >= 2 it also needs only part of the track. Let w <= L - 1 be the
+    width below L that the coarse search last found stable. A window of at
+    least L * S entries covers at least L - 1 >= w whole blocks, so each of
+    them lies in a run of w whole blocks of the window, and that run is
+    stable. The window thus lies within S - 1 entries of the stable w-runs
+    [t, t + w) of blocks, so the fine search needs only the neighbourhoods
+    from (t - 1) * S + 1 to (t + w + 1) * S - 1 of their starts t. It runs
+    once, over the merged neighbourhoods laid side by side in order, NaN
+    between each two; its earliest start of the longest width is then the
+    earliest of the longest windows of the track. With L < 2 the fine
+    search covers the whole track.
     """
     if not (eps_mu >= 0.0 and eps_c_rel >= 0.0):
         raise ValueError("eps_mu and eps_c_rel must be non-negative")
@@ -251,29 +245,51 @@ def detect_stable_window(track: EstimateTrack, w_min: int = DEFAULT_W_MIN,
     values = np.array((track.mu_k, track.c_k), dtype=float)
     values[:, ~((values > 0.0) & (values < np.inf)).all(axis=0)] = np.nan
 
-    n_blocks = n // WINDOW_STRIDE
-    blocks = values[:, :n_blocks * WINDOW_STRIDE].reshape(2, n_blocks, WINDOW_STRIDE)
-    runs, _ = _longest_stable(blocks.max(axis=2), blocks.min(axis=2),
-                              eps_mu, eps_c_rel, 1, n_blocks)
-    found, starts = _longest_stable(values, values, eps_mu, eps_c_rel,
-                                    max(shortest, runs * WINDOW_STRIDE),
-                                    min(n, (runs + 2) * WINDOW_STRIDE - 2))
+    S = WINDOW_STRIDE
+    n_blocks = n // S
+    # block extremes: reduced along the middle axis of a (2, S, n_blocks)
+    # copy, numpy runs S - 1 elementwise passes over contiguous rows, where
+    # along an S-long last axis it takes several times as long
+    blocks = values[:, :n_blocks * S].reshape(2, n_blocks, S).transpose(0, 2, 1).copy()
+    runs, _, (w, shorter) = _longest_stable(blocks.max(axis=1), blocks.min(axis=1),
+                                            eps_mu, eps_c_rel, 1, n_blocks)
+    k_values = track.k_values
+    if runs >= 2:
+        t = np.flatnonzero(shorter)
+        # starts over w + 1 blocks apart leave two entries or more between
+        cut = (np.flatnonzero(np.diff(t) > w + 1) + 1).tolist()
+        spans = [(max(int(t[i]) * S - S + 1, 0), min((int(t[j - 1]) + w + 1) * S, n))
+                 for i, j in zip([0, *cut], [*cut, t.size])]
+        if len(spans) == 1:
+            values, k_values = values[:, slice(*spans[0])], k_values[slice(*spans[0])]
+        else:
+            # side by side: each but the last keeps the next entry, which
+            # lies in the gap and becomes NaN, so that no window spans two
+            index = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
+            values, k_values = values[:, index], k_values[index]
+            values[:, np.flatnonzero(np.diff(index) > 1)] = np.nan
+    found, starts, _ = _longest_stable(values, values, eps_mu, eps_c_rel,
+                                       max(shortest, runs * S),
+                                       min(values.shape[1], (runs + 2) * S - 2))
     if starts is None:
         return None
     first = int(np.argmax(starts))
-    return int(track.k_values[first]), int(track.k_values[first + found - 1])
+    return int(k_values[first]), int(k_values[first + found - 1])
 
 
+@np.errstate(over="ignore")
 def _longest_stable(hi: np.ndarray, lo: np.ndarray, eps_mu: float, eps_c_rel: float,
-                    shortest: int, longest: int) -> tuple[int, Optional[np.ndarray]]:
+                    shortest: int, longest: int
+                    ) -> tuple[int, Optional[np.ndarray], tuple[int, Optional[np.ndarray]]]:
     """Longest stable run of entries, by doubling and then bisecting its width.
 
     Column i of hi and lo holds upper and lower bounds of (mu_k, c_k) at
     entry i (the values themselves, or the extremes of a block), NaN where
     the entry is ineligible. Searches the widths from shortest to longest
     and returns the largest with a stable run and, for every start, whether
-    the run from there is stable; (0, None) when not even the shortest
-    width has one.
+    the run from there is stable, then that pair for the last smaller width
+    found stable ((0, None) if there is none); (0, None, (0, None)) when not
+    even the shortest width has one.
 
     The extremes over every run of `span` entries serve every width from
     span to 2 span with one op per array, since the first and the last run
@@ -283,7 +299,7 @@ def _longest_stable(hi: np.ndarray, lo: np.ndarray, eps_mu: float, eps_c_rel: fl
     stable, and the search bisects inside the last doubling.
     """
     if shortest > longest:
-        return 0, None
+        return 0, None, (0, None)
     top, bot, span = hi, lo, 1
 
     def extremes(width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -292,16 +308,15 @@ def _longest_stable(hi: np.ndarray, lo: np.ndarray, eps_mu: float, eps_c_rel: fl
                 np.minimum(bot[:, :bot.shape[1] - shift], bot[:, shift:]))
 
     def stable(wide_top: np.ndarray, wide_bot: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return ((wide_top[0] - wide_bot[0] <= eps_mu)
-                    & (wide_top[1] / wide_bot[1] <= 1.0 + eps_c_rel))
+        return ((wide_top[0] - wide_bot[0] <= eps_mu)
+                & (wide_top[1] / wide_bot[1] <= 1.0 + eps_c_rel))
 
     while 2 * span <= shortest:
         top, bot = extremes(2 * span)
         span *= 2
-    starts = stable(*extremes(shortest))
+    starts, below = stable(*extremes(shortest)), (0, None)
     if not starts.any():
-        return 0, None
+        return 0, None, below
     found, too_long = shortest, longest + 1
     while too_long - found > 1:
         doubling = 2 * span < too_long
@@ -309,12 +324,12 @@ def _longest_stable(hi: np.ndarray, lo: np.ndarray, eps_mu: float, eps_c_rel: fl
         wide = extremes(width)
         candidate = stable(*wide)
         if candidate.any():
-            found, starts = width, candidate
+            found, starts, below = width, candidate, (found, starts)
             if doubling:
                 (top, bot), span = wide, width
         else:
             too_long = width
-    return found, starts
+    return found, starts, below
 
 
 def detect_noise_takeover(trace: IterationTrace) -> Optional[int]:

@@ -2,7 +2,10 @@
 
 Everything here is computed directly from per-mode formulas, never by
 running the iteration under test. The file readers at the end are the ones
-the package used before every entry line went through one np.loadtxt call.
+the package used before every entry line went through one np.loadtxt call,
+and coarse_to_fine_stable_window is its window search from before the fine
+search was restricted to where a window can lie. regress_prefix, the fit of
+one prefix, has no caller in the package.
 """
 
 import math
@@ -10,10 +13,13 @@ import tempfile
 import warnings
 from collections import deque
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
-from klsmooth.landweber import write_trace_csv
+from klsmooth.estimator import (DEFAULT_EPS_C_REL, DEFAULT_EPS_MU, DEFAULT_W_MIN, WINDOW_STRIDE,
+                                EstimateTrack, _ols)
+from klsmooth.landweber import IterationTrace, write_trace_csv
 from klsmooth.operators import SV_FLOOR, SpectralDecomposition, _utf8_text, dense_operator
 from klsmooth.problems import ProblemSpec
 
@@ -158,6 +164,27 @@ def brute_force_least_squares(xs, ys):
     return float(slope), float(intercept)
 
 
+def regress_prefix(trace: IterationTrace, k: int) -> tuple[float, float]:
+    """Least-squares fit of log G_i = gamma log R_i + b over i = 1..k.
+
+    The single-prefix form of the running-sum fit estimate_track makes for
+    every k at once, by the same line fit.
+
+    Returns (gamma_hat, c_log_hat) with c_log_hat = -b, i.e. the log of the
+    constant in G = R^gamma / c.
+    """
+    if k < 2:
+        raise ValueError("need at least two iterations to regress")
+    if k > len(trace):
+        raise ValueError(f"trace has only {len(trace)} iterations")
+    lr = np.log(trace.residuals[:k])
+    lg = np.log(trace.gradient_norms[:k])
+    gamma, b, degenerate = _ols(k, lr.sum(), (lr * lr).sum(), lg.sum(), (lr * lg).sum())
+    if degenerate:
+        raise ValueError("all residuals equal; regression is singular")
+    return float(gamma), float(-b)
+
+
 def stable_window_oracle(track, w_min, eps_mu, eps_c_rel):
     """Longest stable window by one left-to-right pass with monotone deques.
 
@@ -240,6 +267,109 @@ def brute_force_stable_window(track, w_min, eps_mu, eps_c_rel):
     if best is None:
         return None
     return int(kv[best[0]]), int(kv[best[1]])
+
+
+def coarse_to_fine_stable_window(track: EstimateTrack, w_min: int = DEFAULT_W_MIN,
+                                 eps_mu: float = DEFAULT_EPS_MU,
+                                 eps_c_rel: float = DEFAULT_EPS_C_REL
+                                 ) -> Optional[tuple[int, int]]:
+    """Longest contiguous k-range where mu_k and c_k are simultaneously stable.
+
+    klsmooth's detect_stable_window before its fine search was restricted to
+    the neighbourhoods of stable block runs: the fine search here runs over
+    all n entries.
+
+    Stability means max - min of mu_k <= eps_mu and max / min of c_k <=
+    1 + eps_c_rel over the window, with at least w_min entries. Entries with
+    mu_k <= 0 (gamma outside (1,2)) or non-finite values break contiguity.
+    Of several longest windows the earliest is returned. Absence is a value,
+    not an error.
+
+    An ineligible entry becomes NaN in both rows of one (2, n) array of
+    mu_k and c_k: every max and min over a window that covers it is NaN,
+    and both stability tests fail on NaN. Every sub-window of a stable
+    window is stable, so whether a stable window of a given length exists
+    is monotone in the length (see :func:`_longest_stable`). A coarse
+    search comes first, over the extremes of aligned blocks of
+    WINDOW_STRIDE entries: L consecutive blocks are stable exactly when the
+    L * WINDOW_STRIDE entries they cover are, since max and min are exact.
+    With L the longest such run, every window of (L + 2) * WINDOW_STRIDE - 1
+    entries covers L + 1 whole blocks, so the fine search needs only the
+    lengths from L * WINDOW_STRIDE to (L + 2) * WINDOW_STRIDE - 2.
+    """
+    if not (eps_mu >= 0.0 and eps_c_rel >= 0.0):
+        raise ValueError("eps_mu and eps_c_rel must be non-negative")
+    n = track.mu_k.size
+    shortest = max(w_min, 1)
+    if shortest > n:
+        return None
+    values = np.array((track.mu_k, track.c_k), dtype=float)
+    values[:, ~((values > 0.0) & (values < np.inf)).all(axis=0)] = np.nan
+
+    n_blocks = n // WINDOW_STRIDE
+    blocks = values[:, :n_blocks * WINDOW_STRIDE].reshape(2, n_blocks, WINDOW_STRIDE)
+    runs, _ = _longest_stable(blocks.max(axis=2), blocks.min(axis=2),
+                              eps_mu, eps_c_rel, 1, n_blocks)
+    found, starts = _longest_stable(values, values, eps_mu, eps_c_rel,
+                                    max(shortest, runs * WINDOW_STRIDE),
+                                    min(n, (runs + 2) * WINDOW_STRIDE - 2))
+    if starts is None:
+        return None
+    first = int(np.argmax(starts))
+    return int(track.k_values[first]), int(track.k_values[first + found - 1])
+
+
+def _longest_stable(hi: np.ndarray, lo: np.ndarray, eps_mu: float, eps_c_rel: float,
+                    shortest: int, longest: int) -> tuple[int, Optional[np.ndarray]]:
+    """Longest stable run of entries, by doubling and then bisecting its width.
+
+    Column i of hi and lo holds upper and lower bounds of (mu_k, c_k) at
+    entry i (the values themselves, or the extremes of a block), NaN where
+    the entry is ineligible. Searches the widths from shortest to longest
+    and returns the largest with a stable run and, for every start, whether
+    the run from there is stable; (0, None) when not even the shortest
+    width has one.
+
+    The extremes over every run of `span` entries serve every width from
+    span to 2 span with one op per array, since the first and the last run
+    of `span` entries cover the width (after Bender and Farach-Colton's
+    sparse table). The span doubles as far as the shortest width allows
+    (span <= shortest < 2 span), then on while twice the span is still
+    stable, and the search bisects inside the last doubling.
+    """
+    if shortest > longest:
+        return 0, None
+    top, bot, span = hi, lo, 1
+
+    def extremes(width: int) -> tuple[np.ndarray, np.ndarray]:
+        shift = width - span
+        return (np.maximum(top[:, :top.shape[1] - shift], top[:, shift:]),
+                np.minimum(bot[:, :bot.shape[1] - shift], bot[:, shift:]))
+
+    def stable(wide_top: np.ndarray, wide_bot: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return ((wide_top[0] - wide_bot[0] <= eps_mu)
+                    & (wide_top[1] / wide_bot[1] <= 1.0 + eps_c_rel))
+
+    while 2 * span <= shortest:
+        top, bot = extremes(2 * span)
+        span *= 2
+    starts = stable(*extremes(shortest))
+    if not starts.any():
+        return 0, None
+    found, too_long = shortest, longest + 1
+    while too_long - found > 1:
+        doubling = 2 * span < too_long
+        width = 2 * span if doubling else (found + too_long) // 2
+        wide = extremes(width)
+        candidate = stable(*wide)
+        if candidate.any():
+            found, starts = width, candidate
+            if doubling:
+                (top, bot), span = wide, width
+        else:
+            too_long = width
+    return found, starts
 
 
 def noise_takeover_oracle(trace, persistence=10, min_rise=1.001):

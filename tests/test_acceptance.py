@@ -13,8 +13,7 @@ import pytest
 
 import klsmooth as ks
 from klsmooth.cli import EXIT_OK, main
-from klsmooth.estimator import (detect_discretization_saturation, estimate_track,
-                                mu_to_model, regress_prefix)
+from klsmooth.estimator import detect_discretization_saturation, estimate_track, mu_to_model
 from klsmooth.landweber import LandweberConfig, landweber_run
 from klsmooth.operators import svd, write_matrix_market, write_vector
 from klsmooth.problems import (add_noise, load_external, make_exp_operator,
@@ -22,7 +21,7 @@ from klsmooth.problems import (add_noise, load_external, make_exp_operator,
 from klsmooth.validation import (bound_curves, max_mu_spectral, rate_experiment,
                                  verify_smoothness)
 
-from _oracles import diagonal_landweber_oracle
+from _oracles import diagonal_landweber_oracle, regress_prefix
 
 BENCHMARKS = {(1.0, 2.5): 0.1, (2.0, 2.0): 0.375, (3.0, 1.5): 5.0 / 6.0}
 

@@ -13,8 +13,8 @@ from klsmooth.estimator import (WINDOW_STRIDE, EstimateTrack, detect_noise_takeo
 from klsmooth.landweber import IterationTrace
 from klsmooth.problems import add_noise, make_power_law
 
-from _oracles import (brute_force_stable_window, noise_takeover_oracle,
-                      stable_window_oracle, written_trace_csv)
+from _oracles import (brute_force_stable_window, coarse_to_fine_stable_window,
+                      noise_takeover_oracle, stable_window_oracle, written_trace_csv)
 
 
 def mk_trace(R, G, errors=None):
@@ -123,6 +123,95 @@ def plateau_track(draw):
 def test_stable_window_matches_brute_force(track, w_min, eps_mu, eps_c):
     assert (detect_stable_window(track, w_min=w_min, eps_mu=eps_mu, eps_c_rel=eps_c)
             == brute_force_stable_window(track, w_min, eps_mu, eps_c))
+
+
+@st.composite
+def long_track(draw):
+    """A long track with several planted plateaus, for the restricted fine search.
+
+    The background either jumps by 0.3 at every entry, so that a plateau's
+    window ends where the plateau does and plateaus of one width tie, or
+    wanders as a random walk. Plateaus are three or more blocks long, so the
+    coarse search finds runs of two blocks or more, and they lie anywhere,
+    so that the stable block runs often fall into several neighbourhoods,
+    and sometimes into one that a break splits. One may
+    run to the last entry, and NaN and mu <= 0 breaks may fall anywhere,
+    one of them inside a plateau. Tracks run from 300 to 5,000 entries.
+    """
+    n = draw(st.integers(min_value=300, max_value=5000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    if draw(st.booleans()):
+        mu = np.resize([0.9, 1.2], n)
+        c = np.ones(n)
+    else:
+        mu = np.cumsum(rng.uniform(-0.03, 0.03, n)) + 1.0
+        c = np.exp(np.cumsum(rng.uniform(-0.02, 0.02, n)))
+    widths = rng.choice([3 * WINDOW_STRIDE, 5 * WINDOW_STRIDE + 3, 12 * WINDOW_STRIDE + 7],
+                        draw(st.integers(min_value=2, max_value=6)))
+    starts = [int(rng.integers(0, n - width + 1)) for width in widths]
+    if draw(st.booleans()):
+        starts[-1] = n - widths[-1]
+    for start, width in zip(starts, widths):
+        level = rng.choice([0.3, 0.32])
+        mu[start:start + width] = level + rng.uniform(0.0, 0.01, width)
+        c[start:start + width] = 1.0 + rng.uniform(0.0, 0.01, width)
+    for values, bad in ((mu, np.nan), (mu, 0.0), (mu, -0.2), (c, np.nan), (c, np.inf)):
+        values[rng.integers(0, n, draw(st.integers(min_value=0, max_value=2)))] = bad
+    if draw(st.booleans()):
+        mu[starts[0] + int(rng.integers(0, widths[0]))] = np.nan
+    return EstimateTrack(k_values=np.arange(5, 5 + n), mu_k=mu, c_k=c)
+
+
+def _two_plateaus(n, first, second, width):
+    """Equal flat runs at `first` and `second` on a background that jumps by 0.3."""
+    mu = np.resize([0.9, 1.2], n)
+    mu[first:first + width] = mu[second:second + width] = 0.3
+    return EstimateTrack(k_values=np.arange(5, 5 + n), mu_k=mu, c_k=np.ones(n))
+
+
+def _joinable_neighbourhoods():
+    """Two neighbourhoods whose ends, laid side by side, would join into a window.
+
+    A plateau of 20 blocks, a break and 15 more entries at its level end
+    the first; the second starts on a plateau of 335 entries at the same
+    level. Only the NaN between them keeps the search from a window of 350
+    entries that spans both.
+    """
+    n = 2000
+    mu = np.resize([0.9, 1.2], n)
+    mu[:20 * WINDOW_STRIDE] = mu[321:336] = mu[625:960] = 0.3
+    mu[20 * WINDOW_STRIDE] = np.nan
+    return EstimateTrack(k_values=np.arange(5, 5 + n), mu_k=mu, c_k=np.ones(n))
+
+
+def _overlapping_neighbourhoods():
+    """Stable two-block runs three blocks apart, whose neighbourhoods overlap.
+
+    The longest run is three blocks (a plateau at 0.5), so runs of two
+    blocks start the neighbourhoods: at blocks 10 and 13 here, and at no
+    block between. Across block 12 a stable stretch of 46 entries lies in
+    both neighbourhoods; were they laid side by side rather than merged,
+    its 15 entries in both would read as a window of 61.
+    """
+    n = 600
+    mu = np.resize([0.9, 1.2], n)
+    mu[160:176], mu[176], mu[177:192] = 0.32, 0.30, 0.34
+    mu[192:208], mu[208:223], mu[223], mu[224:240] = 0.37, 0.38, 0.425, 0.40
+    mu[400:448] = 0.5
+    return EstimateTrack(k_values=np.arange(5, 5 + n), mu_k=mu, c_k=np.ones(n))
+
+
+@settings(deadline=None, max_examples=120, derandomize=True)
+@given(long_track(), st.integers(min_value=1, max_value=200),
+       st.sampled_from([0.01, 0.05]), st.sampled_from([0.01, 0.05]))
+@example(track=_two_plateaus(3001, 100, 2500, 200),
+         w_min=50, eps_mu=0.05, eps_c=0.05)   # a tie between two neighbourhoods
+@example(track=_joinable_neighbourhoods(), w_min=50, eps_mu=0.05, eps_c=0.05)
+@example(track=_overlapping_neighbourhoods(), w_min=10, eps_mu=0.05, eps_c=0.05)
+def test_stable_window_on_long_tracks_matches_both_oracles(track, w_min, eps_mu, eps_c):
+    found = detect_stable_window(track, w_min=w_min, eps_mu=eps_mu, eps_c_rel=eps_c)
+    assert found == coarse_to_fine_stable_window(track, w_min, eps_mu, eps_c)
+    assert found == stable_window_oracle(track, w_min, eps_mu, eps_c)
 
 
 @settings(deadline=None, max_examples=150)
