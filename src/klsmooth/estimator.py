@@ -110,16 +110,23 @@ def _ols(k, s1, s2, sy, sxy):
     """Line fit y = gamma x + b from the sums over k points.
 
     s1 = sum x, s2 = sum x^2, sy = sum y, sxy = sum x y, each a scalar or an
-    array of running sums. Returns (gamma, b, degenerate); degenerate marks
-    fits whose x values (nearly) all coincide, where gamma and b mean nothing.
+    array of running sums (k then an array too). The fit works in the memory
+    of array sums: gamma comes back in sxy's and b in sy's. Returns (gamma,
+    b, degenerate); degenerate marks fits whose x values (nearly) all
+    coincide, where gamma and b mean nothing.
     """
-    den = k * s2 - s1 * s1
+    den = k * s2
+    den -= s1 * s1
     with np.errstate(divide="ignore", invalid="ignore"):
-        gamma = (k * sxy - s1 * sy) / den
-        b = (sy - gamma * s1) / k
+        sxy *= k
+        sxy -= s1 * sy
+        sxy /= den
+        gamma = sxy
+        sy -= gamma * s1
+        sy /= k
     # relative test: exact ties cancel only to rounding in the running sums
     degenerate = ~np.isfinite(gamma) | (den <= 1e-13 * k * np.maximum(s2, 1e-30))
-    return gamma, b, degenerate
+    return gamma, sy, degenerate
 
 
 def estimate_track(trace: IterationTrace, k_min: int = DEFAULT_K_MIN,
@@ -139,10 +146,10 @@ def estimate_track(trace: IterationTrace, k_min: int = DEFAULT_K_MIN,
 
     mu_hat = c_hat = None
     if window is not None:
-        k1, k2 = window
-        mask = (k_values >= k1) & (k_values <= k2)
-        mu_hat = float(np.median(mu_k[mask]))
-        c_hat = float(np.median(track.c_k[mask]))
+        # k_values counts up by one from its first entry
+        inside = slice(window[0] - int(k_values[0]), window[1] - int(k_values[0]) + 1)
+        mu_hat = float(np.median(mu_k[inside]))
+        c_hat = float(np.median(track.c_k[inside]))
 
     verdict = VERDICT_UNSTABLE
     if takeover is not None and _collapses_after(k_values, mu_k, takeover):
@@ -160,7 +167,9 @@ def _prefix_fits(trace: IterationTrace, k_min: int) -> EstimateTrack:
     """The regression columns of :func:`estimate_track`, without diagnostics.
 
     A function of its own so that the running sums are freed before the
-    window search allocates its own arrays.
+    window search allocates its own arrays. The four sums are accumulated in
+    the arrays of the logs and their products, and the fit of the prefixes
+    from k_min on works in their memory (see :func:`_ols`).
     """
     if k_min < 2:
         raise ValueError("k_min must be >= 2")
@@ -174,22 +183,23 @@ def _prefix_fits(trace: IterationTrace, k_min: int) -> EstimateTrack:
     if K_use < k_min:
         raise ValueError("trace reaches exact convergence before k_min")
 
-    lr = np.log(R[:K_use])
-    lg = np.log(G[:K_use])
-    k = np.arange(1, K_use + 1, dtype=float)
-    s1 = np.cumsum(lr)
-    s2 = np.cumsum(lr * lr)
-    sy = np.cumsum(lg)
-    sxy = np.cumsum(lr * lg)
-    gamma, b, degenerate = _ols(k, s1, s2, sy, sxy)
+    s1 = np.log(R[:K_use])
+    sy = np.log(G[:K_use])
+    s2 = np.square(s1)
+    sxy = np.multiply(s1, sy)
+    for s in (s1, s2, sy, sxy):
+        np.cumsum(s, out=s)
+    fits = slice(k_min - 1, None)
+    gamma, b, degenerate = _ols(np.arange(k_min, K_use + 1.0), s1[fits], s2[fits], sy[fits],
+                                sxy[fits])
     mu = gamma_to_mu(gamma)
-    c = np.exp(-b)
-
-    degenerate = degenerate[k_min - 1:]
+    # a fit of a few far-off points may have c beyond the float range
+    with np.errstate(over="ignore"):
+        c = np.exp(np.negative(b, out=b), out=b)
+    mu[degenerate] = np.nan
+    c[degenerate] = np.nan
     k_values = np.arange(k_min, K_use + 1)
-    return EstimateTrack(k_values=k_values,
-                         mu_k=np.where(degenerate, np.nan, mu[k_min - 1:]),
-                         c_k=np.where(degenerate, np.nan, c[k_min - 1:]),
+    return EstimateTrack(k_values=k_values, mu_k=mu, c_k=c,
                          skipped_k=tuple(int(x) for x in k_values[degenerate]))
 
 
@@ -373,37 +383,36 @@ def detect_noise_takeover(trace: IterationTrace) -> Optional[int]:
     return int(onsets[0]) + 1 if onsets.size else None
 
 
-def _rolling_slopes(x: np.ndarray, y: np.ndarray, window: int) -> np.ndarray:
-    """OLS slope of y against x over each trailing window; NaN where undefined.
+def _rolling_slopes(x: np.ndarray, y: np.ndarray, window: int,
+                    sums: np.ndarray) -> np.ndarray:
+    """OLS slope of log y against log x over each trailing window; NaN where undefined.
 
-    Computed in chunks of SLOPE_CHUNK windows, with a local offset subtracted
-    from both series: on long runs the per-step increments can sit ten orders
-    of magnitude below the running totals, and the shift (which leaves slopes
+    x and y hold the positive values of one chunk of at most SLOPE_CHUNK
+    windows. Their logs less the first ones go into rows of ``sums``, of at
+    least (4, x.size + 1) entries, where the running sums are accumulated:
+    on long runs the per-step increments can sit ten orders of magnitude
+    below the running totals, and the local offset (which leaves slopes
     unchanged) keeps the variance sums free of catastrophic cancellation.
     """
-    n = x.size
-    if n < window:
-        return np.full(0, np.nan)
-    out = np.empty(n - window + 1)
-    c = np.concatenate
-    for start in range(0, n - window + 1, SLOPE_CHUNK):
-        stop = min(start + SLOPE_CHUNK, n - window + 1)
-        seg = slice(start, stop + window - 1)
-        xs = x[seg] - x[start]
-        ys = y[seg] - y[start]
-        cx = c(([0.0], np.cumsum(xs)))
-        cy = c(([0.0], np.cumsum(ys)))
-        cxx = c(([0.0], np.cumsum(xs * xs)))
-        cxy = c(([0.0], np.cumsum(xs * ys)))
-        sx = cx[window:] - cx[:-window]
-        sy = cy[window:] - cy[:-window]
-        sxx = cxx[window:] - cxx[:-window]
-        sxy = cxy[window:] - cxy[:-window]
-        den = window * sxx - sx * sx
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[start:stop] = np.where(den > 0.0,
-                                       (window * sxy - sx * sy) / den, np.nan)
-    return out
+    cum = sums[:, :x.size + 1]
+    cum[:, 0] = 0.0
+    lx, ly = np.log(x, out=cum[0, 1:]), np.log(y, out=cum[1, 1:])
+    lx -= lx[0]
+    ly -= ly[0]
+    np.multiply(lx, lx, out=cum[2, 1:])
+    np.multiply(lx, ly, out=cum[3, 1:])
+    np.cumsum(cum[:, 1:], axis=1, out=cum[:, 1:])
+    sx, sy, sxx, sxy = cum[:, window:] - cum[:, :-window]
+    # the slope (window sxy - sx sy) / (window sxx - sx^2), in place
+    sxx *= window
+    sxx -= sx * sx
+    sxy *= window
+    sy *= sx
+    sxy -= sy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sxy /= sxx
+    sxy[~(sxx > 0.0)] = np.nan
+    return sxy
 
 
 def detect_discretization_saturation(trace: IterationTrace) -> Optional[int]:
@@ -414,6 +423,12 @@ def detect_discretization_saturation(trace: IterationTrace) -> Optional[int]:
     SATURATION_BAND the run has saturated; the onset is the first window of
     the closing in-band stretch. Returns the iteration number, or None when
     the trailing slope is still at the ill-posed rate.
+
+    The slopes are computed by chunks of SLOPE_CHUNK windows, each from its
+    own offset (see :func:`_rolling_slopes`), and only as far back as the
+    answer needs: from the last chunk towards the first, stopping at the
+    first chunk that holds an out-of-band window. Each chunk takes the logs
+    of its own slice of the trace only.
     """
     lb = trace.lower_bounds
     R = trace.residuals
@@ -421,14 +436,17 @@ def detect_discretization_saturation(trace: IterationTrace) -> Optional[int]:
     stop = int(np.argmin(ok)) if not ok.all() else ok.size
     if stop < SATURATION_WINDOW + 1:
         return None
-    x = np.log(R[:stop])
-    y = np.log(lb[:stop])
-    slopes = _rolling_slopes(x, y, SATURATION_WINDOW)
+    n_windows = stop - SATURATION_WINDOW + 1
     lo, hi = SATURATION_BAND
-    in_band = np.isfinite(slopes) & (slopes >= lo) & (slopes <= hi)
-    if in_band.size == 0 or not in_band[-1]:
-        return None
-    out = np.nonzero(~in_band)[0]
-    first = 0 if out.size == 0 else int(out[-1]) + 1
-    # slopes[j] covers iterations j+1 .. j+window; report the window end
-    return first + SATURATION_WINDOW
+    sums = np.empty((4, min(SLOPE_CHUNK, n_windows) + SATURATION_WINDOW))
+    for start in reversed(range(0, n_windows, SLOPE_CHUNK)):
+        seg = slice(start, min(start + SLOPE_CHUNK, n_windows) + SATURATION_WINDOW - 1)
+        slopes = _rolling_slopes(R[seg], lb[seg], SATURATION_WINDOW, sums)
+        in_band = (slopes >= lo) & (slopes <= hi)
+        if seg.stop == stop and not in_band[-1]:
+            return None
+        out = np.flatnonzero(~in_band)
+        if out.size:
+            # slopes[j] covers iterations j+1 .. j+window; report the window end
+            return start + int(out[-1]) + 1 + SATURATION_WINDOW
+    return SATURATION_WINDOW

@@ -149,8 +149,11 @@ def landweber_run(p: ProblemSpec, data: np.ndarray,
         x_coeffs, x_out = (None, 0.0) if p.x_true is None else sd.split(p.x_true, right=True)
         R, G, E = diagonal_trace(sd.sigmas, coeffs, beta, cfg.max_iters, x_coeffs,
                                  outside=(data_out, x_out))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lb = np.where(G > 0.0, R ** 2 / np.where(G > 0.0, G, 1.0), np.nan)
+    # R^2 / G in place, NaN where G = 0
+    positive = G > 0.0
+    lb = np.square(R)
+    np.divide(lb, G, out=lb, where=positive)
+    lb[~positive] = np.nan
     return IterationTrace(residuals=R, gradient_norms=G, lower_bounds=lb, errors=E,
                           step_beta=beta, path=path)
 
@@ -392,11 +395,16 @@ def _slow_coefficients(sigmas: np.ndarray, log_q: np.ndarray, data: np.ndarray,
 
 
 def _power_rows(x: np.ndarray) -> np.ndarray:
-    """Rows x^0, x^1, ..., x^SLOW_DEGREE, by running products."""
+    """Rows x^0, x^1, ..., x^SLOW_DEGREE, by running products.
+
+    One product per row: an accumulate whose output overlaps its input
+    makes numpy buffer the whole table, several times slower.
+    """
     rows = np.empty((SLOW_DEGREE + 1, x.size))
     rows[0] = 1.0
-    rows[1:] = x
-    np.multiply.accumulate(rows[1:], axis=0, out=rows[1:])
+    rows[1] = x
+    for k in range(2, SLOW_DEGREE + 1):
+        np.multiply(rows[k - 1], x, out=rows[k])
     return rows
 
 

@@ -4,8 +4,11 @@ Everything here is computed directly from per-mode formulas, never by
 running the iteration under test. The file readers at the end are the ones
 the package used before every entry line went through one np.loadtxt call,
 and coarse_to_fine_stable_window is its window search from before the fine
-search was restricted to where a window can lie. regress_prefix, the fit of
-one prefix, has no caller in the package.
+search was restricted to where a window can lie. prefix_fits_oracle and
+saturation_oracle are the estimator's prefix fits and saturation detector
+from before they worked in place: every sum, fit and slope allocated anew,
+and the detector logged and sloped the whole trace from its first window on.
+regress_prefix, the fit of one prefix, has no caller in the package.
 """
 
 import math
@@ -17,8 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from klsmooth.estimator import (DEFAULT_EPS_C_REL, DEFAULT_EPS_MU, DEFAULT_W_MIN, WINDOW_STRIDE,
-                                EstimateTrack, _ols)
+from klsmooth import estimator
+from klsmooth.estimator import (DEFAULT_EPS_C_REL, DEFAULT_EPS_MU, DEFAULT_W_MIN,
+                                SATURATION_BAND, SATURATION_WINDOW, WINDOW_STRIDE, EstimateTrack,
+                                _ols, gamma_to_mu)
 from klsmooth.landweber import IterationTrace, write_trace_csv
 from klsmooth.operators import SV_FLOOR, SpectralDecomposition, _utf8_text, dense_operator
 from klsmooth.problems import ProblemSpec
@@ -397,6 +402,156 @@ def noise_takeover_oracle(trace, persistence=10, min_rise=1.001):
                     and lb[start:].min() >= lb[start] * (1.0 - 1e-12)):
                 return start + 1
     return None
+
+
+def _ols_allocating(k, s1, s2, sy, sxy):
+    """Line fit y = gamma x + b from the sums over k points.
+
+    s1 = sum x, s2 = sum x^2, sy = sum y, sxy = sum x y, each a scalar or an
+    array of running sums. Returns (gamma, b, degenerate); degenerate marks
+    fits whose x values (nearly) all coincide, where gamma and b mean nothing.
+    """
+    den = k * s2 - s1 * s1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = (k * sxy - s1 * sy) / den
+        b = (sy - gamma * s1) / k
+    # relative test: exact ties cancel only to rounding in the running sums
+    degenerate = ~np.isfinite(gamma) | (den <= 1e-13 * k * np.maximum(s2, 1e-30))
+    return gamma, b, degenerate
+
+
+def prefix_fits_oracle(trace: IterationTrace, k_min: int) -> EstimateTrack:
+    """The regression columns of :func:`estimate_track`, without diagnostics.
+
+    A function of its own so that the running sums are freed before the
+    window search allocates its own arrays.
+    """
+    if k_min < 2:
+        raise ValueError("k_min must be >= 2")
+    K = len(trace)
+    if K < k_min:
+        raise ValueError(f"trace length {K} is below k_min = {k_min}")
+    R = trace.residuals
+    G = trace.gradient_norms
+    pos = (R > 0.0) & (G > 0.0)
+    K_use = int(np.argmin(pos)) if not pos.all() else K
+    if K_use < k_min:
+        raise ValueError("trace reaches exact convergence before k_min")
+
+    lr = np.log(R[:K_use])
+    lg = np.log(G[:K_use])
+    k = np.arange(1, K_use + 1, dtype=float)
+    s1 = np.cumsum(lr)
+    s2 = np.cumsum(lr * lr)
+    sy = np.cumsum(lg)
+    sxy = np.cumsum(lr * lg)
+    gamma, b, degenerate = _ols_allocating(k, s1, s2, sy, sxy)
+    mu = gamma_to_mu(gamma)
+    c = np.exp(-b)
+
+    degenerate = degenerate[k_min - 1:]
+    k_values = np.arange(k_min, K_use + 1)
+    return EstimateTrack(k_values=k_values,
+                         mu_k=np.where(degenerate, np.nan, mu[k_min - 1:]),
+                         c_k=np.where(degenerate, np.nan, c[k_min - 1:]),
+                         skipped_k=tuple(int(x) for x in k_values[degenerate]))
+
+
+def rolling_slopes_oracle(x: np.ndarray, y: np.ndarray, window: int) -> np.ndarray:
+    """OLS slope of y against x over each trailing window; NaN where undefined.
+
+    Computed in chunks of SLOPE_CHUNK windows, with a local offset subtracted
+    from both series: on long runs the per-step increments can sit ten orders
+    of magnitude below the running totals, and the shift (which leaves slopes
+    unchanged) keeps the variance sums free of catastrophic cancellation.
+    SLOPE_CHUNK is read from klsmooth.estimator at each call, so that a test
+    that changes it there chunks both detectors alike.
+    """
+    n = x.size
+    if n < window:
+        return np.full(0, np.nan)
+    out = np.empty(n - window + 1)
+    c = np.concatenate
+    for start in range(0, n - window + 1, estimator.SLOPE_CHUNK):
+        stop = min(start + estimator.SLOPE_CHUNK, n - window + 1)
+        seg = slice(start, stop + window - 1)
+        xs = x[seg] - x[start]
+        ys = y[seg] - y[start]
+        cx = c(([0.0], np.cumsum(xs)))
+        cy = c(([0.0], np.cumsum(ys)))
+        cxx = c(([0.0], np.cumsum(xs * xs)))
+        cxy = c(([0.0], np.cumsum(xs * ys)))
+        sx = cx[window:] - cx[:-window]
+        sy = cy[window:] - cy[:-window]
+        sxx = cxx[window:] - cxx[:-window]
+        sxy = cxy[window:] - cxy[:-window]
+        den = window * sxx - sx * sx
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[start:stop] = np.where(den > 0.0,
+                                       (window * sxy - sx * sy) / den, np.nan)
+    return out
+
+
+def saturation_oracle(trace: IterationTrace) -> Optional[int]:
+    """Onset of the well-posed regime: lower-bound slope locked near one.
+
+    Computes the rolling slope of log(R^2/G) against log(R) over trailing
+    windows of SATURATION_WINDOW iterations. If the final window sits inside
+    SATURATION_BAND the run has saturated; the onset is the first window of
+    the closing in-band stretch. Returns the iteration number, or None when
+    the trailing slope is still at the ill-posed rate.
+    """
+    lb = trace.lower_bounds
+    R = trace.residuals
+    ok = np.isfinite(lb) & (lb > 0.0) & (R > 0.0)
+    stop = int(np.argmin(ok)) if not ok.all() else ok.size
+    if stop < SATURATION_WINDOW + 1:
+        return None
+    x = np.log(R[:stop])
+    y = np.log(lb[:stop])
+    slopes = rolling_slopes_oracle(x, y, SATURATION_WINDOW)
+    lo, hi = SATURATION_BAND
+    in_band = np.isfinite(slopes) & (slopes >= lo) & (slopes <= hi)
+    if in_band.size == 0 or not in_band[-1]:
+        return None
+    out = np.nonzero(~in_band)[0]
+    first = 0 if out.size == 0 else int(out[-1]) + 1
+    # slopes[j] covers iterations j+1 .. j+window; report the window end
+    return first + SATURATION_WINDOW
+
+
+def saturating_trace(seed: int, n: int, kink: int, early_slope: float, noise: float,
+                     spikes=(), breaks=(), flat_start: int = 0) -> IterationTrace:
+    """A trace whose lower bound R^2/G turns from early_slope to slope one in log R.
+
+    log R falls by random steps from 0 or 0.7, by about 25 in all on
+    traces of over 1,000 entries, except over its first flat_start entries,
+    which stay equal (degenerate prefix fits). log(R^2/G) follows
+    log R with slope early_slope before entry `kink` and with slope one from
+    there, plus Gaussian noise of `noise` in the log. Each entry listed in
+    spikes has its lower bound raised by a factor e^5, which takes the
+    window that starts there out of SATURATION_BAND. breaks lists (entry,
+    kind) pairs: a lower bound set to NaN, 0 or inf ("nan", "zero", "inf"),
+    or R or G set to 0 ("r0", "g0"), which also makes the lower bound 0 or
+    NaN. G is R^2 over the lower bound before the breaks.
+    """
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(1e-3, 0.05, n) * min(1.0, 1000 / max(n, 1))
+    steps[:flat_start] = 0.0
+    log_r = rng.choice([0.0, 0.7]) - np.cumsum(steps)
+    log_lb = np.cumsum(np.where(np.arange(n) < kink, early_slope, 1.0) * -steps)
+    log_lb += noise * rng.standard_normal(n)
+    log_lb[np.asarray(spikes, dtype=int)] += 5.0
+    R, lb = np.exp(log_r), np.exp(log_lb)
+    G = R * R / lb
+    for i, kind in breaks:
+        if kind == "r0":
+            R[i] = lb[i] = 0.0
+        elif kind == "g0":
+            G[i], lb[i] = 0.0, np.nan
+        else:
+            lb[i] = {"nan": np.nan, "zero": 0.0, "inf": np.inf}[kind]
+    return IterationTrace(residuals=R, gradient_norms=G, lower_bounds=lb)
 
 
 def trace_csv_by_column(trace, mu_k=None, c_k=None, k_values=None, upper_bounds=None):

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import klsmooth as ks
-from klsmooth.estimator import (DEFAULT_EPS_C_REL, DEFAULT_EPS_MU, DEFAULT_W_MIN,
+from klsmooth.estimator import (DEFAULT_EPS_C_REL, DEFAULT_EPS_MU, DEFAULT_W_MIN, SLOPE_CHUNK,
                                 EstimateTrack, detect_discretization_saturation,
                                 detect_noise_takeover, detect_stable_window,
                                 estimate_track, gamma_to_mu, mu_to_model)
@@ -322,6 +324,31 @@ def test_saturation_under_resolved_benchmark():
     p_fine = make_power_law(300, 2, 1)
     trace_fine = landweber_run(p_fine, p_fine.y_clean, LandweberConfig(max_iters=2000))
     assert detect_discretization_saturation(trace_fine) is None
+
+
+def _peak_bytes(fn, *args) -> int:
+    """The tracemalloc peak of one call, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimate_stage_memory_stays_bounded():
+    # the saturation benchmark's trace: power law n = 200 to K = 70,000
+    p = make_power_law(200, 2, 1)
+    trace = landweber_run(p, p.y_clean, LandweberConfig(max_iters=70_000))
+    column = 8 * len(trace)   # bytes of one float64 column of the trace
+    # the prefix fits work in the memory of their four running sums, so the
+    # estimate stage holds about 8.4 columns at its peak (14.3 when every
+    # sum, fit and product was a new array)
+    assert _peak_bytes(estimate_track, trace) < 10 * column
+    # the saturation scan holds one chunk's running sums and their window
+    # differences, about 2.5 (4, SLOPE_CHUNK) arrays, whatever the length
+    # of the trace (5 here when it logged and sloped the whole trace)
+    assert _peak_bytes(detect_discretization_saturation, trace) < 3 * 4 * 8 * SLOPE_CHUNK
 
 
 def test_exp_operator_verdict_unstable():

@@ -4,17 +4,23 @@ Each test re-verifies the returned result against a direct restatement of
 the contract, so the detectors are exercised on inputs nobody hand-picked.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from klsmooth.estimator import (WINDOW_STRIDE, EstimateTrack, detect_noise_takeover,
+from klsmooth import estimator
+from klsmooth.estimator import (SATURATION_WINDOW, WINDOW_STRIDE, EstimateTrack, _prefix_fits,
+                                detect_discretization_saturation, detect_noise_takeover,
                                 detect_stable_window, estimate_track)
 from klsmooth.landweber import IterationTrace
 from klsmooth.problems import add_noise, make_power_law
 
 from _oracles import (brute_force_stable_window, coarse_to_fine_stable_window,
-                      noise_takeover_oracle, stable_window_oracle, written_trace_csv)
+                      noise_takeover_oracle, prefix_fits_oracle, rolling_slopes_oracle,
+                      saturating_trace, saturation_oracle, stable_window_oracle,
+                      written_trace_csv)
 
 
 def mk_trace(R, G, errors=None):
@@ -212,6 +218,98 @@ def test_stable_window_on_long_tracks_matches_both_oracles(track, w_min, eps_mu,
     found = detect_stable_window(track, w_min=w_min, eps_mu=eps_mu, eps_c_rel=eps_c)
     assert found == coarse_to_fine_stable_window(track, w_min, eps_mu, eps_c)
     assert found == stable_window_oracle(track, w_min, eps_mu, eps_c)
+
+
+# windows per chunk while the saturation scan is checked: many chunk
+# boundaries fall inside a trace of a few hundred entries
+SMALL_CHUNK = 64
+# slope one throughout, but the spike takes the window that starts on it,
+# the last of chunk 1, out of band: the closing in-band stretch starts at
+# the boundary, and the scan must step back one chunk to find its start
+BOUNDARY_ONSET = dict(seed=3, n=400, kink=0, early_slope=2.0, noise=0.0,
+                      spikes=[2 * SMALL_CHUNK - 1])
+
+
+@st.composite
+def saturating_trace_args(draw):
+    """Arguments of _oracles.saturating_trace: up to 1,500 entries, so 23
+    chunks of SMALL_CHUNK windows, with the kink anywhere, near the end or
+    past it, noise from none to enough to take windows out of band at
+    random, spikes (one may start the last window) and breaks anywhere, and
+    sometimes a flat start."""
+    n = draw(st.integers(min_value=1, max_value=1500)
+             | st.integers(min_value=4 * SMALL_CHUNK, max_value=1500))
+    entry = st.integers(min_value=0, max_value=n - 1)
+    spikes = draw(st.lists(entry, max_size=3))
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        spikes.append(max(n - SATURATION_WINDOW, 0))
+    # the kink anywhere, or late enough that the onset falls in the last chunk
+    kink = draw(st.integers(min_value=0, max_value=n + 30)
+                | st.integers(min_value=max(n - 3 * SMALL_CHUNK, 0),
+                              max_value=max(n - 2 * SATURATION_WINDOW, 0)))
+    return dict(seed=draw(st.integers(min_value=0, max_value=2**31 - 1)), n=n, kink=kink,
+                early_slope=draw(st.sampled_from([0.6, 1.3, 2.0])),
+                noise=draw(st.sampled_from([0.0, 0.0, 1e-4, 0.02, 0.3])),
+                spikes=spikes,
+                breaks=draw(st.lists(st.tuples(entry | st.integers(n // 2, n - 1),
+                                               st.sampled_from(["nan", "zero", "inf", "r0", "g0"])),
+                                     max_size=2)),
+                flat_start=draw(st.sampled_from([0, 0, 3, 12])))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(saturating_trace_args(), st.integers(min_value=2, max_value=8))
+@example(args=BOUNDARY_ONSET, k_min=5)
+def test_estimate_passes_match_their_forward_oracles(args, k_min):
+    trace = saturating_trace(**args)
+    with mock.patch.object(estimator, "SLOPE_CHUNK", SMALL_CHUNK):
+        assert detect_discretization_saturation(trace) == saturation_oracle(trace)
+    # every slope, bit for bit: chunk by chunk against the whole-trace pass
+    R, lb = trace.residuals, trace.lower_bounds
+    ok = np.isfinite(lb) & (lb > 0.0) & (R > 0.0)
+    stop = int(np.argmin(ok)) if not ok.all() else ok.size
+    if stop > SATURATION_WINDOW:
+        n_windows = stop - SATURATION_WINDOW + 1
+        sums = np.empty((4, SMALL_CHUNK + SATURATION_WINDOW))
+        slopes = []
+        for start in range(0, n_windows, SMALL_CHUNK):
+            seg = slice(start, min(start + SMALL_CHUNK, n_windows) + SATURATION_WINDOW - 1)
+            slopes.append(estimator._rolling_slopes(R[seg], lb[seg], SATURATION_WINDOW, sums))
+        with mock.patch.object(estimator, "SLOPE_CHUNK", SMALL_CHUNK):
+            want = rolling_slopes_oracle(np.log(R[:stop]), np.log(lb[:stop]), SATURATION_WINDOW)
+        assert np.concatenate(slopes).tobytes() == want.tobytes()
+    got = _outcome(_prefix_fits, trace, k_min)
+    # the oracle lets exp overflow to c = inf with a warning
+    with np.errstate(over="ignore"):
+        want = _outcome(prefix_fits_oracle, trace, k_min)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert np.array_equal(got.k_values, want.k_values)
+    # bit for bit, NaN included
+    assert got.mu_k.tobytes() == want.mu_k.tobytes()
+    assert got.c_k.tobytes() == want.c_k.tobytes()
+    assert got.skipped_k == want.skipped_k
+    track = estimate_track(trace, k_min=k_min)
+    if track.stable_window is not None:
+        k1, k2 = track.stable_window
+        mask = (want.k_values >= k1) & (want.k_values <= k2)
+        assert track.mu_hat == float(np.median(want.mu_k[mask]))
+        assert track.c_hat == float(np.median(want.c_k[mask]))
+
+
+def test_saturation_onset_at_a_chunk_boundary():
+    trace = saturating_trace(**BOUNDARY_ONSET)
+    with mock.patch.object(estimator, "SLOPE_CHUNK", SMALL_CHUNK):
+        assert (detect_discretization_saturation(trace) == saturation_oracle(trace)
+                == 2 * SMALL_CHUNK + SATURATION_WINDOW)
 
 
 @settings(deadline=None, max_examples=150)
