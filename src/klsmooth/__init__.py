@@ -16,13 +16,12 @@ from .problems import (NoisyData, ProblemSpec, add_noise, load_external,
                        make_deriv2, make_exp_operator, make_exp_solution,
                        make_gravity, make_power_law)
 from .landweber import IterationTrace, LandweberConfig, landweber_run, write_trace_csv
-from .estimator import (EstimateTrack, SourceConditionModel,
-                        detect_discretization_saturation, detect_noise_takeover,
-                        detect_stable_window, estimate_track, gamma_to_mu,
-                        mu_to_model)
+from .estimator import (EstimateTrack, detect_discretization_saturation,
+                        detect_noise_takeover, detect_stable_window, estimate_track,
+                        gamma_to_mu)
 from .validation import (RateExperimentResult, SmoothnessVerdict, apriori_alpha,
                          bound_curves, max_mu_spectral, rate_experiment,
-                         tikhonov_solve, verify_smoothness)
+                         rate_exponent, tikhonov_solve, verify_smoothness)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -36,7 +36,8 @@ from .estimator import estimate_track, detect_discretization_saturation
 from .landweber import LandweberConfig, landweber_run, write_trace_csv
 from .operators import ConvergenceError, SpectralDecomposition, svd
 from .problems import ProblemSpec, add_noise
-from .validation import DEFAULT_MU_GRID, max_mu_spectral, rate_experiment, verify_smoothness
+from .validation import (DEFAULT_MU_GRID, bound_curves, max_mu_spectral, rate_experiment,
+                         verify_smoothness)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -267,10 +268,7 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
 
     upper = None
     if p.source_w is not None and p.mu_exact is not None and p.mu_exact > 0:
-        # validation.bound_curves' upper curve; its lower one is the trace's
-        mu = p.mu_exact
-        upper = (float(np.linalg.norm(p.source_w)) ** (1.0 / (2.0 * mu + 1.0))
-                 * trace.residuals ** (2.0 * mu / (2.0 * mu + 1.0)))
+        upper = bound_curves(trace, p.mu_exact, float(np.linalg.norm(p.source_w)))[1]
 
     report = _report(
         p, cfg,
@@ -315,9 +313,7 @@ def _tikhonov_section(p: ProblemSpec, track, levels, seeds,
     except ConvergenceError as exc:
         return {"note": f"failed: {exc}"}
     # vars, not asdict: asdict's list copies raised crosscheck's peak RSS by up to 8 MiB
-    section = {"mu_tested": track.mu_hat, **vars(res)}
-    section["delta_abs"] = section.pop("delta_abs_values")
-    return section
+    return {"mu_tested": track.mu_hat, **vars(res)}
 
 
 def _decomposition(op, max_iters: int, solves: int,
@@ -502,10 +498,9 @@ def _parser() -> argparse.ArgumentParser:
     tab.add_argument("--out", default="tikhonov_table.csv")
     chk = sub.add_parser("svd-check", help="spectral summability check only")
     chk.add_argument("config")
-    for p in (est, chk):
-        p.add_argument("--seed", type=int, default=None, help="override noise.seed")
-        p.add_argument("--iters", type=int, default=None, help="override landweber.max_iters")
-        p.add_argument("--noise", type=float, default=None, help="override noise.rel_level")
+    est.add_argument("--seed", type=int, default=None, help="override noise.seed")
+    est.add_argument("--iters", type=int, default=None, help="override landweber.max_iters")
+    est.add_argument("--noise", type=float, default=None, help="override noise.rel_level")
     return parser
 
 
@@ -519,7 +514,7 @@ def main(argv=None) -> int:
         "estimate": lambda: _estimate(_apply_overrides(load_config(args.config), args)),
         "figures": lambda: _estimate(_figure_config_in(args.name, args.out_dir)),
         "tikhonov-table": lambda: _tikhonov_table(args.configs, args.out),
-        "svd-check": lambda: _svd_check(_apply_overrides(load_config(args.config), args)),
+        "svd-check": lambda: _svd_check(load_config(args.config)),
     }
     try:
         commands[args.command]()

@@ -48,23 +48,6 @@ VERDICT_NOISE = "noise-truncated"
 
 
 @dataclass(frozen=True)
-class SourceConditionModel:
-    """A power-law source condition and the exponents it induces.
-
-    phi(t) = c * t^phi_exponent is the desingularizing function of the
-    gradient inequality; rate_exponent = 2 mu / (2 mu + 1) is the optimal
-    order of convergence in the noise level.
-    """
-
-    mu: float
-    c: float
-    gamma: float
-    kappa: float
-    phi_exponent: float
-    rate_exponent: float
-
-
-@dataclass(frozen=True)
 class EstimateTrack:
     """Per-prefix regression outputs plus stability and noise diagnostics."""
 
@@ -89,21 +72,6 @@ def gamma_to_mu(gamma: float | np.ndarray) -> float | np.ndarray:
     gamma = np.asarray(gamma, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (2.0 - gamma) / (2.0 * gamma - 2.0)
-
-
-def mu_to_model(mu: float, c: float) -> SourceConditionModel:
-    """Populate every exponent derived from (mu, c)."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if c <= 0:
-        raise ValueError("c must be positive")
-    return SourceConditionModel(
-        mu=mu, c=c,
-        gamma=(2.0 * mu + 2.0) / (2.0 * mu + 1.0),
-        kappa=-(mu + 1.0) / (2.0 * mu + 1.0),
-        phi_exponent=mu / (2.0 * mu + 1.0),
-        rate_exponent=2.0 * mu / (2.0 * mu + 1.0),
-    )
 
 
 def _ols(k, s1, s2, sy, sxy):

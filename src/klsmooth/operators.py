@@ -42,14 +42,14 @@ BLOCK_PROBES = 8
 BLOCK_RESIDUAL = 10 * SV_FLOOR
 
 _POWER_ITER_SEED = 74025  # fixed seed so the step-size choice is reproducible
+# operator_norm stops once successive estimates agree to NORM_TOL relative,
+# and fails after NORM_MAX_ITERS steps
+NORM_TOL = 1e-10
+NORM_MAX_ITERS = 10000
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative computation did not reach tolerance; carries the best iterate."""
-
-    def __init__(self, message: str, best: float | None = None):
-        super().__init__(message)
-        self.best = best
+    """Iterative computation did not reach tolerance."""
 
 
 @dataclass(frozen=True)
@@ -204,21 +204,19 @@ def kernel_operator(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return dense_operator(values)
 
 
-def operator_norm(op: LinearOperator, tol: float = 1e-10, max_iters: int = 10000) -> float:
+def operator_norm(op: LinearOperator) -> float:
     """Estimate ||A|| = sigma_1.
 
     Exact for the diagonal kind; power iteration on A*A otherwise, started
     from a fixed pseudo-random vector so repeated runs give identical steps.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if op.kind == "diagonal":
         return float(op.sigmas.max())
     rng = np.random.default_rng(_POWER_ITER_SEED)
     v = rng.standard_normal(op.shape[1])
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(max_iters):
+    for _ in range(NORM_MAX_ITERS):
         with np.errstate(over="ignore", invalid="ignore"):
             w = op.apply_adjoint(op.apply(v))
             nw = float(np.linalg.norm(w))
@@ -228,11 +226,10 @@ def operator_norm(op: LinearOperator, tol: float = 1e-10, max_iters: int = 10000
             raise ConvergenceError("operator norm overflowed during power iteration")
         new_est = np.sqrt(nw)  # ||A*A v|| with unit v converges to sigma_1^2
         v = w / nw
-        if est > 0 and abs(new_est - est) <= tol * new_est:
+        if est > 0 and abs(new_est - est) <= NORM_TOL * new_est:
             return float(new_est)
         est = new_est
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iters} iterations", best=float(est))
+    raise ConvergenceError(f"power iteration did not converge in {NORM_MAX_ITERS} iterations")
 
 
 def plan(op: LinearOperator, block: bool = False) -> str:
@@ -296,7 +293,7 @@ def svd(op: LinearOperator) -> SpectralDecomposition:
                 return sd
             path = plan(op)
         if path == "centro":
-            return _centro_halves(a)
+            return _symmetric_svd(*_centro_split(a), method="centro")
         if path == "eigh":
             return _symmetric_svd(*np.linalg.eigh(a), method="eigh")
         u, s, vt = np.linalg.svd(a, full_matrices=False)
@@ -354,9 +351,19 @@ def _leading_block(a: np.ndarray) -> Optional[SpectralDecomposition]:
     return _symmetric_svd(lam, q @ w, method="block")
 
 
-def _centro_halves(a: np.ndarray) -> SpectralDecomposition:
-    """The singular system of a symmetric matrix that :func:`_splits` (A = J A J,
-    J the exchange matrix), from eigenproblems of half the size or less.
+def _splits(a: np.ndarray) -> bool:
+    """Whether a square matrix has even order and equals J A J bit for bit
+    (about 5 ms at n = 2048). The top m rows against those of J A J test the
+    whole matrix: the bottom rows are the same comparisons."""
+    n = a.shape[0]
+    return n % 2 == 0 and np.array_equal(a[:n // 2], a[::-1, ::-1][:n // 2])
+
+
+def _centro_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of the halves A11 + A12 J and A11 - A12 J of a
+    symmetric matrix that :func:`_splits` (A = J A J, J the exchange matrix),
+    and their eigenvectors side by side, [W Z] (m x n). Each half is freed
+    once decomposed.
 
     With n = 2m and A = [[A11, A12], [A21, A22]], A is orthogonally similar
     to diag(A11 + A12 J, A11 - A12 J) (Cantoni and Butler, Linear Algebra
@@ -369,23 +376,6 @@ def _centro_halves(a: np.ndarray) -> SpectralDecomposition:
     half (the Dirichlet Green's function on [0, 1/2]) splits again, so at
     n = 1024 it calls eigh on orders 512, 256, ..., 2, 1 and 1. Two eigh of
     order m cost about a quarter of one of order n.
-    """
-    return _symmetric_svd(*_centro_split(a), method="centro")
-
-
-def _splits(a: np.ndarray) -> bool:
-    """Whether a square matrix has even order and equals J A J bit for bit
-    (about 5 ms at n = 2048). The top m rows against those of J A J test the
-    whole matrix: the bottom rows are the same comparisons."""
-    n = a.shape[0]
-    return n % 2 == 0 and np.array_equal(a[:n // 2], a[::-1, ::-1][:n // 2])
-
-
-def _centro_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of the halves A11 + A12 J and A11 - A12 J of a
-    symmetric matrix that :func:`_splits`, and their eigenvectors side by
-    side, [W Z] (m x n), each half by :func:`_centro_eigh`. Each half is
-    freed once decomposed.
     """
     m = a.shape[0] // 2
     a11, a12j = a[:m, :m], a[:m, m:][:, ::-1]

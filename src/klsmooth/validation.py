@@ -18,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from .estimator import SourceConditionModel
 from .landweber import IterationTrace
 from .operators import ConvergenceError, LinearOperator, SpectralDecomposition, svd
 from .problems import ProblemSpec, noise_draw
@@ -50,7 +49,7 @@ class RateExperimentResult:
     """Observed vs. predicted Tikhonov convergence rates over noise levels."""
 
     noise_levels: list          # relative levels, strictly decreasing
-    delta_abs_values: list
+    delta_abs: list
     errors: list                # seed-averaged ||x_alpha - x_true|| per level
     observed_exponent: float
     predicted_exponent: float
@@ -129,9 +128,13 @@ def apriori_alpha(delta_abs: float, mu: float) -> float:
         raise ValueError("delta_abs must be non-negative")
     if mu <= 0:
         raise ValueError("mu must be positive")
-    if delta_abs == 0.0:
-        return 0.0
     return float(delta_abs ** (2.0 / (2.0 * mu + 1.0)))
+
+
+def rate_exponent(mu: float) -> float:
+    """The optimal order 2 mu / (2 mu + 1) of convergence in the noise level
+    under a source condition with exponent mu."""
+    return 2.0 * mu / (2.0 * mu + 1.0)
 
 
 def rate_inputs(levels, seeds) -> tuple[list, list]:
@@ -216,9 +219,9 @@ def rate_experiment(p: ProblemSpec, mu_hat: float, levels, seeds=DEFAULT_SEEDS,
         raise ConvergenceError("too few usable noise levels for a rate fit")
     slope = float(np.polyfit(np.log(kept_deltas), np.log(kept_errors), 1)[0])
     return RateExperimentResult(
-        noise_levels=kept_levels, delta_abs_values=kept_deltas,
+        noise_levels=kept_levels, delta_abs=kept_deltas,
         errors=kept_errors, observed_exponent=slope,
-        predicted_exponent=2.0 * mu_hat / (2.0 * mu_hat + 1.0),
+        predicted_exponent=rate_exponent(mu_hat),
         seeds=seeds, alphas=kept_alphas, notes=notes,
         solver="cg" if sd is None else "filter-factors")
 
@@ -328,15 +331,14 @@ def max_mu_spectral(sd: SpectralDecomposition, y: np.ndarray) -> Optional[float]
     return float(lo)
 
 
-def bound_curves(trace: IterationTrace, model: SourceConditionModel,
-                 w_norm: Optional[float] = None
+def bound_curves(trace: IterationTrace, mu: float, w_norm: Optional[float] = None
                  ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Observable lower bound and source-condition upper bound per iteration.
 
     lower_k = R_k^2 / G_k needs nothing but the trace (recomputed here so the
     check stays independent of the logged column); upper_k =
     ||w||^(1/(2mu+1)) * R_k^(2mu/(2mu+1)) additionally needs the norm of the
-    source element. Iterations with G_k = 0 yield NaN markers.
+    source element and mu > 0. Iterations with G_k = 0 yield NaN markers.
     """
     R = trace.residuals
     G = trace.gradient_norms
@@ -344,7 +346,7 @@ def bound_curves(trace: IterationTrace, model: SourceConditionModel,
         lower = np.where(G > 0.0, R * R / np.where(G > 0.0, G, 1.0), np.nan)
     upper = None
     if w_norm is not None:
-        if w_norm <= 0:
-            raise ValueError("w_norm must be positive")
-        upper = w_norm ** (1.0 / (2.0 * model.mu + 1.0)) * R ** model.rate_exponent
+        if w_norm <= 0 or mu <= 0:
+            raise ValueError("w_norm and mu must be positive")
+        upper = w_norm ** (1.0 / (2.0 * mu + 1.0)) * R ** rate_exponent(mu)
     return lower, upper

@@ -8,13 +8,15 @@ search was restricted to where a window can lie. prefix_fits_oracle and
 saturation_oracle are the estimator's prefix fits and saturation detector
 from before they worked in place: every sum, fit and slope allocated anew,
 and the detector logged and sloped the whole trace from its first window on.
-regress_prefix, the fit of one prefix, has no caller in the package.
+regress_prefix, the fit of one prefix, and mu_to_model, the exponents of a
+source condition written out one by one, have no caller in the package.
 """
 
 import math
 import tempfile
 import warnings
 from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -167,6 +169,38 @@ def brute_force_least_squares(xs, ys):
     ata = a.T @ a
     slope, intercept = np.linalg.solve(ata, a.T @ ys)
     return float(slope), float(intercept)
+
+
+@dataclass(frozen=True)
+class SourceConditionModel:
+    """A power-law source condition and the exponents it induces.
+
+    phi(t) = c * t^phi_exponent is the desingularizing function of the
+    gradient inequality; rate_exponent = 2 mu / (2 mu + 1) is the optimal
+    order of convergence in the noise level.
+    """
+
+    mu: float
+    c: float
+    gamma: float
+    kappa: float
+    phi_exponent: float
+    rate_exponent: float
+
+
+def mu_to_model(mu: float, c: float) -> SourceConditionModel:
+    """Populate every exponent derived from (mu, c)."""
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    if c <= 0:
+        raise ValueError("c must be positive")
+    return SourceConditionModel(
+        mu=mu, c=c,
+        gamma=(2.0 * mu + 2.0) / (2.0 * mu + 1.0),
+        kappa=-(mu + 1.0) / (2.0 * mu + 1.0),
+        phi_exponent=mu / (2.0 * mu + 1.0),
+        rate_exponent=2.0 * mu / (2.0 * mu + 1.0),
+    )
 
 
 def regress_prefix(trace: IterationTrace, k: int) -> tuple[float, float]:

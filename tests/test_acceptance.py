@@ -13,13 +13,13 @@ import pytest
 
 import klsmooth as ks
 from klsmooth.cli import EXIT_OK, main
-from klsmooth.estimator import detect_discretization_saturation, estimate_track, mu_to_model
+from klsmooth.estimator import detect_discretization_saturation, estimate_track
 from klsmooth.landweber import LandweberConfig, landweber_run
 from klsmooth.operators import svd, write_matrix_market, write_vector
 from klsmooth.problems import (add_noise, load_external, make_exp_operator,
                                make_power_law)
 from klsmooth.validation import (bound_curves, max_mu_spectral, rate_experiment,
-                                 verify_smoothness)
+                                 rate_exponent, verify_smoothness)
 
 from _oracles import diagonal_landweber_oracle, regress_prefix
 
@@ -124,9 +124,8 @@ def test_criterion_04_unconditional_lower_bound(benchmark_runs, random_noise_fre
 
 def test_criterion_05_sandwich_bound(benchmark_runs):
     p, trace, track, mu_true = benchmark_runs[(2.0, 2.0)]
-    model = mu_to_model(p.mu_exact, 1.0)
     w_norm = float(np.linalg.norm(p.source_w))
-    lower, upper = bound_curves(trace, model, w_norm=w_norm)
+    lower, upper = bound_curves(trace, p.mu_exact, w_norm=w_norm)
     assert np.all(lower <= trace.errors * (1.0 + 1e-12))
     assert np.all(trace.errors <= upper * (1.0 + 1e-6))
     # log-log slopes against the residual over the post-burn-in range
@@ -149,11 +148,11 @@ def test_criterion_06_tikhonov_rate_cross_check(benchmark_runs):
     res = rate_experiment(p, mu_hat, levels, seeds=(0, 1, 2, 3, 4))
     gap = abs(res.observed_exponent - res.predicted_exponent)
     assert gap <= 0.05
-    for alpha, delta in zip(res.alphas, res.delta_abs_values):
+    for alpha, delta in zip(res.alphas, res.delta_abs):
         assert alpha == pytest.approx(delta ** (2.0 / (2.0 * mu_hat + 1.0)), rel=1e-12)
     # quoted rate-exponent arithmetic, three decimals
     for mu, quoted in ((0.13, 0.206), (0.2, 0.2857), (0.3, 0.375)):
-        assert abs(mu_to_model(mu, 1.0).rate_exponent - quoted) <= 5e-4
+        assert abs(rate_exponent(mu) - quoted) <= 5e-4
     announce(6, f"observed {res.observed_exponent:.4f} vs predicted "
                 f"{res.predicted_exponent:.4f} (gap {gap:.4f} <= 0.05); "
                 "rate arithmetic 0.13->0.206, 0.2->0.2857, 0.3->0.375 checked")

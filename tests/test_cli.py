@@ -15,10 +15,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from klsmooth.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                           ConfigError, ExperimentConfig, figure_config,
                           main, parse_config_text, run_pipeline)
-from klsmooth import cli, operators
+from klsmooth import cli, operators, validation
 from klsmooth.operators import write_matrix_market, write_vector
 from klsmooth.problems import make_deriv2, make_gravity
-from klsmooth.validation import DEFAULT_LEVELS, DEFAULT_SEEDS
+from klsmooth.validation import DEFAULT_LEVELS, DEFAULT_SEEDS, rate_exponent
 
 SMALL_DIAG = """
 problem.kind = power_law
@@ -717,6 +717,44 @@ def test_parser_built_once_keeps_no_state_between_calls(tmp_path, capsys):
     assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--iters", "5"], ["--seed", "3"], ["--noise", "0.01"]],
+                         ids=["iters", "seed", "noise"])
+def test_svd_check_takes_no_overrides(tmp_path, capsys, flags):
+    # svd-check runs neither noise nor Landweber, so the overrides are
+    # estimate's alone: argparse refuses them before anything runs
+    path, _, report_path = write_cfg(tmp_path, SMALL_DIAG)
+    with pytest.raises(SystemExit) as exc:
+        main(["svd-check", str(path), *flags])
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
+@pytest.mark.parametrize("change, calls", [({}, 1), ({"source_w": None}, 0),
+                                           ({"mu_exact": None}, 0), ({"mu_exact": 0.0}, 0)],
+                         ids=["source", "no-source", "no-mu", "mu-zero"])
+def test_upper_curve_comes_from_bound_curves(monkeypatch, change, calls):
+    """run_pipeline takes the upper curve from validation.bound_curves, once,
+    when the problem has a source element and mu_exact > 0, and has none
+    otherwise."""
+    seen = []
+
+    def spy(trace, mu, w_norm=None):
+        seen.append((mu, w_norm))
+        return validation.bound_curves(trace, mu, w_norm)
+    build = cli.BUILDERS["power_law"]
+    monkeypatch.setitem(cli.BUILDERS, "power_law", lambda cfg: replace(build(cfg), **change))
+    monkeypatch.setattr(cli, "bound_curves", spy)
+    cfg = parse_config_text(SMALL_DIAG)
+    result = run_pipeline(cfg)
+    assert len(seen) == calls
+    if calls:
+        p = build(cfg)
+        assert seen == [(p.mu_exact, float(np.linalg.norm(p.source_w)))]
+        assert result["upper"] is not None
+    else:
+        assert result["upper"] is None
+
+
 def test_run_pipeline_report_sections(tmp_path):
     cfg = parse_config_text(SMALL_DIAG + "validation.run_tikhonov = true\n"
                                          "validation.run_svd_check = true\n"
@@ -728,6 +766,9 @@ def test_run_pipeline_report_sections(tmp_path):
     assert report["svd_check"]["mu_max_estimate"] is not None
     assert report["tikhonov_rate"]["observed_exponent"] == pytest.approx(
         report["tikhonov_rate"]["predicted_exponent"], abs=0.2)
+    # the predicted rate is validation.rate_exponent's, bit for bit
+    rate = report["tikhonov_rate"]
+    assert rate["predicted_exponent"] == rate_exponent(rate["mu_tested"])
 
 
 def test_figure_unknown_name(tmp_path, capsys):

@@ -8,11 +8,12 @@ import klsmooth as ks
 from klsmooth.estimator import (DEFAULT_EPS_C_REL, DEFAULT_EPS_MU, DEFAULT_W_MIN, SLOPE_CHUNK,
                                 EstimateTrack, detect_discretization_saturation,
                                 detect_noise_takeover, detect_stable_window,
-                                estimate_track, gamma_to_mu, mu_to_model)
+                                estimate_track, gamma_to_mu)
 from klsmooth.landweber import IterationTrace, LandweberConfig, landweber_run
 from klsmooth.problems import add_noise, make_power_law
 
-from _oracles import brute_force_least_squares, regress_prefix, stable_window_oracle
+from _oracles import (brute_force_least_squares, mu_to_model, regress_prefix,
+                      stable_window_oracle)
 
 
 def mk_trace(R, G, errors=None):

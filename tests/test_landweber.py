@@ -8,7 +8,7 @@ from klsmooth.cli import FIGURE_NAMES, build_problem, figure_config, run_pipelin
 from klsmooth.landweber import (EARLY_STOP_REL, SLOW_DEGREE, SLOW_REACH, IterationTrace,
                                 LandweberConfig, _block_sizes, _slow_modes, _stop_floors,
                                 diagonal_trace, landweber_run, matvec_trace)
-from klsmooth.operators import (_DECIMAL_BLOCK, ConvergenceError, _centro_halves,
+from klsmooth.operators import (_DECIMAL_BLOCK, ConvergenceError, _centro_split,
                                 _symmetric_svd, dense_operator, diagonal_operator,
                                 operator_norm, svd)
 from klsmooth.problems import ProblemSpec, add_noise, make_deriv2, make_gravity, make_power_law
@@ -657,7 +657,7 @@ def test_centro_decomposition_matches_the_full_eigh(monkeypatch, make, n):
         calls.append(b.shape)
         return eigh(b)
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    sd = _centro_halves(a)
+    sd = _symmetric_svd(*_centro_split(a), method="centro")
     if make is make_deriv2:
         # the even half of each order n/2, n/4, ..., 2, then the two of order 1
         orders = [n >> k for k in range(1, n.bit_length())] + [1]

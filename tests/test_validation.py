@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 import klsmooth as ks
 from klsmooth import validation
-from klsmooth.estimator import mu_to_model
 from klsmooth.landweber import IterationTrace, LandweberConfig, landweber_run
 from klsmooth.operators import SpectralDecomposition, dense_operator, diagonal_operator, svd
 from klsmooth.problems import add_noise, make_deriv2, make_gravity, make_power_law
@@ -92,7 +91,7 @@ def test_rate_experiment_diagonal_benchmark():
     assert abs(res.observed_exponent - 3.0 / 7.0) <= 0.05
     assert res.noise_levels == sorted(res.noise_levels, reverse=True)
     assert np.allclose(res.alphas,
-                       [d ** (2.0 / (2.0 * 0.375 + 1.0)) for d in res.delta_abs_values])
+                       [d ** (2.0 / (2.0 * 0.375 + 1.0)) for d in res.delta_abs])
 
 
 def test_rate_experiment_flags_wrong_mu():
@@ -154,7 +153,7 @@ def test_rate_experiment_matches_add_noise_per_level_and_seed(make, rel):
     sd = svd(p.operator)
     res = rate_experiment(p, 0.3, DEFAULT_LEVELS, DEFAULT_SEEDS, sd)
     oracle = _rate_errors_by_add_noise(p, 0.3, sd)
-    assert res.delta_abs_values == [add_noise(p, l, 0).delta_abs for l in DEFAULT_LEVELS]
+    assert res.delta_abs == [add_noise(p, l, 0).delta_abs for l in DEFAULT_LEVELS]
     if rel == 0.0:
         assert res.errors == oracle
     else:
@@ -299,7 +298,7 @@ def test_bound_curves_single_mode_lower_is_error():
     p = ks.ProblemSpec(operator=diagonal_operator([sig]), y_clean=np.array([sig * 1.0]),
                        x_true=np.array([1.0]))
     trace = landweber_run(p, p.y_clean, LandweberConfig(step_beta=1.0, max_iters=20))
-    lower, upper = bound_curves(trace, mu_to_model(0.5, 1.0))
+    lower, upper = bound_curves(trace, 0.5)
     assert np.allclose(lower, trace.errors, rtol=1e-12)
     assert upper is None
 
@@ -307,22 +306,24 @@ def test_bound_curves_single_mode_lower_is_error():
 def test_bound_curves_arithmetic():
     trace = IterationTrace(residuals=np.array([0.1]), gradient_norms=np.array([0.05]),
                            lower_bounds=np.array([0.2]))
-    lower, upper = bound_curves(trace, mu_to_model(0.375, 1.0), w_norm=2.0)
+    lower, upper = bound_curves(trace, 0.375, w_norm=2.0)
     assert lower[0] == pytest.approx(0.2, rel=1e-14)
     assert upper[0] == pytest.approx(2.0 ** (1.0 / 1.75) * 0.1 ** (3.0 / 7.0), rel=1e-12)
+    for mu, w_norm in ((0.0, 2.0), (0.375, 0.0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            bound_curves(trace, mu, w_norm=w_norm)
 
 
 def test_bound_curves_zero_gradient_marker():
     trace = IterationTrace(residuals=np.array([0.1, 0.0]), gradient_norms=np.array([0.05, 0.0]),
                            lower_bounds=np.array([0.2, np.nan]))
-    lower, _ = bound_curves(trace, mu_to_model(0.5, 1.0))
+    lower, _ = bound_curves(trace, 0.5)
     assert np.isnan(lower[1]) and lower[0] == pytest.approx(0.2)
 
 
 def test_bound_curves_sandwich_small_benchmark():
     p = make_power_law(500, 2, 2)
     trace = landweber_run(p, p.y_clean, LandweberConfig(max_iters=300))
-    model = mu_to_model(p.mu_exact, 1.0)
-    lower, upper = bound_curves(trace, model, w_norm=float(np.linalg.norm(p.source_w)))
+    lower, upper = bound_curves(trace, p.mu_exact, w_norm=float(np.linalg.norm(p.source_w)))
     assert np.all(lower <= trace.errors * (1.0 + 1e-12))
     assert np.all(trace.errors <= upper * (1.0 + 1e-6))
