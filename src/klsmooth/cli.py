@@ -319,7 +319,7 @@ def _tikhonov_section(p: ProblemSpec, track, levels, seeds,
 def _decomposition(op, max_iters: int, solves: int,
                    checked: bool) -> tuple[Optional[SpectralDecomposition], str]:
     """svd(op) if the run takes the spectral path, else None and the note
-    the SVD check reports: an operator over the size limit, or no convergence.
+    the SVD check reports (see :func:`_checked_svd`).
 
     This is the one place that decides. A checked run always takes it, for
     the summability test; any other when operators.plan_ns prices it below
@@ -331,6 +331,15 @@ def _decomposition(op, max_iters: int, solves: int,
     try:
         if not checked and operators.plan_ns(op) >= pairs * (PAIR_NS + PAIR_NS_PER_ENTRY * m * n):
             return None, ""
+    except ValueError as exc:   # plan() refuses an operator over SVD_SIZE_LIMIT
+        return None, f"skipped: {exc}"
+    return _checked_svd(op)
+
+
+def _checked_svd(op) -> tuple[Optional[SpectralDecomposition], str]:
+    """svd(op), or None and the note the SVD check reports: an operator over
+    the size limit, or no convergence."""
+    try:
         return svd(op), ""
     except ConvergenceError as exc:
         return None, f"failed: {exc}"
@@ -464,7 +473,7 @@ def _label(cfg: ExperimentConfig) -> str:
 def _svd_check(cfg: ExperimentConfig) -> None:
     """Spectral summability check only; writes the report."""
     p = build_problem(cfg)
-    sd, note = _decomposition(p.operator, cfg.landweber_max_iters, 0, checked=True)
+    sd, note = _checked_svd(p.operator)
     _write_report(cfg.output_report_path, _report(p, cfg, svd_check=_svd_section(p, sd, note)))
 
 

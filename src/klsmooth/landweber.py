@@ -25,8 +25,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .operators import (LinearOperator, SpectralDecomposition, decimal_rows, operator_norm,
-                        svd)
+from .operators import (LinearOperator, SpectralDecomposition, decimal_block,
+                        decimal_block_rows, operator_norm, svd)
 from .problems import ProblemSpec
 
 # The iteration has converged once R_k or beta^(1/2) G_k (a residual's
@@ -433,43 +433,53 @@ def _powers(q: np.ndarray, log_q: np.ndarray, nonpos: np.ndarray, k,
     return q_k, comp
 
 
-def _by_iteration(n: int, k_values: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """values[j] placed at row k_values[j] - 1 of n rows, NaN elsewhere."""
-    out = np.full(n, np.nan)
-    rows = np.asarray(k_values) - 1
-    keep = (rows >= 0) & (rows < n)
-    out[rows[keep]] = np.asarray(values, dtype=float)[keep]
-    return out
-
-
 def write_trace_csv(path, trace: IterationTrace, mu_k=None, c_k=None, k_values=None,
                     upper_bounds=None) -> None:
     """Write the trace as CSV, one row per iteration, a block of rows at a time.
 
-    Values are written at 17 significant digits by :func:`decimal_rows`, so
+    Values are written at 17 significant digits by :func:`decimal_block`, so
     they read back bit-exactly; non-finite cells stay empty, as does every
     cell of a column that is not given. The estimator's columns mu_k, c_k
-    belong to the iterations k_values and start at k_min, so their earlier
-    cells are empty. An upper-bound column is appended when bound curves were
-    computed. k prints as an integer, as %.17g prints any integer below 1e17.
+    belong to the iterations k_values, in ascending order (the estimator's
+    count up by one from k_min), so the cells of other iterations are empty.
+    An upper-bound column is appended when bound curves were computed. k
+    prints as an integer, as %.17g prints any integer below 1e17.
+
+    No table of the trace is built: each block's rows are copied from the
+    columns into one buffer of :func:`decimal_block_rows` rows, the estimates
+    of the block's iterations found by a binary search in k_values, and the
+    block's text goes to the file as bytes.
     """
     n = len(trace)
-    mu_col = c_col = None
-    if mu_k is not None:
-        mu_col = _by_iteration(n, k_values, mu_k)
-        if c_k is not None:
-            c_col = _by_iteration(n, k_values, c_k)
-    header = ["k", "residual", "gradient_norm", "lower_bound", "error", "mu_k", "c_k"]
+    header = "k,residual,gradient_norm,lower_bound,error,mu_k,c_k"
+    # mu_k and c_k, columns 5 and 6, go by iteration below
     columns = [trace.residuals, trace.gradient_norms, trace.lower_bounds, trace.errors,
-               mu_col, c_col]
+               None, None]
     if upper_bounds is not None:
-        header.append("upper_bound")
+        header += ",upper_bound"
         columns.append(upper_bounds)
-    table = np.full((n, len(header)), np.nan)
-    table[:, 0] = trace.k_values
-    for j, col in enumerate(columns, start=1):
-        if col is not None:
-            table[:, j] = col
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(decimal_rows(table, blank_nonfinite=True))
+    # (column, values) of the columns with a value at every iteration
+    spans = [(j, col) for j, col in enumerate(columns, start=1) if col is not None]
+    estimates = []
+    if mu_k is not None:
+        k_values = np.asarray(k_values)
+        estimates = [(5, mu_k)] if c_k is None else [(5, mu_k), (6, c_k)]
+    rows = decimal_block_rows(len(columns) + 1)
+    buf = np.full((min(rows, n), len(columns) + 1), np.nan)
+    k = np.arange(1.0, len(buf) + 1.0)
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, n, rows):
+            block = buf[:n - start]
+            m = len(block)
+            np.add(k[:m], start, out=block[:, 0])
+            for j, col in spans:
+                block[:, j] = col[start:start + m]
+            if estimates:
+                lo, hi = np.searchsorted(k_values, (start + 1, start + m + 1)).tolist()
+                at = k_values[lo:hi] - (start + 1)
+                for j, col in estimates:
+                    if hi - lo < m:
+                        block[:, j] = np.nan
+                    block[at, j] = col[lo:hi]
+            fh.write(decimal_block(block, blank_nonfinite=True))

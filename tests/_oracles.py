@@ -588,12 +588,19 @@ def saturating_trace(seed: int, n: int, kink: int, early_slope: float, noise: fl
     return IterationTrace(residuals=R, gradient_norms=G, lower_bounds=lb)
 
 
+def _by_iteration(n: int, k_values: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values[j] placed at row k_values[j] - 1 of n rows, NaN elsewhere."""
+    out = np.full(n, np.nan)
+    rows = np.asarray(k_values) - 1
+    keep = (rows >= 0) & (rows < n)
+    out[rows[keep]] = np.asarray(values, dtype=float)[keep]
+    return out
+
+
 def trace_csv_by_column(trace, mu_k=None, c_k=None, k_values=None, upper_bounds=None):
     """write_trace_csv's table written one column at a time: each value by
     f"{x:.17g}", each non-finite one blanked by its index, rows joined by
     commas."""
-    from klsmooth.landweber import _by_iteration
-
     n = len(trace)
     mu_col = c_col = None
     if mu_k is not None:

@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from klsmooth import landweber
 from klsmooth.cli import FIGURE_NAMES, build_problem, figure_config, run_pipeline
+from klsmooth.estimator import estimate_track
 from klsmooth.landweber import (EARLY_STOP_REL, SLOW_DEGREE, SLOW_REACH, IterationTrace,
                                 LandweberConfig, _block_sizes, _slow_modes, _stop_floors,
-                                diagonal_trace, landweber_run, matvec_trace)
-from klsmooth.operators import (_DECIMAL_BLOCK, ConvergenceError, _centro_split,
-                                _symmetric_svd, dense_operator, diagonal_operator,
-                                operator_norm, svd)
+                                diagonal_trace, landweber_run, matvec_trace, write_trace_csv)
+from klsmooth.operators import (ConvergenceError, _centro_split, _symmetric_svd,
+                                decimal_block_rows, decimal_rows, dense_operator,
+                                diagonal_operator, operator_norm, svd)
 from klsmooth.problems import ProblemSpec, add_noise, make_deriv2, make_gravity, make_power_law
 from klsmooth.validation import DEFAULT_MU_GRID, max_mu_spectral, verify_smoothness
 
@@ -173,7 +176,7 @@ def test_trace_csv_matches_the_column_writer_across_blocks():
     # formatter's blocks, and non-finite cells sit on both sides of one edge
     rng = np.random.default_rng(11)
     n = 10_001
-    edge = _DECIMAL_BLOCK // 8        # rows per block with all eight columns
+    edge = decimal_block_rows(8)      # rows per block with all eight columns
     R, G, lb, E, upper = (np.exp(rng.uniform(-80, 5, n)) * rng.choice([-1.0, 1.0], n)
                           for _ in range(5))
     R[edge - 1], G[edge], lb[edge - 1], E[edge], upper[edge - 1] = (np.nan, np.inf, -np.inf,
@@ -189,6 +192,64 @@ def test_trace_csv_matches_the_column_writer_across_blocks():
     lines = text.splitlines()
     assert lines[9999].startswith("9999,") and lines[10001].startswith("10001,")
     assert lines[edge].split(",")[1] == "" and lines[edge + 1].split(",")[2] == ""
+
+
+@pytest.mark.parametrize("with_upper", [True, False])
+def test_trace_csv_matches_the_column_writer_over_odd_blocks(monkeypatch, with_upper):
+    # 59 values a block, not a multiple of the 8 (or 7) columns: blocks of 7
+    # (8) rows, 40 block edges and a partial last block of 3 rows. Every edge
+    # has non-finite cells on both sides, and the estimates run from
+    # k_min = 20 to the last full block's last row but one
+    monkeypatch.setattr("klsmooth.operators._DECIMAL_BLOCK", 59)
+    rows = decimal_block_rows(8 if with_upper else 7)
+    assert rows == (7 if with_upper else 8)
+    n = 40 * rows + 3
+    rng = np.random.default_rng(13)
+    R, G, lb, E, upper = (np.exp(rng.uniform(-80, 5, n)) * rng.choice([-1.0, 1.0], n)
+                          for _ in range(5))
+    edges = np.arange(rows, n, rows)          # the first row of every block but the first
+    R[edges - 1], G[edges], lb[edges - 1], E[edges], upper[edges - 1] = (np.nan, np.inf,
+                                                                         -np.inf, np.nan, np.inf)
+    trace = IterationTrace(residuals=R, gradient_norms=G, lower_bounds=lb, errors=E)
+    k_values = np.arange(20, n - 3)
+    mu_k = rng.uniform(-1, 2, k_values.size)
+    c_k = np.exp(rng.uniform(-5, 5, k_values.size))
+    # on each side of every edge the estimates cover: k = edge, the last row
+    # of a block, and k = edge + 1, the first of the next
+    inner = edges[(edges > 20) & (edges - 19 < k_values.size)]
+    mu_k[inner - 20], c_k[inner - 19] = np.nan, -np.inf
+    kwargs = dict(mu_k=mu_k, c_k=c_k, k_values=k_values,
+                  upper_bounds=upper if with_upper else None)
+    calls = []
+
+    def counted(block, blank_nonfinite=False):
+        calls.append(len(block))
+        return decimal_block(block, blank_nonfinite)
+
+    decimal_block = landweber.decimal_block
+    monkeypatch.setattr(landweber, "decimal_block", counted)
+    assert written_trace_csv(trace, **kwargs) == trace_csv_by_column(trace, **kwargs)
+    assert calls == [rows] * 40 + [3]
+
+
+def test_trace_csv_memory_stays_bounded(tmp_path):
+    # the saturation benchmark's trace: power law n = 200 to K = 70,000
+    p = make_power_law(200, 2, 1)
+    trace = landweber_run(p, p.y_clean, LandweberConfig(max_iters=70_000))
+    track = estimate_track(trace)
+    column = 8 * len(trace)   # bytes of one float64 column of the trace
+    list(decimal_rows(np.ones((1, 1))))     # the formatter's tables, built once per process
+    tracemalloc.start()
+    try:
+        write_trace_csv(tmp_path / "trace.csv", trace, mu_k=track.mu_k, c_k=track.c_k,
+                        k_values=track.k_values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block's rows and the formatter's work arrays, about 1.4 columns
+    # here (10.2 when the writer built the whole table and its estimate
+    # columns first)
+    assert peak < 2 * column
 
 
 def test_trace_csv_blanks_exactly_the_non_finite_cells():

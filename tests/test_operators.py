@@ -421,6 +421,21 @@ def test_writers_print_one_17_digit_value_per_line(tmp_path):
     assert (tmp_path / "v.txt").read_text() == "".join(f"{x:.17g}\n" for x in a[0])
 
 
+@pytest.mark.parametrize("m, n", [(7, 20), (100, 3)])
+def test_matrix_market_text_over_odd_blocks(tmp_path, monkeypatch, m, n):
+    # 59 values a block: 8 columns of 7 entries (56 values) a block and a
+    # partial last one of 4 columns, or each 100-entry column split into 59
+    # and 41 values
+    monkeypatch.setattr(operators, "_DECIMAL_BLOCK", 59)
+    rng = np.random.default_rng(14)
+    a = np.exp(rng.uniform(-80, 80, (m, n))) * rng.choice([-1.0, 1.0], (m, n))
+    a.T.reshape(-1)[58:61] = (np.nan, -np.inf, -0.0)     # column-major entries 58 to 60
+    write_matrix_market(tmp_path / "a.mtx", a)
+    assert (tmp_path / "a.mtx").read_text() == (
+        f"%%MatrixMarket matrix array real general\n{m} {n}\n"
+        + "".join(f"{x:.17g}\n" for x in a.T.ravel().tolist()))
+
+
 def percent_17g(values):
     return ["%.17g" % x for x in np.asarray(values, dtype=float).tolist()]
 
@@ -428,7 +443,7 @@ def percent_17g(values):
 def formatted(values):
     """decimal_rows' text of each value, one value per row."""
     column = np.asarray(values, dtype=float).reshape(-1, 1)
-    return "".join(decimal_rows(column)).split("\n")[:-1]
+    return b"".join(decimal_rows(column)).decode("ascii").split("\n")[:-1]
 
 
 # frac(|x| 10^(16 - e)) is 0.49999943 here, too near a half for the product
@@ -484,8 +499,8 @@ def test_decimal_rows_formats_unsettled_values_by_percent():
     assert _decimal_digits(x)[2].tolist() == [False] * 8 + [True]
     assert formatted(x) == percent_17g(x)
     table = np.array([[np.nan, 1.0], [np.inf, -np.inf], [2.5, NEAR_HALF[0]]])
-    assert "".join(decimal_rows(table, blank_nonfinite=True)) == (
-        ",1\n,\n2.5,0.64375734856412758\n")
+    assert b"".join(decimal_rows(table, blank_nonfinite=True)) == (
+        b",1\n,\n2.5,0.64375734856412758\n")
 
 
 def test_matrix_market_pattern_entries_are_ones(tmp_path):
