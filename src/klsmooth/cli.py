@@ -324,7 +324,7 @@ def _decomposition(op, max_iters: int, solves: int,
     This is the one place that decides. A checked run always takes it, for
     the summability test; any other when operators.plan_ns prices it below
     the loop: ``max_iters`` Landweber steps, power iteration and ``solves``
-    Tikhonov solves by CG (a diagonal operator's is free).
+    Tikhonov solves by CG (a known singular system is free).
     """
     m, n = op.shape
     pairs = max_iters + NORM_PAIRS + solves * CG_PAIRS_PER_SOLVE

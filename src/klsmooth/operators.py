@@ -8,6 +8,7 @@ Two operator kinds are supported:
   (:func:`kernel_operator`) are dense matrices built by the midpoint rule on
   the nodes of :func:`midpoint_nodes`.
 
+Either kind may carry its singular system, known without a factorization.
 Operators are immutable after construction and safe to share across threads.
 """
 
@@ -22,8 +23,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-# plan() refuses a dense operator over this size in min(m, n); beyond it use
-# the diagonal kind or skip spectral verification.
+# plan() refuses an operator over this size in min(m, n) unless its singular
+# system is known; beyond it use such an operator or skip spectral verification.
 SVD_SIZE_LIMIT = 2048
 
 # Singular values below this fraction of sigma_1 are numerically void.
@@ -61,12 +62,14 @@ class LinearOperator:
         shape: (m, n) output/input dimensions.
         sigmas: singular values, diagonal kind only.
         matrix: the matrix, dense kind only.
+        singular_system: its singular system, where known without a factorization.
     """
 
     kind: str
     shape: tuple[int, int]
     sigmas: Optional[np.ndarray] = None
     matrix: Optional[np.ndarray] = None
+    singular_system: Optional[SpectralDecomposition] = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Return A x."""
@@ -102,8 +105,12 @@ class LinearOperator:
 
     @cached_property
     def centrosymmetric(self) -> bool:
-        """A square matrix that :func:`_splits`, tested once, as symmetric is."""
-        return _splits(self.matrix)
+        """A square matrix of even order equal to J A J bit for bit, tested
+        once, as symmetric is (about 5 ms at n = 2048). The top n/2 rows
+        against those of J A J test the whole matrix: the bottom rows are
+        the same comparisons."""
+        a, n = self.matrix, self.shape[0]
+        return n % 2 == 0 and np.array_equal(a[:n // 2], a[::-1, ::-1][:n // 2])
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,7 @@ class SpectralDecomposition:
     A = U diag(lam) U* keeps no second n x r array: v = None, and its right
     vectors are v_i = signs_i u_i with signs_i = sign(lam_i). ``method``
     names what computed it: "canonical" (a diagonal operator's own sigmas),
-    "svd", "eigh", "block" or "centro" (see :func:`svd`).
+    "dst" (deriv2's sine basis), "svd", "eigh", "block" or "centro".
     """
 
     sigmas: np.ndarray
@@ -163,7 +170,8 @@ def diagonal_operator(sigmas) -> LinearOperator:
     if np.any(np.diff(s) > 0):
         raise ValueError("diagonal singular values must be non-increasing")
     n = s.size
-    return LinearOperator(kind="diagonal", shape=(n, n), sigmas=s)
+    return LinearOperator(kind="diagonal", shape=(n, n), sigmas=s,
+                          singular_system=SpectralDecomposition(sigmas=s, method="canonical"))
 
 
 def dense_operator(matrix) -> LinearOperator:
@@ -207,11 +215,11 @@ def kernel_operator(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
 def operator_norm(op: LinearOperator) -> float:
     """Estimate ||A|| = sigma_1.
 
-    Exact for the diagonal kind; power iteration on A*A otherwise, started
-    from a fixed pseudo-random vector so repeated runs give identical steps.
+    Exact from a known singular system; power iteration on A*A otherwise,
+    started from a fixed pseudo-random vector so repeated runs give identical steps.
     """
-    if op.kind == "diagonal":
-        return float(op.sigmas.max())
+    if op.singular_system is not None:
+        return float(op.singular_system.sigmas.max())
     rng = np.random.default_rng(_POWER_ITER_SEED)
     v = rng.standard_normal(op.shape[1])
     v /= np.linalg.norm(v)
@@ -234,14 +242,14 @@ def operator_norm(op: LinearOperator) -> float:
 
 def plan(op: LinearOperator, block: bool = False) -> str:
     """The path :func:`svd` takes, from exact tests alone, each run once per
-    operator: "canonical" (diagonal), "svd" (not symmetric bit for bit),
-    "centro" (symmetric and :func:`_splits`) or "eigh". This is the one
-    place that refuses a dense operator over SVD_SIZE_LIMIT. From 8 BLOCK
-    columns svd() tries :func:`_leading_block` before the centrosymmetry
+    operator: a known singular system's method, else "svd" (not symmetric bit
+    for bit), "centro" (also centrosymmetric) or "eigh". This is the one place
+    that refuses an operator with no known system over SVD_SIZE_LIMIT. From 8
+    BLOCK columns svd() tries :func:`_leading_block` before the centrosymmetry
     test: ``block`` names it "block" there.
     """
-    if op.kind == "diagonal":
-        return "canonical"
+    if op.singular_system is not None:
+        return op.singular_system.method
     if min(op.shape) > SVD_SIZE_LIMIT:
         raise ValueError(f"operator exceeds the dense SVD limit {SVD_SIZE_LIMIT}")
     if not op.symmetric:
@@ -263,29 +271,30 @@ EIGH_NS_PER_ENTRY = 108.0
 
 
 def plan_ns(op: LinearOperator) -> float:
-    """plan(op)'s decomposition in nanoseconds. "centro" is two eigh of order
-    n/2, an upper bound where a half splits again (deriv2's odd half does);
-    a block, accepted only after a product, is priced as its fallback."""
+    """plan(op)'s decomposition in nanoseconds: a known system is free, and
+    "centro" is two eigh of order n/2; a block, accepted only after a
+    product, is priced as its fallback."""
+    if op.singular_system is not None:
+        return 0.0
     path, (m, n) = plan(op), op.shape
     if path == "svd":
         return m * n * (SVD_NS_PER_CUBE * min(m, n) + SVD_NS_PER_ENTRY)
-    count, order = {"canonical": (0, 0), "eigh": (1, n), "centro": (2, n / 2)}[path]
+    count, order = {"eigh": (1, n), "centro": (2, n / 2)}[path]
     return count * order * order * (EIGH_NS_PER_CUBE * order + EIGH_NS_PER_ENTRY)
 
 
 def svd(op: LinearOperator) -> SpectralDecomposition:
     """Singular value decomposition, truncated at SV_FLOOR * sigma_1, by the
     path :func:`plan` names, or by :func:`_leading_block` where that block is
-    tried and accepted. A diagonal operator keeps its stored sigmas (exact
-    data, untruncated) and an implicit canonical basis. A symmetric matrix
-    takes eigh, about three times faster than the SVD: from A = V diag(lam) V*,
-    sigma = |lam|, u = V and v = sign(lam) V (Golub and Van Loan, Matrix
-    Computations, sections 8.1 and 8.6), kept as the signs alone.
+    tried and accepted. A known singular system is returned as it is,
+    untruncated. A symmetric matrix takes eigh, about three times faster than
+    the SVD: from A = V diag(lam) V*, sigma = |lam|, u = V and v = sign(lam) V
+    (Golub and Van Loan, Matrix Computations, sections 8.1 and 8.6), kept as
+    the signs alone.
     """
-    path = plan(op, block=True)
-    if path == "canonical":
-        return SpectralDecomposition(sigmas=op.sigmas.copy(), method="canonical")
-    a = op.matrix
+    if op.singular_system is not None:
+        return op.singular_system
+    path, a = plan(op, block=True), op.matrix
     try:
         if path == "block":
             sd = _leading_block(a)
@@ -351,17 +360,9 @@ def _leading_block(a: np.ndarray) -> Optional[SpectralDecomposition]:
     return _symmetric_svd(lam, q @ w, method="block")
 
 
-def _splits(a: np.ndarray) -> bool:
-    """Whether a square matrix has even order and equals J A J bit for bit
-    (about 5 ms at n = 2048). The top m rows against those of J A J test the
-    whole matrix: the bottom rows are the same comparisons."""
-    n = a.shape[0]
-    return n % 2 == 0 and np.array_equal(a[:n // 2], a[::-1, ::-1][:n // 2])
-
-
 def _centro_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalues of the halves A11 + A12 J and A11 - A12 J of a
-    symmetric matrix that :func:`_splits` (A = J A J, J the exchange matrix),
+    symmetric, centrosymmetric matrix (A = J A J, J the exchange matrix),
     and their eigenvectors side by side, [W Z] (m x n). Each half is freed
     once decomposed.
 
@@ -371,46 +372,21 @@ def _centro_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     [w; J w] / sqrt(2), and z of the second [z; -J z] / sqrt(2), with the
     same eigenvalues. A12 J is symmetric bit for bit when A is symmetric
     and centrosymmetric bit for bit, so both halves are too, and each is
-    decomposed by :func:`_centro_eigh`: split again while it :func:`_splits`,
-    or by eigh. deriv2 and gravity split on n = 2^k grids, and deriv2's odd
-    half (the Dirichlet Green's function on [0, 1/2]) splits again, so at
-    n = 1024 it calls eigh on orders 512, 256, ..., 2, 1 and 1. Two eigh of
-    order m cost about a quarter of one of order n.
+    decomposed by eigh. gravity splits on n = 2^k grids. Two eigh of order
+    m cost about a quarter of one of order n.
     """
     m = a.shape[0] // 2
     a11, a12j = a[:m, :m], a[:m, m:][:, ::-1]
-    lam_w, w = _centro_eigh(a11 + a12j)
-    lam_z, z = _centro_eigh(a11 - a12j)
+    lam_w, w = np.linalg.eigh(a11 + a12j)
+    lam_z, z = np.linalg.eigh(a11 - a12j)
     return np.concatenate((lam_w, lam_z)), np.hstack((w, z))
-
-
-def _centro_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a symmetric matrix, unsorted: from
-    its halves, recursively, while it is centrosymmetric bit for bit, and by
-    eigh otherwise."""
-    if not _splits(a):
-        return np.linalg.eigh(a)
-    lam, wz = _centro_split(a)
-    return lam, _unfold(wz, np.arange(a.shape[0]))
-
-
-def _unfold(wz: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Columns ``order`` of [[W, Z], [J W, -J Z]] / sqrt(2), the modes of a
-    centrosymmetric matrix from the eigenvectors [W Z] of its halves."""
-    m = wz.shape[0]
-    out = np.empty((2 * m, order.size))
-    # out[:m] is contiguous, and mode="clip" takes without a buffer
-    np.take(wz, order, axis=1, out=out[:m], mode="clip")
-    out[:m] *= math.sqrt(0.5)
-    np.multiply(out[m - 1::-1], np.where(order < m, 1.0, -1.0), out=out[m:])   # J w, -J z
-    return out
 
 
 def _symmetric_svd(lam: np.ndarray, vecs: np.ndarray, method: str) -> SpectralDecomposition:
     """The singular system of V diag(lam) V*: modes by |lam| non-increasing,
     truncated at SV_FLOOR max |lam|. For "centro" vecs holds the halves'
     eigenvectors [W Z], and only the retained modes are unfolded, in their
-    final order, into one n x r array."""
+    final order, into the columns of [[W, Z], [J W, -J Z]] / sqrt(2)."""
     abs_lam = np.abs(lam)
     order = np.argsort(-abs_lam, kind="stable")
     top = abs_lam[order[0]]
@@ -418,7 +394,15 @@ def _symmetric_svd(lam: np.ndarray, vecs: np.ndarray, method: str) -> SpectralDe
     lam = lam[order]   # none is 0: |lam| >= SV_FLOOR max |lam| > 0
     # a copy, so the dropped modes' vectors go with vecs; np.take gathers
     # the columns four times faster than vecs[:, order] at n = 1024
-    u = _unfold(vecs, order) if method == "centro" else np.take(vecs, order, axis=1)
+    if method != "centro":
+        u = np.take(vecs, order, axis=1)
+    else:
+        m = vecs.shape[0]
+        u = np.empty((2 * m, order.size))
+        # u[:m] is contiguous, and mode="clip" takes without a buffer
+        np.take(vecs, order, axis=1, out=u[:m], mode="clip")
+        u[:m] *= math.sqrt(0.5)
+        np.multiply(u[m - 1::-1], np.where(order < m, 1.0, -1.0), out=u[m:])   # J w, -J z
     return SpectralDecomposition(sigmas=np.abs(lam), u=u, signs=np.sign(lam), method=method)
 
 

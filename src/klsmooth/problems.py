@@ -9,13 +9,13 @@ and the preimage w with x = (A*A)^mu w is stored alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .operators import (LinearOperator, diagonal_operator, kernel_operator,
-                        dense_operator, midpoint_nodes, read_matrix_market,
+from .operators import (LinearOperator, SpectralDecomposition, diagonal_operator,
+                        kernel_operator, dense_operator, midpoint_nodes, read_matrix_market,
                         read_vector)
 
 # sigma_i = e^{-i} squares to e^{-2i}, which flushes to zero past i ~ 370;
@@ -150,11 +150,27 @@ def gravity_kernel(s, t, depth):
     return k
 
 
+def _deriv2_system(n: int) -> SpectralDecomposition:
+    """deriv2's singular system: its matrix is -(n^2 T)^-1, T = tridiag(-1, 2, -1)
+    with 3 in both corners, whose eigenvectors are the DST-II basis
+    sin(pi k (2i + 1) / (2n)), k = 1..n, of eigenvalues 4 sin^2(pi k / (2n))
+    (Strang, SIAM Rev. 41, 1999). Each sine is read from a table of sin(pi j / (2n)),
+    j < 4n, at j = k (2i + 1) mod 4n; a float argument leaves orthogonality at 1e-13."""
+    table = np.sin(np.arange(4 * n) * (np.pi / (2 * n)))
+    sigmas = 1.0 / np.square(2 * n * table[1:n + 1])   # non-increasing in k
+    table *= np.sqrt(2.0 / n)   # unit columns but the last, k = n, which needs sqrt(1 / n)
+    index = np.multiply.outer(np.arange(1, 2 * n, 2), np.arange(1, n + 1))
+    index %= 4 * n
+    u = np.take(table, index)
+    u[:, -1] *= np.sqrt(0.5)
+    return SpectralDecomposition(sigmas=sigmas, u=u, signs=np.full(n, -1.0), method="dst")
+
+
 def make_deriv2(n: int) -> ProblemSpec:
     """Second-derivative integral equation on [0,1], exact solution x(t) = t."""
     if n < 8:
         raise ValueError("n must be >= 8")
-    op = kernel_operator(deriv2_kernel, n)
+    op = replace(kernel_operator(deriv2_kernel, n), singular_system=_deriv2_system(n))
     x_true = midpoint_nodes(n)
     return ProblemSpec(operator=op, y_clean=op.apply(x_true), x_true=x_true,
                        label=LABELS["deriv2"].format(n=n))

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .landweber import IterationTrace
-from .operators import ConvergenceError, LinearOperator, SpectralDecomposition, svd
+from .operators import ConvergenceError, LinearOperator, SpectralDecomposition
 from .problems import ProblemSpec, noise_draw
 
 # Growth ratio S_n / S_{n/2} above which the partial sums are judged
@@ -164,8 +164,8 @@ def rate_experiment(p: ProblemSpec, mu_hat: float, levels, seeds=DEFAULT_SEEDS,
     level with a note.
 
     Given ``sd = svd(p.operator)``, each error comes from the filter factors
-    sigma / (sigma^2 + alpha) in closed form, with no solve (a diagonal
-    operator always takes this path, with its own svd):
+    sigma / (sigma^2 + alpha) in closed form, with no solve (an operator
+    whose singular system is known always takes this path, with that system):
 
         ||x_alpha - x_true||^2 = sum_i (sigma_i/(sigma_i^2 + alpha) <y_delta, u_i>
                                         - <x_true, v_i>)^2 + ||x_true - V V* x_true||^2.
@@ -182,8 +182,8 @@ def rate_experiment(p: ProblemSpec, mu_hat: float, levels, seeds=DEFAULT_SEEDS,
         raise ValueError("rate experiment needs the exact solution")
     levels, seeds = rate_inputs(levels, seeds)
 
-    if sd is None and p.operator.kind == "diagonal":
-        sd = svd(p.operator)
+    if sd is None:
+        sd = p.operator.singular_system
     y = p.y_clean
     y_norm = float(np.linalg.norm(y))
     draws = [noise_draw(y.size, seed) for seed in seeds]

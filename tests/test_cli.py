@@ -17,7 +17,7 @@ from klsmooth.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                           main, parse_config_text, run_pipeline)
 from klsmooth import cli, operators, validation
 from klsmooth.operators import write_matrix_market, write_vector
-from klsmooth.problems import make_deriv2, make_gravity
+from klsmooth.problems import deriv2_kernel, make_deriv2, make_gravity
 from klsmooth.validation import DEFAULT_LEVELS, DEFAULT_SEEDS, rate_exponent
 
 SMALL_DIAG = """
@@ -511,8 +511,23 @@ def test_tikhonov_section_skips_without_window():
     assert report["tikhonov_rate"] == {"note": "skipped: no stable-window estimate to test"}
 
 
-DENSE_CHECKED = ("problem.kind = deriv2\nproblem.n = 32\n"
-                 "validation.run_tikhonov = true\nvalidation.run_svd_check = true\n")
+def ingested_deriv2(tmp_path, n):
+    """Config text for deriv2 on n cells read from MatrixMarket and vector
+    files: the built-in problem's matrix, data and x_true bit for bit, but no
+    known singular system, so it decomposes, prices and iterates as any dense
+    matrix does."""
+    p = make_deriv2(n)
+    a, y, x = (tmp_path / f"deriv2_{n}_{name}" for name in ("a.mtx", "y.txt", "x.txt"))
+    write_matrix_market(a, p.operator.matrix)
+    write_vector(y, p.y_clean)
+    write_vector(x, p.x_true)
+    return (f"problem.kind = external\nproblem.matrix_path = {a}\n"
+            f"problem.y_path = {y}\nproblem.x_true_path = {x}\n")
+
+
+def dense_checked(tmp_path):
+    return (ingested_deriv2(tmp_path, 32)
+            + "validation.run_tikhonov = true\nvalidation.run_svd_check = true\n")
 
 
 def _counting_svd(monkeypatch):
@@ -528,40 +543,50 @@ def _counting_svd(monkeypatch):
 
 
 # deriv2 with the rate check; w_min = 20 gives a K=100 run a stable window,
-# so its rate check runs. At n = 500, not a 2^k grid, svd() takes the full
-# eigh, and a K=100 run with one seed sits near the cost rule's boundary:
-# the eigh is priced at 37 ms, the loop and 10 CG solves at 33 ms
-DERIV2_256 = ("problem.kind = deriv2\nproblem.n = 256\nestimator.w_min = 20\n"
-              "validation.run_tikhonov = true\n")
-DERIV2_500 = DERIV2_256.replace("problem.n = 256", "problem.n = 500")
+# so its rate check runs
+RATE_CHECKED = "estimator.w_min = 20\nvalidation.run_tikhonov = true\n"
 
 
-def test_report_names_the_paths_taken(monkeypatch):
+def deriv2_500(tmp_path):
+    """Ingested deriv2 at n = 500 with the rate check. Not a 2^k grid, so
+    svd() takes the full eigh, and a K=100 run with one seed sits near the
+    cost rule's boundary: the eigh is priced at 37 ms, the loop and 10 CG
+    solves at 33 ms."""
+    return ingested_deriv2(tmp_path, 500) + RATE_CHECKED
+
+
+def test_report_names_the_paths_taken(tmp_path, monkeypatch):
     # one shape and solve count, K on each side of the cost rule's boundary
     calls = _counting_svd(monkeypatch)
+    dense = deriv2_500(tmp_path)
     for iters, path, solver, svd_calls in ((100, "matvec", "cg", 0),
                                            (2000, "closed-form", "filter-factors", 1)):
-        cfg = parse_config_text(DERIV2_500 + f"landweber.max_iters = {iters}\n"
-                                             "validation.seeds = 0\n")
+        cfg = parse_config_text(dense + f"landweber.max_iters = {iters}\n"
+                                        "validation.seeds = 0\n")
         report = run_pipeline(cfg)["report"]
         assert report["landweber"]["path"] == path
         assert report["tikhonov_rate"]["solver"] == solver
         assert len(calls) == svd_calls
-    checked = run_pipeline(parse_config_text(DENSE_CHECKED))["report"]
+    checked = run_pipeline(parse_config_text(dense_checked(tmp_path)))["report"]
     assert checked["landweber"]["path"] == "closed-form"
     assert checked["tikhonov_rate"]["solver"] == "filter-factors"
-    diagonal = run_pipeline(parse_config_text(SMALL_DIAG + "validation.run_tikhonov = true\n"))
-    assert diagonal["report"]["landweber"]["path"] == "closed-form"
-    assert diagonal["report"]["tikhonov_rate"]["solver"] == "filter-factors"
+    # the built-in deriv2 and a diagonal operator know their singular
+    # systems: the closed form and the filter factors at any K
+    for known in ("problem.kind = deriv2\nproblem.n = 500\nlandweber.max_iters = 100\n"
+                  + RATE_CHECKED, SMALL_DIAG + "validation.run_tikhonov = true\n"):
+        report = run_pipeline(parse_config_text(known))["report"]
+        assert report["landweber"]["path"] == "closed-form"
+        assert report["tikhonov_rate"]["solver"] == "filter-factors"
 
 
-def test_tikhonov_solves_tip_the_rule_to_the_svd(monkeypatch):
+def test_tikhonov_solves_tip_the_rule_to_the_svd(tmp_path, monkeypatch):
     # one shape and K: 10 solves by CG cost less than the SVD, 50 do not
     calls = _counting_svd(monkeypatch)
+    dense = deriv2_500(tmp_path)
     for seeds, path, solver, svd_calls in (("0", "matvec", "cg", 0),
                                            ("0, 1, 2, 3, 4", "closed-form", "filter-factors", 1)):
-        cfg = parse_config_text(DERIV2_500 + "landweber.max_iters = 100\n"
-                                             f"validation.seeds = {seeds}\n")
+        cfg = parse_config_text(dense + "landweber.max_iters = 100\n"
+                                        f"validation.seeds = {seeds}\n")
         report = run_pipeline(cfg)["report"]
         assert report["landweber"]["path"] == path
         assert report["tikhonov_rate"]["solver"] == solver
@@ -617,18 +642,23 @@ def test_cost_rule_prices_two_half_size_eigh_for_a_centrosymmetric_operator(
 
 
 def test_unchecked_deriv2_2048_takes_the_decomposition_at_500_iterations(monkeypatch):
-    # priced as two eigh of order 1024 (405 ms) against 515 matvec pairs
-    # (1,006 ms); one full eigh would be 1,166 ms and keep the loop
+    # deriv2's matrix with no known system, priced as two eigh of order 1024
+    # (405 ms) against 515 matvec pairs (1,006 ms); one full eigh would be
+    # 1,166 ms and keep the loop
     monkeypatch.setattr(cli, "svd", lambda op: "decomposition")
-    op = make_deriv2(2048).operator
+    op = operators.kernel_operator(deriv2_kernel, 2048)
     assert operators.plan(op) == "centro"
     assert cli._decomposition(op, 500, 0, checked=False)[0] == "decomposition"
     assert cli._decomposition(op, 100, 0, checked=False)[0] is None
+    # the built-in problem's own system is free at any K
+    op = make_deriv2(2048).operator
+    assert operators.plan(op) == "dst"
+    assert cli._decomposition(op, 1, 0, checked=False)[0] == "decomposition"
 
 
 def test_operator_over_the_svd_limit_takes_the_loop_and_cg(tmp_path, monkeypatch):
     monkeypatch.setattr(operators, "SVD_SIZE_LIMIT", 16)
-    path, _, report_path = write_cfg(tmp_path, DENSE_CHECKED)
+    path, _, report_path = write_cfg(tmp_path, dense_checked(tmp_path))
     assert main(["estimate", str(path)]) == EXIT_OK
     report = json.loads(report_path.read_text())
     assert report["landweber"]["path"] == "matvec"
@@ -636,9 +666,9 @@ def test_operator_over_the_svd_limit_takes_the_loop_and_cg(tmp_path, monkeypatch
     assert report["svd_check"] == {"note": "skipped: operator exceeds the dense SVD limit 16"}
 
 
-def test_checked_dense_run_computes_one_svd(monkeypatch):
+def test_checked_dense_run_computes_one_svd(tmp_path, monkeypatch):
     calls = _counting_svd(monkeypatch)
-    result = run_pipeline(parse_config_text(DENSE_CHECKED))
+    result = run_pipeline(parse_config_text(dense_checked(tmp_path)))
     assert calls == [(32, 32)]
     assert result["report"]["landweber"]["path"] == "closed-form"
     assert "mu_max_refined" in result["report"]["svd_check"]
@@ -651,7 +681,7 @@ def test_svd_failure_falls_back_to_the_loop_and_cg(tmp_path, monkeypatch, comman
     def failing(op):
         raise operators.ConvergenceError("SVD failed to converge: planted")
     monkeypatch.setattr(cli, "svd", failing)
-    path, _, report_path = write_cfg(tmp_path, DENSE_CHECKED)
+    path, _, report_path = write_cfg(tmp_path, dense_checked(tmp_path))
     assert main([command, str(path)]) == EXIT_OK
     report = json.loads(report_path.read_text())
     assert report["svd_check"] == {"note": "failed: SVD failed to converge: planted"}
@@ -664,7 +694,8 @@ def test_svd_failure_on_an_unchecked_run_falls_back_to_the_loop_and_cg(tmp_path,
     def failing(op):
         raise operators.ConvergenceError("SVD failed to converge: planted")
     monkeypatch.setattr(cli, "svd", failing)
-    path, _, report_path = write_cfg(tmp_path, DERIV2_256 + "landweber.max_iters = 2000\n")
+    path, _, report_path = write_cfg(tmp_path, ingested_deriv2(tmp_path, 256) + RATE_CHECKED
+                                     + "landweber.max_iters = 2000\n")
     assert main(["estimate", str(path)]) == EXIT_OK
     report = json.loads(report_path.read_text())
     assert report["landweber"]["path"] == "matvec"
@@ -916,18 +947,26 @@ def test_svd_check_subcommand(tmp_path):
     assert report["svd_check"]["decomposition"] == "canonical"
 
 
-@pytest.mark.parametrize("kind, n, decomposition", [
-    ("gravity", 512, "block"),     # 49 modes above the floor, from 64 columns
-    ("gravity", 256, "centro"),    # under 8 blocks, and its own mirror on 2^k cells
-    ("deriv2", 512, "centro"),     # every mode above the floor: no block
-    ("deriv2", 1000, "eigh"),      # 1 ulp from its mirror: the full eigh
+@pytest.mark.parametrize("problem, decomposition", [
+    (lambda tmp: "problem.kind = gravity\nproblem.n = 512\n", "block"),
+    (lambda tmp: "problem.kind = gravity\nproblem.n = 256\n", "centro"),
+    (lambda tmp: "problem.kind = deriv2\nproblem.n = 512\n", "dst"),
+    (lambda tmp: ingested_deriv2(tmp, 512), "centro"),
+    (lambda tmp: ingested_deriv2(tmp, 1000), "eigh"),
+], ids=[
+    "gravity-512-block",     # 49 modes above the floor, from 64 columns
+    "gravity-256-centro",    # under 8 blocks, and its own mirror on 2^k cells
+    "deriv2-512-dst",        # the built-in problem's own sine basis
+    "deriv2-512-centro",     # its matrix ingested: every mode above the floor, no block
+    "deriv2-1000-eigh",      # its matrix ingested, 1 ulp from its mirror: the full eigh
 ])
-def test_svd_check_reports_its_decomposition(tmp_path, kind, n, decomposition):
-    path, _, report_path = write_cfg(tmp_path, f"problem.kind = {kind}\nproblem.n = {n}\n")
+def test_svd_check_reports_its_decomposition(tmp_path, problem, decomposition):
+    text = problem(tmp_path)
+    path, _, report_path = write_cfg(tmp_path, text)
     assert main(["svd-check", str(path)]) == EXIT_OK
     section = json.loads(report_path.read_text())["svd_check"]
     assert section["decomposition"] == decomposition
-    if kind == "gravity":
+    if "gravity" in text:
         assert section["retained_singular_values"] == 49
 
 

@@ -701,14 +701,12 @@ def test_block_decomposition_matches_the_full_eigh(make):
                                      (make_deriv2, 1024), (make_gravity, 1024)],
                          ids=["deriv2-256", "gravity-256", "deriv2-1024", "gravity-1024"])
 def test_centro_decomposition_matches_the_full_eigh(monkeypatch, make, n):
-    """The half-size eigenproblems of a matrix symmetric and
-    centrosymmetric bit for bit, split recursively, against the full eigh:
-    the same retained modes, sigmas to 1e-13 sigma_1, a singular system at
-    rounding, modes that are even or odd bit for bit, the same closed-form
-    Landweber trace and the same spectral verdict. deriv2's odd half is
-    centrosymmetric again down to order 2, gravity's halves are not. svd()
-    takes the block for gravity at n = 1024, so the halves are called
-    directly."""
+    """The two half-size eigenproblems of a matrix symmetric and
+    centrosymmetric bit for bit against the full eigh: the same retained
+    modes, sigmas to 1e-13 sigma_1, a singular system at rounding, modes that
+    are even or odd bit for bit, the same closed-form Landweber trace and the
+    same spectral verdict. svd() takes deriv2's own sine basis, and the block
+    for gravity at n = 1024, so the halves are called directly."""
     p = make(n)
     a = p.operator.matrix
     oracle = _symmetric_svd(*np.linalg.eigh(a), method="eigh")
@@ -719,12 +717,7 @@ def test_centro_decomposition_matches_the_full_eigh(monkeypatch, make, n):
         return eigh(b)
     monkeypatch.setattr(np.linalg, "eigh", counted)
     sd = _symmetric_svd(*_centro_split(a), method="centro")
-    if make is make_deriv2:
-        # the even half of each order n/2, n/4, ..., 2, then the two of order 1
-        orders = [n >> k for k in range(1, n.bit_length())] + [1]
-        assert calls == [(m, m) for m in orders]
-    else:
-        assert calls == [(n // 2, n // 2)] * 2
+    assert calls == [(n // 2, n // 2)] * 2
     s = sd.sigmas
     assert (sd.method, s.size) == ("centro", oracle.sigmas.size)
     assert np.abs(s - oracle.sigmas).max() <= 1e-13 * s[0]
@@ -742,6 +735,24 @@ def test_centro_decomposition_matches_the_full_eigh(monkeypatch, make, n):
     # in the 10th digit between decompositions as between BLAS thread counts
     assert max_mu_spectral(sd, p.y_clean) == pytest.approx(max_mu_spectral(oracle, p.y_clean),
                                                            rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_deriv2_takes_the_closed_form_from_its_own_system(n):
+    """landweber_run on make_deriv2 with no decomposition given takes the
+    closed form from the problem's DST-II system, whose sigma_1 sets the
+    step, and agrees with the matvec loop at that step within the dense
+    tolerance of test_dense_closed_form_matches_matvec_loop."""
+    p = make_deriv2(n)
+    data = add_noise(p, 0.01, 3).y_delta
+    trace = landweber_run(p, data, LandweberConfig())
+    assert trace.path == "closed-form"
+    s1 = p.operator.singular_system.sigmas[0]
+    assert trace.step_beta == 1.0 / (s1 * s1)
+    loop = matvec_trace(p.operator, data, trace.step_beta, len(trace), p.x_true)
+    rounding = (0.0, 64 * np.finfo(float).eps * np.linalg.norm(data), 0.0)
+    assert_traces_agree((trace.residuals, trace.gradient_norms, trace.errors), loop,
+                        rounding=rounding)
 
 
 def test_decomposition_supplies_the_norm_power_iteration_misses():

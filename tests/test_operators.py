@@ -252,7 +252,7 @@ def test_block_decomposition_failure_is_a_convergence_error(monkeypatch):
 
 
 @pytest.mark.parametrize("make, signs", [
-    (lambda: make_deriv2(256).operator, {-1.0}),   # negative definite, by centro
+    (lambda: make_deriv2(256).operator, {-1.0}),   # negative definite, by its sine basis
     (lambda: planted_symmetric_problem(5, 64, np.geomspace(1.0, 1e-3, 64)).operator,
      {-1.0, 1.0}),                                  # indefinite, by eigh
 ], ids=["deriv2-256", "planted-indefinite-64"])
@@ -305,10 +305,23 @@ def test_svd_size_limit():
     class Fake:
         kind = "dense"
         shape = (SVD_SIZE_LIMIT + 1, SVD_SIZE_LIMIT + 1)
+        singular_system = None
     with pytest.raises(ValueError):
         svd(Fake())
     with pytest.raises(ValueError, match=f"operator exceeds the dense SVD limit {SVD_SIZE_LIMIT}"):
         plan(Fake())
+
+
+def test_a_known_singular_system_passes_the_size_limit(monkeypatch):
+    # the limit prices factorizations, and a known system needs none: it is
+    # planned, priced at 0 and returned at any size, as a diagonal one is
+    monkeypatch.setattr(operators, "SVD_SIZE_LIMIT", 16)
+    for op, method in ((make_deriv2(32).operator, "dst"),
+                       (diagonal_operator(np.geomspace(1.0, 1e-3, 32)), "canonical")):
+        assert plan(op) == method and operators.plan_ns(op) == 0.0
+        assert svd(op) is op.singular_system
+    with pytest.raises(ValueError, match="operator exceeds the dense SVD limit 16"):
+        plan(kernel_operator(deriv2_kernel, 32))
 
 
 # (operator, its plan, what svd() takes): the block stands in for the plan
@@ -318,13 +331,15 @@ def test_svd_size_limit():
     (lambda: known_symmetric_problem(1, 64, 40, centro=True)[0].operator, "centro", "centro"),
     (lambda: known_svd_problem(1, 48, 32, 20)[0].operator, "svd", "svd"),
     (lambda: diagonal_operator(np.geomspace(1.0, 1e-3, 50)), "canonical", "canonical"),
-    (lambda: make_deriv2(256).operator, "centro", "centro"),
+    # deriv2's matrix without the built-in problem's known system
+    (lambda: kernel_operator(deriv2_kernel, 256), "centro", "centro"),
     (lambda: make_gravity(256).operator, "centro", "centro"),
-    (lambda: make_deriv2(1024).operator, "centro", "centro"),
+    (lambda: kernel_operator(deriv2_kernel, 1024), "centro", "centro"),
     (lambda: make_gravity(1024).operator, "centro", "block"),
-    (lambda: make_deriv2(1000).operator, "eigh", "eigh"),
+    (lambda: kernel_operator(deriv2_kernel, 1000), "eigh", "eigh"),
+    (lambda: make_deriv2(1024).operator, "dst", "dst"),
 ], ids=["symmetric-64", "centro-64", "general-48x32", "diagonal-50", "deriv2-256",
-        "gravity-256", "deriv2-1024", "gravity-1024", "deriv2-1000"])
+        "gravity-256", "deriv2-1024", "gravity-1024", "deriv2-1000", "make-deriv2-1024"])
 def test_plan_names_the_path_svd_takes(monkeypatch, make, planned, method):
     op = make()
     assert plan(op) == planned
@@ -335,23 +350,30 @@ def test_plan_names_the_path_svd_takes(monkeypatch, make, planned, method):
 
 
 def test_exact_tests_run_once_and_only_where_svd_needs_them(monkeypatch):
-    calls, splits = [], operators._splits
+    calls, equal = [], np.array_equal
 
-    def counted(a):
-        calls.append(a.shape[0])
-        return splits(a)
-    monkeypatch.setattr(operators, "_splits", counted)
-    # priced, then decomposed: the operator's own test runs once, the
-    # halves' tests as the split recurses
-    op = make_deriv2(512).operator
+    def counted(a, b):
+        calls.append(a.shape)
+        return equal(a, b)
+    # the centrosymmetry test compares the top n/2 rows with the mirror's;
+    # the symmetry test compares 64 x 64 tiles
+    monkeypatch.setattr(np, "array_equal", counted)
+    # priced, then decomposed: the operator's own test runs once, and the
+    # halves, decomposed by eigh, are not tested
+    op = kernel_operator(deriv2_kernel, 512)
     assert operators.plan_ns(op) > 0
     assert svd(op).method == "centro"
-    assert calls.count(512) == 1 and 256 in calls
+    assert calls.count((256, 512)) == 1 and (128, 256) not in calls
     # the block accepts gravity before any centrosymmetry test
     calls.clear()
     op = make_gravity(1024).operator
     assert svd(op).method == "block"
-    assert calls == [] and "centrosymmetric" not in vars(op)
+    assert (512, 1024) not in calls and "centrosymmetric" not in vars(op)
+    # a known system is neither tested nor factorized
+    calls.clear()
+    op = make_deriv2(512).operator
+    assert operators.plan_ns(op) == 0.0 and svd(op) is op.singular_system
+    assert calls == [] and "symmetric" not in vars(op)
 
 
 def test_plan_prices_two_half_size_eigh_for_centro():
