@@ -34,7 +34,7 @@ import numpy as np
 from . import estimator, operators, problems, validation
 from .estimator import estimate_track, detect_discretization_saturation
 from .landweber import LandweberConfig, landweber_run, write_trace_csv
-from .operators import ConvergenceError, SpectralDecomposition, svd
+from .operators import ConvergenceError, LinearOperator, plan_ns, svd
 from .problems import ProblemSpec, add_noise
 from .validation import (DEFAULT_MU_GRID, bound_curves, max_mu_spectral, rate_experiment,
                          verify_smoothness)
@@ -70,7 +70,7 @@ FIGURE_NAMES = tuple(FIGURES)
 
 TABLE_MISFIT_THRESHOLD = 0.1
 
-# _decomposition's loop side, fitted to operators.plan_ns's timing run: every
+# _with_svd's loop side, fitted to operators.plan_ns's timing run: every
 # step of power iteration, Landweber and CG is a matvec pair, PAIR_NS +
 # PAIR_NS_PER_ENTRY m n ns (within 28%). The closed form after a decomposition
 # costs at most 2% of one pair per iteration up to n = 2048, and is left out.
@@ -243,18 +243,19 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     """Problem -> (noise) -> Landweber -> estimates -> diagnostics -> validation.
 
     Returns a result dict holding the trace, the estimate track, optional
-    bound curves, and the JSON-ready report. When :func:`_decomposition`
-    gives the run the operator's SVD, Landweber and the Tikhonov rate
-    experiment read it in closed form; it is dropped when the run ends. If
-    the SVD fails, both fall back to the matvec loop and CG, and the SVD
-    check, if on, reports the failure.
+    bound curves, and the JSON-ready report. When :func:`_with_svd` attaches
+    the operator's SVD to it, Landweber, the Tikhonov rate experiment and the
+    SVD check read that singular system in closed form; it is dropped when
+    the run ends. If the SVD fails, the first two fall back to the matvec
+    loop and CG, and the SVD check, if on, reports the failure.
     """
     p = build_problem(cfg)
     solves = 0
     if cfg.validation_run_tikhonov and p.x_true is not None:
         solves = len(cfg.validation_levels) * len(cfg.validation_seeds)
-    sd, svd_note = _decomposition(p.operator, cfg.landweber_max_iters, solves,
-                                  checked=cfg.validation_run_svd_check)
+    pairs = cfg.landweber_max_iters + NORM_PAIRS + solves * CG_PAIRS_PER_SOLVE
+    op, svd_note = _with_svd(p.operator, None if cfg.validation_run_svd_check else pairs)
+    p = replace(p, operator=op)
     noisy = None
     data = p.y_clean
     if cfg.noise_rel_level > 0:
@@ -262,7 +263,7 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
         data = noisy.y_delta
     lw_cfg = LandweberConfig(step_beta=cfg.landweber_step_beta,
                              max_iters=cfg.landweber_max_iters)
-    trace = landweber_run(p, data, lw_cfg, sd)
+    trace = landweber_run(p, data, lw_cfg)
     track = estimate_track(trace, k_min=cfg.estimator_k_min, w_min=cfg.estimator_w_min,
                            eps_mu=cfg.estimator_eps_mu, eps_c_rel=cfg.estimator_eps_c_rel)
 
@@ -289,9 +290,9 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
 
     if cfg.validation_run_tikhonov:
         report["tikhonov_rate"] = _tikhonov_section(p, track, cfg.validation_levels,
-                                                    cfg.validation_seeds, sd)
+                                                    cfg.validation_seeds)
     if cfg.validation_run_svd_check:
-        report["svd_check"] = _svd_section(p, sd, svd_note)
+        report["svd_check"] = _svd_section(p, svd_note)
 
     return {"trace": trace, "track": track, "upper": upper, "report": report}
 
@@ -302,52 +303,43 @@ def _report(p: ProblemSpec, cfg: ExperimentConfig, **sections) -> dict:
             **sections, "config": cfg.effective_dict()}
 
 
-def _tikhonov_section(p: ProblemSpec, track, levels, seeds,
-                      sd: Optional[SpectralDecomposition]) -> dict:
+def _tikhonov_section(p: ProblemSpec, track, levels, seeds) -> dict:
     if p.x_true is None:
         return {"note": "skipped: exact solution unknown"}
     if track.mu_hat is None or track.mu_hat <= 0:
         return {"note": "skipped: no stable-window estimate to test"}
     try:
-        res = rate_experiment(p, track.mu_hat, levels, seeds, sd)
+        res = rate_experiment(p, track.mu_hat, levels, seeds)
     except ConvergenceError as exc:
         return {"note": f"failed: {exc}"}
     # vars, not asdict: asdict's list copies raised crosscheck's peak RSS by up to 8 MiB
     return {"mu_tested": track.mu_hat, **vars(res)}
 
 
-def _decomposition(op, max_iters: int, solves: int,
-                   checked: bool) -> tuple[Optional[SpectralDecomposition], str]:
-    """svd(op) if the run takes the spectral path, else None and the note
-    the SVD check reports (see :func:`_checked_svd`).
+def _with_svd(op: LinearOperator, pairs: Optional[int]) -> tuple[LinearOperator, str]:
+    """op with svd(op) attached as its singular system if the run takes the
+    spectral path, else op as it is and the note the SVD check reports: an
+    operator over the size limit, or no convergence.
 
-    This is the one place that decides. A checked run always takes it, for
-    the summability test; any other when operators.plan_ns prices it below
-    the loop: ``max_iters`` Landweber steps, power iteration and ``solves``
-    Tikhonov solves by CG (a known singular system is free).
+    This is the one place that decides. A checked run (``pairs`` None)
+    always takes it, for the summability test; any other when
+    operators.plan_ns prices it below ``pairs`` matvec pairs of the loop:
+    Landweber's steps, power iteration and the Tikhonov solves by CG (a
+    known singular system is free).
     """
     m, n = op.shape
-    pairs = max_iters + NORM_PAIRS + solves * CG_PAIRS_PER_SOLVE
     try:
-        if not checked and operators.plan_ns(op) >= pairs * (PAIR_NS + PAIR_NS_PER_ENTRY * m * n):
-            return None, ""
-    except ValueError as exc:   # plan() refuses an operator over SVD_SIZE_LIMIT
-        return None, f"skipped: {exc}"
-    return _checked_svd(op)
-
-
-def _checked_svd(op) -> tuple[Optional[SpectralDecomposition], str]:
-    """svd(op), or None and the note the SVD check reports: an operator over
-    the size limit, or no convergence."""
-    try:
-        return svd(op), ""
+        if pairs is not None and plan_ns(op) >= pairs * (PAIR_NS + PAIR_NS_PER_ENTRY * m * n):
+            return op, ""
+        return replace(op, singular_system=svd(op)), ""
     except ConvergenceError as exc:
-        return None, f"failed: {exc}"
+        return op, f"failed: {exc}"
     except ValueError as exc:   # plan() refuses an operator over SVD_SIZE_LIMIT
-        return None, f"skipped: {exc}"
+        return op, f"skipped: {exc}"
 
 
-def _svd_section(p: ProblemSpec, sd: Optional[SpectralDecomposition], note: str) -> dict:
+def _svd_section(p: ProblemSpec, note: str) -> dict:
+    sd = p.operator.singular_system
     if sd is None:
         return {"note": note}
     try:
@@ -473,8 +465,9 @@ def _label(cfg: ExperimentConfig) -> str:
 def _svd_check(cfg: ExperimentConfig) -> None:
     """Spectral summability check only; writes the report."""
     p = build_problem(cfg)
-    sd, note = _checked_svd(p.operator)
-    _write_report(cfg.output_report_path, _report(p, cfg, svd_check=_svd_section(p, sd, note)))
+    op, note = _with_svd(p.operator, None)
+    p = replace(p, operator=op)
+    _write_report(cfg.output_report_path, _report(p, cfg, svd_check=_svd_section(p, note)))
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:

@@ -9,12 +9,12 @@ and, when the exact solution is known, ||x_k - x_true||. The ratio R^2/G is
 an observable lower bound on the reconstruction error (Cauchy-Schwarz) and
 drives the downstream diagnostics.
 
-An operator with a known singular system has the trace in closed form (every
-mode evolves on its own), which :func:`diagonal_trace` evaluates in blocks of
-iterations without iterating. An operator may carry one (diagonal operators
-and deriv2 do), or the caller passes its SVD. Otherwise the iteration runs
-in :func:`matvec_trace`, which also serves as the reference the closed form is
-tested against.
+An operator with a singular system has the trace in closed form (every mode
+evolves on its own), which :func:`diagonal_trace` evaluates in blocks of
+iterations without iterating. Diagonal operators and deriv2 carry theirs, and
+a run attaches an SVD it computes to the operator. Otherwise the iteration
+runs in :func:`matvec_trace`, which also serves as the reference the closed
+form is tested against.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .operators import (LinearOperator, SpectralDecomposition, decimal_block,
-                        decimal_block_rows, operator_norm)
+from .operators import LinearOperator, decimal_block, decimal_block_rows, operator_norm
 from .problems import ProblemSpec
 
 # The iteration has converged once R_k or beta^(1/2) G_k (a residual's
@@ -119,27 +118,23 @@ def resolve_step(cfg: LandweberConfig, norm_est: float) -> float:
 
 
 def landweber_run(p: ProblemSpec, data: np.ndarray,
-                  cfg: Optional[LandweberConfig] = None,
-                  sd: Optional[SpectralDecomposition] = None) -> IterationTrace:
+                  cfg: Optional[LandweberConfig] = None) -> IterationTrace:
     """Run Landweber iteration on A x = data and log the trace.
 
     Stops early once the residual or gradient norm falls to the rounding
     floor EARLY_STOP_REL ||data|| (the normal-equation solution reached to
     working precision). Non-finite values abort with the
-    offending iteration index. An operator with a known singular system takes
-    the closed form, as does one whose decomposition ``sd = svd(p.operator)``
-    is given, which then also supplies ||A||; all others run the matvec loop.
+    offending iteration index. An operator with a singular system takes the
+    closed form, and that system also supplies ||A||; all others run the
+    matvec loop.
     """
     cfg = cfg or LandweberConfig()
     op = p.operator
     data = np.asarray(data, dtype=float)
     if data.shape != (op.shape[0],):
         raise ValueError(f"data must have length {op.shape[0]}, got shape {data.shape}")
-    if sd is None:
-        sd = op.singular_system
-    # ||A|| is exact in a decomposition; power iteration estimates it otherwise
-    norm = operator_norm(op) if sd is None else float(sd.sigmas.max(initial=0.0))
-    beta = resolve_step(cfg, norm)
+    sd = op.singular_system
+    beta = resolve_step(cfg, operator_norm(op))
     if sd is None:
         path = "matvec"
         R, G, E = matvec_trace(op, data, beta, cfg.max_iters, p.x_true)

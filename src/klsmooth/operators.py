@@ -1,14 +1,16 @@
 """Linear operators: forward/adjoint application, norm estimation, SVD, file I/O.
 
-Two operator kinds are supported:
+An operator is an explicit m-by-n real matrix, its singular system, or both:
 
-* ``diagonal`` -- infinite-dimensional diagonal operator truncated to n modes,
-  stored as its singular values (positive, non-increasing).
-* ``dense``    -- an explicit m-by-n real matrix. Integral operators on [0,1]
+* a diagonal operator -- infinite-dimensional, truncated to n modes -- has no
+  matrix, only its ``canonical`` system: the singular values (positive,
+  non-increasing) on the unit vectors;
+* a dense operator has a matrix. Integral operators on [0,1]
   (:func:`kernel_operator`) are dense matrices built by the midpoint rule on
-  the nodes of :func:`midpoint_nodes`.
+  the nodes of :func:`midpoint_nodes`. A dense operator gets its system
+  attached where one is known without a factorization (deriv2's sine basis),
+  or where a run computes it once by :func:`svd`.
 
-Either kind may carry its singular system, known without a factorization.
 Operators are immutable after construction and safe to share across threads.
 """
 
@@ -58,41 +60,43 @@ class LinearOperator:
     """A bounded linear map between finite-dimensional Hilbert spaces.
 
     Attributes:
-        kind: "diagonal" or "dense".
         shape: (m, n) output/input dimensions.
-        sigmas: singular values, diagonal kind only.
-        matrix: the matrix, dense kind only.
-        singular_system: its singular system, where known without a factorization.
+        matrix: the matrix; None for a diagonal operator.
+        singular_system: its singular system, where known or computed: a
+            diagonal operator's is its ``canonical`` system.
     """
 
-    kind: str
     shape: tuple[int, int]
-    sigmas: Optional[np.ndarray] = None
     matrix: Optional[np.ndarray] = None
     singular_system: Optional[SpectralDecomposition] = None
+
+    @property
+    def kind(self) -> str:
+        """The operator's kind: "diagonal" (no matrix) or "dense"."""
+        return "diagonal" if self.matrix is None else "dense"
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Return A x."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.shape[1],):
             raise ValueError(f"expected input of length {self.shape[1]}, got shape {x.shape}")
-        if self.kind == "diagonal":
-            return self.sigmas * x
+        if self.matrix is None:
+            return self.singular_system.sigmas * x
         return self.matrix @ x
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Return A* y (the transpose action for the dense kind)."""
+        """Return A* y (the transpose action for a matrix)."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.shape[0],):
             raise ValueError(f"expected input of length {self.shape[0]}, got shape {y.shape}")
-        if self.kind == "diagonal":
-            return self.sigmas * y
+        if self.matrix is None:
+            return self.singular_system.sigmas * y
         return self.matrix.T @ y
 
     @cached_property
     def symmetric(self) -> bool:
         """A dense matrix equal to its transpose bit for bit; tested once per
-        operator, on first use, and defined for the dense kind only.
+        operator, on first use, and defined for a matrix only.
 
         Each 64 x 64 tile of the upper triangle is compared with its mirror
         tile, which stays in cache and stops at the first unequal tile: 2.6
@@ -170,18 +174,20 @@ def diagonal_operator(sigmas) -> LinearOperator:
     if np.any(np.diff(s) > 0):
         raise ValueError("diagonal singular values must be non-increasing")
     n = s.size
-    return LinearOperator(kind="diagonal", shape=(n, n), sigmas=s,
+    return LinearOperator(shape=(n, n),
                           singular_system=SpectralDecomposition(sigmas=s, method="canonical"))
 
 
 def dense_operator(matrix) -> LinearOperator:
-    """Operator backed by an explicit m-by-n matrix."""
+    """Operator backed by an explicit m-by-n matrix, with m, n >= 1."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError("matrix must be 2-d")
+    if a.size == 0:
+        raise ValueError(f"matrix is {a.shape[0]}x{a.shape[1]}: it has no entries")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
-    return LinearOperator(kind="dense", shape=a.shape, matrix=a)
+    return LinearOperator(shape=a.shape, matrix=a)
 
 
 def midpoint_nodes(n: int) -> np.ndarray:
@@ -215,11 +221,12 @@ def kernel_operator(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
 def operator_norm(op: LinearOperator) -> float:
     """Estimate ||A|| = sigma_1.
 
-    Exact from a known singular system; power iteration on A*A otherwise,
+    Exact from the operator's singular system, 0 where that has no mode (a
+    zero matrix's computed one); power iteration on A*A otherwise,
     started from a fixed pseudo-random vector so repeated runs give identical steps.
     """
     if op.singular_system is not None:
-        return float(op.singular_system.sigmas.max())
+        return float(op.singular_system.sigmas.max(initial=0.0))
     rng = np.random.default_rng(_POWER_ITER_SEED)
     v = rng.standard_normal(op.shape[1])
     v /= np.linalg.norm(v)

@@ -153,8 +153,8 @@ def rate_inputs(levels, seeds) -> tuple[list, list]:
     return levels, seeds
 
 
-def rate_experiment(p: ProblemSpec, mu_hat: float, levels, seeds=DEFAULT_SEEDS,
-                    sd: Optional[SpectralDecomposition] = None) -> RateExperimentResult:
+def rate_experiment(p: ProblemSpec, mu_hat: float, levels,
+                    seeds=DEFAULT_SEEDS) -> RateExperimentResult:
     """Measure the Tikhonov convergence rate under the a-priori choice for mu_hat.
 
     For each relative noise level and seed: perturb the data, set alpha from
@@ -163,9 +163,9 @@ def rate_experiment(p: ProblemSpec, mu_hat: float, levels, seeds=DEFAULT_SEEDS,
     log(error) against log(delta_abs). Solver failures exclude the affected
     level with a note.
 
-    Given ``sd = svd(p.operator)``, each error comes from the filter factors
-    sigma / (sigma^2 + alpha) in closed form, with no solve (an operator
-    whose singular system is known always takes this path, with that system):
+    When the operator has a singular system, known or attached by the run,
+    each error comes from the filter factors sigma / (sigma^2 + alpha) in
+    closed form, with no solve:
 
         ||x_alpha - x_true||^2 = sum_i (sigma_i/(sigma_i^2 + alpha) <y_delta, u_i>
                                         - <x_true, v_i>)^2 + ||x_true - V V* x_true||^2.
@@ -182,8 +182,7 @@ def rate_experiment(p: ProblemSpec, mu_hat: float, levels, seeds=DEFAULT_SEEDS,
         raise ValueError("rate experiment needs the exact solution")
     levels, seeds = rate_inputs(levels, seeds)
 
-    if sd is None:
-        sd = p.operator.singular_system
+    sd = p.operator.singular_system
     y = p.y_clean
     y_norm = float(np.linalg.norm(y))
     draws = [noise_draw(y.size, seed) for seed in seeds]

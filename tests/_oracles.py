@@ -16,7 +16,7 @@ import math
 import tempfile
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -27,7 +27,7 @@ from klsmooth.estimator import (DEFAULT_EPS_C_REL, DEFAULT_EPS_MU, DEFAULT_W_MIN
                                 SATURATION_BAND, SATURATION_WINDOW, WINDOW_STRIDE, EstimateTrack,
                                 _ols, gamma_to_mu)
 from klsmooth.landweber import IterationTrace, write_trace_csv
-from klsmooth.operators import SV_FLOOR, SpectralDecomposition, _utf8_text, dense_operator
+from klsmooth.operators import SV_FLOOR, SpectralDecomposition, _utf8_text, dense_operator, svd
 from klsmooth.problems import ProblemSpec
 
 
@@ -93,6 +93,13 @@ def general_svd(matrix):
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     r = int((s >= SV_FLOOR * s[0]).sum())
     return SpectralDecomposition(sigmas=s[:r], u=u[:, :r], v=vt[:r].T, method="svd")
+
+
+def with_system(p, sd=None):
+    """p with the singular system sd, by default svd(p.operator), attached
+    to its operator, as a run attaches the SVD it takes."""
+    return replace(p, operator=replace(p.operator,
+                                       singular_system=svd(p.operator) if sd is None else sd))
 
 
 def right_vectors(sd):

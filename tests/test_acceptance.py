@@ -82,7 +82,8 @@ def test_criterion_01_mu_recovery_on_diagonal_benchmarks(benchmark_runs):
 def test_criterion_02_landweber_oracle_equivalence(random_noise_free_runs):
     worst = 0.0
     for p, trace, k_iters in random_noise_free_runs:
-        R, G, E = diagonal_landweber_oracle(p.operator.sigmas, p.x_true, len(trace))
+        sigmas = p.operator.singular_system.sigmas
+        R, G, E = diagonal_landweber_oracle(sigmas, p.x_true, len(trace))
         rel_r = np.max(np.abs(trace.residuals - R) / R)
         rel_g = np.max(np.abs(trace.gradient_norms - G) / G)
         rel_e = np.max(np.abs(trace.errors - E) / np.maximum(E, 1e-300))

@@ -233,6 +233,42 @@ def test_operator_norm_out_of_range_exits_numeric(tmp_path, capsys, monkeypatch,
     assert not trace_path.exists()
 
 
+@pytest.mark.parametrize("checked", [True, False])
+def test_zero_matrix_exits_numeric(tmp_path, capsys, checked):
+    # both runs decompose the matrix, and its system has no mode: sigma_1 is 0
+    (tmp_path / "a.mtx").write_text("%%MatrixMarket matrix coordinate real general\n4 4 0\n")
+    write_vector(tmp_path / "y.txt", np.ones(4))
+    text = (f"problem.kind = external\nproblem.matrix_path = {tmp_path / 'a.mtx'}\n"
+            f"problem.y_path = {tmp_path / 'y.txt'}\n"
+            f"validation.run_svd_check = {str(checked).lower()}\n")
+    path, trace_path, report_path = write_cfg(tmp_path, text)
+    assert main(["estimate", str(path)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: operator norm 0 is out of range")
+    assert err.count("\n") == 1
+    assert not trace_path.exists() and not report_path.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "svd-check", "tikhonov-table"])
+@pytest.mark.parametrize("sizes", ["array real general\n3 0", "coordinate real general\n3 0 0"],
+                         ids=["array", "coordinate"])
+def test_matrix_with_no_column_is_a_config_error(tmp_path, capsys, sizes, command):
+    (tmp_path / "a.mtx").write_text(f"%%MatrixMarket matrix {sizes}\n")
+    write_vector(tmp_path / "y.txt", np.ones(3))
+    text = (f"problem.kind = external\nproblem.matrix_path = {tmp_path / 'a.mtx'}\n"
+            f"problem.y_path = {tmp_path / 'y.txt'}\n")
+    path, trace_path, report_path = write_cfg(tmp_path, text)
+    message = "matrix is 3x0: it has no entries"
+    if command == "tikhonov-table":
+        table_path = tmp_path / "table.csv"
+        assert main([command, str(path), "--out", str(table_path)]) == EXIT_OK
+        assert table_path.read_text().splitlines()[1].endswith(f",failed: {message}")
+    else:
+        assert main([command, str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not trace_path.exists() and not report_path.exists()
+
+
 def test_close_top_singular_values_take_the_norm_from_the_svd(tmp_path):
     # sigma_2 / sigma_1 = 0.99998: power iteration gives up after 10^4 steps,
     # and the cost rule sends the unchecked run to the SVD, which has sigma_1
@@ -593,6 +629,12 @@ def test_tikhonov_solves_tip_the_rule_to_the_svd(tmp_path, monkeypatch):
         assert len(calls) == svd_calls
 
 
+def _takes_svd(op, iters):
+    """Whether an unchecked run of ``iters`` Landweber steps and no Tikhonov
+    solve attaches svd(op), which the caller has patched to "decomposition"."""
+    return cli._with_svd(op, iters + cli.NORM_PAIRS)[0].singular_system == "decomposition"
+
+
 def _assert_rule_takes(monkeypatch, structure, n, iters, faster):
     monkeypatch.setattr(cli, "svd", lambda op: "decomposition")
     # never applied, only tested for symmetry and centrosymmetry: a broadcast
@@ -603,10 +645,9 @@ def _assert_rule_takes(monkeypatch, structure, n, iters, faster):
               "centro": lambda: np.broadcast_to(np.zeros(n), (n, n))}[structure]()
     op = operators.dense_operator(matrix)
     assert operators.plan(op) == structure
-    took_svd = cli._decomposition(op, iters, 0, checked=False)[0] is not None
-    assert took_svd == (faster == "svd")
+    assert _takes_svd(op, iters) == (faster == "svd")
     # the SVD check always takes the SVD, up to the size limit
-    assert cli._decomposition(op, iters, 0, checked=True)[0] == "decomposition"
+    assert cli._with_svd(op, None)[0].singular_system == "decomposition"
 
 
 # deriv2 timings on 2 cores, Landweber only: (n, K, the faster path), with
@@ -648,12 +689,12 @@ def test_unchecked_deriv2_2048_takes_the_decomposition_at_500_iterations(monkeyp
     monkeypatch.setattr(cli, "svd", lambda op: "decomposition")
     op = operators.kernel_operator(deriv2_kernel, 2048)
     assert operators.plan(op) == "centro"
-    assert cli._decomposition(op, 500, 0, checked=False)[0] == "decomposition"
-    assert cli._decomposition(op, 100, 0, checked=False)[0] is None
+    assert _takes_svd(op, 500)
+    assert not _takes_svd(op, 100)
     # the built-in problem's own system is free at any K
     op = make_deriv2(2048).operator
     assert operators.plan(op) == "dst"
-    assert cli._decomposition(op, 1, 0, checked=False)[0] == "decomposition"
+    assert _takes_svd(op, 1)
 
 
 def test_operator_over_the_svd_limit_takes_the_loop_and_cg(tmp_path, monkeypatch):

@@ -19,7 +19,7 @@ from klsmooth.validation import DEFAULT_MU_GRID, max_mu_spectral, verify_smoothn
 
 from _oracles import (diagonal_landweber_oracle, known_svd_problem,
                       known_symmetric_problem, planted_symmetric_problem, right_vectors,
-                      trace_csv_by_column, written_trace_csv)
+                      trace_csv_by_column, with_system, written_trace_csv)
 
 
 def make_diag_problem(sigmas, x_true):
@@ -49,7 +49,7 @@ def test_one_step_convergence_early_stop():
 def test_matches_oracle_midsize_diagonal():
     p = make_power_law(100, 2, 2)
     trace = landweber_run(p, p.y_clean, LandweberConfig(step_beta=1.0, max_iters=50))
-    R, G, E = diagonal_landweber_oracle(p.operator.sigmas, p.x_true, 50, step=1.0)
+    R, G, E = diagonal_landweber_oracle(p.operator.singular_system.sigmas, p.x_true, 50, step=1.0)
     assert np.max(np.abs(trace.residuals - R) / R) <= 1e-10
     assert np.max(np.abs(trace.gradient_norms - G) / G) <= 1e-10
     assert np.max(np.abs(trace.errors - E) / E) <= 1e-10
@@ -59,7 +59,7 @@ def test_matches_oracle_noisy_data():
     p = make_power_law(80, 1.5, 1.0)
     noisy = add_noise(p, 0.02, 5)
     trace = landweber_run(p, noisy.y_delta, LandweberConfig(max_iters=60))
-    R, G, _ = diagonal_landweber_oracle(p.operator.sigmas, p.x_true, 60,
+    R, G, _ = diagonal_landweber_oracle(p.operator.singular_system.sigmas, p.x_true, 60,
                                         data=noisy.y_delta)
     assert np.max(np.abs(trace.residuals - R) / R) <= 1e-10
     assert np.max(np.abs(trace.gradient_norms - G) / G) <= 1e-10
@@ -362,7 +362,7 @@ def test_closed_form_matches_matvec_loop(case, with_error):
         rounding[2] = 64 * eps * np.linalg.norm(x_true)
     else:
         x_true = None
-    closed = diagonal_trace(op.sigmas, data, beta, iters, x_true)
+    closed = diagonal_trace(op.singular_system.sigmas, data, beta, iters, x_true)
     loop = matvec_trace(op, data, beta, iters, x_true)
     assert_traces_agree(closed, loop, rounding=rounding,
                         floors=_stop_floors(np.linalg.norm(data), beta))
@@ -376,7 +376,7 @@ def test_both_paths_stop_where_every_mode_has_converged(sigmas, beta):
     # at the same iteration, the first with R_k at most EARLY_STOP_REL ||data||
     op = diagonal_operator(sigmas)
     data = np.array([0.7, -1.3])[:len(sigmas)]
-    closed = diagonal_trace(op.sigmas, data, beta, 3000)
+    closed = diagonal_trace(op.singular_system.sigmas, data, beta, 3000)
     loop = matvec_trace(op, data, beta, 3000)
     floor = EARLY_STOP_REL * np.linalg.norm(data)
     for R, G, _ in (closed, loop):
@@ -463,7 +463,7 @@ def test_canned_figures_closed_form_matches_matvec_loop(name):
     data = p.y_clean
     if cfg.noise_rel_level > 0:
         data = add_noise(p, cfg.noise_rel_level, cfg.noise_seed).y_delta
-    sigmas = p.operator.sigmas
+    sigmas = p.operator.singular_system.sigmas
     beta = 1.0 / sigmas[0] ** 2
     closed = diagonal_trace(sigmas, data, beta, cfg.landweber_max_iters, p.x_true)
     loop = matvec_trace(p.operator, data, beta, cfg.landweber_max_iters, p.x_true)
@@ -475,7 +475,7 @@ def test_closed_form_early_stop_at_first_iteration():
     # unit sigmas and unit step solve in one update: both paths stop at k = 1
     op = diagonal_operator(np.ones(5))
     data = np.arange(1.0, 6.0)
-    closed = diagonal_trace(op.sigmas, data, 1.0, 50, data)
+    closed = diagonal_trace(op.singular_system.sigmas, data, 1.0, 50, data)
     loop = matvec_trace(op, data, 1.0, 50, data)
     assert len(closed[0]) == len(loop[0]) == 1
     assert closed[0][0] == loop[0][0] == 0.0
@@ -487,7 +487,7 @@ def test_closed_form_aborts_at_the_loops_iteration(bad):
     op = diagonal_operator([1.0, 0.5, 0.25])
     data = np.array([1.0, bad, 0.5])
     with pytest.raises(RuntimeError, match="iteration 1$"):
-        diagonal_trace(op.sigmas, data, 0.5, 40)
+        diagonal_trace(op.singular_system.sigmas, data, 0.5, 40)
     with pytest.raises(RuntimeError, match="iteration 1$"):
         matvec_trace(op, data, 0.5, 40)
 
@@ -563,7 +563,7 @@ def test_saturation_run_closed_form_matches_matvec_loop():
     # the benchmark's saturation problem: 200 fast modes to K = 1.75 n^2,
     # well into the well-posed regime, in chunks of 109 blocks of 327 rows
     p = make_power_law(200, 2.0, 1.0)
-    sigmas = p.operator.sigmas
+    sigmas = p.operator.singular_system.sigmas
     K = 70_000
     beta = 1.0 / sigmas[0] ** 2
     assert not slow_mask(sigmas, p.y_clean, p.x_true, beta, K).any()
@@ -606,7 +606,7 @@ def test_dense_closed_form_matches_matvec_loop(m, n, rank_drop, seed, noise, bet
     sd = svd(p.operator)
     assert sd.sigmas.size == rank
     cfg = LandweberConfig(step_beta=beta, max_iters=iters)
-    closed = landweber_run(p, data, cfg, sd)
+    closed = landweber_run(with_system(p, sd), data, cfg)
     loop = landweber_run(p, data, cfg)
     assert (closed.path, loop.path) == ("closed-form", "matvec")
     rounding = (0.0, 64 * np.finfo(float).eps * np.linalg.norm(data), 0.0)
@@ -654,7 +654,7 @@ def test_symmetric_decomposition_matches_slow_paths(n, rank_drop, seed, noise, b
         assert np.abs(basis.T @ basis - np.eye(rank)).max() <= 1e-12
     assert np.abs(s - np.linalg.svd(a, compute_uv=False)[:rank]).max() <= tol
     cfg = LandweberConfig(step_beta=beta, max_iters=iters)
-    closed = landweber_run(p, data, cfg, sd)
+    closed = landweber_run(with_system(p, sd), data, cfg)
     loop = landweber_run(p, data, cfg)
     assert (closed.path, loop.path) == ("closed-form", "matvec")
     rounding = (0.0, 64 * np.finfo(float).eps * np.linalg.norm(data), 0.0)
@@ -684,7 +684,7 @@ def test_block_decomposition_matches_the_full_eigh(make):
     for basis in (sd.u, right_vectors(sd)):
         assert np.abs(basis.T @ basis - np.eye(s.size)).max() <= 1e-12
     cfg = LandweberConfig()
-    block, full = (landweber_run(p, p.y_clean, cfg, d) for d in (sd, oracle))
+    block, full = (landweber_run(with_system(p, d), p.y_clean, cfg) for d in (sd, oracle))
     assert (block.path, full.path) == ("closed-form", "closed-form")
     rounding = (0.0, 64 * np.finfo(float).eps * np.linalg.norm(p.y_clean), 0.0)
     assert_traces_agree((block.residuals, block.gradient_norms, block.errors),
@@ -725,7 +725,7 @@ def test_centro_decomposition_matches_the_full_eigh(monkeypatch, make, n):
     assert np.abs(sd.u.T @ sd.u - np.eye(s.size)).max() <= 1e-14
     assert np.array_equal(np.abs(sd.u[::-1]), np.abs(sd.u))
     cfg = LandweberConfig()
-    centro, full = (landweber_run(p, p.y_clean, cfg, d) for d in (sd, oracle))
+    centro, full = (landweber_run(with_system(p, d), p.y_clean, cfg) for d in (sd, oracle))
     rounding = (0.0, 64 * np.finfo(float).eps * np.linalg.norm(p.y_clean), 0.0)
     assert_traces_agree((centro.residuals, centro.gradient_norms, centro.errors),
                         (full.residuals, full.gradient_norms, full.errors), rounding=rounding)
@@ -766,6 +766,6 @@ def test_decomposition_supplies_the_norm_power_iteration_misses():
                     label="close-top")
     with pytest.raises(ConvergenceError):
         operator_norm(p.operator)
-    trace = landweber_run(p, p.y_clean, LandweberConfig(max_iters=50), svd(p.operator))
+    trace = landweber_run(with_system(p), p.y_clean, LandweberConfig(max_iters=50))
     assert trace.path == "closed-form"
     assert trace.step_beta == pytest.approx(1.0, rel=1e-12)

@@ -32,7 +32,7 @@ def test_generator_data_consistency(make):
 def test_power_law_source_element():
     p = make_power_law(300, 2, 2)
     # (A*A)^mu w applied componentwise must reproduce the exact solution
-    lifted = p.operator.sigmas ** (2.0 * p.mu_exact) * p.source_w
+    lifted = p.operator.singular_system.sigmas ** (2.0 * p.mu_exact) * p.source_w
     assert np.linalg.norm(lifted - p.x_true) <= 1e-8 * np.linalg.norm(p.x_true)
 
 

@@ -12,7 +12,7 @@ from klsmooth.validation import (BISECT_TOL, COEFF_FLOOR, DEFAULT_LEVELS, DEFAUL
                                  max_mu_spectral, rate_experiment, tikhonov_solve,
                                  verify_smoothness)
 
-from _oracles import general_svd, known_svd_problem
+from _oracles import general_svd, known_svd_problem, with_system
 
 
 def test_tikhonov_scalar():
@@ -150,8 +150,8 @@ def test_rate_experiment_matches_add_noise_per_level_and_seed(make, rel):
     # one noise draw and one projection per seed: bit for bit on a diagonal
     # operator, whose coefficients are the data, and at rounding on a dense one
     p = make()
-    sd = svd(p.operator)
-    res = rate_experiment(p, 0.3, DEFAULT_LEVELS, DEFAULT_SEEDS, sd)
+    sd = p.operator.singular_system
+    res = rate_experiment(p, 0.3, DEFAULT_LEVELS, DEFAULT_SEEDS)
     oracle = _rate_errors_by_add_noise(p, 0.3, sd)
     assert res.delta_abs == [add_noise(p, l, 0).delta_abs for l in DEFAULT_LEVELS]
     if rel == 0.0:
@@ -181,7 +181,7 @@ def test_filter_factor_errors_match_cg(m, n, rank_drop, seed, mu):
     # reference at 1e-8
     p, _ = known_svd_problem(seed, m, n, max(2, min(m, n) - rank_drop))
     levels = (0.1, 0.03, 0.01)
-    ff = rate_experiment(p, mu, levels, seeds=(0, 1), sd=svd(p.operator))
+    ff = rate_experiment(with_system(p), mu, levels, seeds=(0, 1))
     cg = rate_experiment(p, mu, levels, seeds=(0, 1))
     assert (ff.solver, cg.solver) == ("filter-factors", "cg")
     assert ff.alphas == cg.alphas and min(cg.alphas) >= 1e-4
