@@ -8,8 +8,9 @@ An operator is an explicit m-by-n real matrix, its singular system, or both:
 * a dense operator has a matrix. Integral operators on [0,1]
   (:func:`kernel_operator`) are dense matrices built by the midpoint rule on
   the nodes of :func:`midpoint_nodes`. A dense operator gets its system
-  attached where one is known without a factorization (deriv2's sine basis),
-  or where a run computes it once by :func:`svd`.
+  attached where one is known without a factorization (deriv2's sine basis,
+  a :class:`SineBasis` applied by FFT), or where a run computes it once by
+  :func:`svd`.
 
 Operators are immutable after construction and safe to share across threads.
 """
@@ -124,14 +125,16 @@ class SpectralDecomposition:
     A v_i = sigma_i u_i. u = v = None is the canonical basis (u_i = v_i = e_i)
     of a diagonal operator, left implicit. A symmetric decomposition
     A = U diag(lam) U* keeps no second n x r array: v = None, and its right
-    vectors are v_i = signs_i u_i with signs_i = sign(lam_i). ``method``
+    vectors are v_i = signs_i u_i with signs_i = sign(lam_i). The bases are
+    read only through the products u.T @ y and u @ c, so u may be an array
+    or a :class:`SineBasis`, which applies its matrix by FFT. ``method``
     names what computed it: "canonical" (a diagonal operator's own sigmas),
     "dst" (deriv2's sine basis), "svd", "eigh", "block" or "centro".
     """
 
     sigmas: np.ndarray
-    u: Optional[np.ndarray] = None   # m x r, columns u_i
-    v: Optional[np.ndarray] = None   # n x r, columns v_i
+    u: Optional[np.ndarray | SineBasis] = None   # m x r, columns u_i
+    v: Optional[np.ndarray] = None               # n x r, columns v_i
     method: str = field(kw_only=True)
     signs: Optional[np.ndarray] = field(default=None, kw_only=True)   # r values +-1
 
@@ -159,6 +162,47 @@ class SpectralDecomposition:
         if right and self.v is None:
             coeffs *= self.signs
         return coeffs, float(rest @ rest)
+
+
+@dataclass(frozen=True)
+class SineBasis:
+    """The orthonormal DST-II basis of order n, an n x n matrix that is never
+    built: column k = 1..n is sqrt(2/n) sin(pi k (2i + 1) / (2n)), i < n,
+    and column n is scaled by a further sqrt(1/2).
+
+    It offers the two products a :class:`SpectralDecomposition` takes of its
+    basis, on a vector or on the n columns of an n x k array, each by one
+    real FFT of length 2n (Makhoul, IEEE Trans. ASSP 28, 1980) in
+    O(n log n): ``u.T @ y``, the orthonormal DST-II, and ``u @ c``, its
+    inverse. With Y = rfft(y, 2n) the sum over i of y_i sin(pi k (2i + 1) / (2n))
+    is -Im(e^(-i pi k / (2n)) Y_k), k = 1..n; the inverse puts the same
+    twiddle, conjugated, on the bins of an irfft of length 2n.
+    """
+
+    n: int
+    transposed: bool = False
+
+    @property
+    def T(self) -> SineBasis:
+        return SineBasis(self.n, not self.transposed)
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        n = self.n
+        if x.shape[0] != n:
+            raise ValueError(f"expected {n} rows, got shape {x.shape}")
+        twiddle = math.sqrt(2.0 / n) * np.exp(np.arange(1, n + 1) * (-0.5j * np.pi / n))
+        twiddle[-1] *= math.sqrt(0.5)
+        twiddle = twiddle.reshape((n,) + (1,) * (x.ndim - 1))
+        if self.transposed:
+            y = np.fft.rfft(x, 2 * n, axis=0)[1:]
+            y *= twiddle
+            return -y.imag
+        z = np.zeros((n + 1,) + x.shape[1:], complex)
+        np.multiply(x, twiddle.conj(), out=z[1:])
+        z *= -1j * n
+        z[n] *= 2.0   # irfft counts the Nyquist bin once, the others twice
+        return np.fft.irfft(z, 2 * n, axis=0)[:n]
 
 
 def diagonal_operator(sigmas) -> LinearOperator:

@@ -10,6 +10,8 @@ from before they worked in place: every sum, fit and slope allocated anew,
 and the detector logged and sloped the whole trace from its first window on.
 regress_prefix, the fit of one prefix, and mu_to_model, the exponents of a
 source condition written out one by one, have no caller in the package.
+sine_basis_oracle is deriv2's DST-II basis as the package built it before
+its sine basis was applied by FFT: the n x n array, gathered from one table.
 """
 
 import math
@@ -106,6 +108,20 @@ def right_vectors(sd):
     """The right singular vectors v_i of a computed decomposition as an
     n x r array: the stored v, or sign(lam_i) u_i for a symmetric one."""
     return sd.v if sd.signs is None else sd.u * sd.signs
+
+
+def sine_basis_oracle(n):
+    """The orthonormal DST-II basis of order n as an n x n array: column
+    k = 1..n is sqrt(2/n) sin(pi k (2i + 1) / (2n)), the last scaled by
+    sqrt(1/2). Each sine is read from a table of sin(pi j / (2n)), j < 4n,
+    at j = k (2i + 1) mod 4n; a float argument leaves orthogonality at 1e-13."""
+    table = np.sin(np.arange(4 * n) * (np.pi / (2 * n)))
+    table *= np.sqrt(2.0 / n)
+    index = np.multiply.outer(np.arange(1, 2 * n, 2), np.arange(1, n + 1))
+    index %= 4 * n
+    u = np.take(table, index)
+    u[:, -1] *= np.sqrt(0.5)
+    return u
 
 
 def known_symmetric_problem(seed, n, rank, noise=0.0, centro=False):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -695,6 +696,23 @@ def test_unchecked_deriv2_2048_takes_the_decomposition_at_500_iterations(monkeyp
     op = make_deriv2(2048).operator
     assert operators.plan(op) == "dst"
     assert _takes_svd(op, 1)
+
+
+def test_checked_deriv2_run_peaks_under_one_and_a_half_matrices():
+    # deriv2's sine basis is applied by FFT and never built: a checked run
+    # at n = 1024 holds its 8 MiB matrix and vectors, and peaked at 9.2 MiB
+    # (24.1 MiB with the n x n basis and the int64 index it was gathered by)
+    cfg = ExperimentConfig(problem_kind="deriv2", problem_n=1024,
+                           validation_run_tikhonov=True, validation_run_svd_check=True)
+    run_pipeline(replace(cfg, problem_n=32))   # imports and tables built on first use
+    tracemalloc.start()
+    try:
+        report = run_pipeline(cfg)["report"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["svd_check"]["decomposition"] == "dst"
+    assert peak < 1.5 * 8 * 1024 ** 2
 
 
 def test_operator_over_the_svd_limit_takes_the_loop_and_cg(tmp_path, monkeypatch):

@@ -6,7 +6,8 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 from klsmooth import operators
-from klsmooth.operators import (BLOCK, ConvergenceError, SVD_SIZE_LIMIT, SpectralDecomposition,
+from klsmooth.operators import (BLOCK, ConvergenceError, SVD_SIZE_LIMIT, SineBasis,
+                                SpectralDecomposition,
                                 _decimal_digits, _symmetric_svd, decimal_rows,
                                 dense_operator, diagonal_operator,
                                 kernel_operator, midpoint_nodes, operator_norm, plan,
@@ -15,7 +16,8 @@ from klsmooth.operators import (BLOCK, ConvergenceError, SVD_SIZE_LIMIT, Spectra
 from klsmooth.problems import deriv2_kernel, make_deriv2, make_gravity
 
 from _oracles import (known_svd_problem, known_symmetric_problem, matrix_market_oracle,
-                      planted_symmetric_problem, right_vectors, vector_oracle)
+                      planted_symmetric_problem, right_vectors, sine_basis_oracle,
+                      vector_oracle)
 
 
 def test_apply_diagonal():
@@ -258,15 +260,38 @@ def test_block_decomposition_failure_is_a_convergence_error(monkeypatch):
 ], ids=["deriv2-256", "planted-indefinite-64"])
 def test_right_split_by_signs_matches_an_explicit_basis(make, signs):
     # a symmetric decomposition keeps v = sign(lam) u as the signs alone;
-    # its right split equals the split by the explicit n x r basis bit for bit
+    # its right split equals the split by the explicit n x r basis bit for
+    # bit. deriv2's sine basis has no array to make that basis of: there the
+    # same property reads as the left split with its coefficients times signs
     sd = svd(make())
     assert sd.v is None and set(sd.signs.tolist()) == signs
-    explicit = SpectralDecomposition(sd.sigmas, u=sd.u, v=sd.u * sd.signs, method=sd.method)
+    n = sd.sigmas.size
     rng = np.random.default_rng(4)
-    for vec in (rng.standard_normal(sd.u.shape[0]), sd.u[:, 3] + 1e-3, np.ones(sd.u.shape[0])):
+    for vec in (rng.standard_normal(n), sd.u @ np.eye(n)[3] + 1e-3, np.ones(n)):
         coeffs, rest = sd.split(vec, right=True)
-        want, want_rest = explicit.split(vec, right=True)
+        if isinstance(sd.u, SineBasis):
+            want, want_rest = sd.split(vec)
+            want *= sd.signs
+        else:
+            explicit = SpectralDecomposition(sd.sigmas, u=sd.u, v=sd.u * sd.signs,
+                                             method=sd.method)
+            want, want_rest = explicit.split(vec, right=True)
         assert np.array_equal(coeffs, want) and rest == want_rest
+
+
+@pytest.mark.parametrize("n", [8, 9, 255, 256, 777, 1024, 2048])
+def test_sine_basis_products_match_the_gathered_basis(n):
+    # u.T @ y and u @ c by FFT against the products of the n x n basis, on
+    # a vector and on the columns of an n x 6 array, to 2e-15 of each
+    # column's norm; the FFT is the more accurate of the two, within 3.2e-16
+    # of a long-double product of the exact basis to n = 2048
+    u, basis = sine_basis_oracle(n), SineBasis(n)
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal(n), midpoint_nodes(n), rng.standard_normal((n, 6))):
+        for got, want in ((basis.T @ x, u.T @ x), (basis @ x, u @ x)):
+            assert got.shape == want.shape
+            assert np.all(np.linalg.norm(got - want, axis=0)
+                          <= 2e-15 * np.linalg.norm(want, axis=0))
 
 
 def test_kernel_operator_scales_a_returned_array_in_place_and_copies_any_other():

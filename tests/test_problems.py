@@ -136,20 +136,22 @@ def test_deriv2_singular_system_matches_the_eigh_of_its_matrix(n):
     built matrix: every eigenvalue -sigma_k to 1e-15 sigma_1, each mode up to
     sign within 8 eps sigma_1 / gap_k (the accuracy eigh's own vectors have
     by the sin-theta bound; deriv2's smallest gaps fall as n^-4), and an
-    orthonormal basis with A V = V diag(lam) at rounding."""
+    orthonormal basis with A V = V diag(lam) at rounding. The basis is
+    applied by FFT; its matrix is read as its product with the identity."""
     op = make_deriv2(n).operator
     sd, a = op.singular_system, op.matrix
     s1, eps = sd.sigmas[0], np.finfo(float).eps
     assert sd.method == "dst" and sd.v is None and np.all(sd.signs == -1.0)
+    u = sd.u @ np.eye(n)
     assert sd.sigmas.size == n and np.all(np.diff(sd.sigmas) < 0.0)
     lam, vecs = np.linalg.eigh(a)   # ascending: -sigma_1 first
     assert np.abs(lam + sd.sigmas).max() <= 1e-15 * s1
     gaps = np.abs(np.diff(sd.sigmas))
     gap = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
-    aligned = vecs * np.sign(np.sum(vecs * sd.u, axis=0))
-    assert np.all(np.abs(aligned - sd.u).max(axis=0) <= 8 * eps * s1 / gap)
-    assert np.abs(sd.u.T @ sd.u - np.eye(n)).max() <= 5e-15
-    assert np.abs(a @ sd.u + sd.u * sd.sigmas).max() <= 1e-15 * s1
+    aligned = vecs * np.sign(np.sum(vecs * u, axis=0))
+    assert np.all(np.abs(aligned - u).max(axis=0) <= 8 * eps * s1 / gap)
+    assert np.abs(u.T @ u - np.eye(n)).max() <= 5e-15
+    assert np.abs(a @ u + u * sd.sigmas).max() <= 1e-15 * s1
 
 
 def test_gravity_kernel_values():
