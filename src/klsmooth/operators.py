@@ -1,16 +1,16 @@
 """Linear operators: forward/adjoint application, norm estimation, SVD, file I/O.
 
-An operator is an explicit m-by-n real matrix, its singular system, or both:
+An operator is an explicit m-by-n real matrix or its singular system:
 
-* a diagonal operator -- infinite-dimensional, truncated to n modes -- has no
-  matrix, only its ``canonical`` system: the singular values (positive,
-  non-increasing) on the unit vectors;
+* an operator whose system is known stands on that system alone, with no
+  matrix, and is applied through it: a diagonal operator -- infinite-
+  dimensional, truncated to n modes -- by its ``canonical`` system (the
+  singular values, positive and non-increasing, on the unit vectors), and
+  deriv2 by its ``dst`` system (a :class:`SineBasis` applied by FFT);
 * a dense operator has a matrix. Integral operators on [0,1]
   (:func:`kernel_operator`) are dense matrices built by the midpoint rule on
-  the nodes of :func:`midpoint_nodes`. A dense operator gets its system
-  attached where one is known without a factorization (deriv2's sine basis,
-  a :class:`SineBasis` applied by FFT), or where a run computes it once by
-  :func:`svd`.
+  the nodes of :func:`midpoint_nodes`. A run that needs a dense operator's
+  system computes it once by :func:`svd` and attaches it.
 
 Operators are immutable after construction and safe to share across threads.
 """
@@ -62,9 +62,9 @@ class LinearOperator:
 
     Attributes:
         shape: (m, n) output/input dimensions.
-        matrix: the matrix; None for a diagonal operator.
-        singular_system: its singular system, where known or computed: a
-            diagonal operator's is its ``canonical`` system.
+        matrix: the matrix; None for an operator applied through its known
+            singular system.
+        singular_system: its singular system, where known or computed.
     """
 
     shape: tuple[int, int]
@@ -73,7 +73,8 @@ class LinearOperator:
 
     @property
     def kind(self) -> str:
-        """The operator's kind: "diagonal" (no matrix) or "dense"."""
+        """The operator's kind: "diagonal" (no matrix: applied through its
+        singular system) or "dense"."""
         return "diagonal" if self.matrix is None else "dense"
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -81,18 +82,25 @@ class LinearOperator:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.shape[1],):
             raise ValueError(f"expected input of length {self.shape[1]}, got shape {x.shape}")
-        if self.matrix is None:
-            return self.singular_system.sigmas * x
-        return self.matrix @ x
+        return self._through_system(x) if self.matrix is None else self.matrix @ x
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         """Return A* y (the transpose action for a matrix)."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.shape[0],):
             raise ValueError(f"expected input of length {self.shape[0]}, got shape {y.shape}")
-        if self.matrix is None:
-            return self.singular_system.sigmas * y
-        return self.matrix.T @ y
+        return self._through_system(y) if self.matrix is None else self.matrix.T @ y
+
+    def _through_system(self, x: np.ndarray) -> np.ndarray:
+        """U diag(sigma signs) U* x, which is A x and A* x alike: an operator
+        without a matrix is symmetric, its system ``canonical`` (u None, so
+        exactly sigma x) or deriv2's ``dst``."""
+        sd = self.singular_system
+        if sd.u is None:
+            return sd.sigmas * x
+        c = sd.u.T @ x
+        c *= sd.sigmas * sd.signs
+        return sd.u @ c
 
     @cached_property
     def symmetric(self) -> bool:
@@ -250,7 +258,7 @@ def kernel_operator(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
     array is scaled by 1/n in place and becomes the matrix, so the operator
     costs one n x n array. Any other result (a scalar, a row, a read-only
     view, another dtype) is broadcast into a new one first. The result is a
-    plain dense operator.
+    plain dense operator with no singular system, such as gravity's.
     """
     if n < 2:
         raise ValueError("need at least 2 quadrature cells")

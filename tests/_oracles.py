@@ -12,6 +12,9 @@ regress_prefix, the fit of one prefix, and mu_to_model, the exponents of a
 source condition written out one by one, have no caller in the package.
 sine_basis_oracle is deriv2's DST-II basis as the package built it before
 its sine basis was applied by FFT: the n x n array, gathered from one table.
+deriv2_kernel is the Green's function the package discretized into deriv2's
+matrix before deriv2 became its singular system alone; dense_deriv2 is that
+matrix under the built-in problem's data, as an ingested .mtx holds it.
 """
 
 import math
@@ -29,8 +32,9 @@ from klsmooth.estimator import (DEFAULT_EPS_C_REL, DEFAULT_EPS_MU, DEFAULT_W_MIN
                                 SATURATION_BAND, SATURATION_WINDOW, WINDOW_STRIDE, EstimateTrack,
                                 _ols, gamma_to_mu)
 from klsmooth.landweber import IterationTrace, write_trace_csv
-from klsmooth.operators import SV_FLOOR, SpectralDecomposition, _utf8_text, dense_operator, svd
-from klsmooth.problems import ProblemSpec
+from klsmooth.operators import (SV_FLOOR, SpectralDecomposition, _utf8_text, dense_operator,
+                                kernel_operator, svd)
+from klsmooth.problems import ProblemSpec, make_deriv2
 
 
 def diagonal_landweber_oracle(sigmas, x_true, n_iters, step=None, data=None):
@@ -122,6 +126,25 @@ def sine_basis_oracle(n):
     u = np.take(table, index)
     u[:, -1] *= np.sqrt(0.5)
     return u
+
+
+def deriv2_kernel(s, t):
+    """Green's function of the second derivative with zero boundary values,
+    min(s,t) (max(s,t) - 1): the products s (t - 1) for s <= t and
+    t (s - 1) otherwise, evaluated into one array (0-d for scalars) by
+    masked in-place products."""
+    k = np.asarray(np.maximum(s, t))
+    k -= 1.0
+    np.multiply(k, s, out=k, where=s <= t)
+    np.multiply(k, t, out=k, where=s > t)
+    return k
+
+
+def dense_deriv2(n):
+    """make_deriv2(n) on its n x n matrix, kernel_operator(deriv2_kernel, n),
+    with no singular system: the problem as an ingested .mtx of that matrix
+    and its data gives it."""
+    return replace(make_deriv2(n), operator=kernel_operator(deriv2_kernel, n))
 
 
 def known_symmetric_problem(seed, n, rank, noise=0.0, centro=False):

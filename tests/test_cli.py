@@ -18,8 +18,10 @@ from klsmooth.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                           main, parse_config_text, run_pipeline)
 from klsmooth import cli, operators, validation
 from klsmooth.operators import write_matrix_market, write_vector
-from klsmooth.problems import deriv2_kernel, make_deriv2, make_gravity
+from klsmooth.problems import make_deriv2, make_gravity
 from klsmooth.validation import DEFAULT_LEVELS, DEFAULT_SEEDS, rate_exponent
+
+from _oracles import deriv2_kernel, dense_deriv2
 
 SMALL_DIAG = """
 problem.kind = power_law
@@ -550,10 +552,10 @@ def test_tikhonov_section_skips_without_window():
 
 def ingested_deriv2(tmp_path, n):
     """Config text for deriv2 on n cells read from MatrixMarket and vector
-    files: the built-in problem's matrix, data and x_true bit for bit, but no
-    known singular system, so it decomposes, prices and iterates as any dense
-    matrix does."""
-    p = make_deriv2(n)
+    files: the matrix the built-in problem stands for (dense_deriv2), its data
+    and x_true bit for bit, but no known singular system, so it decomposes,
+    prices and iterates as any dense matrix does."""
+    p = dense_deriv2(n)
     a, y, x = (tmp_path / f"deriv2_{n}_{name}" for name in ("a.mtx", "y.txt", "x.txt"))
     write_matrix_market(a, p.operator.matrix)
     write_vector(y, p.y_clean)
@@ -698,11 +700,12 @@ def test_unchecked_deriv2_2048_takes_the_decomposition_at_500_iterations(monkeyp
     assert _takes_svd(op, 1)
 
 
-def test_checked_deriv2_run_peaks_under_one_and_a_half_matrices():
-    # deriv2's sine basis is applied by FFT and never built: a checked run
-    # at n = 1024 holds its 8 MiB matrix and vectors, and peaked at 9.2 MiB
-    # (24.1 MiB with the n x n basis and the int64 index it was gathered by)
-    cfg = ExperimentConfig(problem_kind="deriv2", problem_n=1024,
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_checked_deriv2_run_peaks_under_two_mib(n):
+    # deriv2 is its singular system alone, its sine basis applied by FFT: a
+    # checked run holds vectors, and peaked at 0.89 and 0.98 MiB at n = 1024
+    # and 2048, where one n x n matrix is 8 and 32 MiB
+    cfg = ExperimentConfig(problem_kind="deriv2", problem_n=n,
                            validation_run_tikhonov=True, validation_run_svd_check=True)
     run_pipeline(replace(cfg, problem_n=32))   # imports and tables built on first use
     tracemalloc.start()
@@ -712,7 +715,34 @@ def test_checked_deriv2_run_peaks_under_one_and_a_half_matrices():
     finally:
         tracemalloc.stop()
     assert report["svd_check"]["decomposition"] == "dst"
-    assert peak < 1.5 * 8 * 1024 ** 2
+    assert peak < 2 * 1024 ** 2
+
+
+def test_checked_deriv2_runs_matrix_free_at_65536(tmp_path):
+    """estimate with both checks on deriv2 at n = 65,536, whose matrix would
+    be 32 GiB, in a process whose address space is capped at 1 GiB: the cap
+    turns any n x n allocation into a MemoryError (exit 2) rather than an
+    out-of-memory kill. The run takes the closed form on the sine basis."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("RLIMIT_AS is unavailable")
+    path, _, report_path = write_cfg(tmp_path, "problem.kind = deriv2\nproblem.n = 65536\n"
+                                     "validation.run_tikhonov = true\n"
+                                     "validation.run_svd_check = true\n")
+    capped = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1024 ** 3, 1024 ** 3))\n"
+              "from klsmooth.cli import main\n"
+              f"sys.exit(main(['estimate', {str(path)!r}]))\n")
+    # one BLAS thread, so that no thread's buffers count against the cap
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", capped], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(report_path.read_text())
+    assert report["landweber"]["path"] == "closed-form"
+    assert report["svd_check"]["decomposition"] == "dst"
+    assert report["estimate"]["verdict"] == "stable"
 
 
 def test_operator_over_the_svd_limit_takes_the_loop_and_cg(tmp_path, monkeypatch):

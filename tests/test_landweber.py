@@ -17,7 +17,7 @@ from klsmooth.operators import (ConvergenceError, _centro_split, _symmetric_svd,
 from klsmooth.problems import ProblemSpec, add_noise, make_deriv2, make_gravity, make_power_law
 from klsmooth.validation import DEFAULT_MU_GRID, max_mu_spectral, verify_smoothness
 
-from _oracles import (diagonal_landweber_oracle, known_svd_problem,
+from _oracles import (dense_deriv2, diagonal_landweber_oracle, known_svd_problem,
                       known_symmetric_problem, planted_symmetric_problem, right_vectors,
                       trace_csv_by_column, with_system, written_trace_csv)
 
@@ -697,16 +697,16 @@ def test_block_decomposition_matches_the_full_eigh(make):
         assert np.array_equal(x, y)
 
 
-@pytest.mark.parametrize("make, n", [(make_deriv2, 256), (make_gravity, 256),
-                                     (make_deriv2, 1024), (make_gravity, 1024)],
+@pytest.mark.parametrize("make, n", [(dense_deriv2, 256), (make_gravity, 256),
+                                     (dense_deriv2, 1024), (make_gravity, 1024)],
                          ids=["deriv2-256", "gravity-256", "deriv2-1024", "gravity-1024"])
 def test_centro_decomposition_matches_the_full_eigh(monkeypatch, make, n):
     """The two half-size eigenproblems of a matrix symmetric and
     centrosymmetric bit for bit against the full eigh: the same retained
     modes, sigmas to 1e-13 sigma_1, a singular system at rounding, modes that
     are even or odd bit for bit, the same closed-form Landweber trace and the
-    same spectral verdict. svd() takes deriv2's own sine basis, and the block
-    for gravity at n = 1024, so the halves are called directly."""
+    same spectral verdict. deriv2 is its oracle matrix, and svd() takes the
+    block for gravity at n = 1024, so the halves are called directly."""
     p = make(n)
     a = p.operator.matrix
     oracle = _symmetric_svd(*np.linalg.eigh(a), method="eigh")

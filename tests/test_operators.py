@@ -13,11 +13,11 @@ from klsmooth.operators import (BLOCK, ConvergenceError, SVD_SIZE_LIMIT, SineBas
                                 kernel_operator, midpoint_nodes, operator_norm, plan,
                                 read_matrix_market, read_vector, svd, write_matrix_market,
                                 write_vector)
-from klsmooth.problems import deriv2_kernel, make_deriv2, make_gravity
+from klsmooth.problems import make_deriv2, make_gravity
 
-from _oracles import (known_svd_problem, known_symmetric_problem, matrix_market_oracle,
-                      planted_symmetric_problem, right_vectors, sine_basis_oracle,
-                      vector_oracle)
+from _oracles import (deriv2_kernel, known_svd_problem, known_symmetric_problem,
+                      matrix_market_oracle, planted_symmetric_problem, right_vectors,
+                      sine_basis_oracle, vector_oracle)
 
 
 def test_apply_diagonal():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from klsmooth.operators import midpoint_nodes, write_matrix_market, write_vector
+from klsmooth.operators import kernel_operator, midpoint_nodes, write_matrix_market, write_vector
 from klsmooth.problems import (DEFAULT_GRAVITY_DEPTH, EXP_OPERATOR_MAX_N, add_noise,
                                load_external,
                                make_deriv2, make_exp_operator, make_exp_solution,
                                make_gravity, make_power_law)
 
-from _oracles import power_law_verif_terms
+from _oracles import deriv2_kernel, dense_deriv2, power_law_verif_terms
 
 
 @pytest.mark.parametrize("eta,beta,mu", [(1, 2.5, 0.1), (2, 2.0, 0.375), (3, 1.5, 5.0 / 6.0)])
@@ -108,26 +108,40 @@ def test_exp_operator_cap():
 
 
 def test_deriv2_kernel_values():
-    from klsmooth.problems import deriv2_kernel
     assert deriv2_kernel(0.25, 0.75) == pytest.approx(-0.0625, abs=1e-15)
     assert deriv2_kernel(0.75, 0.25) == pytest.approx(-0.0625, abs=1e-15)
-    p = make_deriv2(16)
+    p = dense_deriv2(16)
     s, t = midpoint_nodes(16)[[2, 10]]
     assert p.operator.matrix[2, 10] * 16 == pytest.approx(s * (t - 1.0), rel=1e-13)
 
 
 def test_deriv2_kernel_symmetry():
     rng = np.random.default_rng(2)
-    from klsmooth.problems import deriv2_kernel
     for _ in range(20):
         s, t = rng.uniform(0, 1, 2)
         assert deriv2_kernel(s, t) == pytest.approx(deriv2_kernel(t, s), rel=1e-14)
 
 
 def test_deriv2_consistency():
+    # y_clean is make_deriv2's operator applied to x_true, so it is checked
+    # against the product of the matrix that operator stands for
     p = make_deriv2(64)
-    assert np.linalg.norm(p.y_clean - p.operator.apply(p.x_true)) <= 1e-12 * np.linalg.norm(p.y_clean)
+    a = dense_deriv2(64).operator
+    assert np.linalg.norm(p.y_clean - a.apply(p.x_true)) <= 1e-12 * np.linalg.norm(p.y_clean)
     assert p.mu_exact is None
+
+
+@pytest.mark.parametrize("n", [8, 9, 255, 777, 1024, 2048])
+def test_deriv2_applies_its_matrix_through_its_system(n):
+    """make_deriv2's operator has no matrix; A x and A* x through its sine
+    basis match the oracle matrix's products on random vectors to 1e-14,
+    relative in norm."""
+    op, a = make_deriv2(n).operator, dense_deriv2(n).operator.matrix
+    assert op.matrix is None and op.kind == "diagonal"
+    rng = np.random.default_rng(n)
+    for x in rng.standard_normal((3, n)):
+        for got, want in ((op.apply(x), a @ x), (op.apply_adjoint(x), a.T @ x)):
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("n", [8, 9, 255, 256, 777, 1024])
@@ -138,8 +152,7 @@ def test_deriv2_singular_system_matches_the_eigh_of_its_matrix(n):
     by the sin-theta bound; deriv2's smallest gaps fall as n^-4), and an
     orthonormal basis with A V = V diag(lam) at rounding. The basis is
     applied by FFT; its matrix is read as its product with the identity."""
-    op = make_deriv2(n).operator
-    sd, a = op.singular_system, op.matrix
+    sd, a = make_deriv2(n).operator.singular_system, dense_deriv2(n).operator.matrix
     s1, eps = sd.sigmas[0], np.finfo(float).eps
     assert sd.method == "dst" and sd.v is None and np.all(sd.signs == -1.0)
     u = sd.u @ np.eye(n)
@@ -175,7 +188,7 @@ def test_kernels_match_the_broadcast_formulas_bit_for_bit(n):
     d = DEFAULT_GRAVITY_DEPTH
     deriv2 = np.broadcast_to(np.where(s <= t, s * (t - 1.0), t * (s - 1.0)), (n, n)) * (1.0 / n)
     gravity = np.broadcast_to(d * (d ** 2 + (s - t) ** 2) ** (-1.5), (n, n)) * (1.0 / n)
-    assert np.array_equal(make_deriv2(n).operator.matrix, deriv2)
+    assert np.array_equal(kernel_operator(deriv2_kernel, n).matrix, deriv2)
     assert np.array_equal(make_gravity(n).operator.matrix, gravity)
 
 
