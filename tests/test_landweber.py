@@ -742,14 +742,15 @@ def test_deriv2_takes_the_closed_form_from_its_own_system(n):
     """landweber_run on make_deriv2 with no decomposition given takes the
     closed form from the problem's DST-II system, whose sigma_1 sets the
     step, and agrees with the matvec loop at that step within the dense
-    tolerance of test_dense_closed_form_matches_matvec_loop."""
+    tolerance of test_dense_closed_form_matches_matvec_loop. The loop runs
+    on the oracle kernel matrix, not through the system under test."""
     p = make_deriv2(n)
     data = add_noise(p, 0.01, 3).y_delta
     trace = landweber_run(p, data, LandweberConfig())
     assert trace.path == "closed-form"
     s1 = p.operator.singular_system.sigmas[0]
     assert trace.step_beta == 1.0 / (s1 * s1)
-    loop = matvec_trace(p.operator, data, trace.step_beta, len(trace), p.x_true)
+    loop = matvec_trace(dense_deriv2(n).operator, data, trace.step_beta, len(trace), p.x_true)
     rounding = (0.0, 64 * np.finfo(float).eps * np.linalg.norm(data), 0.0)
     assert_traces_agree((trace.residuals, trace.gradient_norms, trace.errors), loop,
                         rounding=rounding)

@@ -148,7 +148,8 @@ def _rate_errors_by_add_noise(p, mu, sd):
                          ids=["diagonal", "dense"])
 def test_rate_experiment_matches_add_noise_per_level_and_seed(make, rel):
     # one noise draw and one projection per seed: bit for bit on a diagonal
-    # operator, whose coefficients are the data, and at rounding on a dense one
+    # operator, whose coefficients are the data, and at rounding on one whose
+    # system has a basis ("dense" names deriv2, which now has no matrix)
     p = make()
     sd = p.operator.singular_system
     res = rate_experiment(p, 0.3, DEFAULT_LEVELS, DEFAULT_SEEDS)
