@@ -34,7 +34,7 @@ import numpy as np
 from . import estimator, operators, problems, validation
 from .estimator import estimate_track, detect_discretization_saturation
 from .landweber import LandweberConfig, landweber_run, write_trace_csv
-from .operators import ConvergenceError, LinearOperator, plan_ns, svd
+from .operators import ConvergenceError, LinearOperator, svd
 from .problems import ProblemSpec, add_noise
 from .validation import (DEFAULT_MU_GRID, bound_curves, max_mu_spectral, rate_experiment,
                          verify_smoothness)
@@ -69,17 +69,6 @@ FIGURES = {
 FIGURE_NAMES = tuple(FIGURES)
 
 TABLE_MISFIT_THRESHOLD = 0.1
-
-# _with_svd's loop side, fitted to operators.plan_ns's timing run: every
-# step of power iteration, Landweber and CG is a matvec pair, PAIR_NS +
-# PAIR_NS_PER_ENTRY m n ns (within 28%). The closed form after a decomposition
-# costs at most 2% of one pair per iteration up to n = 2048, and is left out.
-PAIR_NS = 24_000.0
-PAIR_NS_PER_ENTRY = 0.46
-# the pairs power iteration (6-16 on deriv2 and gravity) and one Tikhonov
-# CG solve (9-15 at the rate experiment's levels there) typically take
-NORM_PAIRS = 15
-CG_PAIRS_PER_SOLVE = 12
 
 
 class ConfigError(ValueError):
@@ -209,6 +198,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("landweber.max_iters must be >= 1")
     if cfg.estimator_k_min < 2:
         raise ConfigError("estimator.k_min must be >= 2")
+    if cfg.landweber_max_iters < cfg.estimator_k_min:
+        raise ConfigError(f"landweber.max_iters = {cfg.landweber_max_iters} is below "
+                          f"estimator.k_min = {cfg.estimator_k_min}")
     if cfg.estimator_w_min < 2:
         raise ConfigError("estimator.w_min must be >= 2")
     if cfg.estimator_eps_mu < 0:
@@ -243,18 +235,15 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     """Problem -> (noise) -> Landweber -> estimates -> diagnostics -> validation.
 
     Returns a result dict holding the trace, the estimate track, optional
-    bound curves, and the JSON-ready report. When :func:`_with_svd` attaches
-    the operator's SVD to it, Landweber, the Tikhonov rate experiment and the
+    bound curves, and the JSON-ready report. :func:`_with_svd` attaches the
+    operator's SVD to it, and Landweber, the Tikhonov rate experiment and the
     SVD check read that singular system in closed form; it is dropped when
-    the run ends. If the SVD fails, the first two fall back to the matvec
-    loop and CG, and the SVD check, if on, reports the failure.
+    the run ends. Over the size limit, or if the SVD fails, the first two
+    fall back to the matvec loop and CG, and the SVD check, if on, reports
+    why.
     """
     p = build_problem(cfg)
-    solves = 0
-    if cfg.validation_run_tikhonov and p.x_true is not None:
-        solves = len(cfg.validation_levels) * len(cfg.validation_seeds)
-    pairs = cfg.landweber_max_iters + NORM_PAIRS + solves * CG_PAIRS_PER_SOLVE
-    op, svd_note = _with_svd(p.operator, None if cfg.validation_run_svd_check else pairs)
+    op, svd_note = _with_svd(p.operator)
     p = replace(p, operator=op)
     noisy = None
     data = p.y_clean
@@ -316,25 +305,17 @@ def _tikhonov_section(p: ProblemSpec, track, levels, seeds) -> dict:
     return {"mu_tested": track.mu_hat, **vars(res)}
 
 
-def _with_svd(op: LinearOperator, pairs: Optional[int]) -> tuple[LinearOperator, str]:
-    """op with svd(op) attached as its singular system if the run takes the
-    spectral path, else op as it is and the note the SVD check reports: an
-    operator over the size limit, or no convergence.
-
-    This is the one place that decides. A checked run (``pairs`` None)
-    always takes it, for the summability test; any other when
-    operators.plan_ns prices it below ``pairs`` matvec pairs of the loop:
-    Landweber's steps, power iteration and the Tikhonov solves by CG (a
-    known singular system is free).
+def _with_svd(op: LinearOperator) -> tuple[LinearOperator, str]:
+    """op with svd(op) attached as its singular system, for every run and
+    every command; else op as it is and the note the SVD check reports: an
+    operator over the size limit, or no convergence. A known singular system
+    is attached as it is, at any size.
     """
-    m, n = op.shape
     try:
-        if pairs is not None and plan_ns(op) >= pairs * (PAIR_NS + PAIR_NS_PER_ENTRY * m * n):
-            return op, ""
         return replace(op, singular_system=svd(op)), ""
     except ConvergenceError as exc:
         return op, f"failed: {exc}"
-    except ValueError as exc:   # plan() refuses an operator over SVD_SIZE_LIMIT
+    except ValueError as exc:   # svd() refuses an operator over SVD_SIZE_LIMIT
         return op, f"skipped: {exc}"
 
 
@@ -465,7 +446,7 @@ def _label(cfg: ExperimentConfig) -> str:
 def _svd_check(cfg: ExperimentConfig) -> None:
     """Spectral summability check only; writes the report."""
     p = build_problem(cfg)
-    op, note = _with_svd(p.operator, None)
+    op, note = _with_svd(p.operator)
     p = replace(p, operator=op)
     _write_report(cfg.output_report_path, _report(p, cfg, svd_check=_svd_section(p, note)))
 

@@ -9,8 +9,8 @@ An operator is an explicit m-by-n real matrix or its singular system:
   deriv2 by its ``dst`` system (a :class:`SineBasis` applied by FFT);
 * a dense operator has a matrix. Integral operators on [0,1]
   (:func:`kernel_operator`) are dense matrices built by the midpoint rule on
-  the nodes of :func:`midpoint_nodes`. A run that needs a dense operator's
-  system computes it once by :func:`svd` and attaches it.
+  the nodes of :func:`midpoint_nodes`. A run within SVD_SIZE_LIMIT
+  computes a dense operator's system once by :func:`svd` and attaches it.
 
 Operators are immutable after construction and safe to share across threads.
 """
@@ -26,8 +26,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-# plan() refuses an operator over this size in min(m, n) unless its singular
-# system is known; beyond it use such an operator or skip spectral verification.
+# svd() refuses an operator over this size in min(m, n) unless its singular
+# system is known; a run over it takes the matvec loop and CG.
 SVD_SIZE_LIMIT = 2048
 
 # Singular values below this fraction of sigma_1 are numerically void.
@@ -299,70 +299,31 @@ def operator_norm(op: LinearOperator) -> float:
     raise ConvergenceError(f"power iteration did not converge in {NORM_MAX_ITERS} iterations")
 
 
-def plan(op: LinearOperator, block: bool = False) -> str:
-    """The path :func:`svd` takes, from exact tests alone, each run once per
-    operator: a known singular system's method, else "svd" (not symmetric bit
-    for bit), "centro" (also centrosymmetric) or "eigh". This is the one place
-    that refuses an operator with no known system over SVD_SIZE_LIMIT. From 8
-    BLOCK columns svd() tries :func:`_leading_block` before the centrosymmetry
-    test: ``block`` names it "block" there.
-    """
-    if op.singular_system is not None:
-        return op.singular_system.method
-    if min(op.shape) > SVD_SIZE_LIMIT:
-        raise ValueError(f"operator exceeds the dense SVD limit {SVD_SIZE_LIMIT}")
-    if not op.symmetric:
-        return "svd"
-    if block and op.shape[1] >= 8 * BLOCK:
-        return "block"
-    return "centro" if op.centrosymmetric else "eigh"
-
-
-# plan_ns's fits, in nanoseconds, to one timing run of deriv2 from n = 32 to
-# 2048 on 2 cores with 2 BLAS threads (Python 3.11, numpy 2.4.6, OpenBLAS):
-# the SVD of an m x n matrix, m n (SVD_NS_PER_CUBE min(m, n) + SVD_NS_PER_ENTRY)
-# within 26%, and eigh of order n, n^2 (EIGH_NS_PER_CUBE n + EIGH_NS_PER_ENTRY)
-# within 21%.
-SVD_NS_PER_CUBE = 0.37
-SVD_NS_PER_ENTRY = 215.0
-EIGH_NS_PER_CUBE = 0.083
-EIGH_NS_PER_ENTRY = 108.0
-
-
-def plan_ns(op: LinearOperator) -> float:
-    """plan(op)'s decomposition in nanoseconds: a known system is free, and
-    "centro" is two eigh of order n/2; a block, accepted only after a
-    product, is priced as its fallback."""
-    if op.singular_system is not None:
-        return 0.0
-    path, (m, n) = plan(op), op.shape
-    if path == "svd":
-        return m * n * (SVD_NS_PER_CUBE * min(m, n) + SVD_NS_PER_ENTRY)
-    count, order = {"eigh": (1, n), "centro": (2, n / 2)}[path]
-    return count * order * order * (EIGH_NS_PER_CUBE * order + EIGH_NS_PER_ENTRY)
-
-
 def svd(op: LinearOperator) -> SpectralDecomposition:
-    """Singular value decomposition, truncated at SV_FLOOR * sigma_1, by the
-    path :func:`plan` names, or by :func:`_leading_block` where that block is
-    tried and accepted. A known singular system is returned as it is,
-    untruncated. A symmetric matrix takes eigh, about three times faster than
-    the SVD: from A = V diag(lam) V*, sigma = |lam|, u = V and v = sign(lam) V
-    (Golub and Van Loan, Matrix Computations, sections 8.1 and 8.6), kept as
-    the signs alone.
+    """Singular value decomposition, truncated at SV_FLOOR * sigma_1. A known
+    singular system is returned as it is, untruncated; this is the one place
+    that refuses an operator with no known system over SVD_SIZE_LIMIT in
+    min(m, n). The path then follows from exact tests alone, each run once
+    per operator: a matrix not symmetric bit for bit takes the SVD; a
+    symmetric one of 8 BLOCK columns or more first tries
+    :func:`_leading_block`, and otherwise takes "centro" where it is also
+    centrosymmetric, else "eigh". A symmetric matrix takes eigh, about three
+    times faster than the SVD: from A = V diag(lam) V*, sigma = |lam|, u = V
+    and v = sign(lam) V (Golub and Van Loan, Matrix Computations, sections
+    8.1 and 8.6), kept as the signs alone.
     """
     if op.singular_system is not None:
         return op.singular_system
-    path, a = plan(op, block=True), op.matrix
+    if min(op.shape) > SVD_SIZE_LIMIT:
+        raise ValueError(f"operator exceeds the dense SVD limit {SVD_SIZE_LIMIT}")
+    a = op.matrix
     try:
-        if path == "block":
-            sd = _leading_block(a)
+        if op.symmetric:
+            sd = _leading_block(a) if op.shape[1] >= 8 * BLOCK else None
             if sd is not None:
                 return sd
-            path = plan(op)
-        if path == "centro":
-            return _symmetric_svd(*_centro_split(a), method="centro")
-        if path == "eigh":
+            if op.centrosymmetric:
+                return _symmetric_svd(*_centro_split(a), method="centro")
             return _symmetric_svd(*np.linalg.eigh(a), method="eigh")
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:

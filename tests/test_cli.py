@@ -21,7 +21,7 @@ from klsmooth.operators import write_matrix_market, write_vector
 from klsmooth.problems import make_deriv2, make_gravity
 from klsmooth.validation import DEFAULT_LEVELS, DEFAULT_SEEDS, rate_exponent
 
-from _oracles import deriv2_kernel, dense_deriv2
+from _oracles import dense_deriv2, known_svd_problem, known_symmetric_problem
 
 SMALL_DIAG = """
 problem.kind = power_law
@@ -199,6 +199,28 @@ def test_invalid_values_exit_with_config_error(tmp_path, text, flags):
     assert not trace_path.exists()
 
 
+@pytest.mark.parametrize("command, text, flags", [
+    ("estimate", "landweber.max_iters = 3\n", []),
+    ("estimate", "", ["--iters", "3"]),
+    ("tikhonov-table", "landweber.max_iters = 3\n", ["--out"]),
+], ids=["config", "flag", "table-row"])
+def test_max_iters_below_k_min_is_refused_before_the_build(tmp_path, capsys, monkeypatch,
+                                                           command, text, flags):
+    built = []
+    monkeypatch.setattr(cli, "build_problem", built.append)
+    path, trace_path, report_path = write_cfg(tmp_path, SMALL_DIAG + text)
+    message = "landweber.max_iters = 3 is below estimator.k_min = 5"
+    if command == "tikhonov-table":
+        table_path = tmp_path / "table.csv"
+        assert main([command, str(path), *flags, str(table_path)]) == EXIT_OK
+        assert table_path.read_text().splitlines()[1].endswith(f",failed: {message}")
+    else:
+        assert main([command, str(path), *flags]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert built == []
+    assert not trace_path.exists() and not report_path.exists()
+
+
 def test_malformed_config_exit_code(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("problem.kind = nope\n")
@@ -218,7 +240,7 @@ def test_numerical_failure_exit_code(tmp_path):
 @pytest.mark.parametrize("scale", [1e200, 1e-200])      # ||A||^2 overflows / underflows
 @pytest.mark.parametrize("checked, limit", [
     (True, operators.SVD_SIZE_LIMIT),    # the SVD check's decomposition
-    (False, operators.SVD_SIZE_LIMIT),   # the cost rule's decomposition
+    (False, operators.SVD_SIZE_LIMIT),   # an unchecked run's decomposition
     (False, 2),                          # over the limit: power iteration
 ])
 def test_operator_norm_out_of_range_exits_numeric(tmp_path, capsys, monkeypatch,
@@ -273,24 +295,27 @@ def test_matrix_with_no_column_is_a_config_error(tmp_path, capsys, sizes, comman
 
 
 def test_close_top_singular_values_take_the_norm_from_the_svd(tmp_path):
-    # sigma_2 / sigma_1 = 0.99998: power iteration gives up after 10^4 steps,
-    # and the cost rule sends the unchecked run to the SVD, which has sigma_1
-    rng = np.random.default_rng(1)
-    u = np.linalg.qr(rng.standard_normal((36, 36)))[0]
-    v = np.linalg.qr(rng.standard_normal((36, 36)))[0]
-    sigmas = np.concatenate(([1.0, 0.99998], np.geomspace(0.5, 0.01, 34)))
-    a = (u * sigmas) @ v.T
-    write_matrix_market(tmp_path / "a.mtx", a)
-    write_vector(tmp_path / "y.txt", a @ v[:, 5])
-    write_vector(tmp_path / "x.txt", v[:, 5])
-    text = (f"problem.kind = external\nproblem.matrix_path = {tmp_path / 'a.mtx'}\n"
-            f"problem.y_path = {tmp_path / 'y.txt'}\nproblem.x_true_path = {tmp_path / 'x.txt'}\n")
-    path, _, report_path = write_cfg(tmp_path, text)
-    assert main(["estimate", str(path)]) == EXIT_OK
-    landweber = json.loads(report_path.read_text())["landweber"]
-    assert landweber["path"] == "closed-form"
-    sigma_1 = np.linalg.svd(a, compute_uv=False)[0]   # the file holds a bit for bit
-    assert landweber["step_beta"] == pytest.approx(1.0 / sigma_1 ** 2, rel=1e-12)
+    # sigma_2 / sigma_1 = 0.99998: power iteration gives up after 10^4 steps
+    # at n = 36, and at n = 256 stops 3.8e-5 off sigma_1^-2; every run within
+    # the size limit takes the SVD, which has sigma_1
+    for n, iters in ((36, 2000), (256, 100)):
+        rng = np.random.default_rng(1)
+        u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        sigmas = np.concatenate(([1.0, 0.99998], np.geomspace(0.5, 0.01, n - 2)))
+        a = (u * sigmas) @ v.T
+        write_matrix_market(tmp_path / "a.mtx", a)
+        write_vector(tmp_path / "y.txt", a @ v[:, 5])
+        write_vector(tmp_path / "x.txt", v[:, 5])
+        text = (f"problem.kind = external\nproblem.matrix_path = {tmp_path / 'a.mtx'}\n"
+                f"problem.y_path = {tmp_path / 'y.txt'}\n"
+                f"problem.x_true_path = {tmp_path / 'x.txt'}\nlandweber.max_iters = {iters}\n")
+        path, _, report_path = write_cfg(tmp_path, text)
+        assert main(["estimate", str(path)]) == EXIT_OK
+        landweber = json.loads(report_path.read_text())["landweber"]
+        assert landweber["path"] == "closed-form"
+        sigma_1 = np.linalg.svd(a, compute_uv=False)[0]   # the file holds a bit for bit
+        assert landweber["step_beta"] == pytest.approx(1.0 / sigma_1 ** 2, rel=1e-12)
 
 
 def test_io_failure_exit_code(tmp_path, capsys):
@@ -586,25 +611,17 @@ def _counting_svd(monkeypatch):
 RATE_CHECKED = "estimator.w_min = 20\nvalidation.run_tikhonov = true\n"
 
 
-def deriv2_500(tmp_path):
-    """Ingested deriv2 at n = 500 with the rate check. Not a 2^k grid, so
-    svd() takes the full eigh, and a K=100 run with one seed sits near the
-    cost rule's boundary: the eigh is priced at 37 ms, the loop and 10 CG
-    solves at 33 ms."""
-    return ingested_deriv2(tmp_path, 500) + RATE_CHECKED
-
-
 def test_report_names_the_paths_taken(tmp_path, monkeypatch):
-    # one shape and solve count, K on each side of the cost rule's boundary
+    # ingested deriv2 at n = 500, not a 2^k grid, so svd() takes the full
+    # eigh: one decomposition per run, whatever K
     calls = _counting_svd(monkeypatch)
-    dense = deriv2_500(tmp_path)
-    for iters, path, solver, svd_calls in ((100, "matvec", "cg", 0),
-                                           (2000, "closed-form", "filter-factors", 1)):
+    dense = ingested_deriv2(tmp_path, 500) + RATE_CHECKED
+    for iters, svd_calls in ((100, 1), (2000, 2)):
         cfg = parse_config_text(dense + f"landweber.max_iters = {iters}\n"
                                         "validation.seeds = 0\n")
         report = run_pipeline(cfg)["report"]
-        assert report["landweber"]["path"] == path
-        assert report["tikhonov_rate"]["solver"] == solver
+        assert report["landweber"]["path"] == "closed-form"
+        assert report["tikhonov_rate"]["solver"] == "filter-factors"
         assert len(calls) == svd_calls
     checked = run_pipeline(parse_config_text(dense_checked(tmp_path)))["report"]
     assert checked["landweber"]["path"] == "closed-form"
@@ -618,86 +635,31 @@ def test_report_names_the_paths_taken(tmp_path, monkeypatch):
         assert report["tikhonov_rate"]["solver"] == "filter-factors"
 
 
-def test_tikhonov_solves_tip_the_rule_to_the_svd(tmp_path, monkeypatch):
-    # one shape and K: 10 solves by CG cost less than the SVD, 50 do not
+# any window counts as stable, so a K = 5 run has an estimate to rate
+ANY_WINDOW = {"estimator_k_min": 2, "estimator_w_min": 2, "estimator_eps_mu": 1e9,
+              "estimator_eps_c_rel": 1e9}
+
+
+@pytest.mark.parametrize("iters", [5, 2000])
+@pytest.mark.parametrize("make, method", [
+    (lambda: known_svd_problem(1, 256, 256, 40)[0], "svd"),
+    (lambda: known_symmetric_problem(1, 256, 40)[0], "eigh"),
+    (lambda: known_symmetric_problem(1, 256, 40, centro=True)[0], "centro"),
+    (lambda: make_gravity(512), "block"),
+], ids=["general", "symmetric", "centrosymmetric", "block"])
+def test_every_dense_run_within_the_limit_decomposes(monkeypatch, make, method, iters):
+    # an unchecked run with the rate check on, however short: one svd()
+    # call, and Landweber and the Tikhonov solves both read its system
     calls = _counting_svd(monkeypatch)
-    dense = deriv2_500(tmp_path)
-    for seeds, path, solver, svd_calls in (("0", "matvec", "cg", 0),
-                                           ("0, 1, 2, 3, 4", "closed-form", "filter-factors", 1)):
-        cfg = parse_config_text(dense + "landweber.max_iters = 100\n"
-                                        f"validation.seeds = {seeds}\n")
-        report = run_pipeline(cfg)["report"]
-        assert report["landweber"]["path"] == path
-        assert report["tikhonov_rate"]["solver"] == solver
-        assert len(calls) == svd_calls
-
-
-def _takes_svd(op, iters):
-    """Whether an unchecked run of ``iters`` Landweber steps and no Tikhonov
-    solve attaches svd(op), which the caller has patched to "decomposition"."""
-    return cli._with_svd(op, iters + cli.NORM_PAIRS)[0].singular_system == "decomposition"
-
-
-def _assert_rule_takes(monkeypatch, structure, n, iters, faster):
-    monkeypatch.setattr(cli, "svd", lambda op: "decomposition")
-    # never applied, only tested for symmetry and centrosymmetry: a broadcast
-    # zero row is both, a broadcast arange row neither, and a diagonal of
-    # distinct values only symmetric
-    matrix = {"svd": lambda: np.broadcast_to(np.arange(n, dtype=float), (n, n)),
-              "eigh": lambda: np.diag(np.arange(n, dtype=float)),
-              "centro": lambda: np.broadcast_to(np.zeros(n), (n, n))}[structure]()
-    op = operators.dense_operator(matrix)
-    assert operators.plan(op) == structure
-    assert _takes_svd(op, iters) == (faster == "svd")
-    # the SVD check always takes the SVD, up to the size limit
-    assert cli._with_svd(op, None)[0].singular_system == "decomposition"
-
-
-# deriv2 timings on 2 cores, Landweber only: (n, K, the faster path), with
-# the SVD taken as for a general matrix
-@pytest.mark.parametrize("n, iters, faster", [
-    (256, 100, "loop"), (256, 2000, "svd"), (1024, 500, "loop"),
-    (1024, 2000, "svd"), (2048, 500, "loop"),
-])
-def test_cost_rule_at_the_measured_crossovers(monkeypatch, n, iters, faster):
-    _assert_rule_takes(monkeypatch, "svd", n, iters, faster)
-
-
-# the same, with the full eigh svd() takes for a symmetric matrix that is
-# not centrosymmetric
-@pytest.mark.parametrize("n, iters, faster", [
-    (256, 100, "loop"), (256, 2000, "svd"), (512, 500, "svd"), (1024, 500, "svd"),
-    (2048, 500, "loop"),
-])
-def test_cost_rule_prices_the_eigensolver_for_a_symmetric_operator(monkeypatch, n, iters,
-                                                                   faster):
-    _assert_rule_takes(monkeypatch, "eigh", n, iters, faster)
-
-
-# the same, with the two eigh of order n/2 of a centrosymmetric matrix, at
-# crossovers measured on deriv2 by run_pipeline with each path forced
-@pytest.mark.parametrize("n, iters, faster", [
-    (256, 50, "loop"), (256, 2000, "svd"), (1024, 100, "loop"), (1024, 500, "svd"),
-    (2048, 100, "loop"), (2048, 500, "svd"),
-])
-def test_cost_rule_prices_two_half_size_eigh_for_a_centrosymmetric_operator(
-        monkeypatch, n, iters, faster):
-    _assert_rule_takes(monkeypatch, "centro", n, iters, faster)
-
-
-def test_unchecked_deriv2_2048_takes_the_decomposition_at_500_iterations(monkeypatch):
-    # deriv2's matrix with no known system, priced as two eigh of order 1024
-    # (405 ms) against 515 matvec pairs (1,006 ms); one full eigh would be
-    # 1,166 ms and keep the loop
-    monkeypatch.setattr(cli, "svd", lambda op: "decomposition")
-    op = operators.kernel_operator(deriv2_kernel, 2048)
-    assert operators.plan(op) == "centro"
-    assert _takes_svd(op, 500)
-    assert not _takes_svd(op, 100)
-    # the built-in problem's own system is free at any K
-    op = make_deriv2(2048).operator
-    assert operators.plan(op) == "dst"
-    assert _takes_svd(op, 1)
+    p = make()
+    monkeypatch.setattr(cli, "build_problem", lambda cfg: p)
+    cfg = replace(ExperimentConfig(), landweber_max_iters=iters, validation_run_tikhonov=True,
+                  validation_levels=DEFAULT_LEVELS[-3:], validation_seeds=(0,), **ANY_WINDOW)
+    report = run_pipeline(cfg)["report"]
+    assert calls == [p.operator.shape]
+    assert report["landweber"]["path"] == "closed-form"
+    assert report["tikhonov_rate"]["solver"] == "filter-factors"
+    assert operators.svd(p.operator).method == method
 
 
 @pytest.mark.parametrize("n", [1024, 2048])

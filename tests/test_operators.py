@@ -10,7 +10,7 @@ from klsmooth.operators import (BLOCK, ConvergenceError, SVD_SIZE_LIMIT, SineBas
                                 SpectralDecomposition,
                                 _decimal_digits, _symmetric_svd, decimal_rows,
                                 dense_operator, diagonal_operator,
-                                kernel_operator, midpoint_nodes, operator_norm, plan,
+                                kernel_operator, midpoint_nodes, operator_norm,
                                 read_matrix_market, read_vector, svd, write_matrix_market,
                                 write_vector)
 from klsmooth.problems import make_deriv2, make_gravity
@@ -326,32 +326,29 @@ def test_svd_kernel_operator_is_dense():
 
 
 def test_svd_size_limit():
-    # the plan refuses it before any exact test: Fake has no matrix
+    # svd() refuses it before any exact test: Fake has no matrix
     class Fake:
         kind = "dense"
         shape = (SVD_SIZE_LIMIT + 1, SVD_SIZE_LIMIT + 1)
         singular_system = None
-    with pytest.raises(ValueError):
-        svd(Fake())
     with pytest.raises(ValueError, match=f"operator exceeds the dense SVD limit {SVD_SIZE_LIMIT}"):
-        plan(Fake())
+        svd(Fake())
 
 
 def test_a_known_singular_system_passes_the_size_limit(monkeypatch):
-    # the limit prices factorizations, and a known system needs none: it is
-    # planned, priced at 0 and returned at any size, as a diagonal one is
+    # the limit bounds factorizations, and a known system needs none: it is
+    # returned at any size, as a diagonal one is
     monkeypatch.setattr(operators, "SVD_SIZE_LIMIT", 16)
     for op, method in ((make_deriv2(32).operator, "dst"),
                        (diagonal_operator(np.geomspace(1.0, 1e-3, 32)), "canonical")):
-        assert plan(op) == method and operators.plan_ns(op) == 0.0
-        assert svd(op) is op.singular_system
+        assert svd(op) is op.singular_system and op.singular_system.method == method
     with pytest.raises(ValueError, match="operator exceeds the dense SVD limit 16"):
-        plan(kernel_operator(deriv2_kernel, 32))
+        svd(kernel_operator(deriv2_kernel, 32))
 
 
-# (operator, its plan, what svd() takes): the block stands in for the plan
-# when it is accepted
-@pytest.mark.parametrize("make, planned, method", [
+# (operator, what svd() takes with the block refused, what it takes): the
+# block stands in for "centro" or "eigh" when it is accepted
+@pytest.mark.parametrize("make, unblocked, method", [
     (lambda: known_symmetric_problem(1, 64, 40)[0].operator, "eigh", "eigh"),
     (lambda: known_symmetric_problem(1, 64, 40, centro=True)[0].operator, "centro", "centro"),
     (lambda: known_svd_problem(1, 48, 32, 20)[0].operator, "svd", "svd"),
@@ -365,13 +362,11 @@ def test_a_known_singular_system_passes_the_size_limit(monkeypatch):
     (lambda: make_deriv2(1024).operator, "dst", "dst"),
 ], ids=["symmetric-64", "centro-64", "general-48x32", "diagonal-50", "deriv2-256",
         "gravity-256", "deriv2-1024", "gravity-1024", "deriv2-1000", "make-deriv2-1024"])
-def test_plan_names_the_path_svd_takes(monkeypatch, make, planned, method):
+def test_plan_names_the_path_svd_takes(monkeypatch, make, unblocked, method):
     op = make()
-    assert plan(op) == planned
     assert svd(op).method == method
-    # with the block refused, svd() takes the plan
     monkeypatch.setattr(operators, "_leading_block", lambda a: None)
-    assert svd(op).method == planned
+    assert svd(op).method == unblocked
 
 
 def test_exact_tests_run_once_and_only_where_svd_needs_them(monkeypatch):
@@ -383,10 +378,10 @@ def test_exact_tests_run_once_and_only_where_svd_needs_them(monkeypatch):
     # the centrosymmetry test compares the top n/2 rows with the mirror's;
     # the symmetry test compares 64 x 64 tiles
     monkeypatch.setattr(np, "array_equal", counted)
-    # priced, then decomposed: the operator's own test runs once, and the
-    # halves, decomposed by eigh, are not tested
+    # decomposed twice: the operator's own test runs once, and the halves,
+    # decomposed by eigh, are not tested
     op = kernel_operator(deriv2_kernel, 512)
-    assert operators.plan_ns(op) > 0
+    assert svd(op).method == "centro"
     assert svd(op).method == "centro"
     assert calls.count((256, 512)) == 1 and (128, 256) not in calls
     # the block accepts gravity before any centrosymmetry test
@@ -397,20 +392,8 @@ def test_exact_tests_run_once_and_only_where_svd_needs_them(monkeypatch):
     # a known system is neither tested nor factorized
     calls.clear()
     op = make_deriv2(512).operator
-    assert operators.plan_ns(op) == 0.0 and svd(op) is op.singular_system
+    assert svd(op) is op.singular_system
     assert calls == [] and "symmetric" not in vars(op)
-
-
-def test_plan_prices_two_half_size_eigh_for_centro():
-    sym = known_symmetric_problem(1, 64, 40)[0].operator
-    centro = known_symmetric_problem(1, 64, 40, centro=True)[0].operator
-    general = known_svd_problem(1, 48, 32, 20)[0].operator
-    eigh_ns = lambda n: n * n * (operators.EIGH_NS_PER_CUBE * n + operators.EIGH_NS_PER_ENTRY)
-    assert operators.plan_ns(sym) == eigh_ns(64)
-    assert operators.plan_ns(centro) == 2 * eigh_ns(32)
-    assert operators.plan_ns(general) == pytest.approx(
-        48 * 32 * (operators.SVD_NS_PER_CUBE * 32 + operators.SVD_NS_PER_ENTRY))
-    assert operators.plan_ns(diagonal_operator(np.ones(10))) == 0.0
 
 
 def test_second_derivative_spectrum_decay():
