@@ -238,9 +238,9 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     bound curves, and the JSON-ready report. :func:`_with_svd` attaches the
     operator's SVD to it, and Landweber, the Tikhonov rate experiment and the
     SVD check read that singular system in closed form; it is dropped when
-    the run ends. Over the size limit, or if the SVD fails, the first two
-    fall back to the matvec loop and CG, and the SVD check, if on, reports
-    why.
+    the run ends. Over the size limit, where the randomized block refuses
+    the matrix, or if the SVD fails, the first two fall back to the matvec
+    loop and CG, and the SVD check, if on, reports why.
     """
     p = build_problem(cfg)
     op, svd_note = _with_svd(p.operator)
@@ -308,14 +308,14 @@ def _tikhonov_section(p: ProblemSpec, track, levels, seeds) -> dict:
 def _with_svd(op: LinearOperator) -> tuple[LinearOperator, str]:
     """op with svd(op) attached as its singular system, for every run and
     every command; else op as it is and the note the SVD check reports: an
-    operator over the size limit, or no convergence. A known singular system
-    is attached as it is, at any size.
+    operator over the size limit that the block refuses, or no convergence.
+    A known singular system, or the block's, is attached at any size.
     """
     try:
         return replace(op, singular_system=svd(op)), ""
     except ConvergenceError as exc:
         return op, f"failed: {exc}"
-    except ValueError as exc:   # svd() refuses an operator over SVD_SIZE_LIMIT
+    except ValueError as exc:   # svd() refuses a full factorization over SVD_SIZE_LIMIT
         return op, f"skipped: {exc}"
 
 

@@ -9,8 +9,8 @@ An operator is an explicit m-by-n real matrix or its singular system:
   deriv2 by its ``dst`` system (a :class:`SineBasis` applied by FFT);
 * a dense operator has a matrix. Integral operators on [0,1]
   (:func:`kernel_operator`) are dense matrices built by the midpoint rule on
-  the nodes of :func:`midpoint_nodes`. A run within SVD_SIZE_LIMIT
-  computes a dense operator's system once by :func:`svd` and attaches it.
+  the nodes of :func:`midpoint_nodes`. A run attaches the system that
+  :func:`svd` computes once for a dense operator, wherever it can.
 
 Operators are immutable after construction and safe to share across threads.
 """
@@ -26,20 +26,20 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-# svd() refuses an operator over this size in min(m, n) unless its singular
-# system is known; a run over it takes the matvec loop and CG.
+# svd() runs no full factorization over this size in min(m, n): a matrix
+# over it that the block refuses takes the matvec loop and CG.
 SVD_SIZE_LIMIT = 2048
 
 # Singular values below this fraction of sigma_1 are numerically void.
 SV_FLOOR = 1e-14
 
-# A symmetric matrix of 8 BLOCK columns or more first tries a block of
-# BLOCK columns (_leading_block); a smaller one's full eigh costs about what
-# the block does. The block is accepted only when at least BLOCK_BELOW_FLOOR
-# of its Ritz values fall below SV_FLOOR sigma_1 and the probe estimate of
-# its residual from BLOCK_PROBES random vectors is at most BLOCK_RESIDUAL
-# sigma_1: rounding, which reads 1.6-2.5e-14 sigma_1 on gravity at n = 512
-# to 2048.
+# A matrix of 8 BLOCK rows and columns or more first tries a block of BLOCK
+# columns on each side (_leading_block); a smaller one's full factorization
+# costs about what the block does. The block is accepted only when at least
+# BLOCK_BELOW_FLOOR of its singular values fall below SV_FLOOR sigma_1 and
+# the probe estimate of its residual from BLOCK_PROBES random vectors is at
+# most BLOCK_RESIDUAL sigma_1: rounding, which reads 2.3-4.7e-14 sigma_1 on
+# gravity at n = 512 to 4096 and 1.9-2.8e-14 on planted rank-40 matrices.
 BLOCK = 64
 BLOCK_BELOW_FLOOR = 10
 BLOCK_PROBES = 8
@@ -132,12 +132,12 @@ class SpectralDecomposition:
 
     A v_i = sigma_i u_i. u = v = None is the canonical basis (u_i = v_i = e_i)
     of a diagonal operator, left implicit. A symmetric decomposition
-    A = U diag(lam) U* keeps no second n x r array: v = None, and its right
-    vectors are v_i = signs_i u_i with signs_i = sign(lam_i). The bases are
-    read only through the products u.T @ y and u @ c, so u may be an array
-    or a :class:`SineBasis`, which applies its matrix by FFT. ``method``
-    names what computed it: "canonical" (a diagonal operator's own sigmas),
-    "dst" (deriv2's sine basis), "svd", "eigh", "block" or "centro".
+    A = U diag(lam) U* ("eigh", "centro" or "dst") keeps no second n x r
+    array: v = None, and v_i = signs_i u_i with signs_i = sign(lam_i). The
+    bases are read only through the products u.T @ y and u @ c, so u may be
+    an array or a :class:`SineBasis`, which applies its matrix by FFT. The
+    ``method`` that computed it: "canonical" (a diagonal operator's own
+    sigmas), "dst" (deriv2's sine basis), "svd", "eigh", "block" or "centro".
     """
 
     sigmas: np.ndarray
@@ -301,27 +301,25 @@ def operator_norm(op: LinearOperator) -> float:
 
 def svd(op: LinearOperator) -> SpectralDecomposition:
     """Singular value decomposition, truncated at SV_FLOOR * sigma_1. A known
-    singular system is returned as it is, untruncated; this is the one place
-    that refuses an operator with no known system over SVD_SIZE_LIMIT in
-    min(m, n). The path then follows from exact tests alone, each run once
-    per operator: a matrix not symmetric bit for bit takes the SVD; a
-    symmetric one of 8 BLOCK columns or more first tries
-    :func:`_leading_block`, and otherwise takes "centro" where it is also
-    centrosymmetric, else "eigh". A symmetric matrix takes eigh, about three
-    times faster than the SVD: from A = V diag(lam) V*, sigma = |lam|, u = V
-    and v = sign(lam) V (Golub and Van Loan, Matrix Computations, sections
-    8.1 and 8.6), kept as the signs alone.
+    singular system is returned as it is, untruncated. A matrix of 8 BLOCK
+    rows and columns or more first tries :func:`_leading_block`, at any size;
+    this is the one place that refuses a full factorization over
+    SVD_SIZE_LIMIT in min(m, n). Exact tests, each run once per operator,
+    then pick it: a matrix not symmetric bit for bit takes the SVD; a
+    symmetric one "centro" where it is also centrosymmetric, else "eigh",
+    about three times faster than the SVD: from A = V diag(lam) V*,
+    sigma = |lam|, u = V and v = sign(lam) V (Golub and Van Loan, Matrix
+    Computations, sections 8.1 and 8.6), kept as the signs alone.
     """
     if op.singular_system is not None:
         return op.singular_system
-    if min(op.shape) > SVD_SIZE_LIMIT:
-        raise ValueError(f"operator exceeds the dense SVD limit {SVD_SIZE_LIMIT}")
     a = op.matrix
     try:
+        if min(op.shape) >= 8 * BLOCK and (sd := _leading_block(a)) is not None:
+            return sd
+        if min(op.shape) > SVD_SIZE_LIMIT:
+            raise ValueError(f"operator exceeds the dense SVD limit {SVD_SIZE_LIMIT}")
         if op.symmetric:
-            sd = _leading_block(a) if op.shape[1] >= 8 * BLOCK else None
-            if sd is not None:
-                return sd
             if op.centrosymmetric:
                 return _symmetric_svd(*_centro_split(a), method="centro")
             return _symmetric_svd(*np.linalg.eigh(a), method="eigh")
@@ -336,21 +334,22 @@ def svd(op: LinearOperator) -> SpectralDecomposition:
 
 
 def _leading_block(a: np.ndarray) -> Optional[SpectralDecomposition]:
-    """The singular system of a symmetric matrix from a block of BLOCK
-    columns, or None when that block cannot stand in for the full eigh.
+    """The singular system of an m x n matrix from BLOCK columns on each
+    side, or None when they cannot stand in for the full factorization.
 
-    A randomized range finder with one power step and a Rayleigh-Ritz step
-    (Halko, Martinsson and Tropp, SIAM Review 53(2), 2011, algorithms 4.4
-    and 5.3): Y = A Omega for a Gaussian Omega from the fixed seed, so one
-    matrix always gives one result; Q = qr(Y), one power step Q = qr(A Q),
-    and the eigendecomposition W diag(lam) W* of Q* A Q gives the modes
-    Q W. The block is accepted only when
-    - at least BLOCK_BELOW_FLOOR of the Ritz values lam fall below
-      SV_FLOOR max |lam|: the spectrum crossed the floor inside the block;
-    - the a-posteriori estimate 10 sqrt(2/pi) max_j ||(I - Q Q*) A w_j||
+    A randomized range finder with one power step (Halko, Martinsson and
+    Tropp, SIAM Review 53(2), 2011, algorithm 4.4 and section 5.1):
+    Y = A Omega for a Gaussian Omega from the fixed seed, so one matrix
+    always gives one result; Q = qr(Y) and P = qr(A* Q), and the SVD
+    W S Z* of the BLOCK x BLOCK matrix B = Q* A P gives u = Q W and
+    v = P Z. For a symmetric matrix P is the power step's Q = qr(A Q). The
+    block is accepted only when
+    - at least BLOCK_BELOW_FLOOR of the S fall below SV_FLOOR S_1: the
+      spectrum crossed the floor inside the block;
+    - the a-posteriori estimate 10 sqrt(2/pi) max_j ||(A - Q B P*) w_j||
       over BLOCK_PROBES fresh Gaussian w_j (section 4.3: it bounds
-      ||(I - Q Q*) A|| except with probability 10^-BLOCK_PROBES) is at
-      most BLOCK_RESIDUAL max |lam|: nothing above rounding lies outside Q.
+      ||A - Q B P*|| except with probability 10^-BLOCK_PROBES) is at most
+      BLOCK_RESIDUAL S_1: nothing above rounding lies outside the block.
     Before either, the Gram matrix Y* Y refuses a slowly decaying spectrum
     after one product: it needs BLOCK_BELOW_FLOOR of its eigenvalues, the
     squared singular values of Y, at or below SV_FLOOR times the largest.
@@ -358,26 +357,26 @@ def _leading_block(a: np.ndarray) -> Optional[SpectralDecomposition]:
     first test asks for (gravity has 39 such at n = 512 to 2048; deriv2's
     tenth smallest eigenvalue is 3e-8 of the largest).
     """
-    n = a.shape[0]
+    n = a.shape[1]
     rng = np.random.default_rng(_POWER_ITER_SEED)
     y = a @ rng.standard_normal((n, BLOCK))
     gram = np.linalg.eigvalsh(y.T @ y)   # ascending
     if not gram[BLOCK_BELOW_FLOOR - 1] <= SV_FLOOR * gram[-1]:
         return None
-    q = np.linalg.qr(a @ np.linalg.qr(y)[0])[0]
-    # one product serves the Ritz step and the probe
-    aq = a @ np.hstack((q, rng.standard_normal((n, BLOCK_PROBES))))
-    aq, probe = aq[:, :BLOCK], aq[:, BLOCK:]
-    b = q.T @ aq
-    lam, w = np.linalg.eigh(0.5 * (b + b.T))
-    top = np.abs(lam).max()
-    if (np.abs(lam) < SV_FLOOR * top).sum() < BLOCK_BELOW_FLOOR:
+    q = np.linalg.qr(y)[0]
+    p = np.linalg.qr(a.T @ q)[0]
+    probes = rng.standard_normal((n, BLOCK_PROBES))
+    ap = a @ np.hstack((p, probes))   # A P and the probes A w_j, by one product
+    b = q.T @ ap[:, :BLOCK]
+    w, s, zt = np.linalg.svd(b)
+    if (s < SV_FLOOR * s[0]).sum() < BLOCK_BELOW_FLOOR:
         return None
-    probe -= q @ (q.T @ probe)
-    estimate = 10.0 * math.sqrt(2.0 / math.pi) * np.linalg.norm(probe, axis=0).max()
-    if estimate > BLOCK_RESIDUAL * top:
+    residual = ap[:, BLOCK:] - q @ (b @ (p.T @ probes))
+    estimate = 10.0 * math.sqrt(2.0 / math.pi) * np.linalg.norm(residual, axis=0).max()
+    if estimate > BLOCK_RESIDUAL * s[0]:
         return None
-    return _symmetric_svd(lam, q @ w, method="block")
+    r = int((s >= SV_FLOOR * s[0]).sum())
+    return SpectralDecomposition(sigmas=s[:r], u=q @ w[:, :r], v=p @ zt[:r].T, method="block")
 
 
 def _centro_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

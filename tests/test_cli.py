@@ -294,16 +294,19 @@ def test_matrix_with_no_column_is_a_config_error(tmp_path, capsys, sizes, comman
     assert not trace_path.exists() and not report_path.exists()
 
 
-def test_close_top_singular_values_take_the_norm_from_the_svd(tmp_path):
+def test_close_top_singular_values_take_the_norm_from_the_svd(tmp_path, monkeypatch):
     # sigma_2 / sigma_1 = 0.99998: power iteration gives up after 10^4 steps
     # at n = 36, and at n = 256 stops 3.8e-5 off sigma_1^-2; every run within
-    # the size limit takes the SVD, which has sigma_1
-    for n, iters in ((36, 2000), (256, 100)):
+    # the size limit takes the SVD, which has sigma_1. At n = 600 and rank 42,
+    # over a limit of 512, power iteration gives up too, and the block holds
+    # sigma_1
+    monkeypatch.setattr(operators, "SVD_SIZE_LIMIT", 512)
+    for n, rank, iters in ((36, 36, 2000), (256, 256, 100), (600, 42, 100)):
         rng = np.random.default_rng(1)
         u = np.linalg.qr(rng.standard_normal((n, n)))[0]
         v = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        sigmas = np.concatenate(([1.0, 0.99998], np.geomspace(0.5, 0.01, n - 2)))
-        a = (u * sigmas) @ v.T
+        sigmas = np.concatenate(([1.0, 0.99998], np.geomspace(0.5, 0.01, rank - 2)))
+        a = (u[:, :rank] * sigmas) @ v[:, :rank].T
         write_matrix_market(tmp_path / "a.mtx", a)
         write_vector(tmp_path / "y.txt", a @ v[:, 5])
         write_vector(tmp_path / "x.txt", v[:, 5])

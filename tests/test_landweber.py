@@ -17,7 +17,7 @@ from klsmooth.operators import (ConvergenceError, _centro_split, _symmetric_svd,
 from klsmooth.problems import ProblemSpec, add_noise, make_deriv2, make_gravity, make_power_law
 from klsmooth.validation import DEFAULT_MU_GRID, max_mu_spectral, verify_smoothness
 
-from _oracles import (dense_deriv2, diagonal_landweber_oracle, known_svd_problem,
+from _oracles import (dense_deriv2, diagonal_landweber_oracle, general_svd, known_svd_problem,
                       known_symmetric_problem, planted_symmetric_problem, right_vectors,
                       trace_csv_by_column, with_system, written_trace_csv)
 
@@ -662,24 +662,16 @@ def test_symmetric_decomposition_matches_slow_paths(n, rank_drop, seed, noise, b
                         (loop.residuals, loop.gradient_norms, loop.errors), rounding=rounding)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: make_gravity(512),
-    lambda: make_gravity(1024),
-    # |lam| falls geometrically from 1 to 1e-18 over 40 modes, 31 above the floor
-    lambda: planted_symmetric_problem(7, 512, np.geomspace(1.0, 1e-18, 40)),
-], ids=["gravity-512", "gravity-1024", "planted-512"])
-def test_block_decomposition_matches_the_full_eigh(make):
-    """svd() of a symmetric matrix whose spectrum crosses SV_FLOOR inside
-    the leading block, against the full eigh it stands in for: the same
-    retained modes, a singular system to 1e-12, the same closed-form
-    Landweber trace and the same spectral verdict, and one result per
-    matrix."""
-    p = make()
+def _assert_block_matches(p, oracle):
+    """svd() of p's matrix takes the block, and gives oracle's retained
+    modes: sigmas and a singular system to 1e-12 sigma_1, orthonormal
+    bases, the same closed-form Landweber trace and the same spectral
+    verdict, and one result per matrix."""
     a = p.operator.matrix
     sd = svd(p.operator)
-    oracle = _symmetric_svd(*np.linalg.eigh(a), method="eigh")
     s = sd.sigmas
     assert (sd.method, s.size) == ("block", oracle.sigmas.size)
+    assert np.abs(s - oracle.sigmas).max() <= 1e-12 * s[0]
     assert np.linalg.norm(a @ right_vectors(sd) - sd.u * s, axis=0).max() <= 1e-12 * s[0]
     for basis in (sd.u, right_vectors(sd)):
         assert np.abs(basis.T @ basis - np.eye(s.size)).max() <= 1e-12
@@ -693,8 +685,29 @@ def test_block_decomposition_matches_the_full_eigh(make):
             == verify_smoothness(oracle, p.y_clean, DEFAULT_MU_GRID).admissible)
     assert max_mu_spectral(sd, p.y_clean) == max_mu_spectral(oracle, p.y_clean)
     again = svd(dense_operator(a))
-    for x, y in ((sd.sigmas, again.sigmas), (sd.u, again.u), (sd.signs, again.signs)):
+    for x, y in ((sd.sigmas, again.sigmas), (sd.u, again.u), (sd.v, again.v)):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_gravity(512),
+    lambda: make_gravity(1024),
+    # |lam| falls geometrically from 1 to 1e-18 over 40 modes, 31 above the floor
+    lambda: planted_symmetric_problem(7, 512, np.geomspace(1.0, 1e-18, 40)),
+], ids=["gravity-512", "gravity-1024", "planted-512"])
+def test_block_decomposition_matches_the_full_eigh(make):
+    """svd() of a symmetric matrix whose spectrum crosses SV_FLOOR inside
+    the leading block, against the full eigh it stands in for."""
+    p = make()
+    _assert_block_matches(p, _symmetric_svd(*np.linalg.eigh(p.operator.matrix), method="eigh"))
+
+
+@pytest.mark.parametrize("m, n", [(600, 600), (700, 520)], ids=["600", "700x520"])
+def test_block_decomposition_matches_the_full_svd(m, n):
+    """svd() of a planted non-symmetric matrix of rank 40, square and
+    rectangular, against the full SVD it stands in for."""
+    p = known_svd_problem(1, m, n, 40)[0]
+    _assert_block_matches(p, general_svd(p.operator.matrix))
 
 
 @pytest.mark.parametrize("make, n", [(dense_deriv2, 256), (make_gravity, 256),

@@ -5,15 +5,17 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from klsmooth import operators
-from klsmooth.operators import (BLOCK, ConvergenceError, SVD_SIZE_LIMIT, SineBasis,
+from klsmooth import cli, operators
+from klsmooth.cli import ExperimentConfig, run_pipeline
+from klsmooth.operators import (BLOCK, ConvergenceError, SineBasis,
                                 SpectralDecomposition,
                                 _decimal_digits, _symmetric_svd, decimal_rows,
                                 dense_operator, diagonal_operator,
                                 kernel_operator, midpoint_nodes, operator_norm,
                                 read_matrix_market, read_vector, svd, write_matrix_market,
                                 write_vector)
-from klsmooth.problems import make_deriv2, make_gravity
+from klsmooth.problems import ProblemSpec, make_deriv2, make_gravity
+from klsmooth.validation import DEFAULT_LEVELS
 
 from _oracles import (deriv2_kernel, known_svd_problem, known_symmetric_problem,
                       matrix_market_oracle, planted_symmetric_problem, right_vectors,
@@ -186,35 +188,46 @@ def _flat_tail(level, modes, n=512):
                                                            np.full(modes, level)))).operator
 
 
-@pytest.mark.parametrize("make, refused_by", [
+@pytest.mark.parametrize("make, refused_by, modes", [
     # the Gram matrix of A Omega refuses slow decay after one product; deriv2
     # at n = 1000 is centrosymmetric only to 1 ulp, so the halves refuse it too
-    (lambda: kernel_operator(deriv2_kernel, 1000), "sketch"),
-    (lambda: planted_symmetric_problem(3, 512, np.geomspace(1.0, 1e-6, 512)).operator, "sketch"),
-    # no Ritz value below the floor: 482 modes at 1e-8
-    (lambda: _flat_tail(1e-8, 482), "ritz"),
-    # 300 modes of +-2e-14, just above the floor: Ritz values fall below it,
-    # and only the probe sees what the block cannot hold
-    (lambda: _flat_tail(2e-14, 300), "probe"),
-], ids=["deriv2-1000", "slow-geometric", "flat-1e-8-tail", "tail-above-floor"])
-def test_refused_block_runs_the_full_eigh_once(monkeypatch, make, refused_by):
+    (lambda: kernel_operator(deriv2_kernel, 1000), "sketch", None),
+    (lambda: planted_symmetric_problem(3, 512, np.geomspace(1.0, 1e-6, 512)).operator,
+     "sketch", None),
+    # no singular value of B below the floor: 482 modes at 1e-8
+    (lambda: _flat_tail(1e-8, 482), "floor", 512),
+    # 300 modes of +-2e-14, just above the floor: B holds 34 of them at
+    # 2e-14, and the floor test refuses it
+    (lambda: _flat_tail(2e-14, 300), "floor", 330),
+    # 400 modes of +-5e-15, each below the floor: 34 values of B fall below
+    # it, and only the probe sees the 1.2e-12 sigma_1 the block cannot hold
+    (lambda: _flat_tail(5e-15, 400), "probe", 30),
+], ids=["deriv2-1000", "slow-geometric", "flat-1e-8-tail", "tail-above-floor",
+        "tail-below-floor"])
+def test_refused_block_runs_the_full_eigh_once(monkeypatch, make, refused_by, modes):
     op = make()
     n = op.shape[1]
     oracle = _symmetric_svd(*np.linalg.eigh(op.matrix), method="eigh")
-    calls, eigh = [], np.linalg.eigh
+    calls = []
 
-    def counted(a):
-        calls.append(a.shape)
-        return eigh(a)
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    def counted(f):
+        def call(a, *args, **kwargs):
+            calls.append((f.__name__, a.shape))
+            return f(a, *args, **kwargs)
+        return call
+    for name in ("eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     sd = svd(op)
     assert sd.method == "eigh"
-    assert calls == ([(n, n)] if refused_by == "sketch" else [(BLOCK, BLOCK), (n, n)])
+    # the sketch refuses before B is formed; past it, B's SVD is the only one
+    block = [] if refused_by == "sketch" else [("svd", (BLOCK, BLOCK))]
+    assert calls == block + [("eigh", (n, n))]
     assert np.array_equal(sd.sigmas, oracle.sigmas)
+    if modes is not None:
+        assert sd.sigmas.size == modes
     if refused_by == "probe":
-        assert sd.sigmas.size == 330
         monkeypatch.setattr(operators, "BLOCK_RESIDUAL", np.inf)
-        assert svd(dense_operator(op.matrix)).sigmas.size <= BLOCK
+        assert svd(dense_operator(op.matrix)).method == "block"
 
 
 def _mirror_nudged(n):
@@ -325,14 +338,38 @@ def test_svd_kernel_operator_is_dense():
     assert sd.sigmas.size > 0
 
 
-def test_svd_size_limit():
-    # svd() refuses it before any exact test: Fake has no matrix
-    class Fake:
-        kind = "dense"
-        shape = (SVD_SIZE_LIMIT + 1, SVD_SIZE_LIMIT + 1)
-        singular_system = None
-    with pytest.raises(ValueError, match=f"operator exceeds the dense SVD limit {SVD_SIZE_LIMIT}"):
-        svd(Fake())
+def _planted_general(seed, n, sigmas):
+    """An n x n problem U diag(sigmas) V*, U and V random orthogonal, with
+    x_true = V (sigmas w) for w of size 0.5-1.5 and random sign."""
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    a = (u * sigmas) @ v.T
+    x_true = v @ (sigmas * rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.5, n))
+    return ProblemSpec(operator=dense_operator(a), y_clean=a @ x_true, x_true=x_true,
+                       label="planted-general")
+
+
+def test_svd_size_limit(monkeypatch):
+    # over a limit of 512: sigma from 1 to 1e-6 over 600 modes, which the
+    # sketch refuses, is refused with the limit's message and runs the loop
+    # and CG; rank 40, which the block holds, takes it at any size
+    monkeypatch.setattr(operators, "SVD_SIZE_LIMIT", 512)
+    cfg = ExperimentConfig(landweber_max_iters=50, validation_run_tikhonov=True,
+                           validation_levels=DEFAULT_LEVELS[-3:], validation_seeds=(0,),
+                           validation_run_svd_check=True, estimator_k_min=2,
+                           estimator_w_min=2, estimator_eps_mu=1e9, estimator_eps_c_rel=1e9)
+    message = "operator exceeds the dense SVD limit 512"
+    slow = _planted_general(2, 600, np.geomspace(1.0, 1e-6, 600))
+    with pytest.raises(ValueError, match=message):
+        svd(slow.operator)
+    for p, paths, section in (
+            (slow, ("matvec", "cg"), {"note": f"skipped: {message}"}),
+            (known_svd_problem(1, 600, 600, 40)[0], ("closed-form", "filter-factors"),
+             {"decomposition": "block"})):
+        monkeypatch.setattr(cli, "build_problem", lambda cfg: p)
+        report = run_pipeline(cfg)["report"]
+        assert (report["landweber"]["path"], report["tikhonov_rate"]["solver"]) == paths
+        assert section.items() <= report["svd_check"].items()
 
 
 def test_a_known_singular_system_passes_the_size_limit(monkeypatch):
@@ -347,11 +384,12 @@ def test_a_known_singular_system_passes_the_size_limit(monkeypatch):
 
 
 # (operator, what svd() takes with the block refused, what it takes): the
-# block stands in for "centro" or "eigh" when it is accepted
+# block stands in for "centro", "eigh" or "svd" when it is accepted
 @pytest.mark.parametrize("make, unblocked, method", [
     (lambda: known_symmetric_problem(1, 64, 40)[0].operator, "eigh", "eigh"),
     (lambda: known_symmetric_problem(1, 64, 40, centro=True)[0].operator, "centro", "centro"),
     (lambda: known_svd_problem(1, 48, 32, 20)[0].operator, "svd", "svd"),
+    (lambda: known_svd_problem(1, 700, 520, 40)[0].operator, "svd", "block"),
     (lambda: diagonal_operator(np.geomspace(1.0, 1e-3, 50)), "canonical", "canonical"),
     # deriv2's matrix without the built-in problem's known system
     (lambda: kernel_operator(deriv2_kernel, 256), "centro", "centro"),
@@ -360,8 +398,9 @@ def test_a_known_singular_system_passes_the_size_limit(monkeypatch):
     (lambda: make_gravity(1024).operator, "centro", "block"),
     (lambda: kernel_operator(deriv2_kernel, 1000), "eigh", "eigh"),
     (lambda: make_deriv2(1024).operator, "dst", "dst"),
-], ids=["symmetric-64", "centro-64", "general-48x32", "diagonal-50", "deriv2-256",
-        "gravity-256", "deriv2-1024", "gravity-1024", "deriv2-1000", "make-deriv2-1024"])
+], ids=["symmetric-64", "centro-64", "general-48x32", "general-700x520", "diagonal-50",
+        "deriv2-256", "gravity-256", "deriv2-1024", "gravity-1024", "deriv2-1000",
+        "make-deriv2-1024"])
 def test_plan_names_the_path_svd_takes(monkeypatch, make, unblocked, method):
     op = make()
     assert svd(op).method == method
@@ -384,11 +423,11 @@ def test_exact_tests_run_once_and_only_where_svd_needs_them(monkeypatch):
     assert svd(op).method == "centro"
     assert svd(op).method == "centro"
     assert calls.count((256, 512)) == 1 and (128, 256) not in calls
-    # the block accepts gravity before any centrosymmetry test
+    # the block accepts gravity before either exact test
     calls.clear()
     op = make_gravity(1024).operator
     assert svd(op).method == "block"
-    assert (512, 1024) not in calls and "centrosymmetric" not in vars(op)
+    assert calls == [] and "symmetric" not in vars(op) and "centrosymmetric" not in vars(op)
     # a known system is neither tested nor factorized
     calls.clear()
     op = make_deriv2(512).operator
