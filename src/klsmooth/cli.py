@@ -364,7 +364,7 @@ def _classify(exc: Exception) -> tuple[int, str, str]:
     the only place that turns an exception into an exit status.
     """
     # LinAlgError is a ValueError, so the numerical failures go first
-    if isinstance(exc, (RuntimeError, FloatingPointError, np.linalg.LinAlgError)):
+    if isinstance(exc, (RuntimeError, ArithmeticError, np.linalg.LinAlgError)):
         return EXIT_NUMERIC, "numerical failure", str(exc)
     if isinstance(exc, ValueError):
         return EXIT_CONFIG, "config error", str(exc)

@@ -49,9 +49,12 @@ VERDICT_NOISE = "noise-truncated"
 
 @dataclass(frozen=True)
 class EstimateTrack:
-    """Per-prefix regression outputs plus stability and noise diagnostics."""
+    """Per-prefix regression outputs plus stability and noise diagnostics.
 
-    k_values: np.ndarray
+    Entry i of mu_k and c_k is the fit of the first k_min + i iterations.
+    """
+
+    k_min: int
     mu_k: np.ndarray
     c_k: np.ndarray
     stable_window: Optional[tuple[int, int]] = None
@@ -60,6 +63,10 @@ class EstimateTrack:
     verdict: str = VERDICT_UNSTABLE
     noise_takeover_k: Optional[int] = None
     skipped_k: tuple = ()
+
+    @property
+    def k_values(self) -> np.ndarray:
+        return np.arange(self.k_min, self.k_min + self.mu_k.size)
 
 
 def gamma_to_mu(gamma: float | np.ndarray) -> float | np.ndarray:
@@ -104,26 +111,26 @@ def estimate_track(trace: IterationTrace, k_min: int = DEFAULT_K_MIN,
 
     All prefixes are evaluated in one pass over running sums. Iterations at
     or past an exact-convergence zero (R or G equal to 0) are excluded;
-    degenerate prefixes are skipped and listed in ``skipped_k``.
+    degenerate prefixes are skipped and listed in ``skipped_k``. The stages
+    index the track by position; a k is k_min plus its entry's position, so
+    the track keeps two columns, mu_k and c_k, and no column of k.
     """
     track = _prefix_fits(trace, k_min)
     window = detect_stable_window(track, w_min=w_min, eps_mu=eps_mu,
                                   eps_c_rel=eps_c_rel)
     takeover = detect_noise_takeover(trace)
-    k_values, mu_k = track.k_values, track.mu_k
 
     mu_hat = c_hat = None
     if window is not None:
-        # k_values counts up by one from its first entry
-        inside = slice(window[0] - int(k_values[0]), window[1] - int(k_values[0]) + 1)
-        mu_hat = float(np.median(mu_k[inside]))
+        inside = slice(window[0] - k_min, window[1] - k_min + 1)
+        mu_hat = float(np.median(track.mu_k[inside]))
         c_hat = float(np.median(track.c_k[inside]))
 
     verdict = VERDICT_UNSTABLE
-    if takeover is not None and _collapses_after(k_values, mu_k, takeover):
+    if takeover is not None and _collapses_after(track, takeover):
         verdict = VERDICT_NOISE
     elif window is not None:
-        frac = (window[1] - window[0] + 1) / len(k_values)
+        frac = (window[1] - window[0] + 1) / track.mu_k.size
         if frac >= STABLE_WINDOW_FRACTION:
             verdict = VERDICT_STABLE
 
@@ -166,14 +173,13 @@ def _prefix_fits(trace: IterationTrace, k_min: int) -> EstimateTrack:
         c = np.exp(np.negative(b, out=b), out=b)
     mu[degenerate] = np.nan
     c[degenerate] = np.nan
-    k_values = np.arange(k_min, K_use + 1)
-    return EstimateTrack(k_values=k_values, mu_k=mu, c_k=c,
-                         skipped_k=tuple(int(x) for x in k_values[degenerate]))
+    return EstimateTrack(k_min=k_min, mu_k=mu, c_k=c,
+                         skipped_k=tuple((np.flatnonzero(degenerate) + k_min).tolist()))
 
 
-def _collapses_after(k_values: np.ndarray, mu_k: np.ndarray, k_star: int) -> bool:
+def _collapses_after(track: EstimateTrack, k_star: int) -> bool:
     """True when the estimates eventually drop below zero past k_star."""
-    after = mu_k[k_values > k_star]
+    after = track.mu_k[max(k_star - track.k_min + 1, 0):]
     after = after[np.isfinite(after)]
     return after.size > 0 and float(after.min()) < 0.0
 
@@ -187,7 +193,8 @@ def detect_stable_window(track: EstimateTrack, w_min: int = DEFAULT_W_MIN,
     Stability means max - min of mu_k <= eps_mu and max / min of c_k <=
     1 + eps_c_rel over the window, with at least w_min entries. Entries with
     mu_k <= 0 (gamma outside (1,2)) or non-finite values break contiguity.
-    Of several longest windows the earliest is returned. Absence is a value,
+    Of several longest windows the earliest is returned, as the iterations
+    k of its ends (track.k_min plus their positions). Absence is a value,
     not an error.
 
     An ineligible entry becomes NaN in both rows of one (2, n) array of
@@ -207,12 +214,12 @@ def detect_stable_window(track: EstimateTrack, w_min: int = DEFAULT_W_MIN,
     least L * S entries covers at least L - 1 >= w whole blocks, so each of
     them lies in a run of w whole blocks of the window, and that run is
     stable. The window thus lies within S - 1 entries of the stable w-runs
-    [t, t + w) of blocks, so the fine search needs only the neighbourhoods
-    from (t - 1) * S + 1 to (t + w + 1) * S - 1 of their starts t. It runs
-    once, over the merged neighbourhoods laid side by side in order, NaN
-    between each two; its earliest start of the longest width is then the
-    earliest of the longest windows of the track. With L < 2 the fine
-    search covers the whole track.
+    [t, t + w) of blocks, in the neighbourhood from (t - 1) * S + 1 to
+    (t + w + 1) * S - 1 of one of their starts t. The fine search runs once,
+    over the stretch from the first start's neighbourhood to the last one's:
+    every stable window of the searched lengths in that stretch lies in a
+    neighbourhood, so its earliest longest window is the track's. With
+    L < 2 the fine search covers the whole track.
     """
     if not (eps_mu >= 0.0 and eps_c_rel >= 0.0):
         raise ValueError("eps_mu and eps_c_rel must be non-negative")
@@ -231,28 +238,18 @@ def detect_stable_window(track: EstimateTrack, w_min: int = DEFAULT_W_MIN,
     blocks = values[:, :n_blocks * S].reshape(2, n_blocks, S).transpose(0, 2, 1).copy()
     runs, _, (w, shorter) = _longest_stable(blocks.max(axis=1), blocks.min(axis=1),
                                             eps_mu, eps_c_rel, 1, n_blocks)
-    k_values = track.k_values
+    begin = 0
     if runs >= 2:
         t = np.flatnonzero(shorter)
-        # starts over w + 1 blocks apart leave two entries or more between
-        cut = (np.flatnonzero(np.diff(t) > w + 1) + 1).tolist()
-        spans = [(max(int(t[i]) * S - S + 1, 0), min((int(t[j - 1]) + w + 1) * S, n))
-                 for i, j in zip([0, *cut], [*cut, t.size])]
-        if len(spans) == 1:
-            values, k_values = values[:, slice(*spans[0])], k_values[slice(*spans[0])]
-        else:
-            # side by side: each but the last keeps the next entry, which
-            # lies in the gap and becomes NaN, so that no window spans two
-            index = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
-            values, k_values = values[:, index], k_values[index]
-            values[:, np.flatnonzero(np.diff(index) > 1)] = np.nan
+        begin = max(int(t[0]) * S - S + 1, 0)
+        values = values[:, begin:(int(t[-1]) + w + 1) * S]
     found, starts, _ = _longest_stable(values, values, eps_mu, eps_c_rel,
                                        max(shortest, runs * S),
                                        min(values.shape[1], (runs + 2) * S - 2))
     if starts is None:
         return None
-    first = int(np.argmax(starts))
-    return int(k_values[first]), int(k_values[first + found - 1])
+    first = track.k_min + begin + int(np.argmax(starts))
+    return first, first + found - 1
 
 
 @np.errstate(over="ignore")

@@ -404,6 +404,27 @@ def coarse_to_fine_stable_window(track: EstimateTrack, w_min: int = DEFAULT_W_MI
     return int(track.k_values[first]), int(track.k_values[first + found - 1])
 
 
+def stable_block_groups(track: EstimateTrack, eps_mu: float = DEFAULT_EPS_MU,
+                        eps_c_rel: float = DEFAULT_EPS_C_REL) -> int:
+    """How many groups the stable w-runs of blocks form in detect_stable_window.
+
+    w is the width below the longest stable run of blocks that its coarse
+    search last found stable; runs that start over w + 1 blocks apart leave
+    a gap between their neighbourhoods. Two groups or more is the case where
+    the fine search's stretch holds entries of no neighbourhood. 0 when no
+    two blocks in a row are stable, and the fine search covers the track.
+    """
+    values = np.array((track.mu_k, track.c_k), dtype=float)
+    values[:, ~((values > 0.0) & (values < np.inf)).all(axis=0)] = np.nan
+    n_blocks = values.shape[1] // WINDOW_STRIDE
+    blocks = values[:, :n_blocks * WINDOW_STRIDE].reshape(2, n_blocks, WINDOW_STRIDE)
+    runs, _, (w, shorter) = estimator._longest_stable(blocks.max(axis=2), blocks.min(axis=2),
+                                                      eps_mu, eps_c_rel, 1, n_blocks)
+    if runs < 2:
+        return 0
+    return 1 + int(np.count_nonzero(np.diff(np.flatnonzero(shorter)) > w + 1))
+
+
 def _longest_stable(hi: np.ndarray, lo: np.ndarray, eps_mu: float, eps_c_rel: float,
                     shortest: int, longest: int) -> tuple[int, Optional[np.ndarray]]:
     """Longest stable run of entries, by doubling and then bisecting its width.
@@ -531,7 +552,7 @@ def prefix_fits_oracle(trace: IterationTrace, k_min: int) -> EstimateTrack:
 
     degenerate = degenerate[k_min - 1:]
     k_values = np.arange(k_min, K_use + 1)
-    return EstimateTrack(k_values=k_values,
+    return EstimateTrack(k_min=k_min,
                          mu_k=np.where(degenerate, np.nan, mu[k_min - 1:]),
                          c_k=np.where(degenerate, np.nan, c[k_min - 1:]),
                          skipped_k=tuple(int(x) for x in k_values[degenerate]))

@@ -430,6 +430,25 @@ def test_tikhonov_table_row_for_oversized_config(tmp_path):
                               '"failed: sizes too large to allocate: ')
 
 
+@pytest.mark.parametrize("command", ["estimate", "tikhonov-table"])
+def test_overflowing_gravity_depth_is_a_numerical_failure(tmp_path, capsys, command):
+    # depth ** 2 of a Python float raises OverflowError, an ArithmeticError
+    # like FloatingPointError: one line on stderr, or one failed row
+    path, trace_path, report_path = write_cfg(
+        tmp_path, "problem.kind = gravity\nproblem.n = 64\nproblem.depth = 1e200\n")
+    if command == "tikhonov-table":
+        table = tmp_path / "t.csv"
+        assert main([command, str(path), "--out", str(table)]) == EXIT_OK
+        with open(table, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 2 and rows[1][5].startswith("failed: ")
+    else:
+        assert main([command, str(path)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert not trace_path.exists() and not report_path.exists()
+
+
 def test_tikhonov_table_row_for_missing_matrix(tmp_path):
     # a config whose matrix file is missing fails its own row, not the table
     ok = tmp_path / "ok.cfg"

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import klsmooth as ks
 from klsmooth.estimator import (DEFAULT_EPS_C_REL, DEFAULT_EPS_MU, DEFAULT_W_MIN, SLOPE_CHUNK,
-                                EstimateTrack, detect_discretization_saturation,
+                                VERDICT_STABLE, VERDICT_UNSTABLE, EstimateTrack,
+                                detect_discretization_saturation,
                                 detect_noise_takeover, detect_stable_window,
                                 estimate_track, gamma_to_mu)
 from klsmooth.landweber import IterationTrace, LandweberConfig, landweber_run
@@ -196,8 +197,7 @@ def test_estimate_track_benchmark_recovers_mu():
 
 def test_stable_window_constant_track():
     n = 120
-    track = EstimateTrack(k_values=np.arange(5, 5 + n),
-                          mu_k=np.full(n, 0.3), c_k=np.ones(n))
+    track = EstimateTrack(k_min=5, mu_k=np.full(n, 0.3), c_k=np.ones(n))
     win = detect_stable_window(track)
     assert win == (5, 5 + n - 1)
 
@@ -205,8 +205,7 @@ def test_stable_window_constant_track():
 def test_stable_window_monotone_none():
     n = 200
     mu = np.linspace(0.01, 1.0, n)  # > eps_mu drift over any 50-wide window
-    track = EstimateTrack(k_values=np.arange(5, 5 + n), mu_k=mu,
-                          c_k=np.ones(n))
+    track = EstimateTrack(k_min=5, mu_k=mu, c_k=np.ones(n))
     assert detect_stable_window(track) is None
 
 
@@ -214,8 +213,7 @@ def test_stable_window_excludes_nonpositive_mu():
     n = 150
     mu = np.full(n, 0.4)
     mu[60:80] = -0.1  # collapse segment breaks contiguity
-    track = EstimateTrack(k_values=np.arange(1, n + 1), mu_k=mu,
-                          c_k=np.ones(n))
+    track = EstimateTrack(k_min=1, mu_k=mu, c_k=np.ones(n))
     win = detect_stable_window(track, w_min=50)
     assert win == (81, 150)
 
@@ -224,8 +222,7 @@ def test_stable_window_c_criterion():
     n = 150
     c = np.ones(n)
     c[100:] = np.linspace(1.0, 3.0, 50)  # c drifts: window must avoid the tail
-    track = EstimateTrack(k_values=np.arange(1, n + 1), mu_k=np.full(n, 0.2),
-                          c_k=c)
+    track = EstimateTrack(k_min=1, mu_k=np.full(n, 0.2), c_k=c)
     win = detect_stable_window(track, w_min=50)
     assert win is not None
     assert win[1] <= 105
@@ -245,8 +242,7 @@ def test_stable_window_matches_deque_oracle_at_full_size(noise):
 
 @pytest.mark.parametrize("eps_mu, eps_c_rel", [(-1.0, 0.05), (0.05, -1.0), (np.nan, 0.05)])
 def test_stable_window_rejects_bad_tolerances(eps_mu, eps_c_rel):
-    track = EstimateTrack(k_values=np.arange(1, 61), mu_k=np.full(60, 0.3),
-                          c_k=np.ones(60))
+    track = EstimateTrack(k_min=1, mu_k=np.full(60, 0.3), c_k=np.ones(60))
     with pytest.raises(ValueError):
         detect_stable_window(track, w_min=10, eps_mu=eps_mu, eps_c_rel=eps_c_rel)
 
@@ -327,12 +323,12 @@ def test_saturation_under_resolved_benchmark():
     assert detect_discretization_saturation(trace_fine) is None
 
 
-def _peak_bytes(fn, *args) -> int:
-    """The tracemalloc peak of one call, above what was allocated before it."""
+def _traced_bytes(fn, *args) -> tuple[int, int]:
+    """What one call allocates: the bytes its result keeps, and its peak."""
     tracemalloc.start()
     try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
+        result = fn(*args)  # held while the memory is read
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
@@ -342,14 +338,19 @@ def test_estimate_stage_memory_stays_bounded():
     p = make_power_law(200, 2, 1)
     trace = landweber_run(p, p.y_clean, LandweberConfig(max_iters=70_000))
     column = 8 * len(trace)   # bytes of one float64 column of the trace
+    # np.median imports numpy.ma on its first call, which would count as kept
+    estimate_track(trace)
+    kept, peak = _traced_bytes(estimate_track, trace)
     # the prefix fits work in the memory of their four running sums, so the
-    # estimate stage holds about 8.4 columns at its peak (14.3 when every
+    # estimate stage holds about 8.3 columns at its peak (14.3 when every
     # sum, fit and product was a new array)
-    assert _peak_bytes(estimate_track, trace) < 10 * column
+    assert peak < 9 * column
+    # the track keeps mu_k and c_k; its k_values is computed from k_min
+    assert kept < 2.05 * column
     # the saturation scan holds one chunk's running sums and their window
     # differences, about 2.5 (4, SLOPE_CHUNK) arrays, whatever the length
     # of the trace (5 here when it logged and sloped the whole trace)
-    assert _peak_bytes(detect_discretization_saturation, trace) < 3 * 4 * 8 * SLOPE_CHUNK
+    assert _traced_bytes(detect_discretization_saturation, trace)[1] < 3 * 4 * 8 * SLOPE_CHUNK
 
 
 def test_exp_operator_verdict_unstable():
@@ -367,3 +368,59 @@ def test_supersmooth_verdict_unstable():
     track = estimate_track(trace)
     assert track.verdict == "unstable-suspect-violation"
     assert track.noise_takeover_k is None
+
+
+# The noise-free power-law grid at K = 2000 (README, "Accuracy"): beta, eta,
+# n, the verdict, and a bound on mu_hat - mu, the measured excess rounded up
+# at two digits. mu_hat over-estimates mu in every cell with a window, most
+# where beta = 0.5 and n = 200, where no cell reads stable; None marks the
+# one cell without a window.
+ACCURACY_GRID = [
+    (0.5, 0.75, 200, VERDICT_UNSTABLE, None),
+    (0.5, 0.75, 2000, VERDICT_UNSTABLE, 0.048),
+    (0.5, 1, 200, VERDICT_UNSTABLE, 0.15),
+    (0.5, 1, 2000, VERDICT_UNSTABLE, 0.048),
+    (0.5, 1.5, 200, VERDICT_UNSTABLE, 0.17),
+    (0.5, 1.5, 2000, VERDICT_STABLE, 0.05),
+    (0.5, 2, 200, VERDICT_UNSTABLE, 0.18),
+    (0.5, 2, 2000, VERDICT_STABLE, 0.055),
+    (0.5, 3, 200, VERDICT_UNSTABLE, 0.22),
+    (0.5, 3, 2000, VERDICT_STABLE, 0.063),
+    (0.5, 4, 200, VERDICT_UNSTABLE, 0.27),
+    (0.5, 4, 2000, VERDICT_STABLE, 0.13),
+    (1, 0.75, 200, VERDICT_STABLE, 0.015),
+    (1, 0.75, 2000, VERDICT_STABLE, 0.0064),
+    (1, 1, 200, VERDICT_STABLE, 0.013),
+    (1, 1, 2000, VERDICT_STABLE, 0.0084),
+    (1, 1.5, 200, VERDICT_STABLE, 0.014),
+    (1, 1.5, 2000, VERDICT_STABLE, 0.013),
+    (1, 2, 200, VERDICT_STABLE, 0.019),
+    (1, 2, 2000, VERDICT_STABLE, 0.019),
+    (1, 3, 200, VERDICT_STABLE, 0.032),
+    (1, 3, 2000, VERDICT_STABLE, 0.032),
+    (1, 4, 200, VERDICT_STABLE, 0.048),
+    (1, 4, 2000, VERDICT_STABLE, 0.048),
+    (2, 0.75, 200, VERDICT_STABLE, 0.012),
+    (2, 0.75, 2000, VERDICT_STABLE, 0.012),
+    (2, 1, 200, VERDICT_STABLE, 0.014),
+    (2, 1, 2000, VERDICT_STABLE, 0.014),
+    (2, 1.5, 200, VERDICT_STABLE, 0.018),
+    (2, 1.5, 2000, VERDICT_STABLE, 0.018),
+    (2, 2, 200, VERDICT_STABLE, 0.023),
+    (2, 2, 2000, VERDICT_STABLE, 0.023),
+    (2, 3, 200, VERDICT_STABLE, 0.035),
+    (2, 3, 2000, VERDICT_STABLE, 0.035),
+    (2, 4, 200, VERDICT_STABLE, 0.049),
+    (2, 4, 2000, VERDICT_STABLE, 0.049),
+]
+
+
+@pytest.mark.parametrize("beta, eta, n, verdict, bound", ACCURACY_GRID)
+def test_accuracy_on_the_noise_free_power_law_grid(beta, eta, n, verdict, bound):
+    p = make_power_law(n, eta, beta)
+    track = estimate_track(landweber_run(p, p.y_clean, LandweberConfig(max_iters=2000)))
+    assert track.verdict == verdict
+    if bound is None:
+        assert track.mu_hat is None
+    else:
+        assert 0.0 < track.mu_hat - p.mu_exact < bound

@@ -237,12 +237,13 @@ def test_trace_csv_memory_stays_bounded(tmp_path):
     p = make_power_law(200, 2, 1)
     trace = landweber_run(p, p.y_clean, LandweberConfig(max_iters=70_000))
     track = estimate_track(trace)
+    k_values = track.k_values   # the caller's column, computed from k_min
     column = 8 * len(trace)   # bytes of one float64 column of the trace
     list(decimal_rows(np.ones((1, 1))))     # the formatter's tables, built once per process
     tracemalloc.start()
     try:
         write_trace_csv(tmp_path / "trace.csv", trace, mu_k=track.mu_k, c_k=track.c_k,
-                        k_values=track.k_values)
+                        k_values=k_values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -19,8 +19,8 @@ from klsmooth.problems import add_noise, make_power_law
 
 from _oracles import (brute_force_stable_window, coarse_to_fine_stable_window,
                       noise_takeover_oracle, prefix_fits_oracle, rolling_slopes_oracle,
-                      saturating_trace, saturation_oracle, stable_window_oracle,
-                      written_trace_csv)
+                      saturating_trace, saturation_oracle, stable_block_groups,
+                      stable_window_oracle, written_trace_csv)
 
 
 def mk_trace(R, G, errors=None):
@@ -40,7 +40,7 @@ def random_track(draw):
     # bounded random walks: plateaus and drifts both occur
     mu = np.cumsum(rng.uniform(-0.02, 0.02, n)) + rng.uniform(-0.2, 0.8)
     c = np.exp(np.cumsum(rng.uniform(-0.01, 0.01, n)))
-    return EstimateTrack(k_values=np.arange(5, 5 + n), mu_k=mu, c_k=c)
+    return EstimateTrack(k_min=5, mu_k=mu, c_k=c)
 
 
 @settings(deadline=None, max_examples=80)
@@ -81,14 +81,13 @@ def rough_track(draw):
     for values, bad in ((mu, np.nan), (mu, 0.0), (c, np.nan), (c, -1.0)):
         hits = rng.integers(0, n, draw(st.integers(min_value=0, max_value=3)))
         values[hits] = bad
-    return EstimateTrack(k_values=track.k_values[:n], mu_k=mu, c_k=c)
+    return EstimateTrack(k_min=track.k_min, mu_k=mu, c_k=c)
 
 
 @settings(deadline=None, max_examples=300)
 @given(rough_track(), st.integers(min_value=1, max_value=60),
        st.sampled_from([0.0, 0.01, 0.05, 0.3]), st.sampled_from([0.0, 0.01, 0.05, 0.5]))
-@example(track=EstimateTrack(k_values=np.arange(5, 85), mu_k=np.linspace(0.9, 0.1, 80) ** 4,
-                             c_k=np.ones(80)),
+@example(track=EstimateTrack(k_min=5, mu_k=np.linspace(0.9, 0.1, 80) ** 4, c_k=np.ones(80)),
          w_min=5, eps_mu=0.05, eps_c=0.05)   # the flat stretch runs to the end
 def test_stable_window_matches_deque_oracle(track, w_min, eps_mu, eps_c):
     assert (detect_stable_window(track, w_min=w_min, eps_mu=eps_mu, eps_c_rel=eps_c)
@@ -113,17 +112,15 @@ def plateau_track(draw):
     for values, bad in ((mu, np.nan), (mu, -0.2), (c, np.inf), (c, 0.0)):
         if draw(st.booleans()):
             values[rng.integers(0, n)] = bad
-    return EstimateTrack(k_values=np.arange(3, 3 + n), mu_k=mu, c_k=c)
+    return EstimateTrack(k_min=3, mu_k=mu, c_k=c)
 
 
 @settings(deadline=None, max_examples=200)
 @given(st.one_of(rough_track(), plateau_track()), st.integers(min_value=1, max_value=90),
        st.sampled_from([0.0, 0.01, 0.05, 0.3]), st.sampled_from([0.0, 0.01, 0.05, 0.5]))
-@example(track=EstimateTrack(k_values=np.arange(1, 8), mu_k=np.full(7, 0.3),
-                             c_k=np.ones(7)),
+@example(track=EstimateTrack(k_min=1, mu_k=np.full(7, 0.3), c_k=np.ones(7)),
          w_min=3, eps_mu=0.0, eps_c=0.0)   # shorter than one block
-@example(track=EstimateTrack(k_values=np.arange(1, 4 * WINDOW_STRIDE + 6),
-                             mu_k=np.full(4 * WINDOW_STRIDE + 5, 0.3),
+@example(track=EstimateTrack(k_min=1, mu_k=np.full(4 * WINDOW_STRIDE + 5, 0.3),
                              c_k=np.ones(4 * WINDOW_STRIDE + 5)),
          w_min=4 * WINDOW_STRIDE + 6, eps_mu=0.05, eps_c=0.05)   # w_min > n
 def test_stable_window_matches_brute_force(track, w_min, eps_mu, eps_c):
@@ -165,14 +162,14 @@ def long_track(draw):
         values[rng.integers(0, n, draw(st.integers(min_value=0, max_value=2)))] = bad
     if draw(st.booleans()):
         mu[starts[0] + int(rng.integers(0, widths[0]))] = np.nan
-    return EstimateTrack(k_values=np.arange(5, 5 + n), mu_k=mu, c_k=c)
+    return EstimateTrack(k_min=5, mu_k=mu, c_k=c)
 
 
 def _two_plateaus(n, first, second, width):
     """Equal flat runs at `first` and `second` on a background that jumps by 0.3."""
     mu = np.resize([0.9, 1.2], n)
     mu[first:first + width] = mu[second:second + width] = 0.3
-    return EstimateTrack(k_values=np.arange(5, 5 + n), mu_k=mu, c_k=np.ones(n))
+    return EstimateTrack(k_min=5, mu_k=mu, c_k=np.ones(n))
 
 
 def _joinable_neighbourhoods():
@@ -180,14 +177,14 @@ def _joinable_neighbourhoods():
 
     A plateau of 20 blocks, a break and 15 more entries at its level end
     the first; the second starts on a plateau of 335 entries at the same
-    level. Only the NaN between them keeps the search from a window of 350
-    entries that spans both.
+    level. The fine search's one stretch keeps the entries between them,
+    which keep it from a window of 350 entries that spans both.
     """
     n = 2000
     mu = np.resize([0.9, 1.2], n)
     mu[:20 * WINDOW_STRIDE] = mu[321:336] = mu[625:960] = 0.3
     mu[20 * WINDOW_STRIDE] = np.nan
-    return EstimateTrack(k_values=np.arange(5, 5 + n), mu_k=mu, c_k=np.ones(n))
+    return EstimateTrack(k_min=5, mu_k=mu, c_k=np.ones(n))
 
 
 def _overlapping_neighbourhoods():
@@ -196,15 +193,23 @@ def _overlapping_neighbourhoods():
     The longest run is three blocks (a plateau at 0.5), so runs of two
     blocks start the neighbourhoods: at blocks 10 and 13 here, and at no
     block between. Across block 12 a stable stretch of 46 entries lies in
-    both neighbourhoods; were they laid side by side rather than merged,
-    its 15 entries in both would read as a window of 61.
+    both neighbourhoods; were they laid side by side rather than searched
+    as one stretch, its 15 entries in both would read as a window of 61.
     """
     n = 600
     mu = np.resize([0.9, 1.2], n)
     mu[160:176], mu[176], mu[177:192] = 0.32, 0.30, 0.34
     mu[192:208], mu[208:223], mu[223], mu[224:240] = 0.37, 0.38, 0.425, 0.40
     mu[400:448] = 0.5
-    return EstimateTrack(k_values=np.arange(5, 5 + n), mu_k=mu, c_k=np.ones(n))
+    return EstimateTrack(k_min=5, mu_k=mu, c_k=np.ones(n))
+
+
+def test_long_track_examples_form_two_block_groups():
+    # stable block runs in two groups: the fine search's stretch then holds
+    # entries of no neighbourhood, which it must search without a new window
+    for track in (_two_plateaus(3001, 100, 2500, 200), _joinable_neighbourhoods(),
+                  _overlapping_neighbourhoods()):
+        assert stable_block_groups(track) == 2
 
 
 @settings(deadline=None, max_examples=120, derandomize=True)
