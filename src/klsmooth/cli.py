@@ -89,7 +89,6 @@ class ExperimentConfig:
     problem_x_true_path: Optional[str] = None
     noise_rel_level: float = 0.0
     noise_seed: int = 0
-    landweber_step_beta: str = LandweberConfig.step_beta
     landweber_max_iters: int = LandweberConfig.max_iters
     estimator_k_min: int = estimator.DEFAULT_K_MIN
     estimator_w_min: int = estimator.DEFAULT_W_MIN
@@ -156,15 +155,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         attr = known[key]
-        template = getattr(defaults, attr)
-        if key == "landweber.step_beta" and raw != "auto":
-            try:
-                value: object = float(raw)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: step_beta must be 'auto' or a number") from None
-        else:
-            value = _coerce(key, raw, template)
-        setattr(cfg, attr, value)
+        setattr(cfg, attr, _coerce(key, raw, getattr(defaults, attr)))
     _validate(cfg)
     return cfg
 
@@ -250,9 +241,7 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     if cfg.noise_rel_level > 0:
         noisy = add_noise(p, cfg.noise_rel_level, cfg.noise_seed)
         data = noisy.y_delta
-    lw_cfg = LandweberConfig(step_beta=cfg.landweber_step_beta,
-                             max_iters=cfg.landweber_max_iters)
-    trace = landweber_run(p, data, lw_cfg)
+    trace = landweber_run(p, data, LandweberConfig(max_iters=cfg.landweber_max_iters))
     track = estimate_track(trace, k_min=cfg.estimator_k_min, w_min=cfg.estimator_w_min,
                            eps_mu=cfg.estimator_eps_mu, eps_c_rel=cfg.estimator_eps_c_rel)
 
@@ -349,9 +338,7 @@ def _write_report(path, report: dict) -> None:
 
 
 def _write_outputs(result: dict, cfg: ExperimentConfig) -> None:
-    track = result["track"]
-    write_trace_csv(cfg.output_trace_path, result["trace"],
-                    mu_k=track.mu_k, c_k=track.c_k, k_values=track.k_values,
+    write_trace_csv(cfg.output_trace_path, result["trace"], result["track"],
                     upper_bounds=result["upper"])
     _write_report(cfg.output_report_path, result["report"])
 

@@ -1,7 +1,8 @@
 """Landweber iteration with per-iteration residual/gradient/error logging.
 
-The iteration x_{k+1} = x_k - beta A*(A x_k - y), started from x_0 = 0, is
-gradient descent on the squared residual. After every update the trace records
+The iteration x_{k+1} = x_k - beta A*(A x_k - y), started from x_0 = 0 with
+the step beta = 1 / ||A||^2, is gradient descent on the squared residual.
+After every update the trace records
 
     R_k = ||A x_k - y||,   G_k = ||A*(A x_k - y)||,   R_k^2 / G_k,
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -62,20 +63,13 @@ Columns = tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 @dataclass(frozen=True)
 class LandweberConfig:
-    """Run parameters.
+    """Run parameters. The step is always 1 / ||A||^2 (see :func:`resolve_step`)."""
 
-    step_beta "auto" resolves to 1 / ||A||_est^2, the midpoint of the safe
-    range (0, 2/||A||^2); explicit values are validated against that range.
-    """
-
-    step_beta: Union[float, str] = "auto"
     max_iters: int = 2000
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if isinstance(self.step_beta, str) and self.step_beta != "auto":
-            raise ValueError('step_beta must be a float or "auto"')
 
 
 @dataclass(frozen=True)
@@ -97,8 +91,9 @@ class IterationTrace:
         return np.arange(1, len(self) + 1)
 
 
-def resolve_step(cfg: LandweberConfig, norm_est: float) -> float:
-    """Resolve the configured step against the estimated operator norm.
+def resolve_step(norm_est: float) -> float:
+    """The step 1 / ||A||^2, the midpoint of the range (0, 2 / ||A||^2) in
+    which the iteration converges, from the estimated operator norm.
 
     A norm whose square, or 2 over it, is not a finite positive float leaves
     no step size; that is a numerical failure (RuntimeError), whichever path
@@ -108,13 +103,7 @@ def resolve_step(cfg: LandweberConfig, norm_est: float) -> float:
     if not (0.0 < norm_sq < math.inf and 2.0 / norm_sq < math.inf):
         raise RuntimeError(f"operator norm {norm_est:.6g} is out of range: "
                            "no finite step size 1/||A||^2 exists")
-    upper = 2.0 / norm_sq
-    if cfg.step_beta == "auto":
-        return 1.0 / norm_sq
-    beta = float(cfg.step_beta)
-    if not 0.0 < beta < upper:
-        raise ValueError(f"step_beta must lie in (0, {upper:.6g}); got {beta:g}")
-    return beta
+    return 1.0 / norm_sq
 
 
 def landweber_run(p: ProblemSpec, data: np.ndarray,
@@ -134,7 +123,7 @@ def landweber_run(p: ProblemSpec, data: np.ndarray,
     if data.shape != (op.shape[0],):
         raise ValueError(f"data must have length {op.shape[0]}, got shape {data.shape}")
     sd = op.singular_system
-    beta = resolve_step(cfg, operator_norm(op))
+    beta = resolve_step(operator_norm(op))
     if sd is None:
         path = "matvec"
         R, G, E = matvec_trace(op, data, beta, cfg.max_iters, p.x_true)
@@ -163,9 +152,9 @@ def matvec_trace(op: LinearOperator, data: np.ndarray, beta: float, max_iters: i
     G = np.empty(max_iters)
     E = np.empty(max_iters) if x_true is not None else None
     x = np.zeros(op.shape[1])
-    r_floor, g_floor = _stop_floors(float(np.linalg.norm(data)), beta)
     n_done = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        r_floor, g_floor = _stop_floors(float(np.linalg.norm(data)), beta)
         g = op.apply_adjoint(-data)
     for k in range(1, max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -240,8 +229,9 @@ def diagonal_trace(sigmas: np.ndarray, data: np.ndarray, beta: float, max_iters:
     s = np.asarray(sigmas, dtype=float)
     data = np.asarray(data, dtype=float)
     data_out, x_out = outside
-    floors = np.array(_stop_floors(float(np.sqrt(data @ data + data_out)), beta))[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # a ||data|| that overflows gives infinite floors, as in matvec_trace
+        floors = np.array(_stop_floors(float(np.sqrt(data @ data + data_out)), beta))[:, None]
         q = 1.0 - beta * s * s
         log_q = np.where(q > 0.0, np.log1p(-beta * s * s), 0.0)
         slow = _slow_modes(s, q, log_q, data, x_true, max_iters)
@@ -428,22 +418,22 @@ def _powers(q: np.ndarray, log_q: np.ndarray, nonpos: np.ndarray, k,
     return q_k, comp
 
 
-def write_trace_csv(path, trace: IterationTrace, mu_k=None, c_k=None, k_values=None,
-                    upper_bounds=None) -> None:
+def write_trace_csv(path, trace: IterationTrace, track=None, upper_bounds=None) -> None:
     """Write the trace as CSV, one row per iteration, a block of rows at a time.
 
     Values are written at 17 significant digits by :func:`decimal_block`, so
     they read back bit-exactly; non-finite cells stay empty, as does every
     cell of a column that is not given. The estimator's columns mu_k, c_k
-    belong to the iterations k_values, in ascending order (the estimator's
-    count up by one from k_min), so the cells of other iterations are empty.
-    An upper-bound column is appended when bound curves were computed. k
-    prints as an integer, as %.17g prints any integer below 1e17.
+    come from the track, an :class:`~klsmooth.estimator.EstimateTrack`, whose
+    entries belong to the iterations from its k_min on, so the cells of
+    other iterations are empty. An upper-bound column is appended when bound
+    curves were computed. k prints as an integer, as %.17g prints any
+    integer below 1e17.
 
     No table of the trace is built: each block's rows are copied from the
-    columns into one buffer of :func:`decimal_block_rows` rows, the estimates
-    of the block's iterations found by a binary search in k_values, and the
-    block's text goes to the file as bytes.
+    columns into one buffer of :func:`decimal_block_rows` rows, the
+    estimates of the block's iterations placed by their offset from k_min,
+    and the block's text goes to the file as bytes.
     """
     n = len(trace)
     header = "k,residual,gradient_norm,lower_bound,error,mu_k,c_k"
@@ -455,10 +445,7 @@ def write_trace_csv(path, trace: IterationTrace, mu_k=None, c_k=None, k_values=N
         columns.append(upper_bounds)
     # (column, values) of the columns with a value at every iteration
     spans = [(j, col) for j, col in enumerate(columns, start=1) if col is not None]
-    estimates = []
-    if mu_k is not None:
-        k_values = np.asarray(k_values)
-        estimates = [(5, mu_k)] if c_k is None else [(5, mu_k), (6, c_k)]
+    first = 0 if track is None else track.k_min - 1     # the row of the track's entry 0
     rows = decimal_block_rows(len(columns) + 1)
     buf = np.full((min(rows, n), len(columns) + 1), np.nan)
     k = np.arange(1.0, len(buf) + 1.0)
@@ -470,11 +457,12 @@ def write_trace_csv(path, trace: IterationTrace, mu_k=None, c_k=None, k_values=N
             np.add(k[:m], start, out=block[:, 0])
             for j, col in spans:
                 block[:, j] = col[start:start + m]
-            if estimates:
-                lo, hi = np.searchsorted(k_values, (start + 1, start + m + 1)).tolist()
-                at = k_values[lo:hi] - (start + 1)
-                for j, col in estimates:
+            if track is not None:
+                # trace rows lo to hi - 1, in this block, hold track entries lo - first on
+                lo, hi = max(start, first), min(start + m, first + track.mu_k.size)
+                for j, col in ((5, track.mu_k), (6, track.c_k)):
                     if hi - lo < m:
                         block[:, j] = np.nan
-                    block[at, j] = col[lo:hi]
+                    if lo < hi:
+                        block[lo - start:hi - start, j] = col[lo - first:hi - first]
             fh.write(decimal_block(block, blank_nonfinite=True))

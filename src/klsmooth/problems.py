@@ -83,7 +83,11 @@ def make_power_law(n: int, eta: float, beta: float) -> ProblemSpec:
     sigmas = i ** (-beta)
     x_true = i ** (-eta)
     mu = (2.0 * eta - 1.0) / (4.0 * beta)
-    w = x_true * sigmas ** (-2.0 * mu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = x_true * sigmas ** (-2.0 * mu)
+    if not (np.isfinite(mu) and np.isfinite(w).all()):
+        raise ValueError(f"eta = {eta:g} and beta = {beta:g} are out of range: "
+                         "mu or the source element w is not finite")
     op = diagonal_operator(sigmas)
     return ProblemSpec(operator=op, y_clean=op.apply(x_true), x_true=x_true,
                        mu_exact=mu, source_w=w,
@@ -177,6 +181,15 @@ def make_gravity(n: int, depth: float = DEFAULT_GRAVITY_DEPTH) -> ProblemSpec:
         raise ValueError("n must be >= 8")
     if depth <= 0:
         raise ValueError("depth must be positive")
+    # the kernel peaks at s = t, at depth (depth^2)^(-3/2)
+    with np.errstate(over="ignore", divide="ignore"):
+        square = np.float64(depth) ** 2
+        peak = depth * square ** -1.5
+    if square == np.inf:
+        raise OverflowError(f"depth = {depth:g} is out of range: depth^2 overflows")
+    if not np.isfinite(peak):
+        raise ValueError(f"depth = {depth:g} is out of range: the kernel's peak "
+                         "depth (depth^2)^(-3/2) overflows")
     op = kernel_operator(lambda s, t: gravity_kernel(s, t, depth), n)
     t = midpoint_nodes(n)
     x_true = np.sin(np.pi * t) + 0.5 * np.sin(2.0 * np.pi * t)

@@ -31,7 +31,7 @@ from klsmooth import estimator
 from klsmooth.estimator import (DEFAULT_EPS_C_REL, DEFAULT_EPS_MU, DEFAULT_W_MIN,
                                 SATURATION_BAND, SATURATION_WINDOW, WINDOW_STRIDE, EstimateTrack,
                                 _ols, gamma_to_mu)
-from klsmooth.landweber import IterationTrace, write_trace_csv
+from klsmooth.landweber import IterationTrace, diagonal_trace, write_trace_csv
 from klsmooth.operators import (SV_FLOOR, SpectralDecomposition, _utf8_text, dense_operator,
                                 kernel_operator, svd)
 from klsmooth.problems import ProblemSpec, make_deriv2
@@ -106,6 +106,15 @@ def with_system(p, sd=None):
     to its operator, as a run attaches the SVD it takes."""
     return replace(p, operator=replace(p.operator,
                                        singular_system=svd(p.operator) if sd is None else sd))
+
+
+def system_trace(sd, data, beta, max_iters, x_true):
+    """diagonal_trace at the step beta from the singular system sd, with data
+    and x_true split on its vectors as landweber_run splits them."""
+    coeffs, data_out = sd.split(data)
+    x_coeffs, x_out = sd.split(x_true, right=True)
+    return diagonal_trace(sd.sigmas, coeffs, beta, max_iters, x_coeffs,
+                          outside=(data_out, x_out))
 
 
 def right_vectors(sd):
@@ -664,16 +673,15 @@ def _by_iteration(n: int, k_values: np.ndarray, values: np.ndarray) -> np.ndarra
     return out
 
 
-def trace_csv_by_column(trace, mu_k=None, c_k=None, k_values=None, upper_bounds=None):
+def trace_csv_by_column(trace, track=None, upper_bounds=None):
     """write_trace_csv's table written one column at a time: each value by
-    f"{x:.17g}", each non-finite one blanked by its index, rows joined by
-    commas."""
+    f"{x:.17g}", each non-finite one blanked by its index, the track's
+    entries placed at its k_values, rows joined by commas."""
     n = len(trace)
     mu_col = c_col = None
-    if mu_k is not None:
-        mu_col = _by_iteration(n, k_values, mu_k)
-        if c_k is not None:
-            c_col = _by_iteration(n, k_values, c_k)
+    if track is not None:
+        mu_col = _by_iteration(n, track.k_values, track.mu_k)
+        c_col = _by_iteration(n, track.k_values, track.c_k)
     header = ["k", "residual", "gradient_norm", "lower_bound", "error", "mu_k", "c_k"]
     columns = [trace.residuals, trace.gradient_norms, trace.lower_bounds, trace.errors,
                mu_col, c_col]
@@ -694,11 +702,11 @@ def trace_csv_by_column(trace, mu_k=None, c_k=None, k_values=None, upper_bounds=
     return ",".join(header) + "\n" + "".join(row + "\n" for row in rows)
 
 
-def written_trace_csv(trace, **columns) -> str:
-    """The text write_trace_csv writes for the trace and columns."""
+def written_trace_csv(trace, track=None, upper_bounds=None) -> str:
+    """The text write_trace_csv writes for the trace, track and upper bounds."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
-        write_trace_csv(path, trace, **columns)
+        write_trace_csv(path, trace, track, upper_bounds)
         return path.read_text()
 
 

@@ -71,14 +71,12 @@ def test_parse_values_and_comments():
         "# full-line comment\n"
         "noise.rel_level = 0.01\n"
         "validation.run_tikhonov = true\n"
-        "validation.seeds = 3, 4, 5\n"
-        "landweber.step_beta = 0.5\n")
+        "validation.seeds = 3, 4, 5\n")
     assert cfg.problem_kind == "deriv2"
     assert cfg.problem_n == 64
     assert cfg.noise_rel_level == 0.01
     assert cfg.validation_run_tikhonov is True
     assert cfg.validation_seeds == (3, 4, 5)
-    assert cfg.landweber_step_beta == 0.5
 
 
 def test_hash_inside_a_value_is_no_comment(tmp_path):
@@ -108,7 +106,7 @@ def test_equal_output_paths_exit_with_config_error(tmp_path, capsys):
     "problem.kind = external\n",  # missing paths
     "noise.rel_level = nan\n",
     "problem.eta = inf\n",
-    "landweber.step_beta = nan\n",
+    "landweber.step_beta = auto\n",   # the step is always 1/||A||^2
     "validation.levels = 0.1, nan, 0.01\n",
     "estimator.eps_mu = -1\n",
     "estimator.eps_c_rel = -1\n",
@@ -126,7 +124,7 @@ def test_effective_dict_covers_every_key():
     assert eff["problem.kind"] == "power_law"
     assert eff["estimator.eps_mu"] == 0.05
     assert eff["output.report_path"] == "report.json"
-    assert len(eff) == 22
+    assert len(eff) == 21
 
 
 def test_run_estimate_end_to_end(tmp_path):
@@ -139,7 +137,7 @@ def test_run_estimate_end_to_end(tmp_path):
     # the effective config is echoed in full, defaults included
     assert report["config"]["landweber.max_iters"] == 400
     assert report["config"]["estimator.k_min"] == 5
-    assert len(report["config"]) == 22
+    assert len(report["config"]) == 21
     header = trace_path.read_text().splitlines()[0]
     assert header.startswith("k,residual,gradient_norm,lower_bound,error,mu_k,c_k")
 
@@ -165,7 +163,7 @@ def test_run_estimate_deterministic(tmp_path):
     # the rate check on with the default levels, echoed in full
     SMALL_DIAG + "validation.run_tikhonov = true\nvalidation.run_svd_check = yes\n",
     SMALL_DIAG + "validation.levels = 0.1, 0.03\nvalidation.seeds = 7\n"
-                 "landweber.step_beta = 0.5\nnoise.rel_level = 0.001\n",
+                 "noise.rel_level = 0.001\n",
 ], ids=["defaults", "default-levels", "lists-set"])
 def test_config_echo_parses_back(tmp_path, text):
     path, _, report_path = write_cfg(tmp_path, text)
@@ -442,10 +440,36 @@ def test_overflowing_gravity_depth_is_a_numerical_failure(tmp_path, capsys, comm
         with open(table, newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 2 and rows[1][5].startswith("failed: ")
+        message = rows[1][5]
     else:
         assert main([command, str(path)]) == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        message = err
+    assert "depth = 1e+200 is out of range: depth^2 overflows" in message
+    assert not trace_path.exists() and not report_path.exists()
+
+
+@pytest.mark.parametrize("text, status, message", [
+    ("problem.eta = 1e308\n", EXIT_CONFIG,
+     "config error: eta = 1e+308 and beta = 2 are out of range"),
+    ("problem.kind = gravity\nproblem.depth = 1e-200\n", EXIT_CONFIG,
+     "config error: depth = 1e-200 is out of range"),
+    ("noise.rel_level = 1e308\n", EXIT_NUMERIC,
+     "numerical failure: non-finite residual/gradient at iteration 1"),
+    ("landweber.step_beta = auto\n", EXIT_CONFIG,
+     "config error: line 2: unknown key 'landweber.step_beta'"),
+], ids=["eta", "depth", "noise", "step"])
+def test_refused_config_prints_one_line(tmp_path, text, status, message):
+    # a fresh interpreter, whose stderr would show a numpy warning and its
+    # source line ahead of the message
+    path, trace_path, report_path = write_cfg(tmp_path, "problem.n = 64\n" + text)
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-m", "klsmooth.cli", "estimate", str(path)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == status
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith(message)
     assert not trace_path.exists() and not report_path.exists()
 
 
@@ -1104,7 +1128,6 @@ _FUZZ_VALUES = {
     "problem.x_true_path": st.sampled_from([f"<{f}>" for f in _INPUTS]),
     "noise.rel_level": st.floats(-0.1, 0.5).map(repr),
     "noise.seed": st.integers(-2, 100).map(str),
-    "landweber.step_beta": st.one_of(st.just("auto"), _NUMBERS),
     "landweber.max_iters": st.integers(-2, 300).map(str),
     "estimator.k_min": st.integers(-1, 320).map(str),
     "estimator.w_min": st.integers(-1, 320).map(str),

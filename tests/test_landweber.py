@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from klsmooth import landweber
 from klsmooth.cli import FIGURE_NAMES, build_problem, figure_config, run_pipeline
-from klsmooth.estimator import estimate_track
+from klsmooth.estimator import EstimateTrack, estimate_track
 from klsmooth.landweber import (EARLY_STOP_REL, SLOW_DEGREE, SLOW_REACH, IterationTrace,
                                 LandweberConfig, _block_sizes, _slow_modes, _stop_floors,
                                 diagonal_trace, landweber_run, matvec_trace, write_trace_csv)
@@ -19,7 +19,7 @@ from klsmooth.validation import DEFAULT_MU_GRID, max_mu_spectral, verify_smoothn
 
 from _oracles import (dense_deriv2, diagonal_landweber_oracle, general_svd, known_svd_problem,
                       known_symmetric_problem, planted_symmetric_problem, right_vectors,
-                      trace_csv_by_column, with_system, written_trace_csv)
+                      system_trace, trace_csv_by_column, with_system, written_trace_csv)
 
 
 def make_diag_problem(sigmas, x_true):
@@ -30,8 +30,10 @@ def make_diag_problem(sigmas, x_true):
 
 
 def test_single_mode_first_step():
-    p = make_diag_problem([0.5], [1.0])
-    trace = landweber_run(p, p.y_clean, LandweberConfig(step_beta=1.0, max_iters=1))
+    # a mode of sigma = 1 with no data sets the step 1 / ||A||^2 = 1 and adds
+    # nothing to R, G or E
+    p = make_diag_problem([1.0, 0.5], [0.0, 1.0])
+    trace = landweber_run(p, p.y_clean, LandweberConfig(max_iters=1))
     # x1 = beta * sigma * y = 0.25, so R1 = |0.5*0.25 - 0.5|, G1 = 0.5 * R1
     assert trace.residuals[0] == pytest.approx(0.375, rel=1e-14)
     assert trace.gradient_norms[0] == pytest.approx(0.1875, rel=1e-14)
@@ -40,7 +42,7 @@ def test_single_mode_first_step():
 
 def test_one_step_convergence_early_stop():
     p = make_diag_problem([1.0, 1.0], [3.0, -4.0])
-    trace = landweber_run(p, p.y_clean, LandweberConfig(step_beta=1.0, max_iters=50))
+    trace = landweber_run(p, p.y_clean, LandweberConfig(max_iters=50))   # step 1
     assert len(trace) == 1
     assert trace.residuals[0] == 0.0
     assert np.isnan(trace.lower_bounds[0])
@@ -48,7 +50,7 @@ def test_one_step_convergence_early_stop():
 
 def test_matches_oracle_midsize_diagonal():
     p = make_power_law(100, 2, 2)
-    trace = landweber_run(p, p.y_clean, LandweberConfig(step_beta=1.0, max_iters=50))
+    trace = landweber_run(p, p.y_clean, LandweberConfig(max_iters=50))   # sigma_1 = 1, step 1
     R, G, E = diagonal_landweber_oracle(p.operator.singular_system.sigmas, p.x_true, 50, step=1.0)
     assert np.max(np.abs(trace.residuals - R) / R) <= 1e-10
     assert np.max(np.abs(trace.gradient_norms - G) / G) <= 1e-10
@@ -99,14 +101,6 @@ def test_scale_covariance(lam):
     assert np.allclose(t2.lower_bounds / t2.errors, t1.lower_bounds / t1.errors, rtol=1e-9)
 
 
-def test_step_out_of_range_rejected():
-    p = make_power_law(10, 2, 2)
-    with pytest.raises(ValueError):
-        landweber_run(p, p.y_clean, LandweberConfig(step_beta=2.0))  # = 2/||A||^2
-    with pytest.raises(ValueError):
-        landweber_run(p, p.y_clean, LandweberConfig(step_beta=-0.5))
-
-
 def test_auto_step_is_inverse_norm_squared():
     p = make_diag_problem([2.0, 1.0], [1.0, 1.0])
     trace = landweber_run(p, p.y_clean, LandweberConfig(max_iters=3))
@@ -128,8 +122,6 @@ def test_non_finite_aborts_with_index():
 def test_invalid_config():
     with pytest.raises(ValueError):
         LandweberConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        LandweberConfig(step_beta="fast")
 
 
 def test_trace_csv_format():
@@ -148,12 +140,9 @@ def test_trace_csv_format():
 def test_trace_csv_with_estimates_and_upper():
     p = make_power_law(20, 2, 2)
     trace = landweber_run(p, p.y_clean, LandweberConfig(max_iters=8))
-    mu_k = np.array([0.3, 0.31])
-    c_k = np.array([1.0, 1.1])
-    k_values = np.array([7, 8])
+    track = EstimateTrack(k_min=7, mu_k=np.array([0.3, 0.31]), c_k=np.array([1.0, 1.1]))
     upper = np.linspace(1.0, 0.5, 8)
-    text = written_trace_csv(trace, mu_k=mu_k, c_k=c_k, k_values=k_values,
-                             upper_bounds=upper)
+    text = written_trace_csv(trace, track, upper_bounds=upper)
     lines = text.strip().splitlines()
     assert lines[0].endswith(",upper_bound")
     row7 = lines[7].split(",")
@@ -164,9 +153,7 @@ def test_trace_csv_with_estimates_and_upper():
 @pytest.mark.parametrize("name", FIGURE_NAMES)
 def test_trace_csv_matches_the_column_writer_on_figure_traces(name):
     result = run_pipeline(figure_config(name))
-    track = result["track"]
-    kwargs = dict(mu_k=track.mu_k, c_k=track.c_k, k_values=track.k_values,
-                  upper_bounds=result["upper"])
+    kwargs = dict(track=result["track"], upper_bounds=result["upper"])
     text = written_trace_csv(result["trace"], **kwargs)
     assert text == trace_csv_by_column(result["trace"], **kwargs)
 
@@ -182,16 +169,46 @@ def test_trace_csv_matches_the_column_writer_across_blocks():
     R[edge - 1], G[edge], lb[edge - 1], E[edge], upper[edge - 1] = (np.nan, np.inf, -np.inf,
                                                                    np.nan, np.inf)
     trace = IterationTrace(residuals=R, gradient_norms=G, lower_bounds=lb, errors=E)
-    k_values = np.arange(20, n + 1)
-    mu_k = rng.uniform(-1, 2, k_values.size)
-    c_k = np.exp(rng.uniform(-5, 5, k_values.size))
+    mu_k = rng.uniform(-1, 2, n - 19)
+    c_k = np.exp(rng.uniform(-5, 5, n - 19))
     mu_k[edge - 20], c_k[edge - 19] = np.nan, -np.inf     # rows edge and edge + 1
-    kwargs = dict(mu_k=mu_k, c_k=c_k, k_values=k_values, upper_bounds=upper)
+    kwargs = dict(track=EstimateTrack(k_min=20, mu_k=mu_k, c_k=c_k), upper_bounds=upper)
     text = written_trace_csv(trace, **kwargs)
     assert text == trace_csv_by_column(trace, **kwargs)
     lines = text.splitlines()
     assert lines[9999].startswith("9999,") and lines[10001].startswith("10001,")
     assert lines[edge].split(",")[1] == "" and lines[edge + 1].split(",")[2] == ""
+
+
+@pytest.mark.parametrize("k_min, converged", [
+    (decimal_block_rows(8) + 6, None),                            # estimates from block 2
+    (20, decimal_block_rows(8) + 3),                              # ending inside block 2
+    (decimal_block_rows(8) + 6, 2 * decimal_block_rows(8) + 1),   # both
+], ids=["later-block", "ends-early", "both"])
+def test_trace_csv_places_the_track_from_its_k_min(k_min, converged):
+    # a track from estimate_track whose first entry lies past the first
+    # block, or whose last lies before the trace's end, where the residual
+    # and gradient reach 0 (exact convergence): its cells must stop there
+    rows = decimal_block_rows(8)      # rows per block with all eight columns
+    n = 3 * rows + 7
+    rng = np.random.default_rng(17)
+    R = np.exp(-np.cumsum(rng.uniform(1e-3, 1e-2, n)))
+    G = R ** 1.5 * rng.uniform(0.9, 1.1, n)
+    E, upper = R ** 0.5, R ** 0.4
+    if converged is not None:
+        R[converged:] = G[converged:] = 0.0
+    lb = np.divide(R * R, G, out=np.full(n, np.nan), where=G > 0.0)
+    trace = IterationTrace(residuals=R, gradient_norms=G, lower_bounds=lb, errors=E)
+    track = estimate_track(trace, k_min=k_min)
+    last = k_min - 1 + track.mu_k.size      # the k of the track's last entry
+    assert last == (n if converged is None else converged)
+    kwargs = dict(track=track, upper_bounds=upper)
+    text = written_trace_csv(trace, **kwargs)
+    assert text == trace_csv_by_column(trace, **kwargs)
+    mu_cells = [line.split(",")[5] for line in text.splitlines()]   # [0] is the header
+    assert mu_cells[k_min - 1] == "" and float(mu_cells[k_min]) == track.mu_k[0]
+    assert float(mu_cells[last]) == track.mu_k[-1]
+    assert all(cell == "" for cell in mu_cells[last + 1:])
 
 
 @pytest.mark.parametrize("with_upper", [True, False])
@@ -211,14 +228,13 @@ def test_trace_csv_matches_the_column_writer_over_odd_blocks(monkeypatch, with_u
     R[edges - 1], G[edges], lb[edges - 1], E[edges], upper[edges - 1] = (np.nan, np.inf,
                                                                          -np.inf, np.nan, np.inf)
     trace = IterationTrace(residuals=R, gradient_norms=G, lower_bounds=lb, errors=E)
-    k_values = np.arange(20, n - 3)
-    mu_k = rng.uniform(-1, 2, k_values.size)
-    c_k = np.exp(rng.uniform(-5, 5, k_values.size))
+    mu_k = rng.uniform(-1, 2, n - 23)
+    c_k = np.exp(rng.uniform(-5, 5, n - 23))
     # on each side of every edge the estimates cover: k = edge, the last row
     # of a block, and k = edge + 1, the first of the next
-    inner = edges[(edges > 20) & (edges - 19 < k_values.size)]
+    inner = edges[(edges > 20) & (edges - 19 < mu_k.size)]
     mu_k[inner - 20], c_k[inner - 19] = np.nan, -np.inf
-    kwargs = dict(mu_k=mu_k, c_k=c_k, k_values=k_values,
+    kwargs = dict(track=EstimateTrack(k_min=20, mu_k=mu_k, c_k=c_k),
                   upper_bounds=upper if with_upper else None)
     calls = []
 
@@ -237,13 +253,11 @@ def test_trace_csv_memory_stays_bounded(tmp_path):
     p = make_power_law(200, 2, 1)
     trace = landweber_run(p, p.y_clean, LandweberConfig(max_iters=70_000))
     track = estimate_track(trace)
-    k_values = track.k_values   # the caller's column, computed from k_min
     column = 8 * len(trace)   # bytes of one float64 column of the trace
     list(decimal_rows(np.ones((1, 1))))     # the formatter's tables, built once per process
     tracemalloc.start()
     try:
-        write_trace_csv(tmp_path / "trace.csv", trace, mu_k=track.mu_k, c_k=track.c_k,
-                        k_values=k_values)
+        write_trace_csv(tmp_path / "trace.csv", trace, track)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -255,12 +269,13 @@ def test_trace_csv_memory_stays_bounded(tmp_path):
 
 def test_trace_csv_blanks_exactly_the_non_finite_cells():
     # NaN, -inf and inf in every float column, one column missing, a
-    # negative value beside each, and estimates on only some rows
+    # negative value beside each, and estimates on only the last rows
     special = np.array([np.nan, -np.inf, np.inf, -1.5e-300, 0.0, -0.0, 2.0, np.nan])
     trace = IterationTrace(residuals=special, gradient_norms=special[::-1].copy(),
                            lower_bounds=np.roll(special, 3), errors=None)
-    kwargs = dict(mu_k=np.array([np.inf, -0.25, np.nan]), c_k=np.array([1.0, -np.inf, 3.0]),
-                  k_values=np.array([2, 5, 8]), upper_bounds=np.roll(special, 5))
+    track = EstimateTrack(k_min=6, mu_k=np.array([np.inf, -0.25, np.nan]),
+                          c_k=np.array([1.0, -np.inf, 3.0]))
+    kwargs = dict(track=track, upper_bounds=np.roll(special, 5))
     text = written_trace_csv(trace, **kwargs)
     assert text == trace_csv_by_column(trace, **kwargs)
     assert "nan" not in text and "inf" not in text
@@ -606,13 +621,10 @@ def test_dense_closed_form_matches_matvec_loop(m, n, rank_drop, seed, noise, bet
     p, data = known_svd_problem(seed, m, n, rank, noise)
     sd = svd(p.operator)
     assert sd.sigmas.size == rank
-    cfg = LandweberConfig(step_beta=beta, max_iters=iters)
-    closed = landweber_run(with_system(p, sd), data, cfg)
-    loop = landweber_run(p, data, cfg)
-    assert (closed.path, loop.path) == ("closed-form", "matvec")
+    closed = system_trace(sd, data, beta, iters, p.x_true)
+    loop = matvec_trace(p.operator, data, beta, iters, p.x_true)
     rounding = (0.0, 64 * np.finfo(float).eps * np.linalg.norm(data), 0.0)
-    assert_traces_agree((closed.residuals, closed.gradient_norms, closed.errors),
-                        (loop.residuals, loop.gradient_norms, loop.errors), rounding=rounding)
+    assert_traces_agree(closed, loop, rounding=rounding)
 
 
 @settings(deadline=None, max_examples=40)
@@ -654,13 +666,10 @@ def test_symmetric_decomposition_matches_slow_paths(n, rank_drop, seed, noise, b
     for basis in (sd.u, right_vectors(sd)):
         assert np.abs(basis.T @ basis - np.eye(rank)).max() <= 1e-12
     assert np.abs(s - np.linalg.svd(a, compute_uv=False)[:rank]).max() <= tol
-    cfg = LandweberConfig(step_beta=beta, max_iters=iters)
-    closed = landweber_run(with_system(p, sd), data, cfg)
-    loop = landweber_run(p, data, cfg)
-    assert (closed.path, loop.path) == ("closed-form", "matvec")
+    closed = system_trace(sd, data, beta, iters, p.x_true)
+    loop = matvec_trace(p.operator, data, beta, iters, p.x_true)
     rounding = (0.0, 64 * np.finfo(float).eps * np.linalg.norm(data), 0.0)
-    assert_traces_agree((closed.residuals, closed.gradient_norms, closed.errors),
-                        (loop.residuals, loop.gradient_norms, loop.errors), rounding=rounding)
+    assert_traces_agree(closed, loop, rounding=rounding)
 
 
 def _assert_block_matches(p, oracle):

@@ -294,11 +294,13 @@ def test_max_mu_spectral_deriv2_bisection_path():
 
 
 def test_bound_curves_single_mode_lower_is_error():
-    # with one spectral mode, R^2/G = sigma^2 e^2 / (sigma^2 e) = e exactly
+    # with one spectral mode, R^2/G = sigma^2 e^2 / (sigma^2 e) = e exactly;
+    # a mode of sigma = 1 with no data sets the step 1 / ||A||^2 = 1 and adds
+    # nothing to R, G or E
     sig = 0.5
-    p = ks.ProblemSpec(operator=diagonal_operator([sig]), y_clean=np.array([sig * 1.0]),
-                       x_true=np.array([1.0]))
-    trace = landweber_run(p, p.y_clean, LandweberConfig(step_beta=1.0, max_iters=20))
+    p = ks.ProblemSpec(operator=diagonal_operator([1.0, sig]),
+                       y_clean=np.array([0.0, sig * 1.0]), x_true=np.array([0.0, 1.0]))
+    trace = landweber_run(p, p.y_clean, LandweberConfig(max_iters=20))
     lower, upper = bound_curves(trace, 0.5)
     assert np.allclose(lower, trace.errors, rtol=1e-12)
     assert upper is None
