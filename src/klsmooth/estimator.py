@@ -41,6 +41,9 @@ SATURATION_BAND = (0.85, 1.15)
 SLOPE_CHUNK = 1 << 15
 # entries per block of detect_stable_window's coarse search
 WINDOW_STRIDE = 16
+# iterations per chunk of _prefix_fits, and entries per chunk of
+# detect_stable_window's block extremes: a multiple of WINDOW_STRIDE
+ESTIMATE_CHUNK = 1 << 13
 
 VERDICT_STABLE = "stable"
 VERDICT_UNSTABLE = "unstable-suspect-violation"
@@ -109,11 +112,13 @@ def estimate_track(trace: IterationTrace, k_min: int = DEFAULT_K_MIN,
                    eps_c_rel: float = DEFAULT_EPS_C_REL) -> EstimateTrack:
     """Per-prefix estimates for k = k_min..K with stability/noise diagnostics.
 
-    All prefixes are evaluated in one pass over running sums. Iterations at
-    or past an exact-convergence zero (R or G equal to 0) are excluded;
-    degenerate prefixes are skipped and listed in ``skipped_k``. The stages
-    index the track by position; a k is k_min plus its entry's position, so
-    the track keeps two columns, mu_k and c_k, and no column of k.
+    The prefixes are fitted from running sums, and the window searched, by
+    chunks of ESTIMATE_CHUNK entries, so the stage holds little besides its
+    outputs on long traces. Iterations at or past an exact-convergence zero
+    (R or G equal to 0) are excluded; degenerate prefixes are skipped and
+    listed in ``skipped_k``. The stages index the track by position; a k is
+    k_min plus its entry's position, so the track keeps two columns, mu_k
+    and c_k, and no column of k.
     """
     track = _prefix_fits(trace, k_min)
     window = detect_stable_window(track, w_min=w_min, eps_mu=eps_mu,
@@ -141,10 +146,13 @@ def estimate_track(trace: IterationTrace, k_min: int = DEFAULT_K_MIN,
 def _prefix_fits(trace: IterationTrace, k_min: int) -> EstimateTrack:
     """The regression columns of :func:`estimate_track`, without diagnostics.
 
-    A function of its own so that the running sums are freed before the
-    window search allocates its own arrays. The four sums are accumulated in
-    the arrays of the logs and their products, and the fit of the prefixes
-    from k_min on works in their memory (see :func:`_ols`).
+    The prefixes are fitted by chunks of ESTIMATE_CHUNK iterations, so that
+    the stage holds the two output columns and chunk-sized buffers only. A
+    chunk's logs and their products go into columns 1 on of one (4, chunk +
+    1) buffer whose column 0 holds the running totals of the chunks before:
+    its running sums are added in the order of one pass over the whole
+    trace, bit for bit. :func:`_ols` then fits the chunk's prefixes from
+    k_min on in the memory of ``mu_k`` and ``c_k``.
     """
     if k_min < 2:
         raise ValueError("k_min must be >= 2")
@@ -158,23 +166,42 @@ def _prefix_fits(trace: IterationTrace, k_min: int) -> EstimateTrack:
     if K_use < k_min:
         raise ValueError("trace reaches exact convergence before k_min")
 
-    s1 = np.log(R[:K_use])
-    sy = np.log(G[:K_use])
-    s2 = np.square(s1)
-    sxy = np.multiply(s1, sy)
-    for s in (s1, s2, sy, sxy):
-        np.cumsum(s, out=s)
-    fits = slice(k_min - 1, None)
-    gamma, b, degenerate = _ols(np.arange(k_min, K_use + 1.0), s1[fits], s2[fits], sy[fits],
-                                sxy[fits])
-    mu = gamma_to_mu(gamma)
-    # a fit of a few far-off points may have c beyond the float range
-    with np.errstate(over="ignore"):
-        c = np.exp(np.negative(b, out=b), out=b)
-    mu[degenerate] = np.nan
-    c[degenerate] = np.nan
-    return EstimateTrack(k_min=k_min, mu_k=mu, c_k=c,
-                         skipped_k=tuple((np.flatnonzero(degenerate) + k_min).tolist()))
+    mu = np.empty(K_use - k_min + 1)
+    c = np.empty_like(mu)
+    skipped = []
+    chunk = min(ESTIMATE_CHUNK, K_use)
+    sums = np.empty((4, chunk + 1))
+    for start in range(0, K_use, chunk):
+        stop = min(start + chunk, K_use)
+        cum = sums[:, :stop - start + 1]
+        s1, s2, sy, sxy = cum[:, 1:]
+        np.log(R[start:stop], out=s1)
+        np.log(G[start:stop], out=sy)
+        np.square(s1, out=s2)
+        np.multiply(s1, sy, out=sxy)
+        # the first chunk starts its sums from its first entry, as one pass
+        # would: a sum started from 0.0 would turn a -0.0 product into +0.0
+        running = cum if start else cum[:, 1:]
+        np.cumsum(running, axis=1, out=running)
+        # column j + 1 - start of cum sums the first j + 1 iterations, and the
+        # fits run from the prefix of k_min iterations
+        first = max(start, k_min - 1)
+        if first < stop:
+            fits = slice(first - start, None)
+            out = slice(first - k_min + 1, stop - k_min + 1)
+            gamma, b = mu[out], c[out]
+            gamma[...], b[...] = sxy[fits], sy[fits]
+            _, _, degenerate = _ols(np.arange(first + 1, stop + 1.0), s1[fits], s2[fits],
+                                    sy=b, sxy=gamma)
+            gamma[...] = gamma_to_mu(gamma)
+            # a fit of a few far-off points may have c beyond the float range
+            with np.errstate(over="ignore"):
+                np.exp(np.negative(b, out=b), out=b)
+            gamma[degenerate] = np.nan
+            b[degenerate] = np.nan
+            skipped += (np.flatnonzero(degenerate) + first + 1).tolist()
+        cum[:, 0] = cum[:, -1]
+    return EstimateTrack(k_min=k_min, mu_k=mu, c_k=c, skipped_k=tuple(skipped))
 
 
 def _collapses_after(track: EstimateTrack, k_star: int) -> bool:
@@ -197,7 +224,7 @@ def detect_stable_window(track: EstimateTrack, w_min: int = DEFAULT_W_MIN,
     k of its ends (track.k_min plus their positions). Absence is a value,
     not an error.
 
-    An ineligible entry becomes NaN in both rows of one (2, n) array of
+    An ineligible entry becomes NaN in both rows of the searched copies of
     mu_k and c_k: every max and min over a window that covers it is NaN,
     and both stability tests fail on NaN. Every sub-window of a stable
     window is stable, so whether a stable window of a given length exists
@@ -220,32 +247,47 @@ def detect_stable_window(track: EstimateTrack, w_min: int = DEFAULT_W_MIN,
     every stable window of the searched lengths in that stretch lies in a
     neighbourhood, so its earliest longest window is the track's. With
     L < 2 the fine search covers the whole track.
+
+    The block extremes are reduced by chunks of ESTIMATE_CHUNK entries,
+    each marked on one chunk-sized scratch, into preallocated (2, n / S)
+    arrays; the fine search copies its stretch alone.
     """
     if not (eps_mu >= 0.0 and eps_c_rel >= 0.0):
         raise ValueError("eps_mu and eps_c_rel must be non-negative")
-    n = track.mu_k.size
+    mu, c = track.mu_k, track.c_k
+    n = mu.size
     shortest = max(w_min, 1)
     if shortest > n:
         return None
-    values = np.array((track.mu_k, track.c_k), dtype=float)
-    values[:, ~((values > 0.0) & (values < np.inf)).all(axis=0)] = np.nan
+
+    def eligible(mu_part: np.ndarray, c_part: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out[0], out[1] = mu_part, c_part
+        out[:, ~((out > 0.0) & (out < np.inf)).all(axis=0)] = np.nan
+        return out
 
     S = WINDOW_STRIDE
     n_blocks = n // S
-    # block extremes: reduced along the middle axis of a (2, S, n_blocks)
-    # copy, numpy runs S - 1 elementwise passes over contiguous rows, where
+    hi, lo = np.empty((2, n_blocks)), np.empty((2, n_blocks))
+    # a chunk's blocks laid out (2, S, blocks): numpy reduces along the
+    # middle axis by S - 1 elementwise passes over contiguous rows, where
     # along an S-long last axis it takes several times as long
-    blocks = values[:, :n_blocks * S].reshape(2, n_blocks, S).transpose(0, 2, 1).copy()
-    runs, _, (w, shorter) = _longest_stable(blocks.max(axis=1), blocks.min(axis=1),
-                                            eps_mu, eps_c_rel, 1, n_blocks)
-    begin = 0
+    scratch = np.empty((2, S, min(ESTIMATE_CHUNK, n_blocks * S) // S))
+    for start in range(0, n_blocks * S, ESTIMATE_CHUNK):
+        stop = min(start + ESTIMATE_CHUNK, n_blocks * S)
+        blocks = eligible(mu[start:stop].reshape(-1, S).T, c[start:stop].reshape(-1, S).T,
+                           scratch[:, :, :(stop - start) // S])
+        blocks.max(axis=1, out=hi[:, start // S:stop // S])
+        blocks.min(axis=1, out=lo[:, start // S:stop // S])
+    runs, _, (w, shorter) = _longest_stable(hi, lo, eps_mu, eps_c_rel, 1, n_blocks)
+    begin, end = 0, n
     if runs >= 2:
         t = np.flatnonzero(shorter)
         begin = max(int(t[0]) * S - S + 1, 0)
-        values = values[:, begin:(int(t[-1]) + w + 1) * S]
+        end = min((int(t[-1]) + w + 1) * S, n)
+    values = eligible(mu[begin:end], c[begin:end], np.empty((2, end - begin)))
     found, starts, _ = _longest_stable(values, values, eps_mu, eps_c_rel,
                                        max(shortest, runs * S),
-                                       min(values.shape[1], (runs + 2) * S - 2))
+                                       min(end - begin, (runs + 2) * S - 2))
     if starts is None:
         return None
     first = track.k_min + begin + int(np.argmax(starts))

@@ -4,10 +4,11 @@ Everything here is computed directly from per-mode formulas, never by
 running the iteration under test. The file readers at the end are the ones
 the package used before every entry line went through one np.loadtxt call,
 and coarse_to_fine_stable_window is its window search from before the fine
-search was restricted to where a window can lie. prefix_fits_oracle and
-saturation_oracle are the estimator's prefix fits and saturation detector
-from before they worked in place: every sum, fit and slope allocated anew,
-and the detector logged and sloped the whole trace from its first window on.
+search was restricted to where a window can lie, or read the track by
+chunks. prefix_fits_oracle and saturation_oracle are the estimator's prefix
+fits and saturation detector from before they worked in place and by
+chunks: every sum, fit and slope allocated anew over the whole trace, and
+the detector logged and sloped the whole trace from its first window on.
 regress_prefix, the fit of one prefix, and mu_to_model, the exponents of a
 source condition written out one by one, have no caller in the package.
 sine_basis_oracle is deriv2's DST-II basis as the package built it before

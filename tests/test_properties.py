@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from klsmooth import estimator
-from klsmooth.estimator import (SATURATION_WINDOW, WINDOW_STRIDE, EstimateTrack, _prefix_fits,
+from klsmooth.estimator import (DEFAULT_EPS_C_REL, DEFAULT_EPS_MU, DEFAULT_W_MIN,
+                                SATURATION_WINDOW, WINDOW_STRIDE, EstimateTrack,
                                 detect_discretization_saturation, detect_noise_takeover,
                                 detect_stable_window, estimate_track)
 from klsmooth.landweber import IterationTrace
@@ -21,6 +22,16 @@ from _oracles import (brute_force_stable_window, coarse_to_fine_stable_window,
                       noise_takeover_oracle, prefix_fits_oracle, rolling_slopes_oracle,
                       saturating_trace, saturation_oracle, stable_block_groups,
                       stable_window_oracle, written_trace_csv)
+
+
+# entries per chunk of the estimate stage while it is checked against the
+# oracles: chunk edges, every third block edge, fall inside short tracks
+SMALL_ESTIMATE_CHUNK = 3 * WINDOW_STRIDE
+
+
+def _detect_stable_window_by_small_chunks(track, w_min, eps_mu, eps_c):
+    with mock.patch.object(estimator, "ESTIMATE_CHUNK", SMALL_ESTIMATE_CHUNK):
+        return detect_stable_window(track, w_min=w_min, eps_mu=eps_mu, eps_c_rel=eps_c)
 
 
 def mk_trace(R, G, errors=None):
@@ -90,7 +101,7 @@ def rough_track(draw):
 @example(track=EstimateTrack(k_min=5, mu_k=np.linspace(0.9, 0.1, 80) ** 4, c_k=np.ones(80)),
          w_min=5, eps_mu=0.05, eps_c=0.05)   # the flat stretch runs to the end
 def test_stable_window_matches_deque_oracle(track, w_min, eps_mu, eps_c):
-    assert (detect_stable_window(track, w_min=w_min, eps_mu=eps_mu, eps_c_rel=eps_c)
+    assert (_detect_stable_window_by_small_chunks(track, w_min, eps_mu, eps_c)
             == stable_window_oracle(track, w_min, eps_mu, eps_c))
 
 
@@ -124,7 +135,7 @@ def plateau_track(draw):
                              c_k=np.ones(4 * WINDOW_STRIDE + 5)),
          w_min=4 * WINDOW_STRIDE + 6, eps_mu=0.05, eps_c=0.05)   # w_min > n
 def test_stable_window_matches_brute_force(track, w_min, eps_mu, eps_c):
-    assert (detect_stable_window(track, w_min=w_min, eps_mu=eps_mu, eps_c_rel=eps_c)
+    assert (_detect_stable_window_by_small_chunks(track, w_min, eps_mu, eps_c)
             == brute_force_stable_window(track, w_min, eps_mu, eps_c))
 
 
@@ -139,7 +150,9 @@ def long_track(draw):
     so that the stable block runs often fall into several neighbourhoods,
     and sometimes into one that a break splits. One may
     run to the last entry, and NaN and mu <= 0 breaks may fall anywhere,
-    one of them inside a plateau. Tracks run from 300 to 5,000 entries.
+    one of them inside a plateau, and on either side of the edges of
+    SMALL_ESTIMATE_CHUNK entries or of blocks. Tracks run from 300 to 5,000
+    entries.
     """
     n = draw(st.integers(min_value=300, max_value=5000))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
@@ -162,6 +175,12 @@ def long_track(draw):
         values[rng.integers(0, n, draw(st.integers(min_value=0, max_value=2)))] = bad
     if draw(st.booleans()):
         mu[starts[0] + int(rng.integers(0, widths[0]))] = np.nan
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        unit = int(rng.choice([SMALL_ESTIMATE_CHUNK, WINDOW_STRIDE]))
+        edge = unit * int(rng.integers(1, (n - 1) // unit + 1))
+        values, bad = [(mu, np.nan), (mu, 0.0), (mu, -0.2), (c, np.nan), (c, np.inf)][
+            rng.integers(0, 5)]
+        values[edge - int(rng.integers(0, 2))] = bad
     return EstimateTrack(k_min=5, mu_k=mu, c_k=c)
 
 
@@ -220,7 +239,8 @@ def test_long_track_examples_form_two_block_groups():
 @example(track=_joinable_neighbourhoods(), w_min=50, eps_mu=0.05, eps_c=0.05)
 @example(track=_overlapping_neighbourhoods(), w_min=10, eps_mu=0.05, eps_c=0.05)
 def test_stable_window_on_long_tracks_matches_both_oracles(track, w_min, eps_mu, eps_c):
-    found = detect_stable_window(track, w_min=w_min, eps_mu=eps_mu, eps_c_rel=eps_c)
+    found = _detect_stable_window_by_small_chunks(track, w_min, eps_mu, eps_c)
+    assert found == detect_stable_window(track, w_min=w_min, eps_mu=eps_mu, eps_c_rel=eps_c)
     assert found == coarse_to_fine_stable_window(track, w_min, eps_mu, eps_c)
     assert found == stable_window_oracle(track, w_min, eps_mu, eps_c)
 
@@ -241,7 +261,8 @@ def saturating_trace_args(draw):
     chunks of SMALL_CHUNK windows, with the kink anywhere, near the end or
     past it, noise from none to enough to take windows out of band at
     random, spikes (one may start the last window) and breaks anywhere, and
-    sometimes a flat start."""
+    sometimes a flat start, one that runs past the first SMALL_ESTIMATE_CHUNK
+    prefixes among them."""
     n = draw(st.integers(min_value=1, max_value=1500)
              | st.integers(min_value=4 * SMALL_CHUNK, max_value=1500))
     entry = st.integers(min_value=0, max_value=n - 1)
@@ -259,7 +280,7 @@ def saturating_trace_args(draw):
                 breaks=draw(st.lists(st.tuples(entry | st.integers(n // 2, n - 1),
                                                st.sampled_from(["nan", "zero", "inf", "r0", "g0"])),
                                      max_size=2)),
-                flat_start=draw(st.sampled_from([0, 0, 3, 12])))
+                flat_start=draw(st.sampled_from([0, 0, 3, 12, 60])))
 
 
 def _outcome(fn, *args):
@@ -270,8 +291,12 @@ def _outcome(fn, *args):
 
 
 @settings(deadline=None, max_examples=300, derandomize=True)
-@given(saturating_trace_args(), st.integers(min_value=2, max_value=8))
+@given(saturating_trace_args(), st.sampled_from([2, 5, 23]))
 @example(args=BOUNDARY_ONSET, k_min=5)
+# degenerate prefixes up to 60 across the first chunk edge, and R = 0 in
+# the middle of the fourth chunk, so that the fits stop there
+@example(args=dict(seed=7, n=400, kink=300, early_slope=0.6, noise=1e-4, spikes=[],
+                   breaks=[(3 * SMALL_ESTIMATE_CHUNK + 20, "r0")], flat_start=60), k_min=23)
 def test_estimate_passes_match_their_forward_oracles(args, k_min):
     trace = saturating_trace(**args)
     with mock.patch.object(estimator, "SLOPE_CHUNK", SMALL_CHUNK):
@@ -290,19 +315,23 @@ def test_estimate_passes_match_their_forward_oracles(args, k_min):
         with mock.patch.object(estimator, "SLOPE_CHUNK", SMALL_CHUNK):
             want = rolling_slopes_oracle(np.log(R[:stop]), np.log(lb[:stop]), SATURATION_WINDOW)
         assert np.concatenate(slopes).tobytes() == want.tobytes()
-    got = _outcome(_prefix_fits, trace, k_min)
+    # the estimate stage by chunks of SMALL_ESTIMATE_CHUNK entries against
+    # the oracles' whole-trace passes
+    with mock.patch.object(estimator, "ESTIMATE_CHUNK", SMALL_ESTIMATE_CHUNK):
+        track = _outcome(estimate_track, trace, k_min)
     # the oracle lets exp overflow to c = inf with a warning
     with np.errstate(over="ignore"):
         want = _outcome(prefix_fits_oracle, trace, k_min)
     if isinstance(want, str):
-        assert got == want
+        assert track == want
         return
-    assert np.array_equal(got.k_values, want.k_values)
+    assert np.array_equal(track.k_values, want.k_values)
     # bit for bit, NaN included
-    assert got.mu_k.tobytes() == want.mu_k.tobytes()
-    assert got.c_k.tobytes() == want.c_k.tobytes()
-    assert got.skipped_k == want.skipped_k
-    track = estimate_track(trace, k_min=k_min)
+    assert track.mu_k.tobytes() == want.mu_k.tobytes()
+    assert track.c_k.tobytes() == want.c_k.tobytes()
+    assert track.skipped_k == want.skipped_k
+    assert track.stable_window == stable_window_oracle(want, DEFAULT_W_MIN, DEFAULT_EPS_MU,
+                                                       DEFAULT_EPS_C_REL)
     if track.stable_window is not None:
         k1, k2 = track.stable_window
         mask = (want.k_values >= k1) & (want.k_values <= k2)
